@@ -444,17 +444,10 @@ func (x *xmlResponseWriter) Write(p []byte) (int, error) {
 	return x.w.Write(p)
 }
 
-// handleStats reports the enforcement cache's effectiveness: compile-cache
-// hits and misses (misses == core.Compile runs since start), the aggregated
-// word-verdict memo counters, and the invocation audit size. With Telemetry
-// configured the cache numbers are read back from the registry's
-// axml_compile_cache_* / axml_word_cache_* series — the registry is the
-// single source of truth and /stats is a JSON view of it (see DESIGN.md §8
-// for the field-to-series mapping); the JSON shape is unchanged either way,
-// except for a "telemetry" flag reporting which source served the numbers.
 // cappedBody is a request body behind http.MaxBytesReader that remembers
-// whether the cap tripped: parsers in the read path (xsdint, xml.Decoder)
-// do not all preserve the *http.MaxBytesError through their error wrapping,
+// whether the cap tripped. The XML parsers wrap the reader's
+// *http.MaxBytesError with %w, but a body can also fail on malformed bytes
+// the tokenizer read before the cap tripped, and is too large all the same,
 // so the 413-vs-400 decision cannot rely on errors.As alone.
 type cappedBody struct {
 	r       io.Reader
@@ -496,6 +489,14 @@ func (p *Peer) limitBody(w http.ResponseWriter, r *http.Request) *cappedBody {
 	return &cappedBody{r: http.MaxBytesReader(w, r.Body, limit)}
 }
 
+// handleStats reports the enforcement cache's effectiveness: compile-cache
+// hits and misses (misses == core.Compile runs since start), the aggregated
+// word-verdict memo counters, and the invocation audit size. With Telemetry
+// configured the cache numbers are read back from the registry's
+// axml_compile_cache_* / axml_word_cache_* series — the registry is the
+// single source of truth and /stats is a JSON view of it (see DESIGN.md §8
+// for the field-to-series mapping); the JSON shape is unchanged either way,
+// except for a "telemetry" flag reporting which source served the numbers.
 func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)

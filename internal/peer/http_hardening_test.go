@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"axml/internal/soap"
 )
 
 // identityExchangeXSD is an exchange schema equivalent to the news peer's
@@ -144,5 +146,48 @@ func TestExchangeOverlayKeepsCacheHits(t *testing.T) {
 	}
 	if hits := stats.Hits - start.Hits; hits < 2 {
 		t.Errorf("3 identical exchanges hit the cache %d times, want >= 2", hits)
+	}
+}
+
+// TestHostileXMLBodies: every route that parses XML answers 400 to a body of
+// nested start tags just under the default request cap (millions of levels,
+// which once overflowed the parser's stack and killed the process) and to a
+// document with content after its root element (which was once stored
+// truncated), and the peer keeps serving afterwards.
+func TestHostileXMLBodies(t *testing.T) {
+	p := newsPeer(t)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	nested := func(prefix, tag string) string {
+		return prefix + strings.Repeat(tag, (soap.DefaultMaxRequestBytes-len(prefix))/len(tag))
+	}
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"nested PUT /doc", http.MethodPut, "/doc/deep", nested("", "<a>")},
+		{"nested /soap", http.MethodPost, "/soap", nested(`<soap:Envelope xmlns:soap="`+soap.EnvelopeNS+`"><soap:Body><Get_Temp>`, "<a>")},
+		{"nested /exchange", http.MethodPost, "/exchange/today",
+			nested(`<schema root="newspaper"><element name="newspaper"><complexType>`, "<sequence>")},
+		{"PUT /doc with a second root", http.MethodPut, "/doc/two", "<memo>a</memo><memo>b</memo>"},
+		{"PUT /doc with trailing text", http.MethodPut, "/doc/two", "<memo>a</memo>junk<"},
+	} {
+		if len(tc.body) > soap.DefaultMaxRequestBytes {
+			t.Fatalf("%s: body of %d bytes exceeds the cap", tc.name, len(tc.body))
+		}
+		resp := doReq(t, tc.method, ts.URL+tc.path, tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+	if resp := doReq(t, http.MethodGet, ts.URL+"/doc/two", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("a rejected PUT stored a document: GET = %d", resp.StatusCode)
+	}
+	resp, err := http.Post(ts.URL+"/exchange/today?mode=safe", "text/xml", strings.NewReader(identityExchangeXSD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("exchange after hostile bodies = %d, want 200", resp.StatusCode)
 	}
 }

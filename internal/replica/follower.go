@@ -255,7 +255,7 @@ func (f *Follower) apply(ctx context.Context, rec wal.Record) {
 	var err error
 	switch rec.Op {
 	case wal.OpPut:
-		var d, perr = xmlio.ParseString(string(rec.Data))
+		var d, perr = xmlio.ParseBytes(rec.Data)
 		if perr != nil {
 			err = perr
 		} else {

@@ -10,6 +10,7 @@
 package soap
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -73,13 +74,13 @@ func writeEnvelope(w io.Writer, bodyElem, namespace string, forest []*doc.Node) 
 	b.WriteString(xml.Header)
 	fmt.Fprintf(&b, "<soap:Envelope xmlns:soap=%q xmlns:int=%q>\n", EnvelopeNS, xmlio.Namespace)
 	b.WriteString("  <soap:Body>\n")
-	ns := ""
+	ns, prefix := "", ""
 	if namespace != "" {
-		ns = fmt.Sprintf(" xmlns:m=%q", namespace)
-	}
-	prefix := ""
-	if namespace != "" {
-		prefix = "m:"
+		// A prefix can qualify only a colon-free name.
+		if strings.Contains(bodyElem, ":") {
+			return fmt.Errorf("soap: body element %q cannot take namespace %q", bodyElem, namespace)
+		}
+		ns, prefix = ` xmlns:m="`+escape(namespace)+`"`, "m:"
 	}
 	fmt.Fprintf(&b, "    <%s%s%s>\n", prefix, bodyElem, ns)
 	for _, n := range forest {
@@ -121,43 +122,46 @@ func ReadResponse(r io.Reader) ([]*doc.Node, error) {
 	return forest, nil
 }
 
-// readEnvelope walks Envelope/Body and decodes the single body entry.
+// readEnvelope walks Envelope/Body and decodes the single body entry. It
+// reads r only as far as the end of that entry.
 func readEnvelope(r io.Reader) (method, namespace string, forest []*doc.Node, fault *Fault, err error) {
-	dec := xml.NewDecoder(r)
-	if err := expectStart(dec, EnvelopeNS, "Envelope"); err != nil {
+	tz := xmlio.NewTokenizer(r)
+	defer tz.Close()
+	if err := expectStart(tz, EnvelopeNS, "Envelope"); err != nil {
 		return "", "", nil, nil, err
 	}
-	if err := expectStart(dec, EnvelopeNS, "Body"); err != nil {
+	if err := expectStart(tz, EnvelopeNS, "Body"); err != nil {
 		return "", "", nil, nil, err
 	}
-	start, err2 := nextStart(dec)
+	start, err2 := nextStart(tz)
 	if err2 != nil {
 		return "", "", nil, nil, fmt.Errorf("soap: empty body: %w", err2)
 	}
-	if start.Name.Space == EnvelopeNS && start.Name.Local == "Fault" {
-		f, err3 := readFault(dec)
+	if start.Space == EnvelopeNS && string(start.Local) == "Fault" {
+		f, err3 := readFault(tz)
 		return "", "", nil, f, err3
 	}
-	forest, err = xmlio.ParseChildrenAt(dec, start.Name)
+	method, namespace = string(start.Local), start.Space
+	forest, err = xmlio.ParseChildrenAt(tz, method)
 	if err != nil {
 		return "", "", nil, nil, fmt.Errorf("soap: body entry: %w", err)
 	}
-	return start.Name.Local, start.Name.Space, forest, nil, nil
+	return method, namespace, forest, nil, nil
 }
 
-func readFault(dec *xml.Decoder) (*Fault, error) {
+func readFault(tz *xmlio.Tokenizer) (*Fault, error) {
 	f := &Fault{}
 	depth := 1
 	var field *string
 	for depth > 0 {
-		tok, err := dec.Token()
+		tok, err := tz.Next()
 		if err != nil {
 			return nil, fmt.Errorf("soap: truncated fault: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch tok.Kind {
+		case xmlio.KindStart:
 			depth++
-			switch t.Name.Local {
+			switch string(tok.Local) {
 			case "faultcode":
 				field = &f.Code
 			case "faultstring":
@@ -165,11 +169,11 @@ func readFault(dec *xml.Decoder) (*Fault, error) {
 			default:
 				field = nil
 			}
-		case xml.CharData:
+		case xmlio.KindText:
 			if field != nil {
-				*field += strings.TrimSpace(string(t))
+				*field += string(bytes.TrimSpace(tok.Data))
 			}
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			depth--
 			field = nil
 		}
@@ -177,33 +181,34 @@ func readFault(dec *xml.Decoder) (*Fault, error) {
 	return f, nil
 }
 
-// nextStart returns the next StartElement, skipping whitespace and comments.
-func nextStart(dec *xml.Decoder) (xml.StartElement, error) {
+// nextStart returns the next start tag, skipping white space, comments and
+// processing instructions.
+func nextStart(tz *xmlio.Tokenizer) (*xmlio.Token, error) {
 	for {
-		tok, err := dec.Token()
+		tok, err := tz.Next()
 		if err != nil {
-			return xml.StartElement{}, err
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, nil
-		case xml.EndElement:
-			return xml.StartElement{}, fmt.Errorf("soap: unexpected </%s>", t.Name.Local)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
-				return xml.StartElement{}, fmt.Errorf("soap: unexpected text %q", string(t))
+		switch tok.Kind {
+		case xmlio.KindStart:
+			return tok, nil
+		case xmlio.KindEnd:
+			return nil, fmt.Errorf("soap: unexpected </%s>", tok.Local)
+		case xmlio.KindText:
+			if len(bytes.TrimSpace(tok.Data)) > 0 {
+				return nil, fmt.Errorf("soap: unexpected text %q", tok.Data)
 			}
 		}
 	}
 }
 
-func expectStart(dec *xml.Decoder, space, local string) error {
-	start, err := nextStart(dec)
+func expectStart(tz *xmlio.Tokenizer, space, local string) error {
+	start, err := nextStart(tz)
 	if err != nil {
 		return fmt.Errorf("soap: expected <%s>: %w", local, err)
 	}
-	if start.Name.Space != space || start.Name.Local != local {
-		return fmt.Errorf("soap: expected <%s> in %s, got <%s> in %s", local, space, start.Name.Local, start.Name.Space)
+	if start.Space != space || string(start.Local) != local {
+		return fmt.Errorf("soap: expected <%s> in %s, got <%s> in %s", local, space, start.Local, start.Space)
 	}
 	return nil
 }

@@ -219,7 +219,7 @@ func (d *Disk) loadShard(id int) error {
 			if err != nil {
 				return fmt.Errorf("store: %w", err)
 			}
-			n, err := xmlio.ParseString(string(data))
+			n, err := xmlio.ParseBytes(data)
 			if err != nil {
 				// Atomic writes mean a torn file is impossible; this is
 				// at-rest damage. Refuse to silently drop state.
@@ -370,7 +370,7 @@ func (d *Disk) fetchLocked(name string) (*doc.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: faulting %q: %w", name, err)
 	}
-	n, err := xmlio.ParseString(string(data))
+	n, err := xmlio.ParseBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: faulting %q: %w", name, err)
 	}

@@ -78,7 +78,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	}
 	repo := NewRepository()
 	for name, data := range state.Docs {
-		d, err := xmlio.ParseString(string(data))
+		d, err := xmlio.ParseBytes(data)
 		if err != nil {
 			// Checksums passed, so this is not disk damage: the payload
 			// itself was never a valid document. Refuse to silently drop

@@ -359,7 +359,7 @@ func (r *Repository) LoadDirWith(dir string, policy ConflictPolicy) (int, error)
 		if err != nil {
 			return loaded, fmt.Errorf("store: %w", err)
 		}
-		d, err := xmlio.ParseString(string(data))
+		d, err := xmlio.ParseBytes(data)
 		if err != nil {
 			return loaded, fmt.Errorf("store: parsing %s: %w", e.Name(), err)
 		}

@@ -11,7 +11,6 @@
 package wsdl
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -76,16 +75,12 @@ func String(d *Description, predNames map[string]string) (string, error) {
 
 // Parse reads a WSDL_int description.
 func Parse(r io.Reader, opt xsdint.Options) (*Description, error) {
-	src, release, err := xmlio.ByteSource(r)
-	if err != nil {
-		return nil, fmt.Errorf("wsdl: %w", err)
-	}
-	defer release()
-	dec := xml.NewDecoder(src)
+	tz := xmlio.NewTokenizer(r)
+	defer tz.Close()
 	d := &Description{}
 	depth := 0
 	for {
-		tok, err := dec.Token()
+		tok, err := tz.Next()
 		if err == io.EOF {
 			if d.Schema == nil {
 				return nil, fmt.Errorf("wsdl: no embedded schema found")
@@ -95,39 +90,39 @@ func Parse(r io.Reader, opt xsdint.Options) (*Description, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wsdl: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch tok.Kind {
+		case xmlio.KindStart:
 			depth++
-			switch t.Name.Local {
+			switch string(tok.Local) {
 			case "definitions":
 				if depth != 1 {
 					return nil, fmt.Errorf("wsdl: nested <definitions>")
 				}
-				for _, a := range t.Attr {
-					switch a.Name.Local {
+				for _, a := range tok.Attr {
+					switch string(a.Local) {
 					case "name":
-						d.Name = a.Value
+						d.Name = string(a.Value)
 					case "targetNamespace":
-						d.TargetNamespace = a.Value
+						d.TargetNamespace = string(a.Value)
 					}
 				}
 			case "schema":
-				s, err := xsdint.ParseAt(dec, t, opt)
+				s, err := xsdint.ParseAt(tz, tok, opt)
 				if err != nil {
 					return nil, err
 				}
 				d.Schema = s
 				depth-- // ParseAt consumed the matching end element
 			case "service":
-				if v := attrOf(t, "name"); v != "" && d.Name == "" {
+				if v := tok.Value("name"); v != "" && d.Name == "" {
 					d.Name = v
 				}
 			case "address":
-				if v := attrOf(t, "location"); v != "" {
+				if v := tok.Value("location"); v != "" {
 					d.Endpoint = v
 				}
 			}
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			depth--
 		}
 	}
@@ -136,13 +131,4 @@ func Parse(r io.Reader, opt xsdint.Options) (*Description, error) {
 // ParseString parses from a string.
 func ParseString(src string, opt xsdint.Options) (*Description, error) {
 	return Parse(strings.NewReader(src), opt)
-}
-
-func attrOf(start xml.StartElement, name string) string {
-	for _, a := range start.Attr {
-		if a.Name.Local == name {
-			return a.Value
-		}
-	}
-	return ""
 }

@@ -2,7 +2,6 @@ package xmlio
 
 import (
 	"bytes"
-	"encoding/xml"
 	"io"
 	"strings"
 
@@ -10,17 +9,21 @@ import (
 )
 
 // ParseElementAt parses the element that start opened, reading the rest of
-// its content from dec. It lets embedding formats (SOAP envelopes, WSDL_int)
-// delegate intensional-content parsing mid-stream.
-func ParseElementAt(dec *xml.Decoder, start xml.StartElement) (*doc.Node, error) {
-	return parseElement(dec, start)
+// it from tz. It lets embedding formats (SOAP envelopes, WSDL_int) delegate
+// intensional-content parsing mid-stream.
+func ParseElementAt(tz *Tokenizer, start *Token) (*doc.Node, error) {
+	b := getBuilder(tz)
+	defer putBuilder(b)
+	return b.subtree(start)
 }
 
-// ParseChildrenAt parses a forest: all content up to (and including) the end
-// tag matching parent. Whitespace-only text is dropped; other text becomes
-// trimmed text nodes.
-func ParseChildrenAt(dec *xml.Decoder, parent xml.Name) ([]*doc.Node, error) {
-	return parseChildren(dec, parent)
+// ParseChildrenAt parses a forest: all content of the open element named
+// parent, up to and including its end tag. Whitespace-only text is dropped;
+// other text becomes trimmed text nodes.
+func ParseChildrenAt(tz *Tokenizer, parent string) ([]*doc.Node, error) {
+	b := getBuilder(tz)
+	defer putBuilder(b)
+	return b.forest(parent)
 }
 
 // WriteFragment serializes one node without an XML declaration, starting at

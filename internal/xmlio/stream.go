@@ -10,11 +10,10 @@ package xmlio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
-	"sync"
 	"time"
 
 	"axml/internal/doc"
@@ -53,57 +52,65 @@ type TokenSource interface {
 }
 
 // ---------------------------------------------------------------------------
-// Reader source: encoding/xml tokens without tree materialization.
-
-// streamReaderPool recycles the read buffers that keep xml.NewDecoder from
-// allocating its own bufio.Reader per stream.
-var streamReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 8<<10) }}
+// Reader source: tokens straight from the wire, without tree materialization.
 
 // ReaderSource streams a document from an io.Reader: the input is never
-// materialized, so resident memory is bounded by the decoder's read window
-// plus whatever function subtrees are in flight. Parsing semantics match
-// Parse token for token (namespace dispatch, whitespace trimming, the
-// <int:fun>/<int:params>/<int:param> grammar and its error messages).
+// materialized, so resident memory is bounded by the tokenizer's window (the
+// largest token) plus whatever function subtrees are in flight. Parsing
+// semantics match Parse token for token (namespace dispatch, whitespace
+// trimming, the <int:fun>/<int:params>/<int:param> grammar and its error
+// messages, the nesting bound and the trailing-content rule).
 type ReaderSource struct {
-	dec     *xml.Decoder
-	br      *bufio.Reader // pooled wrapper, nil when r already buffered
-	open    []string      // open element labels, for error context
-	started bool
-	done    bool
+	tz     *Tokenizer
+	b      *builder // function subtrees and label interning
+	open   []string // open element labels, for error context
+	state  uint8
+	closed bool
 }
 
+// ReaderSource states.
+const (
+	rsProlog  uint8 = iota // before the root element
+	rsRoot                 // inside the root element
+	rsTrailer              // the root closed; the rest of the input is unchecked
+	rsDone                 // EventEOF reported
+)
+
 // NewReaderSource streams one document from r. Call Close when done to
-// return the pooled read buffer.
+// return the pooled tokenizer.
 func NewReaderSource(r io.Reader) *ReaderSource {
-	s := &ReaderSource{}
-	if _, ok := r.(io.ByteReader); !ok {
-		s.br = streamReaderPool.Get().(*bufio.Reader)
-		s.br.Reset(r)
-		r = s.br
-	}
-	s.dec = xml.NewDecoder(r)
-	return s
+	tz := NewTokenizer(r)
+	return &ReaderSource{tz: tz, b: getBuilder(tz)}
 }
 
 // Close releases pooled resources; the source is unusable afterwards.
 func (s *ReaderSource) Close() {
-	if s.br != nil {
-		s.br.Reset(nil)
-		streamReaderPool.Put(s.br)
-		s.br = nil
+	if s.closed {
+		return
 	}
+	s.closed = true
+	putBuilder(s.b)
+	s.tz.Close()
 }
 
 // Next returns the next event. After the root element closes the source
-// reports EventEOF without reading further, mirroring Parse.
+// consumes the rest of the input, which may hold only white space, comments
+// and processing instructions, before it reports EventEOF.
 func (s *ReaderSource) Next() (Event, error) {
-	if s.done {
+	switch s.state {
+	case rsDone:
+		return Event{Kind: EventEOF}, nil
+	case rsTrailer:
+		if err := s.tz.Trailing(); err != nil {
+			return Event{}, fmt.Errorf("xmlio: %w", err)
+		}
+		s.state = rsDone
 		return Event{Kind: EventEOF}, nil
 	}
 	for {
-		tok, err := s.dec.Token()
+		tok, err := s.tz.Next()
 		if err != nil {
-			if err == io.EOF && !s.started {
+			if err == io.EOF {
 				return Event{}, fmt.Errorf("xmlio: no root element")
 			}
 			if len(s.open) > 0 {
@@ -111,40 +118,41 @@ func (s *ReaderSource) Next() (Event, error) {
 			}
 			return Event{}, fmt.Errorf("xmlio: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == Namespace {
-				if t.Name.Local != "fun" {
-					return Event{}, fmt.Errorf("xmlio: unexpected intensional element <int:%s>", t.Name.Local)
+		switch tok.Kind {
+		case KindStart:
+			if tok.Space == Namespace {
+				if string(tok.Local) != "fun" {
+					return Event{}, fmt.Errorf("xmlio: unexpected intensional element <int:%s>", tok.Local)
 				}
-				n, err := parseFun(s.dec, t)
+				n, err := s.b.subtree(tok)
 				if err != nil {
 					return Event{}, err
 				}
-				if !s.started { // function root: a complete document
-					s.started, s.done = true, true
+				if s.state == rsProlog { // function root: a complete document
+					s.state = rsTrailer
 				}
 				return Event{Kind: EventFunc, Node: n}, nil
 			}
-			s.started = true
-			s.open = append(s.open, t.Name.Local)
-			return Event{Kind: EventStart, Label: t.Name.Local}, nil
-		case xml.CharData:
+			s.state = rsRoot
+			label := s.b.intern(tok.Local)
+			s.open = append(s.open, label)
+			return Event{Kind: EventStart, Label: label}, nil
+		case KindText:
 			if len(s.open) == 0 {
-				if strings.TrimSpace(string(t)) != "" && !s.started {
-					return Event{}, fmt.Errorf("xmlio: stray text %q before root element", string(t))
+				if !isBlank(tok.Data) {
+					return Event{}, fmt.Errorf("xmlio: stray text %q before root element", tok.Data)
 				}
 				continue // prolog whitespace
 			}
-			v := strings.TrimSpace(string(t))
-			if v == "" {
+			v := bytes.TrimSpace(tok.Data)
+			if len(v) == 0 {
 				continue
 			}
-			return Event{Kind: EventText, Text: v}, nil
-		case xml.EndElement:
+			return Event{Kind: EventText, Text: string(v)}, nil
+		case KindEnd:
 			s.open = s.open[:len(s.open)-1]
 			if len(s.open) == 0 {
-				s.done = true
+				s.state = rsTrailer
 			}
 			return Event{Kind: EventEnd}, nil
 		}

@@ -176,18 +176,20 @@ func TestReaderSourceErrors(t *testing.T) {
 		}
 	}
 	for name, input := range map[string]string{
-		"empty":          "",
-		"stray text":     "junk<a/>",
-		"unclosed":       "<a><b>",
-		"mismatched":     "<a></b>",
-		"bad intension":  `<a xmlns:int="http://www.activexml.com/ns/int"><int:nope/></a>`,
-		"truncated func": `<a xmlns:int="http://www.activexml.com/ns/int"><int:fun name="F">`,
+		"empty":           "",
+		"stray text":      "junk<a/>",
+		"unclosed":        "<a><b>",
+		"mismatched":      "<a></b>",
+		"bad intension":   `<a xmlns:int="http://www.activexml.com/ns/int"><int:nope/></a>`,
+		"truncated func":  `<a xmlns:int="http://www.activexml.com/ns/int"><int:fun name="F">`,
+		"after the root":  "<a><b>ok</b></a>trailing garbage",
+		"after func root": `<int:fun xmlns:int="http://www.activexml.com/ns/int" methodName="F"/><b/>`,
 	} {
 		if err := drain(input); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
-	if err := drain("<a><b>ok</b></a>trailing garbage"); err != nil {
-		t.Errorf("content after the root element is ignored like Parse: %v", err)
+	if err := drain("<a><b>ok</b></a>\n<!-- c --><?pi x?>\n"); err != nil {
+		t.Errorf("white space, comments and processing instructions may follow the root: %v", err)
 	}
 }

@@ -9,9 +9,15 @@
 //	  </int:params>
 //	</int:fun>
 //
-// — appearing anywhere ordinary elements may appear. Parsing resolves
-// namespaces through encoding/xml; serialization declares the int prefix on
-// the root element whenever the document contains function nodes.
+// — appearing anywhere ordinary elements may appear. Serialization declares
+// the int prefix on the root element whenever the document contains function
+// nodes.
+//
+// Every parser of the module — documents, token streams, XML Schema_int,
+// SOAP envelopes, WSDL_int — reads XML through this package's Tokenizer, a
+// byte-level pull tokenizer that accepts what encoding/xml's strict decoder
+// accepts, resolves namespaces by the same rules, and bounds nesting at
+// MaxDepth.
 //
 // Following the paper's single label domain, element namespaces other than
 // the intensional one are not modeled: prefixed names collapse to their
@@ -33,221 +39,289 @@ import (
 // Namespace is the intensional-markup namespace of the Active XML system.
 const Namespace = "http://www.activexml.com/ns/int"
 
-// parseBuf carries a reusable body buffer plus a bytes.Reader view over it;
-// the reader satisfies io.ByteReader, which keeps xml.NewDecoder from
-// wrapping it in a fresh 4 KiB bufio.Reader on every parse — the single
-// largest allocation on the serving hot path before pooling.
-type parseBuf struct {
-	data []byte
-	rd   bytes.Reader
-}
-
-var parseBufPool = sync.Pool{New: func() any { return new(parseBuf) }}
-
-// maxPooledParseBuf bounds what a returned buffer may retain, so one huge
-// request does not pin its memory in the pool forever.
-const maxPooledParseBuf = 1 << 20
-
-// ByteSource adapts r for encoding/xml. Readers that already implement
-// io.ByteReader (strings.Reader, bytes.Reader, bufio.Reader) pass through
-// untouched; anything else — an http request body, typically — is drained
-// into a pooled buffer first. The release func must be called once the parse
-// is finished (decoded tokens are copies, so nothing references the buffer
-// afterwards); err carries any read failure, including the typed
-// *http.MaxBytesError a capped body produces.
-func ByteSource(r io.Reader) (src io.Reader, release func(), err error) {
-	if _, ok := r.(io.ByteReader); ok {
-		return r, func() {}, nil
-	}
-	b := parseBufPool.Get().(*parseBuf)
-	b.data, err = readAll(b.data[:0], r)
-	if err != nil {
-		parseBufPool.Put(b)
-		return nil, nil, err
-	}
-	b.rd.Reset(b.data)
-	return &b.rd, func() {
-		if cap(b.data) <= maxPooledParseBuf {
-			parseBufPool.Put(b)
-		}
-	}, nil
-}
-
-// readAll is io.ReadAll appending into a caller-owned buffer.
-func readAll(buf []byte, r io.Reader) ([]byte, error) {
-	if len(buf) == 0 && cap(buf) == 0 {
-		buf = make([]byte, 0, 512)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// Parse reads one intensional XML document.
+// Parse reads one intensional XML document. The input must hold exactly one
+// root element: anything after it other than white space, comments and
+// processing instructions is an error, as is nesting deeper than MaxDepth.
 func Parse(r io.Reader) (*doc.Node, error) {
-	src, release, err := ByteSource(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmlio: %w", err)
-	}
-	defer release()
-	dec := xml.NewDecoder(src)
+	tz := NewTokenizer(r)
+	defer tz.Close()
+	return parseDocument(tz)
+}
+
+// ParseString parses from a string.
+func ParseString(s string) (*doc.Node, error) { return Parse(strings.NewReader(s)) }
+
+// ParseBytes parses a document held in memory, scanning b in place.
+func ParseBytes(b []byte) (*doc.Node, error) {
+	tz := NewBytesTokenizer(b)
+	defer tz.Close()
+	return parseDocument(tz)
+}
+
+// parseDocument reads the prolog, the root element and the trailing
+// miscellany.
+func parseDocument(tz *Tokenizer) (*doc.Node, error) {
 	for {
-		tok, err := dec.Token()
+		tok, err := tz.Next()
 		if err == io.EOF {
 			return nil, fmt.Errorf("xmlio: no root element")
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmlio: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return parseElement(dec, t)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
-				return nil, fmt.Errorf("xmlio: stray text %q before root element", string(t))
+		switch tok.Kind {
+		case KindStart:
+			b := getBuilder(tz)
+			n, err := b.subtree(tok)
+			putBuilder(b)
+			if err != nil {
+				return nil, err
 			}
-		case xml.ProcInst, xml.Comment, xml.Directive:
-			// skip prolog
+			if err := tz.Trailing(); err != nil {
+				return nil, fmt.Errorf("xmlio: %w", err)
+			}
+			return n, nil
+		case KindText:
+			if !isBlank(tok.Data) {
+				return nil, fmt.Errorf("xmlio: stray text %q before root element", tok.Data)
+			}
 		}
 	}
 }
 
-// ParseString parses from a string.
-func ParseString(s string) (*doc.Node, error) { return Parse(strings.NewReader(s)) }
+// builder assembles document trees from tokens without recursion: one frame
+// per open element, and one stack of finished children shared by all frames
+// (each frame's children are the tail of kids from its base). Parameters of
+// <int:params>/<int:param> wrappers stay in place on that stack, which
+// flattens them into the enclosing function's children.
+type builder struct {
+	tz     *Tokenizer
+	frames []frame
+	kids   []*doc.Node
+	// labels interns element labels and function attributes: a document
+	// repeats a handful of names, so most nodes share their label string.
+	labels [128]string
+	// Nodes and child lists are carved from slabs that double in size up
+	// to maxSlab within one parse, so a document costs few allocations for
+	// them. Slabs are not carried over to the next parse, so one
+	// document's nodes never keep another's alive.
+	nodes              []doc.Node
+	lists              []*doc.Node
+	nodeSlab, listSlab int // size of the last slab of each kind
+}
 
-// parseElement parses the element that start opens, dispatching on the
-// intensional namespace.
-func parseElement(dec *xml.Decoder, start xml.StartElement) (*doc.Node, error) {
-	if start.Name.Space == Namespace {
-		if start.Name.Local != "fun" {
-			return nil, fmt.Errorf("xmlio: unexpected intensional element <int:%s>", start.Name.Local)
-		}
-		return parseFun(dec, start)
+// maxSlab bounds slab sizes, in nodes and in child pointers.
+const maxSlab = 256
+
+// node returns a zeroed node from the node slab.
+func (b *builder) node() *doc.Node {
+	if len(b.nodes) == 0 {
+		b.nodeSlab = min(max(2*b.nodeSlab, 8), maxSlab)
+		b.nodes = make([]doc.Node, b.nodeSlab)
 	}
-	n := doc.Elem(start.Name.Local)
-	children, err := parseChildren(dec, start.Name)
-	if err != nil {
+	n := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	return n
+}
+
+// list returns a copy of kids with no spare capacity, so that appending to
+// it never writes into the slab.
+func (b *builder) list(kids []*doc.Node) []*doc.Node {
+	if len(kids) > maxSlab/4 {
+		return append([]*doc.Node(nil), kids...)
+	}
+	if len(b.lists) < len(kids) {
+		b.listSlab = min(max(2*b.listSlab, 16), maxSlab)
+		b.lists = make([]*doc.Node, b.listSlab)
+	}
+	l := b.lists[:len(kids):len(kids)]
+	b.lists = b.lists[len(kids):]
+	copy(l, kids)
+	return l
+}
+
+type frameKind uint8
+
+const (
+	fElem   frameKind = iota // ordinary element
+	fFun                     // <int:fun>
+	fParams                  // <int:params>
+	fParam                   // <int:param>
+)
+
+type frame struct {
+	kind frameKind
+	node *doc.Node // fElem, fFun
+	base int       // len(kids) when the frame opened
+}
+
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
+
+func getBuilder(tz *Tokenizer) *builder {
+	b := builderPool.Get().(*builder)
+	b.tz = tz
+	return b
+}
+
+func putBuilder(b *builder) {
+	b.tz, b.nodes, b.lists, b.nodeSlab, b.listSlab = nil, nil, nil, 0, 0
+	clear(b.kids[:cap(b.kids)])
+	clear(b.frames[:cap(b.frames)])
+	b.kids, b.frames = b.kids[:0], b.frames[:0]
+	builderPool.Put(b)
+}
+
+// intern returns s as a string, reusing an earlier equal string.
+func (b *builder) intern(s []byte) string {
+	h := uint32(2166136261)
+	for _, c := range s {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	e := &b.labels[h%uint32(len(b.labels))]
+	if *e != string(s) {
+		*e = string(s)
+	}
+	return *e
+}
+
+// subtree parses the element that start opened, through its end tag.
+func (b *builder) subtree(start *Token) (*doc.Node, error) {
+	if err := b.open(start, fElem); err != nil {
 		return nil, err
 	}
-	n.Children = children
+	if err := b.run(); err != nil {
+		return nil, err
+	}
+	n := b.kids[0]
+	b.kids = b.kids[:0]
 	return n, nil
 }
 
-// parseChildren consumes tokens until the matching end element, dropping
-// whitespace-only text when element children are present.
-func parseChildren(dec *xml.Decoder, parent xml.Name) ([]*doc.Node, error) {
-	var children []*doc.Node
-	hasElem := false
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("xmlio: inside <%s>: %w", parent.Local, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			hasElem = true
-			child, err := parseElement(dec, t)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, child)
-		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) != "" {
-				children = append(children, doc.TextNode(strings.TrimSpace(s)))
-			}
-		case xml.EndElement:
-			_ = hasElem
-			return children, nil
-		}
+// forest parses the content of an element the caller already opened,
+// through its end tag.
+func (b *builder) forest(parent string) ([]*doc.Node, error) {
+	holder := &doc.Node{Kind: doc.Element, Label: parent}
+	b.frames = append(b.frames, frame{kind: fElem, node: holder, base: len(b.kids)})
+	if err := b.run(); err != nil {
+		return nil, err
 	}
+	b.kids = b.kids[:0]
+	return holder.Children, nil
 }
 
-// parseFun parses an <int:fun> element.
-func parseFun(dec *xml.Decoder, start xml.StartElement) (*doc.Node, error) {
+// run consumes tokens until every open frame has closed.
+func (b *builder) run() error {
+	for len(b.frames) > 0 {
+		tok, err := b.tz.Next()
+		if err != nil {
+			return b.inside(err)
+		}
+		top := &b.frames[len(b.frames)-1]
+		switch tok.Kind {
+		case KindStart:
+			if err := b.open(tok, top.kind); err != nil {
+				return err
+			}
+		case KindText:
+			switch top.kind {
+			case fFun:
+				if !isBlank(tok.Data) {
+					return fmt.Errorf("xmlio: stray text inside <int:fun>")
+				}
+			case fParams:
+				if !isBlank(tok.Data) {
+					return fmt.Errorf("xmlio: stray text inside <int:params>")
+				}
+			default:
+				if v := bytes.TrimSpace(tok.Data); len(v) > 0 {
+					n := b.node()
+					n.Kind, n.Value = doc.Text, string(v)
+					b.kids = append(b.kids, n)
+				}
+			}
+		case KindEnd:
+			b.close()
+		}
+	}
+	return nil
+}
+
+// open pushes the frame for a start tag met inside a frame of kind parent,
+// enforcing the <int:fun>/<int:params>/<int:param> grammar.
+func (b *builder) open(tok *Token, parent frameKind) error {
+	intensional := tok.Space == Namespace
+	switch parent {
+	case fFun:
+		if !intensional || string(tok.Local) != "params" {
+			return fmt.Errorf("xmlio: unexpected <%s> inside <int:fun>", tok.Local)
+		}
+		b.frames = append(b.frames, frame{kind: fParams})
+		return nil
+	case fParams:
+		if !intensional || string(tok.Local) != "param" {
+			return fmt.Errorf("xmlio: unexpected <%s> inside <int:params>", tok.Local)
+		}
+		b.frames = append(b.frames, frame{kind: fParam})
+		return nil
+	}
+	if !intensional {
+		n := b.node()
+		n.Kind, n.Label = doc.Element, b.intern(tok.Local)
+		b.frames = append(b.frames, frame{kind: fElem, node: n, base: len(b.kids)})
+		return nil
+	}
+	if string(tok.Local) != "fun" {
+		return fmt.Errorf("xmlio: unexpected intensional element <int:%s>", tok.Local)
+	}
 	ref := doc.ServiceRef{}
-	for _, a := range start.Attr {
-		switch a.Name.Local {
+	for _, a := range tok.Attr {
+		switch string(a.Local) {
 		case "endpointURL":
-			ref.Endpoint = a.Value
+			ref.Endpoint = b.intern(a.Value)
 		case "methodName":
-			ref.Method = a.Value
+			ref.Method = b.intern(a.Value)
 		case "namespaceURI":
-			ref.Namespace = a.Value
+			ref.Namespace = b.intern(a.Value)
 		}
 	}
 	if ref.Method == "" {
-		return nil, fmt.Errorf("xmlio: <int:fun> without methodName")
+		return fmt.Errorf("xmlio: <int:fun> without methodName")
 	}
-	var n *doc.Node
-	if ref.Endpoint == "" && ref.Namespace == "" {
-		n = doc.Call(ref.Method)
-	} else {
-		n = doc.CallAt(ref)
+	n := b.node()
+	n.Kind, n.Label = doc.Func, ref.Method
+	if ref.Endpoint != "" || ref.Namespace != "" {
+		n.Service = &ref
 	}
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("xmlio: inside <int:fun %s>: %w", ref.Method, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space == Namespace && t.Name.Local == "params" {
-				params, err := parseParams(dec)
-				if err != nil {
-					return nil, err
-				}
-				n.Children = append(n.Children, params...)
-				continue
-			}
-			return nil, fmt.Errorf("xmlio: unexpected <%s> inside <int:fun>", t.Name.Local)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
-				return nil, fmt.Errorf("xmlio: stray text inside <int:fun>")
-			}
-		case xml.EndElement:
-			return n, nil
-		}
-	}
+	b.frames = append(b.frames, frame{kind: fFun, node: n, base: len(b.kids)})
+	return nil
 }
 
-// parseParams parses <int:params> as a sequence of <int:param> wrappers,
-// each contributing its content nodes as parameters.
-func parseParams(dec *xml.Decoder) ([]*doc.Node, error) {
-	var out []*doc.Node
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("xmlio: inside <int:params>: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space != Namespace || t.Name.Local != "param" {
-				return nil, fmt.Errorf("xmlio: unexpected <%s> inside <int:params>", t.Name.Local)
-			}
-			kids, err := parseChildren(dec, t.Name)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, kids...)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
-				return nil, fmt.Errorf("xmlio: stray text inside <int:params>")
-			}
-		case xml.EndElement:
-			return out, nil
-		}
+// close pops the innermost frame; an element or function takes the children
+// gathered since it opened and becomes the next child of its parent.
+func (b *builder) close() {
+	f := b.frames[len(b.frames)-1]
+	b.frames = b.frames[:len(b.frames)-1]
+	if f.node == nil {
+		return // params and param wrappers leave their children in place
 	}
+	if kids := b.kids[f.base:]; len(kids) > 0 {
+		f.node.Children = b.list(kids)
+	}
+	b.kids = append(b.kids[:f.base], f.node)
+}
+
+// inside wraps a tokenizer error with the innermost open element.
+func (b *builder) inside(err error) error {
+	f := b.frames[len(b.frames)-1]
+	switch f.kind {
+	case fFun:
+		return fmt.Errorf("xmlio: inside <int:fun %s>: %w", f.node.Label, err)
+	case fParams:
+		return fmt.Errorf("xmlio: inside <int:params>: %w", err)
+	case fParam:
+		return fmt.Errorf("xmlio: inside <int:param>: %w", err)
+	}
+	return fmt.Errorf("xmlio: inside <%s>: %w", f.node.Label, err)
 }
 
 // writeBufPool recycles serialization buffers: a document is rendered into a

@@ -1,7 +1,9 @@
 package xmlio
 
 import (
+	"encoding/xml"
 	"strings"
+	"sync"
 	"testing"
 
 	"axml/internal/doc"
@@ -198,4 +200,118 @@ func TestEmptyElements(t *testing.T) {
 	if !n.Equal(back) {
 		t.Error("round trip changed the document")
 	}
+}
+
+// TestParseRejectsContentAfterRoot: a document is one root element; only
+// white space, comments and processing instructions may follow it.
+func TestParseRejectsContentAfterRoot(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		ok  bool
+	}{
+		{"<a/><b/>", false},
+		{"<a>x</a>junk<", false},
+		{"<a/></b>", false},
+		{"<a/>&bogus;", false},
+		{"<a/>text", false},
+		{"<a/><!DOCTYPE a>", false},
+		{`<int:fun xmlns:int="http://www.activexml.com/ns/int" methodName="F"/><x/>`, false},
+		{"<a/>", true},
+		{" <a/> \r\n\t", true},
+		{"<a/>\n<!-- c -->\n<?pi x?>\n", true},
+	} {
+		_, err := ParseString(tc.src)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseString(%q) err = %v, want ok=%v", tc.src, err, tc.ok)
+		}
+		_, err = ParseBytes([]byte(tc.src))
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseBytes(%q) err = %v, want ok=%v", tc.src, err, tc.ok)
+		}
+	}
+}
+
+// TestParseNestingBound: MaxDepth levels parse; one more is an error, not a
+// stack overflow, however deep the input goes.
+func TestParseNestingBound(t *testing.T) {
+	nest := func(n int) string {
+		return strings.Repeat("<a>", n) + strings.Repeat("</a>", n)
+	}
+	if _, err := ParseString(nest(MaxDepth)); err != nil {
+		t.Fatalf("depth %d: %v", MaxDepth, err)
+	}
+	for _, src := range []string{nest(MaxDepth + 1), strings.Repeat("<a>", 1<<20)} {
+		if _, err := ParseString(src); err == nil || !strings.Contains(err.Error(), "nesting") {
+			t.Errorf("depth beyond %d: err = %v", MaxDepth, err)
+		}
+	}
+}
+
+// TestNameTablesMatchEncodingXML: names with non-ASCII characters are
+// accepted exactly where encoding/xml accepts them, as the first character
+// and as a later one, across the Basic Multilingual Plane.
+func TestNameTablesMatchEncodingXML(t *testing.T) {
+	accepts := func(src string) (mine, ref bool) {
+		tz := NewBytesTokenizer([]byte(src))
+		_, err := tz.Next()
+		tz.Close()
+		_, rerr := xml.NewDecoder(strings.NewReader(src)).Token()
+		return err == nil, rerr == nil
+	}
+	for r := rune(0x80); r <= 0xFFFF; r++ {
+		if r >= 0xD800 && r <= 0xDFFF {
+			continue
+		}
+		for _, src := range []string{"<" + string(r) + "/>", "<a" + string(r) + "/>"} {
+			if mine, ref := accepts(src); mine != ref {
+				t.Fatalf("%q: tokenizer accepts=%v, encoding/xml accepts=%v", src, mine, ref)
+			}
+		}
+	}
+}
+
+// TestParseConcurrent: parsers share pooled tokenizers and builders; parses
+// running at once must not see each other's state.
+func TestParseConcurrent(t *testing.T) {
+	want, err := ParseString(paperXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var got *doc.Node
+				var err error
+				switch i % 3 {
+				case 0:
+					got, err = ParseString(paperXML)
+				case 1:
+					got, err = ParseBytes([]byte(paperXML))
+				default:
+					rs := NewReaderSource(strings.NewReader(paperXML))
+					for {
+						ev, e := rs.Next()
+						if e != nil || ev.Kind == EventEOF {
+							err = e
+							break
+						}
+					}
+					rs.Close()
+					got = want
+				}
+				if err != nil || !got.Equal(want) {
+					t.Errorf("concurrent parse: err %v, equal %v", err, got.Equal(want))
+					return
+				}
+				if _, err := ParseString("<a/><b/>"); err == nil {
+					t.Error("concurrent parse accepted a second root")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -28,7 +28,7 @@
 package xsdint
 
 import (
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -60,20 +60,18 @@ func Parse(r io.Reader, opt Options) (*schema.Schema, error) {
 	if table == nil {
 		table = regex.NewTable()
 	}
-	// ByteSource hands the decoder an io.ByteReader so it does not allocate
-	// a bufio.Reader per parse — /exchange parses one schema per request.
-	src, release, err := xmlio.ByteSource(r)
-	if err != nil {
-		return nil, fmt.Errorf("xsdint: %w", err)
-	}
-	defer release()
+	tz := xmlio.NewTokenizer(r)
+	defer tz.Close()
 	p := &parser{
-		dec:   xml.NewDecoder(src),
+		tz:    tz,
 		s:     schema.NewShared(table),
 		preds: opt.Predicates,
 	}
 	if err := p.run(); err != nil {
 		return nil, err
+	}
+	if err := tz.Trailing(); err != nil {
+		return nil, p.errf("%w", err)
 	}
 	if !opt.SkipUPACheck {
 		if err := p.s.CheckDeterministic(); err != nil {
@@ -89,18 +87,17 @@ func ParseString(src string, opt Options) (*schema.Schema, error) {
 }
 
 // ParseAt parses a <schema> element that an embedding format (WSDL_int) has
-// already opened: start must be the schema start element and dec positioned
-// just after it.
-func ParseAt(dec *xml.Decoder, start xml.StartElement, opt Options) (*schema.Schema, error) {
-	if start.Name.Local != "schema" {
-		return nil, fmt.Errorf("xsdint: ParseAt on <%s>, want <schema>", start.Name.Local)
+// already opened: start must be the schema start tag, just returned by tz.
+func ParseAt(tz *xmlio.Tokenizer, start *xmlio.Token, opt Options) (*schema.Schema, error) {
+	if string(start.Local) != "schema" {
+		return nil, fmt.Errorf("xsdint: ParseAt on <%s>, want <schema>", start.Local)
 	}
 	table := opt.Table
 	if table == nil {
 		table = regex.NewTable()
 	}
-	p := &parser{dec: dec, s: schema.NewShared(table), preds: opt.Predicates, opened: true}
-	if v := attr(start, "root"); v != "" {
+	p := &parser{tz: tz, s: schema.NewShared(table), preds: opt.Predicates}
+	if v := start.Value("root"); v != "" {
 		p.s.Root = v
 	}
 	if err := p.body(); err != nil {
@@ -114,26 +111,58 @@ func ParseAt(dec *xml.Decoder, start xml.StartElement, opt Options) (*schema.Sch
 	return p.s, nil
 }
 
+// parser reads one schema. Tokens are borrowed from the tokenizer, so every
+// attribute a declaration needs is read before its content is.
 type parser struct {
-	dec    *xml.Decoder
-	s      *schema.Schema
-	preds  map[string]schema.Predicate
-	opened bool // the <schema> start tag was consumed by the caller
+	tz    *xmlio.Tokenizer
+	s     *schema.Schema
+	preds map[string]schema.Predicate
+
+	// Occurrence bounds expand into copies of their particle: weight is
+	// the number of copies the particle being parsed expands into, model
+	// and total the positions expanded so far in the current content model
+	// and in the schema.
+	weight, model, total int
+}
+
+// Expansion bounds: without them a few bytes of minOccurs/maxOccurs could
+// demand unbounded memory, and the automata built per content model grow
+// with the square of its positions.
+const (
+	maxModelPositions  = 1 << 12
+	maxSchemaPositions = 1 << 16
+)
+
+// startModel begins counting the positions of a new content model.
+func (p *parser) startModel() { p.weight, p.model = 1, 0 }
+
+// position counts one leaf particle with its expansion.
+func (p *parser) position(owner string) error {
+	p.model += p.weight
+	p.total += p.weight
+	if p.model > maxModelPositions || p.total > maxSchemaPositions {
+		return p.errf("%q: occurrence bounds expand the schema beyond %d positions per content model or %d in all",
+			owner, maxModelPositions, maxSchemaPositions)
+	}
+	return nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("xsdint: %s", fmt.Sprintf(format, args...))
+	return fmt.Errorf("xsdint: "+format, args...)
 }
+
+// stray reports a text token other than white space between declarations.
+func stray(tok *xmlio.Token) bool { return len(bytes.TrimSpace(tok.Data)) > 0 }
 
 func (p *parser) run() error {
 	root, err := p.nextStart()
 	if err != nil {
-		return p.errf("no root element: %v", err)
+		return p.errf("no root element: %w", err)
 	}
-	if root.Name.Local != "schema" {
-		return p.errf("root element is <%s>, want <schema>", root.Name.Local)
+	if string(root.Local) != "schema" {
+		return p.errf("root element is <%s>, want <schema>", root.Local)
 	}
-	if v := attr(root, "root"); v != "" {
+	if v := root.Value("root"); v != "" {
 		p.s.Root = v
 	}
 	return p.body()
@@ -142,23 +171,23 @@ func (p *parser) run() error {
 // body parses schema content up to the closing </schema>.
 func (p *parser) body() error {
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return p.errf("truncated schema: %v", err)
+			return p.errf("truncated schema: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
+		switch tok.Kind {
+		case xmlio.KindStart:
+			switch string(tok.Local) {
 			case "element":
-				if err := p.globalElement(t); err != nil {
+				if err := p.globalElement(tok); err != nil {
 					return err
 				}
 			case "function":
-				if err := p.function(t, false); err != nil {
+				if err := p.function(tok, false); err != nil {
 					return err
 				}
 			case "functionPattern":
-				if err := p.function(t, true); err != nil {
+				if err := p.function(tok, true); err != nil {
 					return err
 				}
 			case "annotation", "import", "include":
@@ -166,35 +195,34 @@ func (p *parser) body() error {
 					return err
 				}
 			default:
-				return p.errf("unsupported top-level <%s>", t.Name.Local)
+				return p.errf("unsupported top-level <%s>", tok.Local)
 			}
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			return nil
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
-				return p.errf("stray text %q in schema", string(t))
+		case xmlio.KindText:
+			if stray(tok) {
+				return p.errf("stray text %q in schema", tok.Data)
 			}
 		}
 	}
 }
 
 // globalElement parses a top-level <element>.
-func (p *parser) globalElement(start xml.StartElement) error {
-	name := attr(start, "name")
+func (p *parser) globalElement(start *xmlio.Token) error {
+	name := start.Value("name")
 	if name == "" {
 		return p.errf("global element without name")
 	}
-	typ := attr(start, "type")
 	var content *regex.Regex
 	sawComplex := false
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return p.errf("inside element %q: %v", name, err)
+			return p.errf("inside element %q: %w", name, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
+		switch tok.Kind {
+		case xmlio.KindStart:
+			switch string(tok.Local) {
 			case "complexType":
 				sawComplex = true
 				r, err := p.complexType(name)
@@ -207,18 +235,17 @@ func (p *parser) globalElement(start xml.StartElement) error {
 					return err
 				}
 			default:
-				return p.errf("element %q: unsupported <%s>", name, t.Name.Local)
+				return p.errf("element %q: unsupported <%s>", name, tok.Local)
 			}
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			if sawComplex {
 				return p.s.SetLabelRegex(name, content)
 			}
 			// type attribute or nothing: atomic data (the paper's model
 			// treats all simple types as one data domain).
-			_ = typ
 			return p.s.SetData(name)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+		case xmlio.KindText:
+			if stray(tok) {
 				return p.errf("element %q: stray text", name)
 			}
 		}
@@ -227,23 +254,24 @@ func (p *parser) globalElement(start xml.StartElement) error {
 
 // complexType parses <complexType> content: one optional particle group.
 func (p *parser) complexType(owner string) (*regex.Regex, error) {
+	p.startModel()
 	content := regex.Empty()
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return nil, p.errf("complexType of %q: %v", owner, err)
+			return nil, p.errf("complexType of %q: %w", owner, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			r, err := p.particle(t, owner)
+		switch tok.Kind {
+		case xmlio.KindStart:
+			r, err := p.particle(tok, owner)
 			if err != nil {
 				return nil, err
 			}
 			content = regex.Concat(content, r)
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			return content, nil
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+		case xmlio.KindText:
+			if stray(tok) {
 				return nil, p.errf("complexType of %q: stray text", owner)
 			}
 		}
@@ -251,47 +279,64 @@ func (p *parser) complexType(owner string) (*regex.Regex, error) {
 }
 
 // particle parses one content particle and applies its occurrence bounds.
-func (p *parser) particle(start xml.StartElement, owner string) (*regex.Regex, error) {
+func (p *parser) particle(start *xmlio.Token, owner string) (*regex.Regex, error) {
 	min, max, err := occurs(start)
 	if err != nil {
 		return nil, p.errf("%q: %v", owner, err)
 	}
+	copies := max
+	if max == regex.Unbounded {
+		copies = min + 1
+	}
+	outer := p.weight
+	if copies > 0 && outer > maxModelPositions/copies {
+		return nil, p.errf("%q: occurrence bounds expand a content model beyond %d positions", owner, maxModelPositions)
+	}
+	p.weight = outer * copies
+	defer func() { p.weight = outer }()
 	var core *regex.Regex
-	switch start.Name.Local {
+	switch string(start.Local) {
 	case "sequence", "choice":
+		kind := "choice" // start is overwritten by the next token
+		if string(start.Local) == "sequence" {
+			kind = "sequence"
+		}
 		var parts []*regex.Regex
 		for {
-			tok, err := p.dec.Token()
+			tok, err := p.tz.Next()
 			if err != nil {
-				return nil, p.errf("%s in %q: %v", start.Name.Local, owner, err)
+				return nil, p.errf("%s in %q: %w", kind, owner, err)
 			}
-			switch t := tok.(type) {
-			case xml.StartElement:
-				r, err := p.particle(t, owner)
+			switch tok.Kind {
+			case xmlio.KindStart:
+				r, err := p.particle(tok, owner)
 				if err != nil {
 					return nil, err
 				}
 				parts = append(parts, r)
-			case xml.EndElement:
-				if start.Name.Local == "sequence" {
+			case xmlio.KindEnd:
+				if kind == "sequence" {
 					core = regex.Concat(parts...)
 				} else {
 					core = regex.Alt(parts...)
 				}
 				return boundedRepeat(core, min, max), nil
-			case xml.CharData:
-				if strings.TrimSpace(string(t)) != "" {
-					return nil, p.errf("%s in %q: stray text", start.Name.Local, owner)
+			case xmlio.KindText:
+				if stray(tok) {
+					return nil, p.errf("%s in %q: stray text", kind, owner)
 				}
 			}
 		}
 	case "element", "function", "functionPattern":
-		name := attr(start, "ref")
+		name := start.Value("ref")
 		if name == "" {
-			name = attr(start, "name")
+			name = start.Value("name")
 		}
 		if name == "" {
-			return nil, p.errf("%q: <%s> particle without ref or name", owner, start.Name.Local)
+			return nil, p.errf("%q: <%s> particle without ref or name", owner, start.Local)
+		}
+		if err := p.position(owner); err != nil {
+			return nil, err
 		}
 		if err := p.skip(); err != nil {
 			return nil, err
@@ -299,7 +344,10 @@ func (p *parser) particle(start xml.StartElement, owner string) (*regex.Regex, e
 		core = regex.Sym(p.s.Table.Intern(name))
 		return boundedRepeat(core, min, max), nil
 	case "any":
-		not := strings.Fields(attr(start, "not"))
+		if err := p.position(owner); err != nil {
+			return nil, err
+		}
+		not := strings.Fields(start.Value("not"))
 		if err := p.skip(); err != nil {
 			return nil, err
 		}
@@ -315,7 +363,7 @@ func (p *parser) particle(start xml.StartElement, owner string) (*regex.Regex, e
 		}
 		return regex.Empty(), nil
 	default:
-		return nil, p.errf("%q: unsupported particle <%s>", owner, start.Name.Local)
+		return nil, p.errf("%q: unsupported particle <%s>", owner, start.Local)
 	}
 }
 
@@ -327,15 +375,15 @@ func boundedRepeat(r *regex.Regex, min, max int) *regex.Regex {
 	return regex.Repeat(r, min, max)
 }
 
-func occurs(start xml.StartElement) (min, max int, err error) {
+func occurs(start *xmlio.Token) (min, max int, err error) {
 	min, max = 1, 1
-	if v := attr(start, "minOccurs"); v != "" {
+	if v := start.Value("minOccurs"); v != "" {
 		min, err = strconv.Atoi(v)
 		if err != nil || min < 0 {
 			return 0, 0, fmt.Errorf("bad minOccurs %q", v)
 		}
 	}
-	if v := attr(start, "maxOccurs"); v != "" {
+	if v := start.Value("maxOccurs"); v != "" {
 		if v == "unbounded" {
 			max = regex.Unbounded
 		} else {
@@ -345,14 +393,26 @@ func occurs(start xml.StartElement) (min, max int, err error) {
 			}
 		}
 	}
+	if max != regex.Unbounded && max < min {
+		return 0, 0, fmt.Errorf("minOccurs %d exceeds maxOccurs %d", min, max)
+	}
 	return min, max, nil
 }
 
 // function parses a <function> or <functionPattern> declaration.
-func (p *parser) function(start xml.StartElement, isPattern bool) error {
-	name := attr(start, "id")
+func (p *parser) function(start *xmlio.Token, isPattern bool) error {
+	fa := funcAttrs{
+		predicate:   start.Value("predicate"),
+		methodName:  start.Value("methodName"),
+		endpoint:    start.Value("endpointURL"),
+		namespace:   start.Value("namespaceURI"),
+		invocable:   start.Value("invocable"),
+		sideEffects: start.Value("sideEffects"),
+		cost:        start.Value("cost"),
+	}
+	name := start.Value("id")
 	if name == "" {
-		name = attr(start, "methodName")
+		name = fa.methodName
 	}
 	if name == "" {
 		return p.errf("function declaration without id or methodName")
@@ -360,20 +420,22 @@ func (p *parser) function(start xml.StartElement, isPattern bool) error {
 	var in, out *regex.Regex
 	inIsData, outIsData := true, true
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return p.errf("function %q: %v", name, err)
+			return p.errf("function %q: %w", name, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
+		switch tok.Kind {
+		case xmlio.KindStart:
+			switch string(tok.Local) {
 			case "params":
+				p.startModel()
 				r, some, err := p.params(name)
 				if err != nil {
 					return err
 				}
 				in, inIsData = r, !some
 			case "return", "result":
+				p.startModel()
 				r, err := p.wrapperParticle(name)
 				if err != nil {
 					return err
@@ -384,19 +446,25 @@ func (p *parser) function(start xml.StartElement, isPattern bool) error {
 					return err
 				}
 			default:
-				return p.errf("function %q: unsupported <%s>", name, t.Name.Local)
+				return p.errf("function %q: unsupported <%s>", name, tok.Local)
 			}
-		case xml.EndElement:
-			return p.declare(start, name, in, inIsData, out, outIsData, isPattern)
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+		case xmlio.KindEnd:
+			return p.declare(fa, name, in, inIsData, out, outIsData, isPattern)
+		case xmlio.KindText:
+			if stray(tok) {
 				return p.errf("function %q: stray text", name)
 			}
 		}
 	}
 }
 
-func (p *parser) declare(start xml.StartElement, name string, in *regex.Regex, inIsData bool, out *regex.Regex, outIsData bool, isPattern bool) error {
+// funcAttrs are the attributes of a function declaration, read off its start
+// tag before the declaration's content.
+type funcAttrs struct {
+	predicate, methodName, endpoint, namespace, invocable, sideEffects, cost string
+}
+
+func (p *parser) declare(fa funcAttrs, name string, in *regex.Regex, inIsData bool, out *regex.Regex, outIsData bool, isPattern bool) error {
 	if inIsData {
 		in = nil
 	}
@@ -405,9 +473,9 @@ func (p *parser) declare(start xml.StartElement, name string, in *regex.Regex, i
 	}
 	if isPattern {
 		var pred schema.Predicate
-		predName := attr(start, "predicate")
+		predName := fa.predicate
 		if predName == "" {
-			predName = attr(start, "methodName")
+			predName = fa.methodName
 		}
 		if predName != "" {
 			pred = p.preds[predName]
@@ -420,21 +488,21 @@ func (p *parser) declare(start xml.StartElement, name string, in *regex.Regex, i
 		}
 		d := p.s.Patterns[name]
 		d.In, d.Out = in, out
-		if attr(start, "invocable") == "false" {
+		if fa.invocable == "false" {
 			d.Invocable = false
 		}
 		return nil
 	}
 	err := p.s.SetFuncDef(name, "data", "data", func(d *schema.FuncDef) {
-		d.Endpoint = attr(start, "endpointURL")
-		d.Namespace = attr(start, "namespaceURI")
-		if attr(start, "invocable") == "false" {
+		d.Endpoint = fa.endpoint
+		d.Namespace = fa.namespace
+		if fa.invocable == "false" {
 			d.Invocable = false
 		}
-		if attr(start, "sideEffects") == "true" {
+		if fa.sideEffects == "true" {
 			d.SideEffects = true
 		}
-		if v := attr(start, "cost"); v != "" {
+		if v := fa.cost; v != "" {
 			if c, err := strconv.ParseFloat(v, 64); err == nil {
 				d.Cost = c
 			}
@@ -454,27 +522,27 @@ func (p *parser) declare(start xml.StartElement, name string, in *regex.Regex, i
 func (p *parser) params(owner string) (*regex.Regex, bool, error) {
 	parts := []*regex.Regex{}
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return nil, false, p.errf("params of %q: %v", owner, err)
+			return nil, false, p.errf("params of %q: %w", owner, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "param" {
-				return nil, false, p.errf("params of %q: unexpected <%s>", owner, t.Name.Local)
+		switch tok.Kind {
+		case xmlio.KindStart:
+			if string(tok.Local) != "param" {
+				return nil, false, p.errf("params of %q: unexpected <%s>", owner, tok.Local)
 			}
 			r, err := p.wrapperParticle(owner)
 			if err != nil {
 				return nil, false, err
 			}
 			parts = append(parts, r)
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			if len(parts) == 0 {
 				return nil, false, nil
 			}
 			return regex.Concat(parts...), true, nil
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+		case xmlio.KindText:
+			if stray(tok) {
 				return nil, false, p.errf("params of %q: stray text", owner)
 			}
 		}
@@ -486,21 +554,21 @@ func (p *parser) params(owner string) (*regex.Regex, bool, error) {
 func (p *parser) wrapperParticle(owner string) (*regex.Regex, error) {
 	parts := []*regex.Regex{}
 	for {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return nil, p.errf("inside %q: %v", owner, err)
+			return nil, p.errf("inside %q: %w", owner, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			r, err := p.particle(t, owner)
+		switch tok.Kind {
+		case xmlio.KindStart:
+			r, err := p.particle(tok, owner)
 			if err != nil {
 				return nil, err
 			}
 			parts = append(parts, r)
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			return regex.Concat(parts...), nil
-		case xml.CharData:
-			if strings.TrimSpace(string(t)) != "" {
+		case xmlio.KindText:
+			if stray(tok) {
 				return nil, p.errf("inside %q: stray text", owner)
 			}
 		}
@@ -511,37 +579,25 @@ func (p *parser) wrapperParticle(owner string) (*regex.Regex, error) {
 func (p *parser) skip() error {
 	depth := 1
 	for depth > 0 {
-		tok, err := p.dec.Token()
+		tok, err := p.tz.Next()
 		if err != nil {
-			return p.errf("truncated element: %v", err)
+			return p.errf("truncated element: %w", err)
 		}
-		switch tok.(type) {
-		case xml.StartElement:
+		switch tok.Kind {
+		case xmlio.KindStart:
 			depth++
-		case xml.EndElement:
+		case xmlio.KindEnd:
 			depth--
 		}
 	}
 	return nil
 }
 
-func (p *parser) nextStart() (xml.StartElement, error) {
+func (p *parser) nextStart() (*xmlio.Token, error) {
 	for {
-		tok, err := p.dec.Token()
-		if err != nil {
-			return xml.StartElement{}, err
-		}
-		if s, ok := tok.(xml.StartElement); ok {
-			return s, nil
+		tok, err := p.tz.Next()
+		if err != nil || tok.Kind == xmlio.KindStart {
+			return tok, err
 		}
 	}
-}
-
-func attr(start xml.StartElement, name string) string {
-	for _, a := range start.Attr {
-		if a.Name.Local == name {
-			return a.Value
-		}
-	}
-	return ""
 }

@@ -1,6 +1,7 @@
 package xsdint
 
 import (
+	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -33,6 +34,16 @@ func String(s *schema.Schema, predNames map[string]string) (string, error) {
 	return b.String(), nil
 }
 
+// quoteAttr renders s as a double-quoted XML attribute value. (Go's %q
+// would apply Go escapes, which an XML parser does not undo.)
+func quoteAttr(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	_ = xml.EscapeText(&b, []byte(s))
+	b.WriteByte('"')
+	return b.String()
+}
+
 type xsdPrinter struct {
 	s         *schema.Schema
 	predNames map[string]string
@@ -42,27 +53,27 @@ type xsdPrinter struct {
 func (p *xsdPrinter) schema(b *strings.Builder) {
 	rootAttr := ""
 	if p.s.Root != "" {
-		rootAttr = fmt.Sprintf(" root=%q", p.s.Root)
+		rootAttr = " root=" + quoteAttr(p.s.Root)
 	}
 	fmt.Fprintf(b, "<schema xmlns=%q%s>\n", XSDNamespace, rootAttr)
 	for _, name := range p.s.SortedLabels() {
 		d := p.s.Labels[name]
 		if d.IsData() {
-			fmt.Fprintf(b, "  <element name=%q type=\"xs:string\"/>\n", name)
+			fmt.Fprintf(b, "  <element name=%s type=\"xs:string\"/>\n", quoteAttr(name))
 			continue
 		}
-		fmt.Fprintf(b, "  <element name=%q>\n    <complexType>\n", name)
+		fmt.Fprintf(b, "  <element name=%s>\n    <complexType>\n", quoteAttr(name))
 		p.particle(b, d.Content, 6, false)
 		fmt.Fprintf(b, "    </complexType>\n  </element>\n")
 	}
 	for _, name := range p.s.SortedFuncs() {
 		d := p.s.Funcs[name]
-		attrs := fmt.Sprintf(" id=%q methodName=%q", name, name)
+		attrs := " id=" + quoteAttr(name) + " methodName=" + quoteAttr(name)
 		if d.Endpoint != "" {
-			attrs += fmt.Sprintf(" endpointURL=%q", d.Endpoint)
+			attrs += " endpointURL=" + quoteAttr(d.Endpoint)
 		}
 		if d.Namespace != "" {
-			attrs += fmt.Sprintf(" namespaceURI=%q", d.Namespace)
+			attrs += " namespaceURI=" + quoteAttr(d.Namespace)
 		}
 		if !d.Invocable {
 			attrs += ` invocable="false"`
@@ -79,9 +90,9 @@ func (p *xsdPrinter) schema(b *strings.Builder) {
 	}
 	for _, name := range p.s.SortedPatterns() {
 		d := p.s.Patterns[name]
-		attrs := fmt.Sprintf(" id=%q", name)
+		attrs := " id=" + quoteAttr(name)
 		if pn := p.predNames[name]; pn != "" {
-			attrs += fmt.Sprintf(" predicate=%q", pn)
+			attrs += " predicate=" + quoteAttr(pn)
 		}
 		if !d.Invocable {
 			attrs += ` invocable="false"`
@@ -197,7 +208,7 @@ func (p *xsdPrinter) symParticle(b *strings.Builder, sym regex.Symbol, pad, occu
 	case schema.KindPattern:
 		tag = "functionPattern"
 	}
-	fmt.Fprintf(b, "%s<%s ref=%q%s/>\n", pad, tag, name, occursAttrs)
+	fmt.Fprintf(b, "%s<%s ref=%s%s/>\n", pad, tag, quoteAttr(name), occursAttrs)
 }
 
 func (p *xsdPrinter) classParticle(b *strings.Builder, cls regex.Class, pad, occursAttrs string) {
@@ -208,7 +219,7 @@ func (p *xsdPrinter) classParticle(b *strings.Builder, cls regex.Class, pad, occ
 			for i, s := range cls.Syms {
 				names[i] = p.s.Table.Name(s)
 			}
-			not = fmt.Sprintf(" not=%q", strings.Join(names, " "))
+			not = " not=" + quoteAttr(strings.Join(names, " "))
 		}
 		fmt.Fprintf(b, "%s<any%s%s/>\n", pad, not, occursAttrs)
 		return

@@ -1,13 +1,13 @@
 package xsdint
 
 import (
-	"encoding/xml"
 	"strings"
 	"testing"
 
 	"axml/internal/doc"
 	"axml/internal/regex"
 	"axml/internal/schema"
+	"axml/internal/xmlio"
 )
 
 // TestPrintWildcardsAndRepeats round-trips content models that exercise the
@@ -101,38 +101,40 @@ pattern Forecast = city -> temp
 // TestParseAtDirect: the mid-stream entry point used by WSDL_int.
 func TestParseAtDirect(t *testing.T) {
 	src := `<wrapper><schema root="a"><element name="a" type="xs:string"/></schema><after/></wrapper>`
-	dec := xml.NewDecoder(strings.NewReader(src))
+	tz := xmlio.NewBytesTokenizer([]byte(src))
+	defer tz.Close()
 	// Consume <wrapper> then position at <schema>.
-	var schemaStart xml.StartElement
+	var schemaStart *xmlio.Token
 	for {
-		tok, err := dec.Token()
+		tok, err := tz.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s, ok := tok.(xml.StartElement); ok && s.Name.Local == "schema" {
-			schemaStart = s
+		if tok.Kind == xmlio.KindStart && string(tok.Local) == "schema" {
+			schemaStart = tok
 			break
 		}
 	}
-	s, err := ParseAt(dec, schemaStart, Options{})
+	s, err := ParseAt(tz, schemaStart, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Root != "a" || s.Labels["a"] == nil {
 		t.Errorf("parsed schema wrong: %+v", s)
 	}
-	// The decoder must be positioned after </schema>: <after/> comes next.
-	tok, err := dec.Token()
+	// The tokenizer must be positioned after </schema>: <after/> comes next.
+	tok, err := tz.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := tok.(xml.StartElement); !ok || st.Name.Local != "after" {
-		t.Errorf("decoder misaligned after ParseAt: %v", tok)
+	if tok.Kind != xmlio.KindStart || string(tok.Local) != "after" {
+		t.Errorf("tokenizer misaligned after ParseAt: %+v", tok)
 	}
 	// ParseAt on a non-schema element fails.
-	dec2 := xml.NewDecoder(strings.NewReader("<x/>"))
-	st, _ := dec2.Token()
-	if _, err := ParseAt(dec2, st.(xml.StartElement), Options{}); err == nil {
+	tz2 := xmlio.NewBytesTokenizer([]byte("<x/>"))
+	defer tz2.Close()
+	st, _ := tz2.Next()
+	if _, err := ParseAt(tz2, st, Options{}); err == nil {
 		t.Error("ParseAt on <x> should fail")
 	}
 }

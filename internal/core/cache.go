@@ -159,6 +159,8 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 			// The leader panicked; re-run to surface the same panic here.
 			return Compile(sender, target)
 		}
+		// A caller served by another's compile did not compile: a hit.
+		cc.hits.Add(1)
 		return fl.c
 	}
 	fl := &inflightCompile{done: make(chan struct{})}

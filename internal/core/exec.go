@@ -99,9 +99,9 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 		var pre []*doc.Node
 		var err error
 		if ex.st.sched != nil {
-			pre, err = ex.preInvokeBatch(forest, 0, nil)
+			pre, err = ex.preInvokeBatch(forest, 0)
 		} else {
-			pre, err = ex.preInvoke(forest, 0, nil)
+			pre, err = ex.preInvoke(forest, 0, nodePath{})
 		}
 		if err != nil {
 			return nil, err
@@ -109,20 +109,20 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 		forest = pre
 		ex.mode = Safe
 	}
-	switch mode {
-	case Safe, Mixed:
-		// Refuse before the first call: safety is decided statically.
-		if err := rw.CheckForest(forest, typ, Safe); err != nil {
-			return nil, err
-		}
-	case Possible:
-		// A hopeless request is refused with zero side effects; failures
-		// after this point stem from unlucky actual returns.
-		if err := rw.CheckForest(forest, typ, Possible); err != nil {
-			return nil, err
-		}
+	// Refuse before the first call: Safe (and Mixed, past its speculative
+	// pass) decides safety statically, and Possible refuses a hopeless
+	// request with zero side effects — its later failures stem from unlucky
+	// actual returns. Either way the check's proof travels on.
+	checkMode := Safe
+	if mode == Possible {
+		checkMode = Possible
 	}
-	return ex.forest(forest, typ, nil)
+	proof, err := rw.checkForest(forest, typ, checkMode)
+	if err != nil {
+		return nil, err
+	}
+	ex.st.proof = proof
+	return ex.forest(forest, typ, nodePath{}, true)
 }
 
 // execState is the rewriting state shared by every branch of one execution,
@@ -140,6 +140,10 @@ type execState struct {
 	permafrost map[*doc.Node]bool
 	calls      int
 	sched      *parScheduler
+	// proof is the successful static check of the forest, installed before
+	// the first word is rewritten (nil during Mixed mode's speculative
+	// pass); it is read-only from then on.
+	proof *staticCheck
 }
 
 // executor is one branch's view of a rewriting: the shared state plus the
@@ -198,66 +202,79 @@ func (ex *executor) callCount() int {
 }
 
 // forest runs the three phases on one forest against a word type and
-// returns the rewritten top level.
-func (ex *executor) forest(forest []*doc.Node, typ *regex.Regex, path []string) ([]*doc.Node, error) {
+// returns the rewritten top level. at is the path of the node whose
+// children the forest is; proven says the static check covered the forest
+// (see descend).
+func (ex *executor) forest(forest []*doc.Node, typ *regex.Regex, at nodePath, proven bool) ([]*doc.Node, error) {
 	// Phase 1: parameters, deepest functions first.
 	for _, tree := range forest {
 		for _, f := range doc.FuncsBottomUp(tree) {
-			if err := ex.materializeParams(f, path); err != nil {
+			if err := ex.materializeParams(f, at); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Phase 3 at this level: rewrite the word of root labels.
-	out, err := ex.rewriteWord(forest, typ, path)
-	if err != nil {
-		return nil, err
+	out, fresh := forest, []bool(nil)
+	if !proven || hasFunc(forest) {
+		var err error
+		if out, fresh, err = ex.rewriteWord(forest, typ, at); err != nil {
+			return nil, err
+		}
 	}
-	// Phase 2: recurse into element subtrees — independent of one another,
-	// so they fan out onto the scheduler when one is configured.
-	elems := elementSlots(out)
-	if err := ex.runSlots(len(elems), func(child *executor, k int) error {
-		i := elems[k]
-		tree := out[i]
-		return child.element(tree, indexedPath(path, tree.Label, i))
-	}); err != nil {
+	// Phase 2: recurse into element subtrees.
+	if err := ex.descend(out, fresh, at, proven); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// elementSlots returns the indices of the element nodes of a forest — the
-// slots the subtree-recursion phase fans out over.
-func elementSlots(forest []*doc.Node) []int {
-	out := make([]int, 0, len(forest))
-	for i, n := range forest {
-		if n.Kind == doc.Element {
-			out = append(out, i)
+// hasFunc reports whether a word holds a function node.
+func hasFunc(word []*doc.Node) bool {
+	for _, n := range word {
+		if n.Kind == doc.Func {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// childPath returns path extended by one segment, in a freshly allocated
-// slice. The naive append(path, seg) shares the parent's backing array:
-// sibling recursions — concurrent ones especially — would overwrite each
-// other's segment, corrupting the paths reported in errors and events.
-func childPath(path []string, seg string) []string {
-	out := make([]string, len(path)+1)
-	copy(out, path)
-	out[len(path)] = seg
-	return out
-}
-
-// indexedPath is childPath with a "label[i]" segment, built without fmt — it
-// runs once per element subtree on the rewriting hot path.
-func indexedPath(path []string, label string, i int) []string {
-	return childPath(path, label+"["+strconv.Itoa(i)+"]")
+// descend rewrites the element subtrees of a rewritten word — independent
+// of one another, so they fan out onto the scheduler when one is
+// configured. fresh marks the word's nodes an invocation returned (nil:
+// none). It skips what the static check proved: a call-free element
+// subtree of a proven word, not returned by an invocation, had each of its
+// words accepted by the check, and for a function-free word w the fork
+// automaton A_w^k is w itself, so acceptance was membership in the
+// content model. Rewriting would change nothing there, and the final
+// verification would only repeat the check. Returned subtrees are never
+// proven: returns need not have been validated.
+func (ex *executor) descend(kids []*doc.Node, fresh []bool, at nodePath, proven bool) error {
+	var slots []int
+	for i, n := range kids {
+		if n.Kind != doc.Element {
+			continue
+		}
+		if proven && (fresh == nil || !fresh[i]) && !ex.st.proof.holdsCalls[n] {
+			continue
+		}
+		slots = append(slots, i)
+	}
+	if len(slots) == 0 {
+		return nil
+	}
+	up := at.box()
+	return ex.runSlots(len(slots), func(child *executor, k int) error {
+		i := slots[k]
+		n := kids[i]
+		return child.element(n, nodePath{up: up, label: n.Label, index: i}, proven && (fresh == nil || !fresh[i]))
+	})
 }
 
 // materializeParams rewrites f's parameters into its input type, memoized.
-// Failures freeze f in lenient mode and abort in strict mode.
-func (ex *executor) materializeParams(f *doc.Node, path []string) error {
+// Failures freeze f in lenient mode and abort in strict mode. The parameter
+// forest is proven when its static sub-check succeeded.
+func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 	if ex.paramsReady(f) || ex.isFrozen(f) {
 		return nil
 	}
@@ -269,12 +286,13 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 		ex.freeze(f)
 		return nil
 	}
+	params := nodePath{up: at.box(), label: f.Label, index: paramStep}
 	in, isData, exists := c.InputType(c.Table.Intern(f.Label))
 	if !exists {
-		return fail(&NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)})
+		return fail(&NotSafeError{Path: at.String(), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)})
 	}
 	if isData {
-		kids, err := ex.collapseToData(f.Children, childPath(path, "@"+f.Label))
+		kids, err := ex.collapseToData(f.Children, params)
 		if err != nil {
 			return fail(err)
 		}
@@ -282,7 +300,8 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 		ex.markParamsDone(f)
 		return nil
 	}
-	kids, err := ex.forest(f.Children, in, childPath(path, "@"+f.Label))
+	proven := ex.st.proof != nil && ex.st.proof.paramsOK[f]
+	kids, err := ex.forest(f.Children, in, params, proven)
 	if err != nil {
 		return fail(err)
 	}
@@ -293,7 +312,7 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 
 // collapseToData materializes a forest into pure text: data-returning
 // invocable functions are called, anything else non-text is an error.
-func (ex *executor) collapseToData(children []*doc.Node, path []string) ([]*doc.Node, error) {
+func (ex *executor) collapseToData(children []*doc.Node, at nodePath) ([]*doc.Node, error) {
 	c := ex.rw.Compiled
 	out := make([]*doc.Node, 0, len(children))
 	for _, ch := range children {
@@ -303,13 +322,13 @@ func (ex *executor) collapseToData(children []*doc.Node, path []string) ([]*doc.
 		case doc.Func:
 			fi := c.Func(c.Table.Intern(ch.Label))
 			if fi == nil || !fi.Invocable || fi.Out != nil || ex.rw.K < 1 {
-				return nil, &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("cannot collapse %q to atomic data", ch.Label)}
+				return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("cannot collapse %q to atomic data", ch.Label)}
 			}
-			if err := ex.materializeParams(ch, path); err != nil {
+			if err := ex.materializeParams(ch, at); err != nil {
 				return nil, err
 			}
 			if ex.isFrozen(ch) {
-				return nil, &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("parameters of %q cannot be fixed", ch.Label)}
+				return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("parameters of %q cannot be fixed", ch.Label)}
 			}
 			res, err := ex.invoke(ch, 1)
 			if err != nil {
@@ -317,24 +336,26 @@ func (ex *executor) collapseToData(children []*doc.Node, path []string) ([]*doc.
 			}
 			out = append(out, res...)
 		default:
-			return nil, &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q where atomic data is required", ch.Label)}
+			return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q where atomic data is required", ch.Label)}
 		}
 	}
 	return out, nil
 }
 
-// element rewrites one element node in place.
-func (ex *executor) element(e *doc.Node, path []string) error {
+// element rewrites one element node in place; at is its path. A proven
+// element's function-free word was settled by the static check and is
+// left as it is.
+func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
 	c := ex.rw.Compiled
 	content, isData, declared := c.ContentModel(e.Label)
 	if !declared {
 		if ex.rw.ctx.Strict {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
+			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
 		}
 		return nil
 	}
 	if isData {
-		kids, err := ex.collapseToData(e.Children, path)
+		kids, err := ex.collapseToData(e.Children, at)
 		if err != nil {
 			return err
 		}
@@ -343,20 +364,18 @@ func (ex *executor) element(e *doc.Node, path []string) error {
 	}
 	for _, ch := range e.Children {
 		if ch.Kind == doc.Text && strings.TrimSpace(ch.Value) != "" {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
+			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
 		}
 	}
-	kids, err := ex.rewriteWord(e.Children, content, path)
-	if err != nil {
-		return err
+	kids, fresh := e.Children, []bool(nil)
+	if !proven || hasFunc(kids) {
+		var err error
+		if kids, fresh, err = ex.rewriteWord(e.Children, content, at); err != nil {
+			return err
+		}
+		e.Children = kids
 	}
-	e.Children = kids
-	elems := elementSlots(kids)
-	return ex.runSlots(len(elems), func(child *executor, k int) error {
-		i := elems[k]
-		ch := kids[i]
-		return child.element(ch, indexedPath(path, ch.Label, i))
-	})
+	return ex.descend(kids, fresh, at, proven)
 }
 
 // item is one child slot during word rewriting.
@@ -379,7 +398,10 @@ type item struct {
 // as one concurrent batch per round (decideParallel). Possible mode always
 // runs the sequential loop — backtracking revisits earlier decisions, which
 // a concurrent batch could not honor.
-func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []string) ([]*doc.Node, error) {
+//
+// Besides the rewritten word it returns which of its nodes an invocation
+// returned (nil when none did).
+func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, at nodePath) ([]*doc.Node, []bool, error) {
 	w := &wordRun{ex: ex, typ: typ}
 	w.items = make([]*item, len(children))
 	backing := make([]item, len(children)) // one allocation for the whole word
@@ -389,25 +411,32 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []s
 	}
 	if ex.st.sched != nil && ex.mode == Safe {
 		if err := w.decideParallel(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else if err := w.decideFrom(0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Final verification, with possible-mode backtracking over keeps made
 	// after the last invocation (left-to-right rewritings never revisit
 	// positions left of a performed call).
 	for {
 		nodes := make([]*doc.Node, len(w.items))
+		var fresh []bool
 		for i, it := range w.items {
 			nodes[i] = it.node
+			if it.depth > 0 {
+				if fresh == nil {
+					fresh = make([]bool, len(w.items))
+				}
+				fresh[i] = true
+			}
 		}
 		if ex.rw.ctx.MatchWord(typ, nodes) {
-			return nodes, nil
+			return nodes, fresh, nil
 		}
 		if ex.mode != Possible || len(w.kept) == 0 {
-			return nil, &NotSafeError{
-				Path: pathString(path),
+			return nil, nil, &NotSafeError{
+				Path: at.String(),
 				Msg: fmt.Sprintf("rewriting finished on %v which does not match %s (mode %s, %d calls made)",
 					forestLabels(nodes), typ.String(ex.rw.Compiled.Table), ex.mode, ex.callCount()),
 			}
@@ -426,7 +455,7 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []s
 			}
 		}
 		if err := w.decideFrom(pos); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 }
@@ -600,16 +629,20 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 // allows. The subsequent safe analysis then works on the concrete data.
 // This is the sequential pass; the parallel engine batches the same
 // admissible calls per round instead (preInvokeBatch in parallel.go).
-func (ex *executor) preInvoke(forest []*doc.Node, depth int, path []string) ([]*doc.Node, error) {
+func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
 		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
 	}
 	c := ex.rw.Compiled
 	out := make([]*doc.Node, 0, len(forest))
+	var up *nodePath
 	for _, n := range forest {
 		if n.Kind == doc.Element {
-			kids, err := ex.preInvoke(n.Children, depth, childPath(path, n.Label))
+			if up == nil {
+				up = at.box()
+			}
+			kids, err := ex.preInvoke(n.Children, depth, nodePath{up: up, label: n.Label, index: plainStep})
 			if err != nil {
 				return nil, err
 			}
@@ -627,7 +660,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, path []string) ([]*
 			continue
 		}
 		for _, f := range doc.FuncsBottomUp(n) {
-			if err := ex.materializeParams(f, path); err != nil {
+			if err := ex.materializeParams(f, at); err != nil {
 				return nil, err
 			}
 		}
@@ -654,7 +687,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, path []string) ([]*
 				ex.markParamsDone(r)
 			}
 		}
-		deeper, err := ex.preInvoke(res, depth+1, path)
+		deeper, err := ex.preInvoke(res, depth+1, at)
 		if err != nil {
 			return nil, err
 		}

@@ -328,7 +328,7 @@ type preTask struct {
 // issues the round as one concurrent batch through the invocation layer, and
 // splices the results in document order. Calls appearing inside results are
 // picked up by the next round at depth+1 while the depth bound allows.
-func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path []string) ([]*doc.Node, error) {
+func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
 		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
@@ -339,7 +339,7 @@ func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path []string)
 	depthAt := map[*doc.Node]int{}
 	for {
 		var tasks []*preTask
-		if err := ex.gatherPre(holder, depth, path, pred, depthAt, &tasks); err != nil {
+		if err := ex.gatherPre(holder, depth, nodePath{}, pred, depthAt, &tasks); err != nil {
 			return nil, err
 		}
 		if len(tasks) == 0 {
@@ -405,15 +405,19 @@ func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path []string)
 // depth-bounded, declared, invocable, admitted by the PreInvoke predicate,
 // with parameters materialized (sequentially — parameter materialization may
 // itself invoke) and not frozen by earlier failures.
-func (ex *executor) gatherPre(container *doc.Node, depth int, path []string, pred func(*FuncInfo) bool, depthAt map[*doc.Node]int, tasks *[]*preTask) error {
+func (ex *executor) gatherPre(container *doc.Node, depth int, at nodePath, pred func(*FuncInfo) bool, depthAt map[*doc.Node]int, tasks *[]*preTask) error {
 	c := ex.rw.Compiled
+	var up *nodePath
 	for _, n := range container.Children {
 		d := depth
 		if over, ok := depthAt[n]; ok {
 			d = over
 		}
 		if n.Kind == doc.Element {
-			if err := ex.gatherPre(n, d, childPath(path, n.Label), pred, depthAt, tasks); err != nil {
+			if up == nil {
+				up = at.box()
+			}
+			if err := ex.gatherPre(n, d, nodePath{up: up, label: n.Label, index: plainStep}, pred, depthAt, tasks); err != nil {
 				return err
 			}
 			continue
@@ -429,7 +433,7 @@ func (ex *executor) gatherPre(container *doc.Node, depth int, path []string, pre
 			continue
 		}
 		for _, f := range doc.FuncsBottomUp(n) {
-			if err := ex.materializeParams(f, path); err != nil {
+			if err := ex.materializeParams(f, at); err != nil {
 				return err
 			}
 		}

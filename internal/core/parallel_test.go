@@ -271,24 +271,31 @@ func G = data -> val
 	}
 }
 
-// TestChildPathNoAliasing is the regression for the append-based path
-// construction: with spare capacity in the parent slice, two sibling
-// extensions used to share a backing array and the second overwrote the
-// first's segment.
-func TestChildPathNoAliasing(t *testing.T) {
-	base := make([]string, 1, 8)
-	base[0] = "root"
-	a := childPath(base, "a")
-	b := childPath(base, "b")
-	if a[1] != "a" {
-		t.Fatalf("sibling extension clobbered the first path: %v", a)
-	}
-	if b[1] != "b" || b[0] != "root" || a[0] != "root" {
-		t.Fatalf("childPath built wrong paths: %v %v", a, b)
-	}
-	a[0] = "mutated"
-	if base[0] != "root" {
-		t.Fatal("childPath shares the parent's backing array")
+// TestNodePathSiblings: sibling paths share one boxed parent step and each
+// renders its own last step — the aliasing the slice-based paths once had
+// (a sibling's append overwrote the first's segment) cannot recur, and every
+// step kind renders as the segment it replaced.
+func TestNodePathSiblings(t *testing.T) {
+	top := nodePath{label: "page", index: 0}
+	up := top.box()
+	a := nodePath{up: up, label: "a", index: 1}
+	b := nodePath{up: up, label: "b", index: 12}
+	param := nodePath{up: a.box(), label: "F", index: paramStep}
+	plain := nodePath{up: param.box(), label: "x", index: plainStep}
+	for _, c := range []struct {
+		path nodePath
+		want string
+	}{
+		{nodePath{}, ""},
+		{top, "/page[0]"},
+		{a, "/page[0]/a[1]"},
+		{b, "/page[0]/b[12]"},
+		{param, "/page[0]/a[1]/@F"},
+		{plain, "/page[0]/a[1]/@F/x"},
+	} {
+		if got := c.path.String(); got != c.want {
+			t.Errorf("path = %q, want %q", got, c.want)
+		}
 	}
 }
 
@@ -348,10 +355,15 @@ func Data = data -> data
 // Micro-benchmarks for the error/audit-path string builders.
 
 func BenchmarkPathString(b *testing.B) {
-	path := []string{"page[0]", "sec[12]", "item[3]", "@Get", "city[0]"}
+	var path nodePath
+	for _, step := range []nodePath{{label: "page", index: 0}, {label: "sec", index: 12},
+		{label: "item", index: 3}, {label: "Get", index: paramStep}, {label: "city", index: 0}} {
+		step.up = path.box()
+		path = step
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if s := pathString(path); len(s) == 0 {
+		if s := path.String(); len(s) == 0 {
 			b.Fatal("empty")
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"axml/internal/doc"
@@ -283,14 +284,34 @@ func (rw *Rewriter) documentType(root *doc.Node) (*regex.Regex, error) {
 // CheckForest reports whether the forest can be rewritten into the word type
 // typ (with every subtree an instance of the target schema), statically.
 func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode) error {
-	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}}
-	return sc.forest(forest, typ, nil)
+	_, err := rw.checkForest(forest, typ, mode)
+	return err
 }
 
+// checkForest is CheckForest returning, on success, what the check proved;
+// the executors consult it to skip the words the proof already settled.
+func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode) (*staticCheck, error) {
+	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]bool{}}
+	if err := sc.forest(forest, typ, nil); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// staticCheck decides, without invoking anything, whether a forest
+// rewrites into a word type. A successful check is also a proof the
+// executors share: every word it accepted without a function node is a
+// word of its content model (for such a word w the fork automaton A_w^k is
+// w itself), so the executor need not decide or verify it again.
 type staticCheck struct {
-	rw       *Rewriter
-	mode     Mode
+	rw   *Rewriter
+	mode Mode
+	// paramsOK records, per function node, whether its parameter forest
+	// passed its sub-check — and was therefore checked in full.
 	paramsOK map[*doc.Node]bool
+	// holdsCalls marks the elements with a function node somewhere below
+	// them; every other element the check reached is call-free.
+	holdsCalls map[*doc.Node]bool
 	// scratch backs tokens() across the whole traversal: each word check
 	// fully consumes its token slice before the next one is built (the word
 	// engines never retain it), so one allocation serves every forest.
@@ -298,11 +319,13 @@ type staticCheck struct {
 }
 
 // forest checks one forest against a word type: parameters bottom-up, then
-// the root-label word, then each element subtree top-down.
-func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []string) error {
+// the root-label word, then each element subtree top-down. at is the path
+// of the node whose children the forest is (nil at the top).
+func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, at *nodePath) error {
 	for _, tree := range forest {
-		for _, f := range doc.FuncsBottomUp(tree) {
-			ok, err := sc.funcParams(f, path)
+		funcs, _ := sc.funcsBottomUp(tree, nil)
+		for _, f := range funcs {
+			ok, err := sc.funcParams(f, at)
 			if err != nil {
 				return err
 			}
@@ -316,14 +339,14 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []strin
 	}
 	if !ok {
 		return &NotSafeError{
-			Path: pathString(path),
+			Path: pathAt(at),
 			Msg: fmt.Sprintf("word %v does not %s-rewrite into %s within depth %d",
 				forestLabels(forest), sc.mode, typ.String(sc.rw.Compiled.Table), sc.rw.K),
 		}
 	}
 	for i, tree := range forest {
 		if tree.Kind == doc.Element {
-			if err := sc.element(tree, indexedPath(path, tree.Label, i)); err != nil {
+			if err := sc.element(tree, nodePath{up: at, label: tree.Label, index: i}); err != nil {
 				return err
 			}
 		}
@@ -331,15 +354,36 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []strin
 	return nil
 }
 
+// funcsBottomUp is doc.FuncsBottomUp that also marks, in holdsCalls, every
+// element with a function node below it. It reports whether n's subtree
+// holds a function node.
+func (sc *staticCheck) funcsBottomUp(n *doc.Node, out []*doc.Node) ([]*doc.Node, bool) {
+	holds := false
+	for _, c := range n.Children {
+		var h bool
+		out, h = sc.funcsBottomUp(c, out)
+		holds = holds || h
+	}
+	switch n.Kind {
+	case doc.Func:
+		return append(out, n), true
+	case doc.Element:
+		if holds {
+			sc.holdsCalls[n] = true
+		}
+	}
+	return out, holds
+}
+
 // funcParams decides whether f's parameters can be rewritten into its input
 // type. Inner functions were memoized first (bottom-up order).
-func (sc *staticCheck) funcParams(f *doc.Node, path []string) (bool, error) {
+func (sc *staticCheck) funcParams(f *doc.Node, at *nodePath) (bool, error) {
 	if ok, done := sc.paramsOK[f]; done {
 		return ok, nil
 	}
 	fail := func(msg string) (bool, error) {
 		if sc.rw.StrictParams {
-			return false, &NotSafeError{Path: pathString(path), Msg: msg}
+			return false, &NotSafeError{Path: pathAt(at), Msg: msg}
 		}
 		return false, nil
 	}
@@ -356,14 +400,23 @@ func (sc *staticCheck) funcParams(f *doc.Node, path []string) (bool, error) {
 	}
 	// Rewriting the params must not consult the global failure path: use a
 	// sub-check whose verdict freezes f instead of failing, unless strict.
-	sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK}
-	if err := sub.forest(f.Children, in, childPath(path, "@"+f.Label)); err != nil {
+	sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK, holdsCalls: sc.holdsCalls}
+	params := nodePath{up: at, label: f.Label, index: paramStep}
+	if err := sub.forest(f.Children, in, &params); err != nil {
 		if sc.rw.StrictParams {
 			return false, err
 		}
 		return false, nil
 	}
 	return true, nil
+}
+
+// pathAt renders an optional path.
+func pathAt(at *nodePath) string {
+	if at == nil {
+		return ""
+	}
+	return at.String()
 }
 
 // dataChildrenOK: a forest collapses to atomic data iff every member is a
@@ -396,26 +449,26 @@ func (sc *staticCheck) dataChildrenOK(children []*doc.Node) bool {
 	return true
 }
 
-// element checks one element subtree top-down.
-func (sc *staticCheck) element(e *doc.Node, path []string) error {
+// element checks one element subtree top-down; at is the element's path.
+func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
 	c := sc.rw.Compiled
 	content, isData, declared := c.ContentModel(e.Label)
 	if !declared {
 		if sc.rw.ctx.Strict {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
+			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
 		}
 		return nil // wildcard territory: unconstrained
 	}
 	if isData {
 		if !sc.dataChildrenOK(e.Children) {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("data element %q contains children that cannot become atomic data", e.Label)}
+			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("data element %q contains children that cannot become atomic data", e.Label)}
 		}
 		return nil
 	}
 	// Non-text structural check mirrors validation: stray text is fatal.
 	for _, ch := range e.Children {
 		if ch.Kind == doc.Text && strings.TrimSpace(ch.Value) != "" {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
+			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
 		}
 	}
 	tokens := sc.tokens(e.Children)
@@ -425,14 +478,14 @@ func (sc *staticCheck) element(e *doc.Node, path []string) error {
 	}
 	if !ok {
 		return &NotSafeError{
-			Path: pathString(path),
+			Path: at.String(),
 			Msg: fmt.Sprintf("children %v do not %s-rewrite into %s within depth %d",
 				e.ChildLabels(), sc.mode, content.String(c.Table), sc.rw.K),
 		}
 	}
 	for i, ch := range e.Children {
 		if ch.Kind == doc.Element {
-			if err := sc.element(ch, indexedPath(path, ch.Label, i)); err != nil {
+			if err := sc.element(ch, nodePath{up: &at, label: ch.Label, index: i}); err != nil {
 				return err
 			}
 		}
@@ -462,24 +515,73 @@ func (sc *staticCheck) tokens(forest []*doc.Node) []Token {
 	return out
 }
 
-// pathString renders a node path as /seg/seg/... — it sits on every error
-// and event path, so it builds the result in one exactly-sized allocation
-// instead of the Join-plus-concatenation it replaced.
-func pathString(path []string) string {
-	if len(path) == 0 {
+// nodePath names a node in error messages: the chain of steps from the top
+// of the rewritten forest down to it. A step is carried as (parent, label,
+// index) rather than as a rendered segment, so the engines build no path
+// for the many nodes that never fail; the string is rendered only when an
+// error is built. The zero value is the forest itself and renders as "".
+type nodePath struct {
+	up    *nodePath
+	label string
+	// index is the node's position among its parent's children, rendered
+	// "label[index]"; plainStep and paramStep render "label" and "@label".
+	index int
+}
+
+const (
+	plainStep = -1 // an element step without position (mixed-mode pre-invocation)
+	paramStep = -2 // the parameter forest of the function labelled label
+)
+
+// box returns p as a parent for its children's paths. The forest boxes to
+// nil; any other step costs one allocation, which callers make once per
+// node they descend below.
+func (p nodePath) box() *nodePath {
+	if p.label == "" {
+		return nil
+	}
+	return &p
+}
+
+// String renders the path as /seg/seg/... It measures the chain, then
+// fills one buffer from the end, so no step pointer is stored anywhere: a
+// path of stack-allocated steps stays on the stack.
+func (p nodePath) String() string {
+	if p.label == "" {
 		return ""
 	}
-	n := len(path) // one '/' before each segment
-	for _, seg := range path {
-		n += len(seg)
+	var digits [20]byte
+	n := 0
+	for q := &p; q != nil; q = q.up {
+		n += 1 + len(q.label)
+		switch {
+		case q.index == paramStep:
+			n++
+		case q.index >= 0:
+			n += 2 + len(strconv.AppendInt(digits[:0], int64(q.index), 10))
+		}
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, seg := range path {
-		b.WriteByte('/')
-		b.WriteString(seg)
+	buf := make([]byte, n)
+	for q := &p; q != nil; q = q.up {
+		if q.index >= 0 {
+			d := strconv.AppendInt(digits[:0], int64(q.index), 10)
+			n--
+			buf[n] = ']'
+			n -= len(d)
+			copy(buf[n:], d)
+			n--
+			buf[n] = '['
+		}
+		n -= len(q.label)
+		copy(buf[n:], q.label)
+		if q.index == paramStep {
+			n--
+			buf[n] = '@'
+		}
+		n--
+		buf[n] = '/'
 	}
-	return b.String()
+	return string(buf)
 }
 
 // forestLabels renders the non-text labels of a forest as "[a b c]" — the

@@ -18,9 +18,12 @@
 //     (rewriteWord against the residual, element recursion for the
 //     survivors), so decisions, instrument counters and audit records come
 //     from the same code path as the tree engine;
-//   - function subtrees themselves (parameters travel with the call) and
-//     data-element content (the batch printer chooses its element form from
-//     the whole child list, and collapseToData is inherently bounded).
+//   - function subtrees themselves (parameters travel with the call), and
+//     the content of a data element from its first non-text child on
+//     (collapseToData resolves it at the close). Text ahead of that streams:
+//     it collapses to itself, and the emitter holds one text back, so the
+//     element still takes the form the batch printer picks from the whole
+//     child list.
 //
 // Streaming is restricted to configurations where it provably matches the
 // tree engine byte for byte: Safe mode (Possible-mode backtracking revisits
@@ -127,31 +130,36 @@ func (c *Compiled) computeStreamable() bool {
 // streamPrescan reports whether the tree can stream: a function node under
 // a target-undeclared (wildcard) element survives rewriting untouched, and
 // the emitter cannot represent it without the root xmlns:int declaration
-// the batch printer would add. One O(n) pointer walk, no allocation.
-// Function parameters reset the wildcard flag: parameters of an invoked
-// call are consumed, and a call that cannot be invoked fails the word
-// check on both engines.
-func (rw *Rewriter) streamPrescan(n *doc.Node, wild bool) bool {
+// the batch printer would add. One pointer walk, no allocation; only the
+// elements holding a function node are looked up in the target. Function
+// parameters are scanned as fresh roots: parameters of an invoked call are
+// consumed, and a call that cannot be invoked fails the word check on both
+// engines. holds reports whether n's subtree holds a function node.
+func (rw *Rewriter) streamPrescan(n *doc.Node) (ok, holds bool) {
 	switch n.Kind {
 	case doc.Func:
-		if wild {
-			return false
-		}
 		for _, c := range n.Children {
-			if !rw.streamPrescan(c, false) {
-				return false
+			if ok, _ := rw.streamPrescan(c); !ok {
+				return false, true
 			}
 		}
+		return true, true
 	case doc.Element:
-		_, _, declared := rw.Compiled.ContentModel(n.Label)
-		w := wild || !declared
 		for _, c := range n.Children {
-			if !rw.streamPrescan(c, w) {
-				return false
+			ok, h := rw.streamPrescan(c)
+			if !ok {
+				return false, true
+			}
+			holds = holds || h
+		}
+		if holds {
+			if _, _, declared := rw.Compiled.ContentModel(n.Label); !declared {
+				return false, true
 			}
 		}
+		return true, holds
 	}
-	return true
+	return true, false
 }
 
 // RewriteDocumentStream enforces the exchange schema on root and writes the
@@ -165,7 +173,7 @@ func (rw *Rewriter) RewriteDocumentStream(ctx context.Context, root *doc.Node, w
 		reason = r
 	} else if root.Kind != doc.Element {
 		reason = "func-root"
-	} else if !rw.streamPrescan(root, false) {
+	} else if ok, _ := rw.streamPrescan(root); !ok {
 		reason = "wild-func"
 	}
 	if reason != "" {
@@ -266,7 +274,9 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 				typ := regex.Sym(rw.Compiled.Table.Intern(label))
 				g = &streamEngine{rw: &srw, ex: ex, em: em, c: rw.Compiled,
 					d: rw.Compiled.Deriver(), spec: spec, phase1: &Audit{},
-					frames: []*sFrame{{virtual: true, content: typ, resid: typ}}}
+					frames: make([]sFrame, 1, 16),
+					labels: map[string]*labelInfo{}}
+				g.frames[0] = sFrame{virtual: true, content: typ, resid: typ}
 			}
 			switch ev.Kind {
 			case xmlio.EventStart:
@@ -318,14 +328,18 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 	return res, nil
 }
 
-// sFrame is the engine's per-open-element state.
+// sFrame is the engine's per-open-element state. Frames live by value on
+// the engine's stack, so opening an element allocates nothing; a frame's
+// path is rendered from the stack only when an error or an island needs it.
 type sFrame struct {
 	label string
-	path  []string
+	// index is the element's position among its parent's children — the
+	// index the tree engine's error paths use.
+	index int
 	// Exactly one of these classifications applies: virtual (the synthetic
 	// forest-level frame), wild (target-undeclared: verbatim passthrough),
-	// isData (atomic content: buffered, collapsed at close), or structured
-	// (resid tracks the residual content model).
+	// isData (atomic content), or structured (resid tracks the residual
+	// content model).
 	virtual bool
 	wild    bool
 	isData  bool
@@ -338,7 +352,8 @@ type sFrame struct {
 	childIdx int
 	preCount int
 	// island buffers the unresolved suffix of the child word; islandOn
-	// flips at the first function child (or immediately for data frames).
+	// flips at the first function child, or at the first non-text child
+	// of a data frame, whose text streams until then.
 	islandOn bool
 	island   []*doc.Node
 	// records accumulates the audit bundles of closed streamed children,
@@ -358,17 +373,69 @@ type streamEngine struct {
 	c      *Compiled
 	d      *regex.Deriver
 	spec   *specPool
-	frames []*sFrame
+	frames []sFrame
 	// bstack tracks elements under construction inside the current island:
 	// events below an island build real subtrees for the executor.
 	bstack []*doc.Node
 	phase1 *Audit
+	// labels memoizes, for one rewrite, what every element open would
+	// otherwise look up in the shared, locked tables: a label's symbol,
+	// its target declaration and the residual step it last took.
+	labels map[string]*labelInfo
 
 	curBytes, peakBytes int
 	curNodes, peakNodes int
 }
 
-func (g *streamEngine) cur() *sFrame { return g.frames[len(g.frames)-1] }
+// labelInfo is the per-rewrite memo of one element label.
+type labelInfo struct {
+	sym      regex.Symbol
+	content  *regex.Regex
+	isData   bool
+	declared bool
+	// from and to remember the label's last residual step. The Deriver
+	// hands out one residual per state and symbol, so a label that keeps
+	// arriving in the same context steps from the same pointer.
+	from, to *regex.Regex
+}
+
+func (g *streamEngine) label(l string) *labelInfo {
+	li := g.labels[l]
+	if li == nil {
+		li = &labelInfo{sym: g.c.Table.Intern(l)}
+		li.content, li.isData, li.declared = g.c.ContentModel(l)
+		g.labels[l] = li
+	}
+	return li
+}
+
+// step derives the residual r by the label's symbol.
+func (g *streamEngine) step(r *regex.Regex, li *labelInfo) *regex.Regex {
+	if li.from != r {
+		li.from, li.to = r, g.d.Derive(r, li.sym)
+	}
+	return li.to
+}
+
+func (g *streamEngine) cur() *sFrame { return &g.frames[len(g.frames)-1] }
+
+// framePath returns the path of fr, whose ancestors are the stacked frames
+// above (the virtual frame names no node).
+func framePath(ancestors []sFrame, fr *sFrame) nodePath {
+	if fr.virtual {
+		return nodePath{}
+	}
+	var up *nodePath
+	for i := 1; i < len(ancestors); i++ {
+		up = &nodePath{up: up, label: ancestors[i].label, index: ancestors[i].index}
+	}
+	return nodePath{up: up, label: fr.label, index: fr.index}
+}
+
+// curPath returns the path of the innermost open frame.
+func (g *streamEngine) curPath() nodePath {
+	return framePath(g.frames[:len(g.frames)-1], g.cur())
+}
 
 // account charges a buffered subtree to fr and updates the peak frontier.
 func (g *streamEngine) account(fr *sFrame, n *doc.Node) {
@@ -416,7 +483,9 @@ func (g *streamEngine) start(label string) error {
 		return nil
 	}
 	fr := g.cur()
-	if fr.islandOn {
+	if fr.islandOn || fr.isData {
+		// An element inside atomic content is an error collapseToData
+		// reports at the close, as the tree engine does.
 		n := doc.Elem(label)
 		g.addIsland(n)
 		g.bstack = append(g.bstack, n)
@@ -424,36 +493,46 @@ func (g *streamEngine) start(label string) error {
 	}
 	if fr.wild {
 		g.em.StartElement(label)
-		g.frames = append(g.frames, &sFrame{label: label, wild: true})
+		g.push(label, 0, nil, false, true)
 		return nil
 	}
 	// Structured (or virtual) frame: the child's symbol extends the
 	// function-free prefix, so step the residual. A dead residual means no
 	// suffix can complete the word — the tree engine's static check would
 	// refuse the document too.
-	sym := g.c.Table.Intern(label)
-	fr.resid = g.d.Derive(fr.resid, sym)
+	li := g.label(label)
+	fr.resid = g.step(fr.resid, li)
 	if fr.resid.IsNever() {
-		return &NotSafeError{Path: pathString(fr.path), Msg: fmt.Sprintf(
+		return &NotSafeError{Path: g.curPath().String(), Msg: fmt.Sprintf(
 			"child %q cannot extend any word matching %s", label, fr.content.String(g.c.Table))}
 	}
 	idx := fr.childIdx
 	fr.childIdx++
-	content, isData, declared := g.c.ContentModel(label)
-	child := &sFrame{label: label, path: indexedPath(fr.path, label, idx),
-		content: content, resid: content, isData: isData, wild: !declared}
-	if child.wild && g.rw.ctx.Strict {
-		return &NotSafeError{Path: pathString(child.path), Msg: fmt.Sprintf(
+	if !li.declared && g.rw.ctx.Strict {
+		at := nodePath{up: g.curPath().box(), label: label, index: idx}
+		return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf(
 			"element %q is not declared by the target schema", label)}
 	}
-	if isData {
-		// The data element's form (<e/>, inline, block) depends on the
-		// collapsed child list; buffer from the start.
-		child.islandOn = true
-	}
 	g.em.StartElement(label)
-	g.frames = append(g.frames, child)
+	g.push(label, idx, li.content, li.isData, !li.declared)
 	return nil
+}
+
+// push opens a frame. Frames open and close once per element, so the slot
+// is filled field by field: storing a whole sFrame costs a bulk write
+// barrier while the garbage collector marks. A closed frame leaves its slot
+// with no island or records (see end).
+func (g *streamEngine) push(label string, index int, content *regex.Regex, isData, wild bool) {
+	n := len(g.frames)
+	if n == cap(g.frames) {
+		g.frames = append(g.frames, sFrame{})
+	} else {
+		g.frames = g.frames[:n+1]
+	}
+	f := &g.frames[n]
+	f.label, f.index, f.content, f.resid = label, index, content, content
+	f.virtual, f.wild, f.isData, f.islandOn = false, wild, isData, false
+	f.childIdx, f.preCount, f.bufBytes, f.bufNodes = 0, 0, 0, 0
 }
 
 // text handles a character-data event.
@@ -477,15 +556,18 @@ func (g *streamEngine) text(v string) error {
 		return nil
 	}
 	if !fr.isData && strings.TrimSpace(v) != "" {
-		return &NotSafeError{Path: pathString(fr.path), Msg: fmt.Sprintf(
+		return &NotSafeError{Path: g.curPath().String(), Msg: fmt.Sprintf(
 			"element %q has structured content but contains text", fr.label)}
 	}
 	if fr.islandOn {
 		g.addIsland(doc.TextNode(v))
 		return nil
 	}
-	// Whitespace-only text in a structured element: the tree engine keeps
-	// the node, so it streams through (and still occupies a child index).
+	// Text ahead of any function streams through: whitespace in a
+	// structured element (the tree engine keeps the node, so it still
+	// occupies a child index), and the atomic content of a data element,
+	// which collapses to itself. The emitter holds a lone text back, so
+	// the element still takes the form the batch printer picks.
 	fr.childIdx++
 	g.em.Text(v)
 	return nil
@@ -502,7 +584,7 @@ func (g *streamEngine) fun(n *doc.Node) error {
 	// functions inside n's parameters are handled by the recursive
 	// materialization, again exactly as the tree engine does.
 	g.ex.audit = g.phase1
-	if err := g.ex.materializeParams(n, nil); err != nil {
+	if err := g.ex.materializeParams(n, nodePath{}); err != nil {
 		return err
 	}
 	if len(g.bstack) > 0 {
@@ -511,14 +593,13 @@ func (g *streamEngine) fun(n *doc.Node) error {
 		g.account(g.cur(), n)
 		return nil
 	}
-	fr := g.cur()
 	g.addIsland(n)
 	// Overlap invocation with parsing: under a streamable target a keep
 	// can never pass the word check, so a callable direct occurrence is
 	// surely invoked — dispatch it now and let the decision loop claim
 	// the result. Data-frame functions go through collapseToData with its
 	// own invocability rules; leave those synchronous.
-	if g.spec != nil && !fr.isData && g.ex.callable(&item{node: n}) {
+	if g.spec != nil && !g.cur().isData && g.ex.callable(&item{node: n}) {
 		g.spec.dispatch(n)
 	}
 	return nil
@@ -530,24 +611,33 @@ func (g *streamEngine) end() error {
 		g.bstack = g.bstack[:len(g.bstack)-1]
 		return nil
 	}
-	fr := g.cur()
-	g.frames = g.frames[:len(g.frames)-1]
-	parent := g.frames[len(g.frames)-1]
+	// Pop the frame. Its slot stays intact until the next push; what it
+	// buffered is dropped below, so the stack keeps no nodes of a closed
+	// element.
+	top := len(g.frames) - 1
+	fr := &g.frames[top]
+	g.frames = g.frames[:top]
+	parent := g.cur()
 	switch {
 	case fr.wild:
 		// Wildcard territory: the tree engine leaves the subtree untouched.
 		g.em.EndElement()
 		return nil
+	case fr.isData && !fr.islandOn:
+		// Text only, already streamed: it collapses to itself.
+		g.em.EndElement()
+		return nil
 	case fr.isData:
 		own := &Audit{}
 		g.ex.audit = own
-		kids, err := g.ex.collapseToData(fr.island, fr.path)
+		kids, err := g.ex.collapseToData(fr.island, framePath(g.frames, fr))
 		if err != nil {
 			return err
 		}
 		g.em.Finish(kids)
 		g.releaseBuf(fr)
 		parent.records = append(parent.records, own.Calls()...)
+		fr.island = nil
 		return nil
 	case fr.islandOn:
 		out, bundle, err := g.resolveIsland(fr)
@@ -556,16 +646,20 @@ func (g *streamEngine) end() error {
 		}
 		g.em.Finish(out)
 		parent.records = append(parent.records, bundle...)
+		fr.island, fr.records = nil, nil
 		return nil
 	default:
 		// Function-free word: acceptance is exactly nullability of the
 		// residual.
 		if !fr.resid.Nullable() {
-			return &NotSafeError{Path: pathString(fr.path), Msg: fmt.Sprintf(
+			return &NotSafeError{Path: framePath(g.frames, fr).String(), Msg: fmt.Sprintf(
 				"children of %q form an incomplete word for %s", fr.label, fr.content.String(g.c.Table))}
 		}
 		g.em.EndElement()
-		parent.records = append(parent.records, fr.records...)
+		if fr.records != nil {
+			parent.records = append(parent.records, fr.records...)
+			fr.records = nil
+		}
 		return nil
 	}
 }
@@ -576,9 +670,11 @@ func (g *streamEngine) end() error {
 // over the survivors. It returns the rewritten suffix and the frame's
 // complete audit bundle — own word records, then the streamed prefix
 // children's bundles, then the island recursion's records, which is the
-// tree engine's bundle order for this element.
+// tree engine's bundle order for this element. fr is closed: its ancestors
+// are the stacked frames.
 func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, error) {
 	ex := g.ex
+	at := framePath(g.frames, fr)
 	toks := make([]Token, 0, len(fr.island))
 	for _, n := range fr.island {
 		if n.Kind == doc.Text {
@@ -595,18 +691,19 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 		return nil, nil, err
 	}
 	if !ok {
-		return nil, nil, &NotSafeError{Path: pathString(fr.path), Msg: fmt.Sprintf(
+		return nil, nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf(
 			"children %s do not Safe-rewrite into %s within depth %d",
 			forestLabels(fr.island), fr.resid.String(g.c.Table), g.rw.K)}
 	}
 	own := &Audit{}
 	ex.audit = own
-	out, err := ex.rewriteWord(fr.island, fr.resid, fr.path)
+	out, _, err := ex.rewriteWord(fr.island, fr.resid, at)
 	if err != nil {
 		return nil, nil, err
 	}
 	rec := &Audit{}
 	ex.audit = rec
+	up := at.box()
 	for j, n := range out {
 		switch n.Kind {
 		case doc.Func:
@@ -614,7 +711,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 			// emit bytes the batch printer would have namespaced.
 			return nil, nil, fmt.Errorf("core: internal: function %q survived a streaming rewrite", n.Label)
 		case doc.Element:
-			if err := ex.element(n, indexedPath(fr.path, n.Label, fr.preCount+j)); err != nil {
+			if err := ex.element(n, nodePath{up: up, label: n.Label, index: fr.preCount + j}, false); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -630,7 +727,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 // finish closes the virtual forest frame at end of document and returns the
 // document bundle.
 func (g *streamEngine) finish() ([]CallRecord, error) {
-	fr := g.frames[0]
+	fr := &g.frames[0]
 	if fr.islandOn {
 		out, bundle, err := g.resolveIsland(fr)
 		if err != nil {

@@ -86,32 +86,86 @@ func CallAt(ref ServiceRef, params ...*Node) *Node {
 	return &Node{Kind: Func, Label: ref.Method, Service: &r, Children: params}
 }
 
-// Clone returns a deep copy of the node.
+// Clone returns a deep copy of the node. The copy costs two allocations
+// whatever its size (three when it holds service references): the subtree
+// is sized first, then its nodes are carved from one []Node and its child
+// lists from one []*Node. Every carved Children slice has cap == len, so an
+// append to it reallocates instead of writing into a sibling's span.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value}
-	if n.Service != nil {
-		ref := *n.Service
-		c.Service = &ref
-	}
-	if len(n.Children) > 0 {
-		c.Children = make([]*Node, len(n.Children))
-		for i, ch := range n.Children {
-			c.Children[i] = ch.Clone()
-		}
-	}
-	return c
+	var c cloner
+	c.size(n)
+	c.alloc()
+	return c.clone(n)
 }
 
-// CloneForest deep-copies a forest.
+// CloneForest deep-copies a forest, carving every tree from the same
+// allocations.
 func CloneForest(forest []*Node) []*Node {
+	var c cloner
+	for _, n := range forest {
+		c.size(n)
+	}
+	c.alloc()
 	out := make([]*Node, len(forest))
 	for i, n := range forest {
-		out[i] = n.Clone()
+		out[i] = c.clone(n)
 	}
 	return out
+}
+
+// cloner sizes a deep copy, then hands out its storage.
+type cloner struct {
+	numNodes, numLists, numRefs int
+	nodes                       []Node
+	lists                       []*Node
+	refs                        []ServiceRef
+}
+
+func (c *cloner) size(n *Node) {
+	if n == nil {
+		return
+	}
+	c.numNodes++
+	c.numLists += len(n.Children)
+	if n.Service != nil {
+		c.numRefs++
+	}
+	for _, ch := range n.Children {
+		c.size(ch)
+	}
+}
+
+func (c *cloner) alloc() {
+	c.nodes = make([]Node, c.numNodes)
+	c.lists = make([]*Node, c.numLists)
+	if c.numRefs > 0 {
+		c.refs = make([]ServiceRef, c.numRefs)
+	}
+}
+
+func (c *cloner) clone(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	m := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	m.Kind, m.Label, m.Value = n.Kind, n.Label, n.Value
+	if n.Service != nil {
+		m.Service = &c.refs[0]
+		*m.Service = *n.Service
+		c.refs = c.refs[1:]
+	}
+	if k := len(n.Children); k > 0 {
+		m.Children = c.lists[:k:k]
+		c.lists = c.lists[k:]
+		for i, ch := range n.Children {
+			m.Children[i] = c.clone(ch)
+		}
+	}
+	return m
 }
 
 // Equal reports deep structural equality (Service references are compared by

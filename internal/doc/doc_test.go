@@ -72,6 +72,70 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
+// TestCloneAppendIsolated: clones carve every child list from one shared
+// array, so each list must be capped at its length — appending to any
+// cloned node's children must leave every other node's children as they
+// were.
+func TestCloneAppendIsolated(t *testing.T) {
+	d := Elem("root", newspaper(), Elem("empty"),
+		CallAt(ServiceRef{Method: "f", Endpoint: "http://e", Namespace: "urn:f"},
+			Elem("p", TextNode("x")), Elem("q")),
+		newspaper())
+	c := d.Clone()
+	if !c.Equal(d) || !d.Equal(c) {
+		t.Fatal("Clone(d) is not equal to d")
+	}
+	var nodes []*Node
+	c.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+	kids := make([][]*Node, len(nodes))
+	for j, m := range nodes {
+		kids[j] = append([]*Node(nil), m.Children...)
+	}
+	for i, n := range nodes {
+		n.Children = append(n.Children, TextNode("appended"))
+		for j, m := range nodes {
+			if j == i {
+				continue
+			}
+			if len(m.Children) != len(kids[j]) {
+				t.Fatalf("appending under node %d resized node %d's children", i, j)
+			}
+			for k := range m.Children {
+				if m.Children[k] != kids[j][k] {
+					t.Fatalf("appending under node %d overwrote child %d of node %d", i, k, j)
+				}
+			}
+		}
+		n.Children = n.Children[:len(n.Children)-1]
+	}
+	if !c.Equal(d) {
+		t.Fatal("clone drifted from the original")
+	}
+	c.Children[2].Service.Endpoint = "http://other"
+	if d.Children[2].Service.Endpoint != "http://e" {
+		t.Fatal("clone shares a service reference with the original")
+	}
+}
+
+// TestCloneAllocations pins the two-allocation copy: one node array and
+// one child-pointer array, plus one service array when references exist.
+func TestCloneAllocations(t *testing.T) {
+	d := Elem("root")
+	for i := 0; i < 100; i++ {
+		d.Children = append(d.Children, Elem("block", Elem("para", TextNode("text"))))
+	}
+	if got := testing.AllocsPerRun(20, func() { d.Clone() }); got != 2 {
+		t.Errorf("Clone = %v allocations, want 2", got)
+	}
+	d.Children = append(d.Children, CallAt(ServiceRef{Method: "f", Endpoint: "e"}))
+	if got := testing.AllocsPerRun(20, func() { d.Clone() }); got != 3 {
+		t.Errorf("Clone with a service reference = %v allocations, want 3", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { CloneForest(d.Children) }); got != 4 {
+		t.Errorf("CloneForest = %v allocations, want 4", got)
+	}
+}
+
 func TestEqualService(t *testing.T) {
 	a := CallAt(ServiceRef{Method: "f", Endpoint: "x"})
 	b := CallAt(ServiceRef{Method: "f", Endpoint: "y"})

@@ -396,3 +396,53 @@ func TestDiskReshard(t *testing.T) {
 		t.Errorf("%d document files on disk, want 10 (no strands)", files)
 	}
 }
+
+// TestUnrepresentableTextSurvivesReopen: text XML cannot carry verbatim —
+// control characters, invalid UTF-8 — reaches a durable backend from local
+// services and Go callers. The stored form must parse back at recovery, and
+// reads must serve the same bytes before and after a reopen.
+func TestUnrepresentableTextSurvivesReopen(t *testing.T) {
+	texts := map[string]string{
+		"memo":  "tab\x01bed",
+		"ctl":   "a\x00b\x1fc",
+		"utf8":  "bad\xffutf8",
+		"nonch": "x\uFFFEy\uFFFF",
+	}
+	for _, backend := range []string{store.BackendWAL, store.BackendDisk} {
+		t.Run(backend, func(t *testing.T) {
+			opts := store.Options{Backend: backend, Dir: t.TempDir(), Sync: wal.SyncNone}
+			s, err := store.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := map[string]string{}
+			for name, text := range texts {
+				if err := s.Put(name, doc.Elem(name, doc.TextNode(text), doc.Call("f", doc.TextNode(text)))); err != nil {
+					t.Fatalf("Put %s: %v", name, err)
+				}
+				d, ok := s.Get(name)
+				if !ok {
+					t.Fatalf("Get %s: miss", name)
+				}
+				before[name] = xmlio.MustString(d)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = store.Open(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s.Close()
+			for name := range texts {
+				d, ok := s.Get(name)
+				if !ok {
+					t.Fatalf("Get %s after reopen: miss", name)
+				}
+				if got := xmlio.MustString(d); got != before[name] {
+					t.Errorf("%s: bytes changed across reopen:\nbefore %q\nafter  %q", name, before[name], got)
+				}
+			}
+		})
+	}
+}

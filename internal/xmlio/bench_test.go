@@ -3,6 +3,7 @@ package xmlio
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -50,5 +51,28 @@ func BenchmarkParse(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWriteTo serializes a 1 MiB document of headed paragraphs, the
+// shape of a large exchanged report: almost every byte is text to escape.
+func BenchmarkWriteTo(b *testing.B) {
+	para := strings.Repeat("lorem ipsum dolor sit amet ", 26)
+	root := doc.Elem("report")
+	for len(root.Children) < 1500 {
+		root.Children = append(root.Children, doc.Elem("block",
+			doc.Elem("heading", doc.TextNode("heading text")),
+			doc.Elem("para", doc.TextNode(para))))
+	}
+	var out bytes.Buffer
+	if err := WriteTo(&out, root); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(out.Len()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTo(io.Discard, root); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"axml/internal/doc"
 )
@@ -254,6 +255,54 @@ func FuzzWriteFixpoint(f *testing.F) {
 			t.Fatalf("no fixpoint:\n%s\nvs\n%s", w2, w3)
 		}
 	})
+}
+
+// FuzzWriteText: for any text or attribute value, Write emits a document
+// Parse accepts. A lone text child comes back as the input with every
+// rune XML cannot carry replaced by U+FFFD, then trimmed of the white space
+// the parser drops.
+func FuzzWriteText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		s := MustString(doc.Elem("a", doc.TextNode(v)))
+		back, err := ParseString(s)
+		if err != nil {
+			t.Fatalf("text %q: written document does not parse: %v\n%s", v, err, s)
+		}
+		want := strings.TrimSpace(xmlSafe(v))
+		got := ""
+		if len(back.Children) == 1 {
+			got = back.Children[0].Value
+		}
+		if len(back.Children) > 1 || got != want {
+			t.Fatalf("text %q came back as %q, want %q", v, back.Children, want)
+		}
+		s = MustString(doc.Elem("a", doc.CallAt(doc.ServiceRef{Endpoint: v, Method: "m" + v, Namespace: v})))
+		if _, err := ParseString(s); err != nil {
+			t.Fatalf("attribute %q: written document does not parse: %v\n%s", v, err, s)
+		}
+		var esc, ref strings.Builder
+		(&printer{b: &esc}).escape(v)
+		_ = xml.EscapeText(&ref, []byte(v))
+		if esc.String() != ref.String() {
+			t.Fatalf("escape(%q) = %q, xml.EscapeText gives %q", v, esc.String(), ref.String())
+		}
+	})
+}
+
+// xmlSafe replaces every rune of s that XML cannot carry — invalid UTF-8,
+// and code points outside the XML Char production — with U+FFFD.
+func xmlSafe(s string) string {
+	var b strings.Builder
+	for i, r := range s {
+		_, w := utf8.DecodeRuneInString(s[i:])
+		ok := r == '\t' || r == '\n' || r == '\r' ||
+			(r >= 0x20 && r <= 0xD7FF) || (r >= 0xE000 && r <= 0xFFFD) || r >= 0x10000
+		if !ok || (r == utf8.RuneError && w == 1) {
+			r = utf8.RuneError
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }
 
 // namedLabels reports whether every element label of n is an XML name.

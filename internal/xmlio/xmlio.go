@@ -32,6 +32,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"axml/internal/doc"
 )
@@ -416,14 +417,96 @@ func (p *printer) indent(depth int) {
 	}
 }
 
-// escape writes s with XML text escaping; documents overwhelmingly carry
-// clean text, so the scan-then-copy fast path avoids touching each rune.
+// escape writes s with XML text escaping, byte for byte what
+// xml.EscapeText writes: markup characters and tab, newline and carriage
+// return become character references, and every byte sequence XML cannot
+// carry (invalid UTF-8, C0 controls, U+FFFE, U+FFFF) becomes U+FFFD.
+// Documents overwhelmingly carry clean text, so the prefix EscapeText would
+// leave unchanged is copied through as is.
 func (p *printer) escape(s string) {
-	if !strings.ContainsAny(s, "&<>'\"\t\n\r") {
-		p.b.WriteString(s)
-		return
+	i := cleanPrefix(s)
+	p.b.WriteString(s[:i])
+	if i < len(s) {
+		_ = xml.EscapeText(p.b, []byte(s[i:]))
 	}
-	_ = xml.EscapeText(p.b, []byte(s))
+}
+
+// Byte-lane constants for cleanPrefix's word-at-a-time scan.
+const (
+	lanes01 = 0x0101010101010101
+	lanes80 = 0x8080808080808080
+)
+
+// zeroLanes has the high bit set in some lane iff some byte of v is zero.
+func zeroLanes(v uint64) uint64 { return (v - lanes01) &^ v }
+
+// load64 reads eight bytes of s, little-endian; the compiler fuses it into
+// one load.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// dirtyLanes has the high bit set in some lane iff some byte of x is below
+// 0x20, non-ASCII, or one of " & ' < >.
+func dirtyLanes(x uint64) uint64 {
+	return ((x - 0x20*lanes01) &^ x) | // below 0x20
+		x | // non-ASCII
+		zeroLanes(x^'"'*lanes01) |
+		zeroLanes((x^'&'*lanes01)&^lanes01) | // & or '
+		zeroLanes((x^'<'*lanes01)&^(2*lanes01)) // < or >
+}
+
+// cleanPrefix returns the length of the longest prefix of s, ending on a
+// rune boundary, that xml.EscapeText copies unchanged. Eight ASCII bytes
+// are tested per step; a step holding a byte below 0x20, a markup
+// character or a non-ASCII byte is settled one rune at a time.
+func cleanPrefix(s string) int {
+	i := 0
+	for i+8 <= len(s) {
+		if dirtyLanes(load64(s[i:]))&lanes80 == 0 {
+			i += 8
+			continue
+		}
+		for end := i + 8; i < end; {
+			w := cleanRune(s[i:])
+			if w == 0 {
+				return i
+			}
+			i += w
+		}
+	}
+	for i < len(s) {
+		w := cleanRune(s[i:])
+		if w == 0 {
+			return i
+		}
+		i += w
+	}
+	return i
+}
+
+// cleanRune returns the width of the rune s starts with when
+// xml.EscapeText copies it unchanged, and 0 when it would escape or
+// replace it.
+func cleanRune(s string) int {
+	c := s[0]
+	if c < utf8.RuneSelf {
+		switch c {
+		case '"', '&', '\'', '<', '>':
+			return 0
+		}
+		if c < 0x20 {
+			return 0
+		}
+		return 1
+	}
+	r, w := utf8.DecodeRuneInString(s)
+	if w == 1 || r == 0xFFFE || r == 0xFFFF {
+		return 0 // invalid UTF-8, or a noncharacter XML excludes
+	}
+	return w
 }
 
 // attr writes ` name="value"` with attribute-value escaping.

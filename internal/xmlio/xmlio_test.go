@@ -153,6 +153,44 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
+// unrepresentable lists strings XML cannot carry verbatim: C0 controls, DEL
+// (which XML does allow), invalid UTF-8 and the noncharacters U+FFFE/U+FFFF,
+// alone, mixed with markup, and straddling the printer's eight-byte steps.
+var unrepresentable = []string{
+	"a\x01b", "tab\x01bed", "\x00", "\x1f", "\x0b\x0c", "a\x01<b",
+	"del\x7f", "bad\xffutf8", "\xc3", "\xe2\x82", "\xed\xa0\x80",
+	"\xef\xbf\xbe", "\xef\xbf\xbf", "x\uFFFDy", "\x80\x81",
+	"clean ascii run!\x02", "1234567\xff", "12345678\x01", "1234567é",
+	"ok\t\n\r", "\u00a0nbsp\u0085", "1234567\xef\xbf\xbe tail",
+}
+
+// TestWriteEscapesUnrepresentable: whatever a text or attribute value holds,
+// Write emits a document Parse accepts, and the printer's escaping is byte
+// for byte xml.EscapeText's.
+func TestWriteEscapesUnrepresentable(t *testing.T) {
+	for _, v := range unrepresentable {
+		text := doc.Elem("a", doc.TextNode(v))
+		attr := doc.Elem("a", doc.CallAt(doc.ServiceRef{Endpoint: v, Method: "m" + v, Namespace: v}))
+		for _, n := range []*doc.Node{text, attr} {
+			s, err := String(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseString(s); err != nil {
+				t.Errorf("%q: written document does not parse: %v\n%s", v, err, s)
+			}
+		}
+		var got, want strings.Builder
+		(&printer{b: &got}).escape(v)
+		if err := xml.EscapeText(&want, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("escape(%q) = %q, xml.EscapeText gives %q", v, got.String(), want.String())
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	for _, src := range []string{
 		``,

@@ -91,7 +91,9 @@ type (
 	// LegacyInvoker is the pre-context Invoker shape; adapt with Legacy.
 	LegacyInvoker = core.LegacyInvoker
 	// Audit records the invocation trail of a rewriting, including policy
-	// events (attempts, retries, breaker transitions, degradations).
+	// events (attempts, retries, breaker transitions, degradations). It
+	// retains the most recent 4096 calls and 4096 events; its counts and
+	// total cost cover everything recorded.
 	Audit = core.Audit
 	// RewriterConfig configures NewRewriterWithConfig: depth bound, invoker,
 	// invocation policies, converters, audit sink, validation switches and

@@ -156,7 +156,7 @@ type executor struct {
 	// it is passed to every Invoker.Invoke.
 	ctx   context.Context
 	mode  Mode
-	audit *Audit
+	audit recorder
 	st    *execState
 }
 

@@ -199,14 +199,59 @@ type CallRecord struct {
 	Rewrite string
 }
 
+// auditWindow is how many of the most recent calls, and separately of the
+// most recent events, an Audit retains. A peer shares one Audit across
+// every request it serves, so an unbounded trail would grow by several
+// records per exchange for the life of the process.
+const auditWindow = 4096
+
 // Audit accumulates the invocation trail of a rewriting: completed calls
 // (CallRecord) plus the invocation layer's fine-grained events (attempts,
-// retries, breaker transitions). Safe for concurrent use: peers share one
-// audit across requests.
+// retries, breaker transitions). It retains the most recent auditWindow
+// calls and auditWindow events; Len, TotalCost and EventCount stay exact
+// totals over everything ever recorded. Safe for concurrent use: peers
+// share one audit across requests.
 type Audit struct {
 	mu     sync.Mutex
-	calls  []CallRecord
-	events []InvokeEvent
+	calls  window[CallRecord]
+	events window[InvokeEvent]
+
+	// Exact totals since the last Reset, including evicted records.
+	ncalls int
+	cost   float64
+	kinds  map[string]int
+}
+
+// window is a ring of the most recent auditWindow values.
+type window[T any] struct {
+	buf  []T
+	next int // oldest value (the next to overwrite) once buf is full
+}
+
+func (w *window[T]) push(v T) {
+	if len(w.buf) < auditWindow {
+		w.buf = append(w.buf, v)
+		return
+	}
+	w.buf[w.next] = v
+	w.next = (w.next + 1) % auditWindow
+}
+
+// appendTo appends the retained values oldest-first to out, keeping those
+// keep accepts.
+func (w *window[T]) appendTo(out []T, keep func(*T) bool) []T {
+	for _, part := range [2][]T{w.buf[w.next:], w.buf[:w.next]} {
+		for i := range part {
+			if keep(&part[i]) {
+				out = append(out, part[i])
+			}
+		}
+	}
+	return out
+}
+
+func (w *window[T]) all() []T {
+	return w.appendTo(make([]T, 0, len(w.buf)), func(*T) bool { return true })
 }
 
 // Record appends a call record.
@@ -216,29 +261,31 @@ func (a *Audit) Record(r CallRecord) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.calls = append(a.calls, r)
+	a.calls.push(r)
+	a.ncalls++
+	a.cost += r.Cost
 }
 
-// Calls returns a copy of the trail.
+// Calls returns a copy of the retained trail, oldest first: the most
+// recent auditWindow calls.
 func (a *Audit) Calls() []CallRecord {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]CallRecord, len(a.calls))
-	copy(out, a.calls)
-	return out
+	return a.calls.all()
 }
 
-// Len returns the number of recorded calls.
+// Len returns the number of calls ever recorded (since the last Reset),
+// including those no longer retained.
 func (a *Audit) Len() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.calls)
+	return a.ncalls
 }
 
 // RecordEvent implements EventSink.
@@ -248,22 +295,25 @@ func (a *Audit) RecordEvent(e InvokeEvent) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.events = append(a.events, e)
+	a.events.push(e)
+	if a.kinds == nil {
+		a.kinds = make(map[string]int)
+	}
+	a.kinds[e.Kind]++
 }
 
-// Events returns a copy of the invocation-event trail.
+// Events returns a copy of the retained invocation-event trail, oldest
+// first: the most recent auditWindow events.
 func (a *Audit) Events() []InvokeEvent {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]InvokeEvent, len(a.events))
-	copy(out, a.events)
-	return out
+	return a.events.all()
 }
 
-// CallsFor returns the recorded calls stamped with one rewrite ID —
+// CallsFor returns the retained calls stamped with one rewrite ID —
 // the flight recorder's per-request view, copied without cloning the
 // whole trail.
 func (a *Audit) CallsFor(rewriteID string) []CallRecord {
@@ -272,70 +322,50 @@ func (a *Audit) CallsFor(rewriteID string) []CallRecord {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var out []CallRecord
-	for _, c := range a.calls {
-		if c.Rewrite == rewriteID {
-			out = append(out, c)
-		}
-	}
-	return out
+	return a.calls.appendTo(nil, func(c *CallRecord) bool { return c.Rewrite == rewriteID })
 }
 
-// EventsFor returns the recorded events stamped with one rewrite ID.
+// EventsFor returns the retained events stamped with one rewrite ID.
 func (a *Audit) EventsFor(rewriteID string) []InvokeEvent {
 	if a == nil || rewriteID == "" {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var out []InvokeEvent
-	for _, e := range a.events {
-		if e.Rewrite == rewriteID {
-			out = append(out, e)
-		}
-	}
-	return out
+	return a.events.appendTo(nil, func(e *InvokeEvent) bool { return e.Rewrite == rewriteID })
 }
 
-// EventCount counts recorded events of one kind.
+// EventCount counts the events of one kind ever recorded (since the last
+// Reset), including those no longer retained.
 func (a *Audit) EventCount(kind string) int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, e := range a.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
+	return a.kinds[kind]
 }
 
-// TotalCost sums the recorded costs.
+// TotalCost sums the costs of every call ever recorded (since the last
+// Reset).
 func (a *Audit) TotalCost() float64 {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	total := 0.0
-	for _, c := range a.calls {
-		total += c.Cost
-	}
-	return total
+	return a.cost
 }
 
-// Reset clears the trail.
+// Reset clears the trail and its totals.
 func (a *Audit) Reset() {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.calls = nil
-	a.events = nil
+	a.calls, a.events = window[CallRecord]{}, window[InvokeEvent]{}
+	a.ncalls, a.cost, a.kinds = 0, 0, nil
 }
 
 func (a *Audit) String() string {

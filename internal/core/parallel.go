@@ -98,7 +98,7 @@ func (ex *executor) runSlots(n int, fn func(child *executor, i int) error) error
 	}
 	cctx, cancel := context.WithCancel(ex.ctx)
 	defer cancel()
-	bufs := make([]*Audit, n)
+	bufs := make([]*trail, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	run := func(i int) {
@@ -115,7 +115,7 @@ func (ex *executor) runSlots(n int, fn func(child *executor, i int) error) error
 	}
 	ins := ex.rw.Instruments
 	for i := 0; i < n; i++ {
-		bufs[i] = &Audit{}
+		bufs[i] = &trail{}
 		if sched.tryAcquire() {
 			wg.Add(1)
 			go func(i int) {
@@ -140,13 +140,43 @@ func (ex *executor) runSlots(n int, fn func(child *executor, i int) error) error
 
 // flushSlot replays a slot's buffered trail into the parent executor's audit
 // and event sink, preserving the slot's internal order.
-func (ex *executor) flushSlot(buf *Audit) {
-	for _, e := range buf.Events() {
+func (ex *executor) flushSlot(buf *trail) {
+	buf.mu.Lock()
+	defer buf.mu.Unlock()
+	for _, e := range buf.events {
 		Emit(ex.ctx, e)
 	}
-	for _, c := range buf.Calls() {
+	for _, c := range buf.calls {
 		ex.audit.Record(c)
 	}
+}
+
+// recorder takes an executor's call records: the Rewriter's Audit, or a
+// trail buffering one parallel slot or streaming phase.
+type recorder interface {
+	Record(r CallRecord)
+}
+
+// trail buffers the calls and events of one parallel slot or streaming
+// phase until they are replayed, in document order, into the Rewriter's
+// Audit. Unlike Audit it keeps everything — it lives for one rewriting —
+// so the replay is exact however many calls one slot makes.
+type trail struct {
+	mu     sync.Mutex
+	calls  []CallRecord
+	events []InvokeEvent
+}
+
+func (t *trail) Record(r CallRecord) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.calls = append(t.calls, r)
+}
+
+func (t *trail) RecordEvent(e InvokeEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.events = append(t.events, e)
 }
 
 // firstSlotError picks the error to surface from a fan-out: the first slot,

@@ -273,7 +273,7 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 				}
 				typ := regex.Sym(rw.Compiled.Table.Intern(label))
 				g = &streamEngine{rw: &srw, ex: ex, em: em, c: rw.Compiled,
-					d: rw.Compiled.Deriver(), spec: spec, phase1: &Audit{},
+					d: rw.Compiled.Deriver(), spec: spec, phase1: &trail{},
 					frames: make([]sFrame, 1, 16),
 					labels: map[string]*labelInfo{}}
 				g.frames[0] = sFrame{virtual: true, content: typ, resid: typ}
@@ -314,7 +314,7 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 	}
 	// The audit trail becomes visible only now, in tree-engine order:
 	// phase-1 parameter materializations first, then the document bundle.
-	for _, r := range g.phase1.Calls() {
+	for _, r := range g.phase1.calls {
 		rw.Audit.Record(r)
 	}
 	for _, r := range bundle {
@@ -324,7 +324,7 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 	if t, ok := em.FirstByteAt(); ok {
 		res.FirstByte = t.Sub(start)
 	}
-	res.Calls = g.phase1.Len() + len(bundle)
+	res.Calls = len(g.phase1.calls) + len(bundle)
 	return res, nil
 }
 
@@ -377,7 +377,7 @@ type streamEngine struct {
 	// bstack tracks elements under construction inside the current island:
 	// events below an island build real subtrees for the executor.
 	bstack []*doc.Node
-	phase1 *Audit
+	phase1 *trail
 	// labels memoizes, for one rewrite, what every element open would
 	// otherwise look up in the shared, locked tables: a label's symbol,
 	// its target declaration and the residual step it last took.
@@ -628,7 +628,7 @@ func (g *streamEngine) end() error {
 		g.em.EndElement()
 		return nil
 	case fr.isData:
-		own := &Audit{}
+		own := &trail{}
 		g.ex.audit = own
 		kids, err := g.ex.collapseToData(fr.island, framePath(g.frames, fr))
 		if err != nil {
@@ -636,7 +636,7 @@ func (g *streamEngine) end() error {
 		}
 		g.em.Finish(kids)
 		g.releaseBuf(fr)
-		parent.records = append(parent.records, own.Calls()...)
+		parent.records = append(parent.records, own.calls...)
 		fr.island = nil
 		return nil
 	case fr.islandOn:
@@ -695,13 +695,13 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 			"children %s do not Safe-rewrite into %s within depth %d",
 			forestLabels(fr.island), fr.resid.String(g.c.Table), g.rw.K)}
 	}
-	own := &Audit{}
+	own := &trail{}
 	ex.audit = own
 	out, _, err := ex.rewriteWord(fr.island, fr.resid, at)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &Audit{}
+	rec := &trail{}
 	ex.audit = rec
 	up := at.box()
 	for j, n := range out {
@@ -716,10 +716,10 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 			}
 		}
 	}
-	bundle := make([]CallRecord, 0, own.Len()+len(fr.records)+rec.Len())
-	bundle = append(bundle, own.Calls()...)
+	bundle := make([]CallRecord, 0, len(own.calls)+len(fr.records)+len(rec.calls))
+	bundle = append(bundle, own.calls...)
 	bundle = append(bundle, fr.records...)
-	bundle = append(bundle, rec.Calls()...)
+	bundle = append(bundle, rec.calls...)
 	g.releaseBuf(fr)
 	return out, bundle, nil
 }

@@ -40,8 +40,8 @@ const (
 // The zero value is ∅.
 type Regex struct {
 	Op   Op
-	Sym  Symbol                 // valid when Op == OpSym
-	Cls  Class                  // valid when Op == OpClass
+	Sym  Symbol                  // valid when Op == OpSym
+	Cls  Class                   // valid when Op == OpClass
 	Subs []*Regex                // valid when Op is OpConcat, OpAlt (len ≥ 2) or OpStar (len 1)
 	key  atomic.Pointer[string]  // memoized canonical key
 	pos  atomic.Pointer[PosInfo] // memoized Glushkov analysis (see Positions)

@@ -1,10 +1,14 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,5 +287,103 @@ func TestSnapshotFramesVerify(t *testing.T) {
 	}
 	if !got["a"] || !got["b"] || len(got) != 2 {
 		t.Fatalf("snapshot documents = %v", got)
+	}
+}
+
+// TestSnapshotBodyIsNameOrderedFrames pins the bootstrap wire format: the
+// body is exactly one EncodeFrame OpPut frame per document, in name order,
+// the same frames a compaction writes after the snapshot magic.
+func TestSnapshotBodyIsNameOrderedFrames(t *testing.T) {
+	repo, _, srv := newLeader(t, 16)
+	names := []string{"zeta", "alpha", "mid"}
+	for i, name := range names {
+		put(t, repo, name, strings.Repeat(fmt.Sprintf("v%d & <x> ", i), 1000))
+	}
+	resp, err := http.Get(srv.URL + "/replica/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var want []byte
+	for _, name := range names {
+		d, _ := repo.Get(name)
+		s, err := xmlio.String(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = wal.EncodeFrame(want, wal.Record{Op: wal.OpPut, Name: name, Data: []byte(s)})
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("snapshot body (%d bytes) differs from name-ordered frames (%d bytes)", len(body), len(want))
+	}
+}
+
+// truncatingWriter passes the first limit bytes of a response through,
+// flushed so they reach the client, and fails every write after that: a
+// leader whose connection breaks mid-snapshot.
+type truncatingWriter struct {
+	http.ResponseWriter
+	limit int
+}
+
+func (w *truncatingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		return 0, io.ErrClosedPipe
+	}
+	w.limit -= len(p)
+	n, err := w.ResponseWriter.Write(p)
+	w.ResponseWriter.(http.Flusher).Flush()
+	return n, err
+}
+
+// TestTruncatedSnapshotFailsBootstrap: the streamed bootstrap has no
+// Content-Length, so a leader that fails after sending a full frame must
+// abort the connection. The follower then sees a torn stream, fails the
+// bootstrap, and deletes nothing — had the body ended cleanly at the frame
+// boundary, it would have accepted the one-document snapshot and dropped
+// every other local document.
+func TestTruncatedSnapshotFailsBootstrap(t *testing.T) {
+	repo, err := store.OpenDurable(t.TempDir(), store.DurableOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = repo.Close() })
+	for _, name := range []string{"a", "b", "c"} {
+		put(t, repo, name, strings.Repeat(name, 8<<10))
+	}
+	first, _ := repo.Get("a")
+	s, err := xmlio.String(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLen := len(wal.EncodeFrame(nil, wal.Record{Op: wal.OpPut, Name: "a", Data: []byte(s)}))
+	src := NewSource(repo, nil)
+	srv := httptest.NewServer(http.StripPrefix("/replica", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		src.Handler().ServeHTTP(&truncatingWriter{ResponseWriter: w, limit: frameLen}, r)
+	})))
+	t.Cleanup(srv.Close)
+
+	local := store.NewRepository()
+	put(t, local, "b", "local b")
+	put(t, local, "local-only", "kept")
+	f := NewFollower(FollowerOptions{Leader: srv.URL, Store: local})
+	if err := f.bootstrap(context.Background()); err == nil {
+		t.Fatal("bootstrap accepted a truncated snapshot")
+	}
+	for _, name := range []string{"b", "local-only"} {
+		if _, ok := local.Get(name); !ok {
+			t.Errorf("failed bootstrap deleted local document %q", name)
+		}
+	}
+	if st := f.Stats(); st.Bootstraps != 0 || st.AppliedSeq != 0 {
+		t.Errorf("failed bootstrap recorded progress: %+v", st)
+	}
+	if n := src.Stats().SnapshotsServed; n != 0 {
+		t.Errorf("leader counted %d aborted bootstraps as served", n)
 	}
 }

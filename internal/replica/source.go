@@ -13,8 +13,11 @@
 //	GET /replica/snapshot
 //	    Full-state bootstrap. Headers carry the leader epoch and the WAL
 //	    sequence the capture is consistent with; the body is one OpPut
-//	    frame per document. A follower resuming from this capture streams
-//	    from exactly that sequence.
+//	    frame per document in name order, streamed without a
+//	    Content-Length. A leader that fails mid-body aborts the connection
+//	    rather than ending the body, so only a complete snapshot ends
+//	    cleanly. A follower resuming from this capture streams from
+//	    exactly that sequence.
 //
 //	GET /replica/stream?after=<seq>&epoch=<epoch>&wait=<dur>
 //	    Long-poll tail read. 200 returns frames for sequences after+1..N
@@ -31,7 +34,6 @@ package replica
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -108,27 +110,23 @@ func (s *Source) Handler() http.Handler {
 	return mux
 }
 
+// handleSnapshot streams the bootstrap: the capture is taken first (its
+// sequence goes in a header), then each document is rendered and framed
+// straight into the response, one at a time. The body therefore has no
+// Content-Length, and a cleanly ended body is the only signal that the
+// snapshot is complete: a follower that read a clean EOF at a frame
+// boundary would accept a partial snapshot and delete every local document
+// it lacks. So a failure after the headers aborts the connection instead
+// of ending the body, and is not counted as a bootstrap served.
 func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	docs, seq, err := s.repo.ExportState()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	names := make([]string, 0, len(docs))
-	for name := range docs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf []byte
-	for _, name := range names {
-		buf = wal.EncodeFrame(buf, wal.Record{Op: wal.OpPut, Name: name, Data: docs[name]})
-	}
-	s.snapshots.Add(1)
+	state, seq := s.repo.ExportState()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderEpoch, s.epoch)
 	w.Header().Set(HeaderHead, strconv.FormatUint(seq, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	_, _ = w.Write(buf)
+	if err := state.WriteFrames(wal.NewFrameWriter(w)); err != nil {
+		panic(http.ErrAbortHandler)
+	}
+	s.snapshots.Add(1)
 }
 
 func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {

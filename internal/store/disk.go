@@ -45,8 +45,8 @@ type DiskOptions struct {
 }
 
 // Disk is the disk-sharded DocStore: every document lives as
-// <shard-dir>/<name>.xml (written atomically via wal.WriteFileAtomic, so a
-// crash never leaves a torn document), where the shard directory is chosen
+// <shard-dir>/<name>.xml (streamed atomically via wal.WriteFileAtomicFunc,
+// so a crash never leaves a torn document), where the shard directory is chosen
 // by a hash of the document name. Reads are tiered: an LRU hot cache holds
 // decoded doc.Node trees up to a budget, misses lazily fault the file in
 // and parse it on demand — the resident set is the hot cache plus the name
@@ -296,13 +296,9 @@ func (d *Disk) writeShardIndex(id int, idx map[string]indexEntry) error {
 // table and function index, and installs the node in the hot cache. Caller
 // holds d.mu; c is owned by the store.
 func (d *Disk) commitLocked(name string, shard int, c *doc.Node) error {
-	s, err := xmlio.String(c)
-	if err != nil {
-		return fmt.Errorf("store: serializing %q: %w", name, err)
-	}
 	path := d.docPath(shard, name)
-	if err := wal.WriteFileAtomic(path, []byte(s), 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := writeDocFile(path, c); err != nil {
+		return err
 	}
 	info, err := os.Stat(path)
 	if err != nil {

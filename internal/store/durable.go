@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +36,10 @@ type DurableRepository struct {
 	compactMu sync.Mutex
 	pending   atomic.Int64
 
+	// journalBuf is journalMutation's render buffer, reused across
+	// mutations under the repository write lock.
+	journalBuf []byte
+
 	kick chan struct{} // nudges the background compactor (never closed)
 	stop chan struct{} // closed by Close to retire the compactor
 	done chan struct{} // closed when the compactor exits
@@ -43,6 +49,10 @@ type DurableRepository struct {
 	replayedRecords int
 	truncatedTails  int
 }
+
+// maxJournalBuf bounds the render buffer a DurableRepository keeps between
+// mutations; a larger document's buffer is dropped after use.
+const maxJournalBuf = 1 << 20
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
@@ -113,20 +123,22 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 
 // journalMutation runs under the repository write lock: it frames the
 // mutation into the WAL and, with SyncAlways, fsyncs before the mutation is
-// acknowledged. d == nil encodes a delete.
+// acknowledged. d == nil encodes a delete. The document is rendered into
+// journalBuf, which the write lock guards.
 func (r *DurableRepository) journalMutation(name string, n *doc.Node) error {
 	if r.closed.Load() {
 		return fmt.Errorf("store: durable repository: %w", ErrClosed)
 	}
 	op, data := wal.OpDelete, []byte(nil)
 	if n != nil {
-		s, err := xmlio.String(n)
-		if err != nil {
-			return fmt.Errorf("store: journaling %q: %w", name, err)
-		}
-		op, data = wal.OpPut, []byte(s)
+		r.journalBuf = xmlio.Append(r.journalBuf[:0], n)
+		op, data = wal.OpPut, r.journalBuf
 	}
-	if err := r.log.Append(op, name, data); err != nil {
+	err := r.log.Append(op, name, data)
+	if cap(r.journalBuf) > maxJournalBuf {
+		r.journalBuf = nil
+	}
+	if err != nil {
 		return fmt.Errorf("store: journaling %q: %w", name, err)
 	}
 	if r.snapEvery > 0 && r.pending.Add(1) >= int64(r.snapEvery) {
@@ -158,7 +170,7 @@ func (r *DurableRepository) compactLoop() {
 }
 
 // Snapshot compacts the log now: it rotates the WAL to a fresh generation,
-// captures the repository state at the rotation point, writes it as an
+// captures the repository state at the rotation point, streams it into an
 // atomic snapshot, and prunes superseded files. Safe to call concurrently
 // with mutations; concurrent Snapshot calls are serialized.
 func (r *DurableRepository) Snapshot() error {
@@ -169,30 +181,18 @@ func (r *DurableRepository) Snapshot() error {
 	// Rotation and state capture must be atomic with respect to
 	// mutations: a mutation logged to the old generation is in the
 	// capture; one logged to the new generation is replayed over the
-	// snapshot. Stored nodes are immutable once acknowledged, so a
-	// shallow copy of the map is a consistent capture.
+	// snapshot.
 	repo.mu.Lock()
 	seq, err := r.log.Rotate()
 	if err != nil {
 		repo.mu.Unlock()
 		return err
 	}
-	capture := make(map[string]*doc.Node, len(repo.docs))
-	for name, d := range repo.docs {
-		capture[name] = d
-	}
+	docs := repo.captureLocked()
 	r.pending.Store(0)
 	repo.mu.Unlock()
 
-	enc := make(map[string][]byte, len(capture))
-	for name, d := range capture {
-		s, err := xmlio.String(d)
-		if err != nil {
-			return fmt.Errorf("store: snapshotting %q: %w", name, err)
-		}
-		enc[name] = []byte(s)
-	}
-	return r.log.WriteSnapshot(seq, enc)
+	return r.log.WriteSnapshot(seq, newState(docs).WriteFrames)
 }
 
 // Close writes a final snapshot and closes the WAL. Mutations attempted
@@ -224,30 +224,59 @@ func (r *DurableRepository) WAL() *wal.Log {
 }
 
 // ExportState captures the full repository state consistently with the WAL
-// record sequence: every record with sequence <= seq is reflected in docs,
-// and seq+1 is exactly the next record a replica resuming from this capture
-// needs. The capture is taken under the repository read lock (mutations
-// journal and commit under the write lock, so the pair is atomic here);
-// serialization happens outside it.
-func (r *DurableRepository) ExportState() (docs map[string][]byte, seq uint64, err error) {
+// record sequence: every record with sequence <= seq is reflected in the
+// state, and seq+1 is exactly the next record a replica resuming from this
+// capture needs. The capture is taken under the repository read lock
+// (mutations journal and commit under the write lock, so the pair is atomic
+// here); the state renders its documents only when written.
+func (r *DurableRepository) ExportState() (state State, seq uint64) {
 	repo := r.Repository
 	repo.mu.RLock()
-	capture := make(map[string]*doc.Node, len(repo.docs))
-	for name, d := range repo.docs {
-		capture[name] = d
-	}
+	docs := repo.captureLocked()
 	seq = r.log.HeadSeq()
 	repo.mu.RUnlock()
+	return newState(docs), seq
+}
 
-	docs = make(map[string][]byte, len(capture))
-	for name, d := range capture {
-		s, err := xmlio.String(d)
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: exporting %q: %w", name, err)
-		}
-		docs[name] = []byte(s)
+// State is a consistent capture of a repository's documents. Stored nodes
+// are immutable once acknowledged, so the capture holds references, not
+// copies; documents are rendered only as WriteFrames streams them.
+type State struct {
+	docs []namedDoc // sorted by name
+}
+
+type namedDoc struct {
+	name string
+	node *doc.Node
+}
+
+// captureLocked lists the current documents. Caller holds r.mu; newState
+// sorts the list once the lock is released.
+func (r *Repository) captureLocked() []namedDoc {
+	docs := make([]namedDoc, 0, len(r.docs))
+	for name, n := range r.docs {
+		docs = append(docs, namedDoc{name, n})
 	}
-	return docs, seq, nil
+	return docs
+}
+
+func newState(docs []namedDoc) State {
+	slices.SortFunc(docs, func(a, b namedDoc) int { return strings.Compare(a.name, b.name) })
+	return State{docs: docs}
+}
+
+// WriteFrames writes one OpPut frame per document, in name order, each
+// document rendered straight into the frame writer's reused buffer. It is
+// the one state writer behind both WAL compaction (into the snapshot file)
+// and replica bootstrap (into the /replica/snapshot response): either holds
+// one rendered document at a time, whatever the store's size.
+func (s State) WriteFrames(fw *wal.FrameWriter) error {
+	for _, d := range s.docs {
+		if err := fw.WriteFunc(wal.OpPut, d.name, func(b []byte) []byte { return xmlio.Append(b, d.node) }); err != nil {
+			return fmt.Errorf("store: writing %q: %w", d.name, err)
+		}
+	}
+	return nil
 }
 
 // Stats reports the durable backend counters: WAL state plus recovery facts

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -47,10 +49,8 @@ func TestExportStateConsistentUnderMutation(t *testing.T) {
 		seq  uint64
 	}
 	for i := 0; i < 20; i++ {
-		docs, seq, err := d.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		state, seq := d.ExportState()
+		docs := decodeState(t, state)
 		exports = append(exports, struct {
 			docs map[string][]byte
 			seq  uint64
@@ -58,10 +58,8 @@ func TestExportStateConsistentUnderMutation(t *testing.T) {
 	}
 	wg.Wait()
 
-	final, head, err := d.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	finalState, head := d.ExportState()
+	final := decodeState(t, finalState)
 	if head != d.WAL().HeadSeq() {
 		t.Fatalf("quiesced export seq %d != head %d", head, d.WAL().HeadSeq())
 	}
@@ -90,5 +88,27 @@ func TestExportStateConsistentUnderMutation(t *testing.T) {
 				t.Fatalf("export %d + tail: %s = %q, want %q", i, name, state[name], want)
 			}
 		}
+	}
+}
+
+// decodeState streams a captured state through the frame codec and returns
+// the documents it carries.
+func decodeState(t *testing.T, state State) map[string][]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := state.WriteFrames(wal.NewFrameWriter(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	docs := make(map[string][]byte, len(state.docs))
+	fr := wal.NewFrameReader(&buf)
+	for {
+		rec, err := fr.Next()
+		if err == io.EOF {
+			return docs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[rec.Name] = rec.Data
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -271,12 +272,8 @@ func (r *Repository) SaveDir(dir string) error {
 		if err := ValidateDocName(name); err != nil {
 			return err // defense in depth: Put already rejects these
 		}
-		s, err := xmlio.String(d)
-		if err != nil {
-			return fmt.Errorf("store: serializing %q: %w", name, err)
-		}
-		if err := wal.WriteFileAtomic(filepath.Join(dir, name+".xml"), []byte(s), 0o644); err != nil {
-			return fmt.Errorf("store: %w", err)
+		if err := writeDocFile(filepath.Join(dir, name+".xml"), d); err != nil {
+			return err
 		}
 	}
 	entries, err := os.ReadDir(dir)
@@ -302,6 +299,17 @@ func (r *Repository) SaveDir(dir string) error {
 				return fmt.Errorf("store: reconciling %s: %w", e.Name(), err)
 			}
 		}
+	}
+	return nil
+}
+
+// writeDocFile atomically replaces path with n's serialization, streamed
+// to the temp file through xmlio.WriteTo's pooled window rather than
+// rendered whole first.
+func writeDocFile(path string, n *doc.Node) error {
+	err := wal.WriteFileAtomicFunc(path, 0o644, func(w io.Writer) error { return xmlio.WriteTo(w, n) })
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

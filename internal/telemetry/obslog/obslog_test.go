@@ -115,7 +115,7 @@ func TestWithFields(t *testing.T) {
 
 func TestNilLogger(t *testing.T) {
 	var l *Logger
-	l.Info(nil, "no-op")          // must not panic
+	l.Info(nil, "no-op") // must not panic
 	l.With(F("k", "v")).Error(nil, "x")
 	if l.Enabled(Error) {
 		t.Error("nil logger reports enabled")

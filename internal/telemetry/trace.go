@@ -87,6 +87,15 @@ func (t *Tracer) record(rec SpanRecord) {
 	}
 }
 
+// runs returns the retained spans oldest-first, as two runs of the ring:
+// once it is full, the oldest span sits at next. Caller holds t.mu.
+func (t *Tracer) runs() [2][]SpanRecord {
+	if len(t.buf) == t.cap {
+		return [2][]SpanRecord{t.buf[t.next:], t.buf[:t.next]}
+	}
+	return [2][]SpanRecord{t.buf, nil}
+}
+
 // Spans returns the retained spans oldest-first. Attrs are copied out so
 // the snapshot stays valid while the ring keeps overwriting slots.
 func (t *Tracer) Spans() []SpanRecord {
@@ -96,11 +105,8 @@ func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SpanRecord, 0, len(t.buf))
-	if len(t.buf) == t.cap {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
+	for _, run := range t.runs() {
+		out = append(out, run...)
 	}
 	for i := range out {
 		if len(out[i].Attrs) > 0 {
@@ -112,20 +118,26 @@ func (t *Tracer) Spans() []SpanRecord {
 
 // SpansForTrace returns the retained spans belonging to one trace,
 // oldest-first. The flight recorder uses it to snapshot a request's
-// span tree at admission time.
+// span tree at admission time, so the ring is scanned under the lock and
+// only the matching spans (and their attrs) are copied: a flight record
+// holds its own spans, not a copy of the whole ring.
 func (t *Tracer) SpansForTrace(traceID string) []SpanRecord {
 	if t == nil || traceID == "" {
 		return nil
 	}
-	all := t.Spans()
-	out := all[:0]
-	for _, s := range all {
-		if s.TraceID == traceID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []SpanRecord
+	for _, run := range t.runs() {
+		for _, s := range run {
+			if s.TraceID != traceID {
+				continue
+			}
+			if len(s.Attrs) > 0 {
+				s.Attrs = append([]Attr(nil), s.Attrs...)
+			}
 			out = append(out, s)
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

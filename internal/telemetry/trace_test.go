@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -95,6 +96,46 @@ func TestRingOverflow(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Errorf("Dropped = %d, want 6", got)
+	}
+}
+
+// SpansForTrace returns what filtering Spans() by trace ID returns — same
+// spans, order and attrs, across a wrapped ring — in a slice sized to the
+// match rather than to the whole ring, with attrs the ring cannot
+// overwrite.
+func TestSpansForTraceCopiesOnlyMatches(t *testing.T) {
+	tr := NewTracer(64)
+	for i := 0; i < 150; i++ { // wraps the ring twice
+		rec := SpanRecord{TraceID: fmt.Sprintf("t%d", i%7), Name: fmt.Sprintf("s%d", i)}
+		if i%3 == 0 {
+			rec.Attrs = []Attr{{Key: "i", Value: fmt.Sprint(i)}}
+		}
+		tr.record(rec)
+	}
+	for _, id := range []string{"t0", "t3", "t6", "absent"} {
+		var want []SpanRecord
+		for _, s := range tr.Spans() {
+			if s.TraceID == id {
+				want = append(want, s)
+			}
+		}
+		got := tr.SpansForTrace(id)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SpansForTrace(%s) = %v, want %v", id, got, want)
+		}
+		if cap(got) > 2*len(got) {
+			t.Errorf("SpansForTrace(%s): cap %d for %d spans", id, cap(got), len(got))
+		}
+		for _, s := range got {
+			if len(s.Attrs) > 0 {
+				s.Attrs[0].Value = "mutated"
+			}
+		}
+	}
+	for _, s := range tr.Spans() {
+		if len(s.Attrs) > 0 && s.Attrs[0].Value == "mutated" {
+			t.Fatalf("SpansForTrace result aliases the ring's attrs: %+v", s)
+		}
 	}
 }
 

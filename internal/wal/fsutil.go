@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -12,10 +13,22 @@ import (
 const TempPrefix = ".axml-tmp-"
 
 // WriteFileAtomic replaces path with data such that a crash at any point
-// leaves either the old file or the new one, never a truncated mix: the
-// data is written to a temp file in the same directory, fsynced, renamed
-// over path, and the directory is fsynced so the rename itself is durable.
+// leaves either the old file or the new one, never a truncated mix. It is
+// WriteFileAtomicFunc with a writer that writes data.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return WriteFileAtomicFunc(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteFileAtomicFunc replaces path with whatever write writes, streamed
+// straight to disk: the bytes go to a temp file in the same directory,
+// which is fsynced and renamed over path, and the directory is fsynced so
+// the rename itself is durable. A crash at any point leaves either the old
+// file or the new one. If write (or any step) fails, the temp file is
+// removed and path is untouched.
+func WriteFileAtomicFunc(path string, perm os.FileMode, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, TempPrefix+"*")
 	if err != nil {
@@ -27,7 +40,7 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: atomic write %s: %w", path, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {

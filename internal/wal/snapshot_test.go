@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -50,14 +52,33 @@ func compact(t *testing.T, l *Log, docs map[string]string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := make(map[string][]byte, len(docs))
-	for k, v := range docs {
-		enc[k] = []byte(v)
-	}
-	if err := l.WriteSnapshot(seq, enc); err != nil {
+	if err := l.WriteSnapshot(seq, writeDocs(docs)); err != nil {
 		t.Fatal(err)
 	}
 	return seq
+}
+
+// writeString writes one OpPut frame carrying data.
+func writeString(fw *FrameWriter, name, data string) error {
+	return fw.WriteFunc(OpPut, name, func(b []byte) []byte { return append(b, data...) })
+}
+
+// writeDocs returns a snapshot writer emitting docs as OpPut frames in
+// name order.
+func writeDocs(docs map[string]string) func(*FrameWriter) error {
+	return func(fw *FrameWriter) error {
+		names := make([]string, 0, len(docs))
+		for name := range docs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if err := writeString(fw, name, docs[name]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func TestSnapshotCompactionAndRecovery(t *testing.T) {
@@ -180,6 +201,54 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, TempPrefix+"123")); !os.IsNotExist(err) {
 		t.Error("crashed temp file not cleaned up")
 	}
+}
+
+// A snapshot whose state writer fails partway — after some frames reached
+// the temp file — leaves no temp file and no snapshot behind, and recovery
+// still reconstructs the state from before the compaction.
+func TestFailedSnapshotWriteLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	want := docset(t, l, 6, "g0")
+	compact(t, l, want)
+	want = docset(t, l, 6, "g1")
+	seq, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoderErr := errors.New("encoder failed")
+	frames := 0
+	err = l.WriteSnapshot(seq, func(fw *FrameWriter) error {
+		for name, data := range want {
+			if frames == 3 {
+				return encoderErr
+			}
+			if err := writeString(fw, name, data); err != nil {
+				return err
+			}
+			frames++
+		}
+		return nil
+	})
+	if !errors.Is(err, encoderErr) {
+		t.Fatalf("WriteSnapshot = %v, want the writer's error", err)
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), TempPrefix) || e.Name() == snapName(seq) {
+			t.Errorf("failed snapshot left %s behind", e.Name())
+		}
+	}
+	if st := l.Stats(); st.Snapshots != 1 {
+		t.Errorf("snapshots = %d, want 1 (the failed one does not count)", st.Snapshots)
+	}
+	l.Close()
+
+	_, state := mustOpen(t, dir, Options{})
+	if state.SnapshotSeq != 1 {
+		t.Errorf("recovered from snapshot %d, want 1", state.SnapshotSeq)
+	}
+	assertState(t, state.Docs, want)
 }
 
 func TestSnapshotMagicRequired(t *testing.T) {

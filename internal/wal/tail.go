@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // This file is the log's export surface for replication: an in-memory tail
@@ -128,12 +129,47 @@ func EncodeFrame(buf []byte, rec Record) []byte {
 	return appendFrame(buf, rec.Op, rec.Name, rec.Data)
 }
 
+// FrameWriter streams WAL frames to an io.Writer — a snapshot temp file or
+// a replication response. Each record is rendered and framed in one reused
+// buffer and written before the next is rendered, so a stream of any
+// length holds one record at a time. The bytes are exactly those of
+// EncodeFrame.
+type FrameWriter struct {
+	w       io.Writer
+	buf     []byte
+	written int64
+}
+
+// NewFrameWriter returns a FrameWriter over w.
+func NewFrameWriter(w io.Writer) *FrameWriter {
+	return &FrameWriter{w: w}
+}
+
+// WriteFunc frames one record whose data appendData appends to the buffer
+// it is given (returning the extended slice, as strconv.AppendInt does),
+// and writes the frame. appendData renders into the writer's reused
+// buffer, so the record data is never copied.
+func (fw *FrameWriter) WriteFunc(op Op, name string, appendData func([]byte) []byte) error {
+	if len(name) > maxNameBytes {
+		return fmt.Errorf("wal: document name exceeds %d bytes", maxNameBytes)
+	}
+	fw.buf = sealFrame(appendData(beginFrame(fw.buf[:0], op, name)), 0)
+	n, err := fw.w.Write(fw.buf)
+	fw.written += int64(n)
+	return err
+}
+
+// Written reports how many bytes have been written to the underlying
+// writer.
+func (fw *FrameWriter) Written() int64 { return fw.written }
+
 // FrameReader decodes a stream of WAL frames from r, re-verifying each
 // frame's CRC — a follower applying a replication stream trusts nothing the
 // transport did not checksum.
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
+	err error // sticky: nothing is decoded past a bad frame
 }
 
 // NewFrameReader returns a FrameReader over r.
@@ -141,10 +177,27 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
+// payloadChunk bounds how far the payload buffer grows ahead of the bytes
+// actually read: a torn or hostile length field costs what arrived, not
+// the maxRecordBytes it claims.
+const payloadChunk = 64 << 10
+
 // Next decodes one frame. It returns io.EOF at a clean frame boundary and
 // an error wrapping ErrCorruptFrame for torn headers, checksum mismatches
-// or undecodable payloads.
+// or undecodable payloads. Errors are sticky: once Next fails, every later
+// call returns the same error.
 func (fr *FrameReader) Next() (Record, error) {
+	if fr.err != nil {
+		return Record{}, fr.err
+	}
+	rec, err := fr.next()
+	if err != nil {
+		fr.err = err
+	}
+	return rec, err
+}
+
+func (fr *FrameReader) next() (Record, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -157,13 +210,17 @@ func (fr *FrameReader) Next() (Record, error) {
 	if n > maxRecordBytes {
 		return Record{}, fmt.Errorf("%w: implausible payload length %d", ErrCorruptFrame, n)
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+	payload := fr.buf[:0]
+	for len(payload) < n {
+		chunk := min(n-len(payload), payloadChunk)
+		payload = slices.Grow(payload, chunk)
+		m, err := io.ReadFull(fr.r, payload[len(payload):len(payload)+chunk])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return Record{}, fmt.Errorf("%w: torn payload: %v", ErrCorruptFrame, err)
+		}
 	}
-	payload := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return Record{}, fmt.Errorf("%w: torn payload: %v", ErrCorruptFrame, err)
-	}
+	fr.buf = payload
 	if crc32.Checksum(payload, crcTable) != crc {
 		return Record{}, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
 	}

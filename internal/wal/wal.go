@@ -34,10 +34,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -111,6 +113,9 @@ const (
 	snapPrefix = "snapshot-"
 	snapSuffix = ".snap"
 	snapMagic  = "AXSNAP1\n"
+
+	// snapWriteBuffer batches snapshot frames into fewer writes.
+	snapWriteBuffer = 64 << 10
 
 	frameHeaderLen = 8       // uint32 length + uint32 crc
 	maxRecordBytes = 1 << 30 // sanity bound: a larger length field is torn garbage
@@ -205,16 +210,16 @@ type Log struct {
 // Stats is a point-in-time view of the log's counters, JSON-ready for the
 // peer's /stats endpoint.
 type Stats struct {
-	Dir                string `json:"dir"`
-	Generation         uint64 `json:"generation"`
-	SyncMode           string `json:"sync_mode"`
-	Appends            uint64 `json:"appends"`
-	AppendedBytes      uint64 `json:"appended_bytes"`
-	Fsyncs             uint64 `json:"fsyncs"`
-	Snapshots          uint64 `json:"snapshots"`
-	LastSnapshotBytes  uint64 `json:"last_snapshot_bytes"`
-	RecoveryReplayed   int    `json:"recovery_replayed_records"`
-	RecoveryTruncated  int    `json:"recovery_truncated_records"`
+	Dir               string `json:"dir"`
+	Generation        uint64 `json:"generation"`
+	SyncMode          string `json:"sync_mode"`
+	Appends           uint64 `json:"appends"`
+	AppendedBytes     uint64 `json:"appended_bytes"`
+	Fsyncs            uint64 `json:"fsyncs"`
+	Snapshots         uint64 `json:"snapshots"`
+	LastSnapshotBytes uint64 `json:"last_snapshot_bytes"`
+	RecoveryReplayed  int    `json:"recovery_replayed_records"`
+	RecoveryTruncated int    `json:"recovery_truncated_records"`
 }
 
 // Open recovers the state stored in dir (creating it if needed) and returns
@@ -402,25 +407,36 @@ func (l *Log) Rotate() (uint64, error) {
 
 // WriteSnapshot durably writes the full state as snapshot-<seq>.snap and
 // removes the files it supersedes (WALs and snapshots of older
-// generations). seq must come from Rotate, and docs must be the state
-// captured at that rotation point. Callers serialize compactions.
-func (l *Log) WriteSnapshot(seq uint64, docs map[string][]byte) error {
+// generations). seq must come from Rotate, and writeState must write the
+// state captured at that rotation point — one OpPut frame per document, in
+// name order — to the FrameWriter it is given. The frames stream straight
+// into the snapshot's temp file, so the snapshot is never held in memory
+// whole. If writeState fails, the temp file is removed and no snapshot
+// lands: recovery still replays the previous generation. Callers serialize
+// compactions.
+func (l *Log) WriteSnapshot(seq uint64, writeState func(*FrameWriter) error) error {
 	start := time.Now()
-	names := make([]string, 0, len(docs))
-	for name := range docs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf := []byte(snapMagic)
-	for _, name := range names {
-		buf = appendFrame(buf, OpPut, name, docs[name])
-	}
-	if err := WriteFileAtomic(filepath.Join(l.dir, snapName(seq)), buf, 0o644); err != nil {
+	var size int64
+	err := WriteFileAtomicFunc(filepath.Join(l.dir, snapName(seq)), 0o644, func(w io.Writer) error {
+		// Small documents share one write(2); a frame larger than the
+		// buffer passes through to the file uncopied.
+		bw := bufio.NewWriterSize(w, snapWriteBuffer)
+		if _, err := bw.WriteString(snapMagic); err != nil {
+			return err
+		}
+		fw := NewFrameWriter(bw)
+		if err := writeState(fw); err != nil {
+			return err
+		}
+		size = int64(len(snapMagic)) + fw.Written()
+		return bw.Flush()
+	})
+	if err != nil {
 		return err
 	}
 	l.snapshots.Add(1)
-	l.lastSnapBytes.Store(uint64(len(buf)))
-	l.opts.Metrics.observeSnapshot(time.Since(start), len(buf))
+	l.lastSnapBytes.Store(uint64(size))
+	l.opts.Metrics.observeSnapshot(time.Since(start), int(size))
 	l.removeSuperseded(seq)
 	return nil
 }
@@ -536,17 +552,25 @@ func (l *Log) syncLoop() {
 
 // appendFrame appends one framed record to buf.
 func appendFrame(buf []byte, op Op, name string, data []byte) []byte {
-	payloadLen := 1 + 2 + len(name) + len(data)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc placeholder
-	payloadAt := len(buf)
+	at := len(buf)
+	return sealFrame(append(beginFrame(buf, op, name), data...), at)
+}
+
+// beginFrame appends a frame header with placeholder length and checksum,
+// then the op and name; the caller appends the record data and seals the
+// frame with sealFrame, passing the buffer length beginFrame started at.
+func beginFrame(buf []byte, op Op, name string) []byte {
+	buf = append(buf, make([]byte, frameHeaderLen)...)
 	buf = append(buf, byte(op))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = append(buf, data...)
-	crc := crc32.Checksum(buf[payloadAt:], crcTable)
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc)
+	return append(buf, name...)
+}
+
+// sealFrame fills in the length and checksum of the frame starting at at.
+func sealFrame(buf []byte, at int) []byte {
+	payload := buf[at+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, crcTable))
 	return buf
 }
 

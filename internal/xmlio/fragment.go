@@ -1,7 +1,6 @@
 package xmlio
 
 import (
-	"bytes"
 	"io"
 	"strings"
 
@@ -31,16 +30,11 @@ func ParseChildrenAt(tz *Tokenizer, parent string) ([]*doc.Node, error) {
 // declaration onto the top element; callers embedding fragments under a root
 // that already declares it pass false.
 func WriteFragment(w io.Writer, n *doc.Node, depth int, declareNS bool) error {
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledWriteBuf {
-			writeBufPool.Put(buf)
-		}
-	}()
-	p := &printer{b: buf}
+	b := getWriteBuf()
+	defer putWriteBuf(b)
+	p := &printer{b: b}
 	p.node(n, depth, declareNS)
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(*b)
 	return err
 }
 

@@ -2,6 +2,8 @@ package xmlio
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -39,6 +41,27 @@ func TestWriteToMatchesWrite(t *testing.T) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("%s: WriteTo diverges from Write\n--- Write ---\n%s\n--- WriteTo ---\n%s",
 				name, a.Bytes(), b.Bytes())
+		}
+	}
+}
+
+// TestAppendMatchesWrite: the append-style printer writes Write's bytes
+// after whatever dst already holds, on fixtures and random documents.
+func TestAppendMatchesWrite(t *testing.T) {
+	docs := sampleDocs()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		docs[fmt.Sprintf("rand%d", i)] = randDoc(rng, 4)
+	}
+	for name, d := range docs {
+		var want bytes.Buffer
+		if err := Write(&want, d); err != nil {
+			t.Fatalf("%s: Write: %v", name, err)
+		}
+		got := Append([]byte("prefix"), d)
+		if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want.Bytes()) {
+			t.Errorf("%s: Append diverges from Write\n--- Write ---\n%s\n--- Append ---\n%s",
+				name, want.Bytes(), got)
 		}
 	}
 }

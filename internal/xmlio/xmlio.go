@@ -325,29 +325,34 @@ func (b *builder) inside(err error) error {
 	return fmt.Errorf("xmlio: inside <%s>: %w", f.node.Label, err)
 }
 
-// writeBufPool recycles serialization buffers: a document is rendered into a
-// pooled bytes.Buffer and flushed to the destination in one Write, so the
-// hot serving path performs no per-node fmt formatting or writer calls.
-var writeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// writeBufPool recycles the render buffers behind Write, String and
+// WriteFragment: a document is rendered into a pooled buffer and handed on
+// in one piece, so the hot serving path performs no per-node fmt formatting
+// or writer calls.
+var writeBufPool = sync.Pool{New: func() any { return new(appendSink) }}
 
 // maxPooledWriteBuf bounds what a returned buffer may retain.
 const maxPooledWriteBuf = 1 << 20
 
+func getWriteBuf() *appendSink {
+	b := writeBufPool.Get().(*appendSink)
+	*b = (*b)[:0]
+	return b
+}
+
+func putWriteBuf(b *appendSink) {
+	if cap(*b) <= maxPooledWriteBuf {
+		writeBufPool.Put(b)
+	}
+}
+
 // Write serializes the document with two-space indentation and an XML
 // declaration.
 func Write(w io.Writer, n *doc.Node) error {
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledWriteBuf {
-			writeBufPool.Put(buf)
-		}
-	}()
-	buf.WriteString(xml.Header)
-	p := &printer{b: buf}
-	p.node(n, 0, n.HasFuncs())
-	buf.WriteByte('\n')
-	_, err := w.Write(buf.Bytes())
+	b := getWriteBuf()
+	defer putWriteBuf(b)
+	printDocument(b, n)
+	_, err := w.Write(*b)
 	return err
 }
 
@@ -366,20 +371,26 @@ func WriteTo(w io.Writer, n *doc.Node) error {
 		bw.Reset(io.Discard)
 		flushWriterPool.Put(bw)
 	}()
-	bw.WriteString(xml.Header)
-	p := &printer{b: bw}
-	p.node(n, 0, n.HasFuncs())
-	bw.WriteByte('\n')
+	printDocument(bw, n)
 	return bw.Flush()
+}
+
+// Append appends the bytes Write would write for n to dst and returns the
+// extended slice. Callers that frame or batch documents (WAL records,
+// snapshots) render straight into a buffer they reuse, with no
+// intermediate copy.
+func Append(dst []byte, n *doc.Node) []byte {
+	b := appendSink(dst)
+	printDocument(&b, n)
+	return b
 }
 
 // String serializes to a string.
 func String(n *doc.Node) (string, error) {
-	var b strings.Builder
-	if err := Write(&b, n); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	b := getWriteBuf()
+	defer putWriteBuf(b)
+	printDocument(b, n)
+	return string(*b), nil
 }
 
 // MustString serializes, panicking on error (nodes cannot normally fail).
@@ -391,15 +402,42 @@ func MustString(n *doc.Node) string {
 	return s
 }
 
-// sink is the minimal writer surface the printer needs: satisfied by both
-// bytes.Buffer (one-shot batch serialization) and bufio.Writer (direct
-// streaming to a destination). Error handling stays out of the printer —
-// bytes.Buffer cannot fail and bufio.Writer keeps the first error sticky
-// until Flush reports it.
+// sink is the minimal writer surface the printer needs: satisfied by
+// appendSink (rendering into a buffer) and bufio.Writer (direct streaming
+// to a destination). Error handling stays out of the printer — appendSink
+// cannot fail and bufio.Writer keeps the first error sticky until Flush
+// reports it.
 type sink interface {
 	io.Writer
 	WriteString(s string) (int, error)
 	WriteByte(b byte) error
+}
+
+// appendSink is the printer's sink over a growing byte slice.
+type appendSink []byte
+
+func (s *appendSink) Write(b []byte) (int, error) {
+	*s = append(*s, b...)
+	return len(b), nil
+}
+
+func (s *appendSink) WriteString(str string) (int, error) {
+	*s = append(*s, str...)
+	return len(str), nil
+}
+
+func (s *appendSink) WriteByte(c byte) error {
+	*s = append(*s, c)
+	return nil
+}
+
+// printDocument prints a whole document: the XML declaration, the tree
+// with two-space indentation, and a trailing newline.
+func printDocument(s sink, n *doc.Node) {
+	s.WriteString(xml.Header)
+	p := &printer{b: s}
+	p.node(n, 0, n.HasFuncs())
+	s.WriteByte('\n')
 }
 
 type printer struct {

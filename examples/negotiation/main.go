@@ -98,6 +98,7 @@ func TimeOut = data -> (exhibit|performance)*
 	rw := axml.NewRewriter(s, target, 1, legacy)
 	rw.Audit = &axml.Audit{}
 
+	// The store shares its tree read-only; each rewriting takes its own copy.
 	stored, _ := p.Repo.Get("today")
 	if _, err := rw.RewriteDocument(stored.Clone(), axml.Possible); err != nil {
 		fmt.Printf("  without converters: %v\n", err)
@@ -114,7 +115,7 @@ func TimeOut = data -> (exhibit|performance)*
 			}
 			return renamed, ok1 || ok2
 		})}
-	out, err := rw.RewriteDocument(stored, axml.Possible)
+	out, err := rw.RewriteDocument(stored.Clone(), axml.Possible)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,7 +90,8 @@ func Get_Temp = city -> temp
 	rw := axml.NewRewriter(s, strict, 1, axml.SOAPInvoker(ts.URL+"/soap"))
 	rw.Audit = &axml.Audit{}
 	stored, _ := p.Repo.Get("today")
-	out, err := rw.RewriteDocument(stored, axml.Safe)
+	// Get shares the stored tree; rewriting works on a copy.
+	out, err := rw.RewriteDocument(stored.Clone(), axml.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

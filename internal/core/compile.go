@@ -260,6 +260,18 @@ func (c *Compiled) ExpandPatterns(r *regex.Regex) *regex.Regex {
 // analyses over this pair use.
 func (c *Compiled) Deriver() *regex.Deriver { return c.deriver }
 
+// member reports whether the tokens' symbols spell a word of typ, by
+// stepping the shared derivative table.
+func (c *Compiled) member(tokens []Token, typ *regex.Regex) bool {
+	r := typ
+	for _, t := range tokens {
+		if r = c.deriver.Derive(r, t.Sym); r.IsNever() {
+			return false
+		}
+	}
+	return r.Nullable()
+}
+
 // substitute replaces symbol leaves per the map, leaving everything else
 // untouched.
 func substitute(r *regex.Regex, subst map[regex.Symbol]*regex.Regex) *regex.Regex {

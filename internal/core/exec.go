@@ -58,6 +58,14 @@ func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mod
 // Rewriter.Parallelism above 1 the rewriting runs on the parallel
 // materialization engine (see parallel.go); at 1 it takes the sequential
 // code paths unchanged.
+//
+// Read-only invariant: no executor — sequential, parallel, streaming, in any
+// mode — writes into a function-free subtree of its input. Writes land only
+// on function nodes (their parameters), on elements with a function node
+// below them (their children), and on forests services returned, which
+// belong to the caller (service.Handler). So the input may share its
+// function-free subtrees with a stored document: doc.Node.SpineCopy copies
+// exactly the part a rewriting writes.
 func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
 	if rw.Invoker == nil {
 		return nil, fmt.Errorf("core: Rewriter has no Invoker; use CheckForest for static analysis")
@@ -629,15 +637,24 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 // allows. The subsequent safe analysis then works on the concrete data.
 // This is the sequential pass; the parallel engine batches the same
 // admissible calls per round instead (preInvokeBatch in parallel.go).
+//
+// It returns forest itself when nothing in it changed, and writes an
+// element's children only when they did: a function-free subtree, which
+// may be shared with a stored document, is walked but never written.
 func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
 		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
 	}
 	c := ex.rw.Compiled
-	out := make([]*doc.Node, 0, len(forest))
+	var out []*doc.Node // nil until the forest differs from its input
+	keep := func(n *doc.Node) {
+		if out != nil {
+			out = append(out, n)
+		}
+	}
 	var up *nodePath
-	for _, n := range forest {
+	for i, n := range forest {
 		if n.Kind == doc.Element {
 			if up == nil {
 				up = at.box()
@@ -646,17 +663,19 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 			if err != nil {
 				return nil, err
 			}
-			n.Children = kids
-			out = append(out, n)
+			if !sameForest(kids, n.Children) {
+				n.Children = kids
+			}
+			keep(n)
 			continue
 		}
 		if n.Kind != doc.Func || depth >= ex.rw.K {
-			out = append(out, n)
+			keep(n)
 			continue
 		}
 		fi := c.Func(c.Table.Intern(n.Label))
 		if fi == nil || !fi.Invocable || !pred(fi) {
-			out = append(out, n)
+			keep(n)
 			continue
 		}
 		for _, f := range doc.FuncsBottomUp(n) {
@@ -665,7 +684,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 			}
 		}
 		if ex.isFrozen(n) {
-			out = append(out, n)
+			keep(n)
 			continue
 		}
 		res, err := ex.invoke(n, depth+1)
@@ -677,7 +696,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 				ex.freeze(n)
 				Emit(ex.ctx, InvokeEvent{Func: n.Label, Endpoint: EndpointOf(n),
 					Kind: EventDegraded, Err: err.Error()})
-				out = append(out, n)
+				keep(n)
 				continue
 			}
 			return nil, err
@@ -691,7 +710,19 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 		if err != nil {
 			return nil, err
 		}
+		if out == nil {
+			out = make([]*doc.Node, i, len(forest)-1+len(deeper))
+			copy(out, forest[:i])
+		}
 		out = append(out, deeper...)
 	}
+	if out == nil {
+		return forest, nil
+	}
 	return out, nil
+}
+
+// sameForest reports whether a and b are the same slice of nodes.
+func sameForest(a, b []*doc.Node) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -242,3 +242,76 @@ func TestQuickForkK0IsWord(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: a word naming no function is decided by membership. Over random
+// function-free words and random content models mixing element labels,
+// functions, a pattern and wildcards, Compiled.member (what the static
+// check asks for such words) equals WordVerdict for Eager and Lazy, Safe
+// and Possible.
+func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
+	sender, target := patternSchemas(t)
+	c := Compile(sender, target)
+	tab := c.Table
+	elems := []regex.Symbol{tab.Intern("title"), tab.Intern("temp"), tab.Intern("city"), tab.Intern("stray")}
+	funcs := []regex.Symbol{tab.Intern("Get_Temp"), tab.Intern("Rogue_Temp"), tab.Intern("Forecast")}
+	for _, s := range elems {
+		if c.Func(s) != nil {
+			t.Fatalf("%s is a function", tab.Name(s))
+		}
+	}
+	var model func(rng *rand.Rand, depth int) *regex.Regex
+	model = func(rng *rand.Rand, depth int) *regex.Regex {
+		leaf := func() *regex.Regex {
+			switch rng.Intn(6) {
+			case 0, 1:
+				return regex.Sym(elems[rng.Intn(len(elems))])
+			case 2:
+				return regex.Sym(funcs[rng.Intn(len(funcs))])
+			case 3:
+				return regex.ClassOf(regex.NewClass(true, elems[rng.Intn(len(elems))]))
+			case 4:
+				return regex.Any()
+			default:
+				return regex.Empty()
+			}
+		}
+		if depth == 0 {
+			return leaf()
+		}
+		switch rng.Intn(5) {
+		case 0:
+			return regex.Concat(model(rng, depth-1), model(rng, depth-1))
+		case 1:
+			return regex.Alt(model(rng, depth-1), model(rng, depth-1))
+		case 2:
+			return regex.Star(model(rng, depth-1))
+		case 3:
+			return regex.Opt(model(rng, depth-1))
+		default:
+			return leaf()
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		typ := c.ExpandPatterns(model(rng, 3))
+		word := make([]Token, rng.Intn(5))
+		for i := range word {
+			word[i] = Token{Sym: elems[rng.Intn(len(elems))]}
+		}
+		want := c.member(word, typ)
+		for _, engine := range []EngineKind{Eager, Lazy} {
+			for _, mode := range []Mode{Safe, Possible} {
+				got, err := c.WordVerdict(engine, mode, word, typ, 1+rng.Intn(2))
+				if err != nil || got != want {
+					t.Logf("seed %d: %v against %s: engine %d mode %s verdict %t (err %v), membership %t",
+						seed, word, typ.String(tab), engine, mode, got, err, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -332,8 +332,7 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, at *nodePath
 			sc.paramsOK[f] = ok
 		}
 	}
-	tokens := sc.tokens(forest)
-	ok, err := sc.rw.wordOK(tokens, typ, sc.mode)
+	ok, err := sc.wordOK(sc.tokens(forest), typ)
 	if err != nil {
 		return err
 	}
@@ -471,8 +470,7 @@ func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
 		}
 	}
-	tokens := sc.tokens(e.Children)
-	ok, err := sc.rw.wordOK(tokens, content, sc.mode)
+	ok, err := sc.wordOK(sc.tokens(e.Children), content)
 	if err != nil {
 		return err
 	}
@@ -491,6 +489,22 @@ func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
 		}
 	}
 	return nil
+}
+
+// wordOK decides one word of the check. A word naming no function has no
+// fork: its automaton A_w^k is the word itself, so in every mode and engine
+// its verdict is membership in the content model. Such words step the
+// Compiled's shared derivative table instead of building a word-verdict
+// memo key; words with a function go through the memo.
+func (sc *staticCheck) wordOK(tokens []Token, typ *regex.Regex) (bool, error) {
+	c := sc.rw.Compiled
+	for _, t := range tokens {
+		if c.Func(t.Sym) != nil {
+			return sc.rw.wordOK(tokens, typ, sc.mode)
+		}
+	}
+	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
+	return c.member(tokens, typ), nil
 }
 
 // tokens builds word tokens from a forest, freezing functions whose

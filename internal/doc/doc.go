@@ -56,7 +56,8 @@ type ServiceRef struct {
 //     and Service optionally pins the concrete endpoint.
 //
 // Nodes are mutable; rewriting splices returned forests into Children
-// slices. Use Clone before handing a document to code that mutates it.
+// slices. Use Clone before handing a document to code that mutates it, or
+// SpineCopy before handing it to a rewriting.
 type Node struct {
 	Kind     Kind
 	Label    string
@@ -128,13 +129,18 @@ func (c *cloner) size(n *Node) {
 	if n == nil {
 		return
 	}
+	c.count(n)
+	for _, ch := range n.Children {
+		c.size(ch)
+	}
+}
+
+// count reserves the storage a copy of n itself takes.
+func (c *cloner) count(n *Node) {
 	c.numNodes++
 	c.numLists += len(n.Children)
 	if n.Service != nil {
 		c.numRefs++
-	}
-	for _, ch := range n.Children {
-		c.size(ch)
 	}
 }
 
@@ -150,6 +156,16 @@ func (c *cloner) clone(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
+	m := c.carve(n)
+	for i, ch := range n.Children {
+		m.Children[i] = c.clone(ch)
+	}
+	return m
+}
+
+// carve copies n's own fields into the next node of the storage, with an
+// empty child list of n's length.
+func (c *cloner) carve(n *Node) *Node {
 	m := &c.nodes[0]
 	c.nodes = c.nodes[1:]
 	m.Kind, m.Label, m.Value = n.Kind, n.Label, n.Value
@@ -161,8 +177,84 @@ func (c *cloner) clone(n *Node) *Node {
 	if k := len(n.Children); k > 0 {
 		m.Children = c.lists[:k:k]
 		c.lists = c.lists[k:]
-		for i, ch := range n.Children {
-			m.Children[i] = c.clone(ch)
+	}
+	return m
+}
+
+// SpineCopy returns a copy of n for rewriting that shares every
+// function-free subtree with n. The elements on the paths from n to its
+// function nodes (the spine) are copied, each function node's subtree is
+// deep-copied, and every other child of a spine element is n's own node.
+// Rewriting replaces function nodes and rewrites the words of spine
+// elements; it never writes into a function-free subtree, so rewriting the
+// copy leaves n unchanged, and a stored tree can be shared by concurrent
+// readers. A function-free n is returned as is. Like Clone, the copy is
+// carved from one allocation per kind (nodes, child lists, service
+// references), and every copied Children slice has cap == len.
+func (n *Node) SpineCopy() *Node {
+	if n == nil {
+		return nil
+	}
+	var s spiner
+	var holds bool
+	if s.spine, holds = s.size(n, make([]*Node, 0, 16)); !holds {
+		return n
+	}
+	s.c.alloc()
+	if n.Kind == Func {
+		return s.c.clone(n)
+	}
+	return s.copy(n)
+}
+
+// spiner sizes a spine copy, then builds it from a cloner's storage. spine
+// lists the spine elements in document order; the copy pass meets them in
+// the same order.
+type spiner struct {
+	c     cloner
+	spine []*Node
+	next  int
+}
+
+// size reports whether n's subtree holds a function node, appending n to
+// spine when it is an element that does, and counts the storage the copy
+// needs.
+func (s *spiner) size(n *Node, spine []*Node) ([]*Node, bool) {
+	switch n.Kind {
+	case Func:
+		s.c.size(n)
+		return spine, true
+	case Text:
+		return spine, false
+	}
+	at := len(spine)
+	spine = append(spine, n)
+	holds := false
+	for _, ch := range n.Children {
+		var h bool
+		if spine, h = s.size(ch, spine); h {
+			holds = true
+		}
+	}
+	if !holds {
+		return spine[:at], false
+	}
+	s.c.count(n)
+	return spine, true
+}
+
+// copy copies the spine element n, which is s.spine[s.next].
+func (s *spiner) copy(n *Node) *Node {
+	s.next++
+	m := s.c.carve(n)
+	for i, ch := range n.Children {
+		switch {
+		case ch.Kind == Func:
+			m.Children[i] = s.c.clone(ch)
+		case s.next < len(s.spine) && s.spine[s.next] == ch:
+			m.Children[i] = s.copy(ch)
+		default:
+			m.Children[i] = ch
 		}
 	}
 	return m

@@ -283,3 +283,72 @@ func TestString(t *testing.T) {
 		t.Error("ForestString wrong")
 	}
 }
+
+// TestSpineCopy: the copy is equal to the original, copies exactly the
+// elements above function nodes, deep-copies function subtrees, and shares
+// every other subtree with the original.
+func TestSpineCopy(t *testing.T) {
+	shared := Elem("block", Elem("para", TextNode("p")))
+	inner := Elem("block", Elem("heading", TextNode("h")), Call("F", Elem("key", TextNode("k"))))
+	d := Elem("report", Elem("title", TextNode("t")), shared, inner, TextNode("tail"))
+	c := d.SpineCopy()
+	if !c.Equal(d) {
+		t.Fatalf("spine copy differs:\n%s\nwant\n%s", c, d)
+	}
+	if c == d || c.Children[2] == inner {
+		t.Error("spine elements were not copied")
+	}
+	for _, i := range []int{0, 1, 3} {
+		if c.Children[i] != d.Children[i] {
+			t.Errorf("function-free child %d was copied, not shared", i)
+		}
+	}
+	if c.Children[2].Children[0] != inner.Children[0] {
+		t.Error("function-free child of a spine element was copied")
+	}
+	call := c.Children[2].Children[1]
+	if call == inner.Children[1] || call.Children[0] == inner.Children[1].Children[0] {
+		t.Error("function subtree was shared, not deep-copied")
+	}
+
+	// Rewriting the copy the way an executor does leaves d unchanged.
+	want := d.String()
+	call.Children[0].Children[0].Value = "rewritten"
+	c.Children[2].Children = []*Node{c.Children[2].Children[0], Elem("out")}
+	c.Children = append(c.Children, Elem("appended"))
+	if d.String() != want {
+		t.Errorf("rewriting the spine copy changed the original:\n%s", d)
+	}
+
+	if free := Elem("a", Elem("b", TextNode("x"))); free.SpineCopy() != free {
+		t.Error("a function-free tree was copied")
+	}
+	root := Call("R", Elem("p", Call("Q")))
+	if rc := root.SpineCopy(); rc == root || rc.Children[0] == root.Children[0] || !rc.Equal(root) {
+		t.Error("a function root was not deep-copied")
+	}
+	if (*Node)(nil).SpineCopy() != nil {
+		t.Error("nil spine copy")
+	}
+}
+
+// TestSpineCopyAllocations: like Clone, a spine copy is carved from one
+// allocation per kind, so its allocations do not grow with the shared part.
+func TestSpineCopyAllocations(t *testing.T) {
+	allocs := func(blocks int, ref bool) float64 {
+		d := Elem("root")
+		for i := 0; i < blocks; i++ {
+			d.Children = append(d.Children, Elem("block", Elem("para", TextNode("text"))))
+		}
+		d.Children = append(d.Children, Elem("block", Call("f", Elem("k", TextNode("v")))))
+		if ref {
+			d.Children = append(d.Children, CallAt(ServiceRef{Method: "g", Endpoint: "e"}))
+		}
+		return testing.AllocsPerRun(20, func() { d.SpineCopy() })
+	}
+	for _, ref := range []bool{false, true} {
+		if small, large := allocs(10, ref), allocs(1000, ref); large != small {
+			t.Errorf("service reference %t: SpineCopy = %v allocations at 1000 shared blocks, %v at 10", ref, large, small)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,16 +65,13 @@ const largeExchangeXSD = `
     <return><element ref="temp"/></return></function>
 </schema>`
 
-// BenchmarkExchangeLarge drives /exchange on a ~1 MiB document whose only
-// call is its last child: the cost of one exchange beyond its single
-// invocation is store clone, static check and serialization. Run with
-// -benchmem.
-func BenchmarkExchangeLarge(b *testing.B) {
-	s := schema.MustParseText(largeSchema, nil)
-	p := New("reports", s)
+// largeReport builds a report of the given number of headed blocks, each
+// with three paragraphs, closed by one Get_Temp call: 1,100 blocks make
+// ~1 MiB.
+func largeReport(title string, blocks int) *doc.Node {
 	para := strings.Repeat("lorem ipsum dolor sit amet ", 11)
-	root := doc.Elem("report", doc.Elem("title", doc.TextNode("Annual report")))
-	for i := 0; i < 1100; i++ {
+	root := doc.Elem("report", doc.Elem("title", doc.TextNode(title)))
+	for i := 0; i < blocks; i++ {
 		root.Children = append(root.Children, doc.Elem("block",
 			doc.Elem("heading", doc.TextNode(fmt.Sprintf("section %d", i))),
 			doc.Elem("para", doc.TextNode(para)),
@@ -81,14 +79,21 @@ func BenchmarkExchangeLarge(b *testing.B) {
 			doc.Elem("para", doc.TextNode(para))))
 	}
 	root.Children = append(root.Children, doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	must(b, p.Repo.Put("big", root))
+	return root
+}
+
+// largePeer returns a peer serving largeSchema with a local Get_Temp, and
+// a func that exchanges the named report once with the receiver that
+// forbids the call, returning the body length.
+func largePeer(b *testing.B) (*Peer, func(name string) int) {
+	p := New("reports", schema.MustParseText(largeSchema, nil))
 	must(b, p.Services.Register(opOf(b, p, "Get_Temp", func([]*doc.Node) ([]*doc.Node, error) {
 		return []*doc.Node{doc.Elem("temp", doc.TextNode("15"))}, nil
 	})))
 	h := p.Handler()
 	body := []byte(largeExchangeXSD)
-	run := func() int {
-		req := httptest.NewRequest(http.MethodPost, "/exchange/big?mode=safe", bytes.NewReader(body))
+	return p, func(name string) int {
+		req := httptest.NewRequest(http.MethodPost, "/exchange/"+name+"?mode=safe", bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
@@ -96,12 +101,79 @@ func BenchmarkExchangeLarge(b *testing.B) {
 		}
 		return w.Body.Len()
 	}
-	b.SetBytes(int64(run()))
+}
+
+// BenchmarkExchangeLarge drives /exchange on a ~1 MiB document whose only
+// call is its last child, exchanged again and again: the cost of one
+// exchange beyond its single invocation is the static check and the
+// serialization. Run with -benchmem.
+func BenchmarkExchangeLarge(b *testing.B) {
+	p, run := largePeer(b)
+	must(b, p.Repo.Put("big", largeReport("Annual report", 1100)))
+	b.SetBytes(int64(run("big")))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		run("big")
 	}
+}
+
+// BenchmarkExchangeFreshVersion is BenchmarkExchangeLarge for
+// write-then-exchange traffic: each iteration stores a new version of the
+// report (outside the timer) and exchanges it k times, so an iteration
+// costs its version's first k exchanges.
+func BenchmarkExchangeFreshVersion(b *testing.B) {
+	for _, k := range []int{1, 2, 3} {
+		b.Run(fmt.Sprint("exchanges=", k), func(b *testing.B) {
+			p, run := largePeer(b)
+			d := largeReport("Annual report", 1100)
+			must(b, p.Repo.Put("big", d))
+			b.SetBytes(int64(k * run("big")))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				must(b, p.Repo.Put("big", d))
+				b.StartTimer()
+				for j := 0; j < k; j++ {
+					run("big")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExchangeDistinctOnce measures what exchanging many distinct
+// documents once each leaves resident. Each iteration stores 64 distinct
+// 110-block reports and exchanges each once; retained-B/doc is the live
+// heap those exchanges left behind, per document.
+func BenchmarkExchangeDistinctOnce(b *testing.B) {
+	const docs = 64
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var retained float64
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		p, run := largePeer(b)
+		must(b, p.Repo.Put("warm", largeReport("Warm-up", 1)))
+		run("warm") // the receiver's compiled schema is not counted
+		for j := 0; j < docs; j++ {
+			must(b, p.Repo.Put(fmt.Sprint("r", j), largeReport(fmt.Sprint("Report ", j), 110)))
+		}
+		before := liveHeap()
+		b.StartTimer()
+		for j := 0; j < docs; j++ {
+			run(fmt.Sprint("r", j))
+		}
+		b.StopTimer()
+		retained += (liveHeap() - before) / docs
+		runtime.KeepAlive(p)
+	}
+	b.ReportMetric(retained/float64(b.N), "retained-B/doc")
 }
 
 // BenchmarkDocGetHandler measures the read path: repository lookup plus XML

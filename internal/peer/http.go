@@ -232,8 +232,8 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-		// WriteTo serializes straight into the response through a pooled
-		// buffer — no per-request document-sized intermediate.
+		// WriteTo prints the shared stored tree straight into the response
+		// through a pooled buffer: no clone, no retained rendering.
 		_ = xmlio.WriteTo(w, d)
 	case http.MethodPut:
 		if err := ValidateDocName(name); err != nil {
@@ -405,7 +405,17 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	out, err := p.SendDocumentContext(r.Context(), name, exchange, mode)
+	// The response shares the stored version's untouched subtrees. From the
+	// version's second exchange on, their stored bytes are spliced in from
+	// its rendering, and only the rewritten spine and the returned forests
+	// are printed; the first exchange, with no rendering, prints it all.
+	d, stored, ok := p.Repo.GetRendered(name)
+	if !ok {
+		err := p.noDocument(name)
+		http.Error(w, err.Error(), exchangeErrorStatus(err))
+		return
+	}
+	out, err := p.send(r.Context(), name, d, exchange, mode)
 	if err != nil {
 		http.Error(w, err.Error(), exchangeErrorStatus(err))
 		return
@@ -414,7 +424,7 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 	if st != nil {
 		t0 = time.Now()
 	}
-	_ = xmlio.WriteTo(w, out)
+	_ = xmlio.WriteSplicedTo(w, out, stored)
 	if st != nil {
 		st.Set(telemetry.StageSerialize, time.Since(t0))
 	}

@@ -51,14 +51,14 @@ func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, erro
 	// Tier 2: safe rewriting exists.
 	for _, prop := range proposals {
 		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
-		if err := rw.CheckDocument(d.Clone(), core.Safe); err == nil {
+		if err := rw.CheckDocument(d, core.Safe); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Safe}, nil
 		}
 	}
 	// Tier 3: possibly rewritable.
 	for _, prop := range proposals {
 		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
-		if err := rw.CheckDocument(d.Clone(), core.Possible); err == nil {
+		if err := rw.CheckDocument(d, core.Possible); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Possible}, nil
 		}
 	}

@@ -244,7 +244,9 @@ func (s *eventLogSink) RecordEvent(e core.InvokeEvent) {
 // SendDocument is the paper's Figure 1 scenario: materialize the named
 // repository document just enough to conform to the receiver's exchange
 // schema, and return the result. The repository copy is left untouched —
-// the same document can be sent to differently-abled receivers.
+// the same document can be sent to differently-abled receivers. The result
+// shares the stored document's function-free subtrees and must be treated
+// as read-only.
 // Context-free wrapper over SendDocumentContext.
 func (p *Peer) SendDocument(name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
 	return p.SendDocumentContext(context.Background(), name, exchange, mode)
@@ -255,8 +257,21 @@ func (p *Peer) SendDocument(name string, exchange *schema.Schema, mode core.Mode
 func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
 	d, ok := p.Repo.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
+		return nil, p.noDocument(name)
 	}
+	return p.send(ctx, name, d, exchange, mode)
+}
+
+// noDocument is the error of a send naming a document the store lacks.
+func (p *Peer) noDocument(name string) error {
+	return fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
+}
+
+// send rewrites a spine copy of the stored tree d (doc.Node.SpineCopy):
+// rewriting writes only into the copied spine and the deep-copied function
+// subtrees, so d, shared with every other reader, stays untouched.
+func (p *Peer) send(ctx context.Context, name string, d *doc.Node, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
+	d = d.SpineCopy()
 	st := telemetry.StagesFrom(ctx)
 	var t0 time.Time
 	if st != nil {
@@ -287,8 +302,9 @@ func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *s
 func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
 	d, ok := p.Repo.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
+		return nil, p.noDocument(name)
 	}
+	d = d.SpineCopy()
 	st := telemetry.StagesFrom(ctx)
 	var t0 time.Time
 	if st != nil {
@@ -466,7 +482,9 @@ type Query struct {
 
 // DefineQueryService declares and registers a service whose implementation
 // evaluates a query over the repository — the paper's "services defined
-// declaratively as queries over the repository documents".
+// declaratively as queries over the repository documents". The selected
+// subtrees are returned as copies: a service result belongs to the caller,
+// which may rewrite it in place, while the stored tree is shared.
 func (p *Peer) DefineQueryService(name, in, out string, q Query) error {
 	if p.Schema.Funcs[name] == nil {
 		if err := p.Schema.SetFunc(name, in, out); err != nil {
@@ -507,7 +525,7 @@ func (p *Peer) DefineQueryService(name, in, out string, q Query) error {
 			}
 			nodes = filtered
 		}
-		return nodes, nil
+		return doc.CloneForest(nodes), nil
 	}
 	return p.Services.Register(&service.Operation{Name: name, Def: def, Handler: handler})
 }

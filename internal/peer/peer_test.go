@@ -75,10 +75,8 @@ func TestRepositoryBasics(t *testing.T) {
 	if !ok || got.Children[0].Value != "x" {
 		t.Error("Put did not clone")
 	}
-	got.Children[0].Value = "mutated2"
-	got2, _ := r.Get("one")
-	if got2.Children[0].Value != "x" {
-		t.Error("Get did not clone")
+	if got2, _ := r.Get("one"); got2 != got {
+		t.Error("two Gets of one version returned different nodes")
 	}
 	if r.Len() != 1 || len(r.Names()) != 1 {
 		t.Error("Len/Names wrong")
@@ -341,8 +339,9 @@ func TestTwoPeerExchange(t *testing.T) {
 	must(t, news.Services.Register(opOf(t, news, "Front_Page", func([]*doc.Node) ([]*doc.Node, error) {
 		// The implementation returns the raw intensional document wrapped
 		// in frontpage; enforcement must materialize Get_Temp and TimeOut.
+		// The result belongs to the caller, so it copies the stored nodes.
 		d, _ := news.Repo.Get("today")
-		return []*doc.Node{doc.Elem("frontpage", d.Children...)}, nil
+		return []*doc.Node{doc.Elem("frontpage", doc.CloneForest(d.Children)...)}, nil
 	})))
 	news.Mode = core.Possible // TimeOut's output type includes performances
 

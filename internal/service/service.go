@@ -22,9 +22,11 @@ import (
 )
 
 // Handler implements one service operation: parameters in, result forest
-// out. Handlers must not retain or mutate the parameter nodes. Operations
-// that can block should use a ContextHandler instead, so the caller's
-// deadline reaches them.
+// out. Handlers must not retain or mutate the parameter nodes. The result
+// belongs to the caller, which may rewrite it in place: a handler returning
+// nodes it keeps (a stored document's subtrees, a cached forest) returns
+// copies. Operations that can block should use a ContextHandler instead, so
+// the caller's deadline reaches them.
 type Handler func(params []*doc.Node) ([]*doc.Node, error)
 
 // ContextHandler is a context-aware operation implementation; it wins over

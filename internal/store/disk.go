@@ -376,9 +376,11 @@ func (d *Disk) fetchLocked(name string) (*doc.Node, error) {
 	return n, nil
 }
 
-// Get returns a clone of the named document, faulting it from its shard if
-// it is not hot. I/O or at-rest parse damage reports as a miss (Get has no
-// error channel); Update on the same name surfaces the underlying error.
+// Get returns the named document's tree, shared and read-only, faulting it
+// from its shard if it is not hot. A document evicted between two Gets is
+// parsed again, so the second Get returns an equal tree, not the same one.
+// I/O or at-rest parse damage reports as a miss (Get has no error channel);
+// Update on the same name surfaces the underlying error.
 func (d *Disk) Get(name string) (*doc.Node, bool) {
 	start := time.Now()
 	d.mu.Lock()
@@ -388,7 +390,26 @@ func (d *Disk) Get(name string) (*doc.Node, bool) {
 		return nil, false
 	}
 	d.metrics.observeGet(time.Since(start))
-	return n.Clone(), true
+	return n, true
+}
+
+// GetRendered is Get plus the version's rendering, which lives with the
+// hot-cache entry: nil on the version's first GetRendered, built on its
+// second, and dropped when the entry is replaced, deleted or evicted.
+func (d *Disk) GetRendered(name string) (*doc.Node, *xmlio.Rendering, bool) {
+	start := time.Now()
+	d.mu.Lock()
+	n, err := d.fetchLocked(name)
+	var slot *renderSlot
+	if err == nil {
+		slot = d.hot.slot(name)
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return nil, nil, false
+	}
+	d.metrics.observeGet(time.Since(start))
+	return n, slot.rendering(), true
 }
 
 // Update applies fn to a clone of the stored document (faulted in if cold)
@@ -562,8 +583,9 @@ func (d *Disk) Close() error {
 	return err
 }
 
-// lruCache is a doubly-linked LRU of decoded documents (front = most
-// recent). Not safe for concurrent use; Disk guards it with d.mu.
+// lruCache is a doubly-linked LRU of decoded documents and their rendering
+// slots (front = most recent). Not safe for concurrent use: Disk guards its
+// hot tier with d.mu, Repository its rendered versions with r.rmu.
 type lruCache struct {
 	cap   int
 	ll    *list.List
@@ -573,6 +595,8 @@ type lruCache struct {
 type lruEntry struct {
 	name string
 	node *doc.Node
+	// render is node's rendering slot, set by the first GetRendered.
+	render *renderSlot
 }
 
 func newLRUCache(cap int) *lruCache {
@@ -592,7 +616,8 @@ func (c *lruCache) get(name string) (*doc.Node, bool) {
 // evicted to respect the budget.
 func (c *lruCache) add(name string, n *doc.Node) int {
 	if el, ok := c.items[name]; ok {
-		el.Value.(*lruEntry).node = n
+		e := el.Value.(*lruEntry)
+		e.node, e.render = n, nil
 		c.ll.MoveToFront(el)
 		return 0
 	}
@@ -605,6 +630,16 @@ func (c *lruCache) add(name string, n *doc.Node) int {
 		evicted++
 	}
 	return evicted
+}
+
+// slot returns the rendering slot of name's cached node, creating it on
+// first use. name must be cached.
+func (c *lruCache) slot(name string) *renderSlot {
+	e := c.items[name].Value.(*lruEntry)
+	if e.render == nil {
+		e.render = &renderSlot{node: e.node}
+	}
+	return e.render
 }
 
 func (c *lruCache) remove(name string) {

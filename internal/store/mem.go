@@ -15,10 +15,11 @@ import (
 )
 
 // Repository is the in-memory DocStore: a map of named intensional
-// documents. It is safe for concurrent use; documents are cloned on the way
-// in and out so that callers can never mutate stored state behind the lock —
-// stored nodes are immutable once the mutating call returns, which is what
-// lets DurableRepository snapshot the map with a shallow copy.
+// documents. It is safe for concurrent use. Documents are cloned on the way
+// in, so callers can never mutate stored state behind the lock, and stored
+// nodes are immutable once the mutating call returns: Get hands out the
+// stored tree itself, and DurableRepository snapshots the map with a
+// shallow copy.
 //
 // Every mutation also maintains the function index (see FunctionIndex):
 // which documents embed which function labels.
@@ -38,6 +39,13 @@ type Repository struct {
 	// the inverted map answering DocsWithFunction.
 	docFuncs map[string][]string
 	byFunc   map[string]map[string]struct{}
+
+	// renders holds the rendering slots of the renderedVersions documents
+	// most recently asked for by GetRendered, current versions only: every
+	// mutation of a name drops its slot. It is guarded by rmu, taken under
+	// mu.
+	rmu     sync.Mutex
+	renders *lruCache
 }
 
 // NewRepository returns an empty repository.
@@ -46,6 +54,7 @@ func NewRepository() *Repository {
 		docs:     make(map[string]*doc.Node),
 		docFuncs: make(map[string][]string),
 		byFunc:   make(map[string]map[string]struct{}),
+		renders:  newLRUCache(renderedVersions),
 	}
 }
 
@@ -66,9 +75,12 @@ func ValidateDocName(name string) error {
 }
 
 // indexLocked records name's function labels at the commit point of a
-// mutation; funcs == nil (a delete) drops the document from the index.
-// Caller holds the write lock.
+// mutation; funcs == nil (a delete) drops the document from the index. The
+// replaced version's rendering slot goes too. Caller holds the write lock.
 func (r *Repository) indexLocked(name string, d *doc.Node) {
+	r.rmu.Lock()
+	r.renders.remove(name)
+	r.rmu.Unlock()
 	for _, fn := range r.docFuncs[name] {
 		if docs := r.byFunc[fn]; docs != nil {
 			delete(docs, name)
@@ -120,15 +132,35 @@ func (r *Repository) Put(name string, d *doc.Node) error {
 	return nil
 }
 
-// Get returns a clone of the named document.
+// Get returns the named document's stored tree, shared and read-only.
 func (r *Repository) Get(name string) (*doc.Node, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d, ok := r.docs[name]
-	if !ok {
-		return nil, false
+	return d, ok
+}
+
+// GetRendered returns the named document's stored tree and the rendering
+// of that version: nil on the version's first call, built on its second.
+func (r *Repository) GetRendered(name string) (*doc.Node, *xmlio.Rendering, bool) {
+	r.mu.RLock()
+	d, ok := r.docs[name]
+	var slot *renderSlot
+	if ok {
+		// A slot is dropped whenever its name's document changes, so a
+		// cached slot belongs to d.
+		r.rmu.Lock()
+		if _, hit := r.renders.get(name); !hit {
+			r.renders.add(name, d)
+		}
+		slot = r.renders.slot(name)
+		r.rmu.Unlock()
 	}
-	return d.Clone(), true
+	r.mu.RUnlock()
+	if !ok {
+		return nil, nil, false
+	}
+	return d, slot.rendering(), true
 }
 
 // Update applies fn to a clone of the stored document under the write lock;

@@ -7,8 +7,19 @@
 // The interface contract, shared by every backend and pinned by the
 // storetest conformance suite:
 //
-//   - Documents are cloned on the way in and out: a caller can never mutate
-//     stored state through a node it handed in or got back.
+//   - Documents are cloned on the way in: a caller can never mutate stored
+//     state through a node it handed in. Get hands out the stored tree
+//     itself, shared and read-only: two Gets of one version return the same
+//     node, and a caller that wants to change a document copies it first
+//     (doc.Node.SpineCopy for rewriting, Clone otherwise). Stored nodes
+//     never change; a mutation installs a new version.
+//   - GetRendered returns a version's tree together with its canonical
+//     rendering (xmlio.Rendering), which exchanges splice from. A
+//     rendering pays off only for a version exchanged repeatedly: the
+//     version's first GetRendered returns none, the second builds it, and
+//     it is dropped when the version is replaced or deleted or leaves the
+//     backend's bounded set of rendered versions (the hot tier on disk,
+//     the 256 documents most recently exchanged on mem and wal).
 //   - Mutations are atomic and totally ordered per store; an acknowledged
 //     mutation is committed (and, for durable backends, logged) in that
 //     order.
@@ -46,8 +57,15 @@ var ErrClosed = errors.New("store is closed")
 type DocStore interface {
 	// Put stores a clone of d under name, replacing any previous document.
 	Put(name string, d *doc.Node) error
-	// Get returns a clone of the named document; ok is false on a miss.
+	// Get returns the named document's stored tree, shared and read-only:
+	// the caller must not mutate it. ok is false on a miss.
 	Get(name string) (d *doc.Node, ok bool)
+	// GetRendered returns the stored tree of the named document's current
+	// version together with that version's rendering, atomically. The
+	// rendering is nil on the version's first GetRendered and built on its
+	// second; a nil rendering splices nothing (xmlio.WriteSplicedTo). Both
+	// are read-only. ok is false on a miss.
+	GetRendered(name string) (d *doc.Node, r *xmlio.Rendering, ok bool)
 	// Update applies fn to a clone of the stored document and commits fn's
 	// return value atomically. A miss reports ErrNotFound (wrapped); an fn
 	// error aborts the update and leaves the document unchanged.

@@ -1,6 +1,7 @@
 // Package storetest is the conformance suite every DocStore backend must
-// pass: one set of subtests pinning the interface contract — clone-in/
-// clone-out aliasing, ErrNotFound/ErrClosed sentinels, Scan pagination,
+// pass: one set of subtests pinning the interface contract — clone-in
+// aliasing and shared read-only versions, renderings that follow the
+// version, ErrNotFound/ErrClosed sentinels, Scan pagination,
 // function-index maintenance, concurrency under -race, and (for backends
 // that persist) reopen recovery. New backends get the whole contract for
 // the price of a Factory.
@@ -14,6 +15,7 @@ import (
 
 	"axml/internal/doc"
 	"axml/internal/store"
+	"axml/internal/xmlio"
 )
 
 // Factory describes one backend under test.
@@ -33,6 +35,7 @@ type Factory struct {
 func Run(t *testing.T, f Factory) {
 	t.Run("BasicCRUD", func(t *testing.T) { testBasicCRUD(t, f) })
 	t.Run("CloneInCloneOut", func(t *testing.T) { testCloneAliasing(t, f) })
+	t.Run("GetRendered", func(t *testing.T) { testGetRendered(t, f) })
 	t.Run("Update", func(t *testing.T) { testUpdate(t, f) })
 	t.Run("ScanPagination", func(t *testing.T) { testScan(t, f) })
 	t.Run("FunctionIndex", func(t *testing.T) { testFunctionIndex(t, f) })
@@ -101,7 +104,8 @@ func testBasicCRUD(t *testing.T, f Factory) {
 }
 
 // The aliasing contract: a caller can never mutate stored state through a
-// node it handed in or got back.
+// node it handed in. Get hands out the stored version itself, shared and
+// read-only, and a mutation installs a new version.
 func testCloneAliasing(t *testing.T, f Factory) {
 	s := f.Open(t)
 	defer s.Close()
@@ -109,14 +113,82 @@ func testCloneAliasing(t *testing.T, f Factory) {
 	in := newsDoc("original")
 	mustPut(t, s, "memo", in)
 	in.Children[0].Value = "scribbled-after-put"
-	if d, _ := s.Get("memo"); d.Children[0].Value != "original" {
-		t.Errorf("mutating the input after Put leaked into the store: %v", d)
+	first, _ := s.Get("memo")
+	if first.Children[0].Value != "original" {
+		t.Errorf("mutating the input after Put leaked into the store: %v", first)
 	}
 
-	out, _ := s.Get("memo")
-	out.Children[0].Value = "scribbled-on-output"
-	if d, _ := s.Get("memo"); d.Children[0].Value != "original" {
-		t.Errorf("mutating a returned node leaked into the store: %v", d)
+	if again, _ := s.Get("memo"); again != first {
+		t.Error("two Gets of one version returned different nodes")
+	}
+	mustPut(t, s, "memo", newsDoc("replaced"))
+	next, _ := s.Get("memo")
+	if next == first || next.Children[0].Value != "replaced" {
+		t.Errorf("Put did not replace the stored node: %v", next)
+	}
+	if first.Children[0].Value != "original" {
+		t.Errorf("Put wrote into the replaced version: %v", first)
+	}
+}
+
+// testGetRendered: GetRendered returns the version Get returns; the
+// version's first read comes without a rendering, its second builds one
+// holding the version's canonical bytes, and later reads share it. A
+// mutation moves both to the new version.
+func testGetRendered(t *testing.T, f Factory) {
+	s := f.Open(t)
+	defer s.Close()
+	if _, _, ok := s.GetRendered("missing"); ok {
+		t.Error("GetRendered on an empty store reported ok")
+	}
+	read := func(when string) *xmlio.Rendering {
+		t.Helper()
+		d, r, ok := s.GetRendered("memo")
+		if !ok {
+			t.Fatalf("%s: GetRendered missed", when)
+		}
+		if got, _ := s.Get("memo"); got != d {
+			t.Errorf("%s: GetRendered and Get returned different nodes", when)
+		}
+		if r != nil && string(r.Bytes()) != xmlio.MustString(d) {
+			t.Errorf("%s: rendering\n%s\nwant\n%s", when, r.Bytes(), xmlio.MustString(d))
+		}
+		return r
+	}
+	// rendered reads a new version twice and returns its rendering.
+	rendered := func(when string) *xmlio.Rendering {
+		t.Helper()
+		if read(when+", first read") != nil {
+			t.Errorf("%s: a version was rendered on its first read", when)
+		}
+		r := read(when + ", second read")
+		if r == nil {
+			t.Fatalf("%s: a version read twice has no rendering", when)
+		}
+		return r
+	}
+	mustPut(t, s, "memo", newsDoc("v1"))
+	r1 := rendered("after Put")
+	if again := read("third read"); again != r1 {
+		t.Error("one version was rendered twice")
+	}
+	mustPut(t, s, "memo", newsDoc("v2"))
+	rendered("after replacing Put")
+	if err := s.Update("memo", func(d *doc.Node) (*doc.Node, error) {
+		d.Children[0].Value = "v3"
+		return d, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rendered("after Update")
+	if string(r1.Bytes()) != xmlio.MustString(newsDoc("v1")) {
+		t.Error("a replaced version's rendering changed")
+	}
+	if err := s.Delete("memo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.GetRendered("memo"); ok {
+		t.Error("GetRendered found a deleted document")
 	}
 }
 
@@ -314,6 +386,12 @@ func testConcurrent(t *testing.T, f Factory) {
 				if d, ok := s.Get(name); ok && len(d.Children) == 0 {
 					t.Error("Get returned an empty document")
 					return
+				}
+				for k := 0; k < 2; k++ { // a version's second read renders it
+					if d, r, ok := s.GetRendered(name); ok && r != nil && string(r.Bytes()) != xmlio.MustString(d) {
+						t.Error("GetRendered returned a rendering of another version")
+						return
+					}
 				}
 				_ = s.Update(name, func(d *doc.Node) (*doc.Node, error) {
 					d.Children[0].Value = "updated"

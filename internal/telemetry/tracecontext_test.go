@@ -129,3 +129,27 @@ func TestInjectTraceContextNoTrace(t *testing.T) {
 		t.Errorf("injection with nil ctx wrote %q", v)
 	}
 }
+
+// FuzzParseTraceparent: the header arrives on every request, so parsing
+// never panics, and an accepted value round-trips: FormatTraceparent of
+// the parsed IDs reproduces the value's trace-id and parent-id fields, and
+// parses back to the same IDs. Seeds live in testdata/fuzz/.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		traceID, parentID, ok := ParseTraceparent(v)
+		if !ok {
+			return
+		}
+		h := FormatTraceparent(traceID, parentID)
+		if h == "" {
+			t.Fatalf("ParseTraceparent(%q) = %q, %q, which FormatTraceparent refuses", v, traceID, parentID)
+		}
+		if h[3:35] != v[3:35] || h[36:52] != v[36:52] {
+			t.Fatalf("%q re-formats as %q: trace-id or parent-id changed", v, h)
+		}
+		t2, p2, ok := ParseTraceparent(h)
+		if !ok || t2 != traceID || p2 != parentID {
+			t.Fatalf("re-formatted %q parses to %q, %q, %t; want %q, %q", h, t2, p2, ok, traceID, parentID)
+		}
+	})
+}

@@ -351,7 +351,7 @@ func putWriteBuf(b *appendSink) {
 func Write(w io.Writer, n *doc.Node) error {
 	b := getWriteBuf()
 	defer putWriteBuf(b)
-	printDocument(b, n)
+	(&printer{b: b}).document(n)
 	_, err := w.Write(*b)
 	return err
 }
@@ -365,14 +365,7 @@ var flushWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.
 // bufio.Writer: same bytes as Write, but without an intermediate
 // whole-document buffer — large responses flush in 32 KiB chunks.
 func WriteTo(w io.Writer, n *doc.Node) error {
-	bw := flushWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	defer func() {
-		bw.Reset(io.Discard)
-		flushWriterPool.Put(bw)
-	}()
-	printDocument(bw, n)
-	return bw.Flush()
+	return WriteSplicedTo(w, n, nil)
 }
 
 // Append appends the bytes Write would write for n to dst and returns the
@@ -381,7 +374,7 @@ func WriteTo(w io.Writer, n *doc.Node) error {
 // intermediate copy.
 func Append(dst []byte, n *doc.Node) []byte {
 	b := appendSink(dst)
-	printDocument(&b, n)
+	(&printer{b: &b}).document(n)
 	return b
 }
 
@@ -389,7 +382,7 @@ func Append(dst []byte, n *doc.Node) []byte {
 func String(n *doc.Node) (string, error) {
 	b := getWriteBuf()
 	defer putWriteBuf(b)
-	printDocument(b, n)
+	(&printer{b: b}).document(n)
 	return string(*b), nil
 }
 
@@ -431,17 +424,26 @@ func (s *appendSink) WriteByte(c byte) error {
 	return nil
 }
 
-// printDocument prints a whole document: the XML declaration, the tree
-// with two-space indentation, and a trailing newline.
-func printDocument(s sink, n *doc.Node) {
-	s.WriteString(xml.Header)
-	p := &printer{b: s}
-	p.node(n, 0, n.HasFuncs())
-	s.WriteByte('\n')
-}
-
 type printer struct {
 	b sink
+	// rec, when set, is the rendering being built from the bytes b writes
+	// into out (Render). pending holds the spans of the printed elements
+	// whose parent is still open.
+	rec     *Rendering
+	out     *chunkSink
+	pending []pendingSpan
+	// from, when set, supplies the stored bytes of every element it holds
+	// at the depth the element prints at (WriteSplicedTo).
+	from *Rendering
+}
+
+// document prints a whole document: the XML declaration, the tree with
+// two-space indentation, and a trailing newline. Only the root declares
+// xmlns:int, and only when the document holds a function node.
+func (p *printer) document(n *doc.Node) {
+	p.b.WriteString(xml.Header)
+	p.node(n, 0, p.from.holdsCalls(n))
+	p.b.WriteByte('\n')
 }
 
 // indents covers the common nesting depths with precomputed two-space runs.
@@ -562,69 +564,115 @@ func (p *printer) nsDecl(declareNS bool) {
 	}
 }
 
+// node prints n at depth; an element the splice source holds at this depth
+// is copied from it.
 func (p *printer) node(n *doc.Node, depth int, declareNS bool) {
+	if sp, ok := p.from.at(n, depth); ok {
+		p.b.Write(p.from.data[sp.start:sp.end])
+		return
+	}
+	p.print(n, depth, declareNS)
+}
+
+// print is node without the splice lookup. It reports whether n's subtree
+// holds a function node.
+func (p *printer) print(n *doc.Node, depth int, declareNS bool) bool {
 	switch n.Kind {
 	case doc.Text:
 		p.indent(depth)
 		p.escape(n.Value)
 		p.b.WriteByte('\n')
+		return false
 	case doc.Element:
-		p.indent(depth)
-		p.b.WriteByte('<')
-		p.b.WriteString(n.Label)
-		p.nsDecl(declareNS)
-		if len(n.Children) == 0 {
-			p.b.WriteString("/>\n")
-			return
+		if p.rec == nil {
+			return p.element(n, depth, declareNS)
 		}
-		if len(n.Children) == 1 && n.Children[0].Kind == doc.Text {
-			p.b.WriteByte('>')
-			p.escape(n.Children[0].Value)
-			p.b.WriteString("</")
-			p.b.WriteString(n.Label)
-			p.b.WriteString(">\n")
-			return
-		}
-		p.b.WriteString(">\n")
-		for _, c := range n.Children {
-			p.node(c, depth+1, false)
-		}
-		p.indent(depth)
+		start, mark := p.out.n, len(p.pending)
+		calls := p.element(n, depth, declareNS)
+		p.settle(mark, calls)
+		p.pending = append(p.pending, pendingSpan{n: n, calls: calls,
+			span: elemSpan{start: int32(start), end: int32(p.out.n), depth: int32(depth)}})
+		return calls
+	case doc.Func:
+		mark := len(p.pending)
+		p.fun(n, depth, declareNS)
+		// A spine copy deep-copies function subtrees: no parameter is shared.
+		p.pending = p.pending[:mark]
+		return true
+	}
+	return false
+}
+
+// element prints an element in one of its three forms: empty, inline
+// single text, or block.
+func (p *printer) element(n *doc.Node, depth int, declareNS bool) bool {
+	p.indent(depth)
+	p.b.WriteByte('<')
+	p.b.WriteString(n.Label)
+	p.nsDecl(declareNS)
+	if len(n.Children) == 0 {
+		p.b.WriteString("/>\n")
+		return false
+	}
+	if len(n.Children) == 1 && n.Children[0].Kind == doc.Text {
+		p.b.WriteByte('>')
+		p.escape(n.Children[0].Value)
 		p.b.WriteString("</")
 		p.b.WriteString(n.Label)
 		p.b.WriteString(">\n")
-	case doc.Func:
-		ref := doc.ServiceRef{Method: n.Label}
-		if n.Service != nil {
-			ref = *n.Service
-		}
-		p.indent(depth)
-		p.b.WriteString("<int:fun")
-		p.nsDecl(declareNS)
-		if ref.Endpoint != "" {
-			p.attr("endpointURL", ref.Endpoint)
-		}
-		p.attr("methodName", ref.Method)
-		if ref.Namespace != "" {
-			p.attr("namespaceURI", ref.Namespace)
-		}
-		if len(n.Children) == 0 {
-			p.b.WriteString("/>\n")
-			return
-		}
-		p.b.WriteString(">\n")
-		p.indent(depth + 1)
-		p.b.WriteString("<int:params>\n")
-		for _, c := range n.Children {
-			p.indent(depth + 2)
-			p.b.WriteString("<int:param>\n")
-			p.node(c, depth+3, false)
-			p.indent(depth + 2)
-			p.b.WriteString("</int:param>\n")
-		}
-		p.indent(depth + 1)
-		p.b.WriteString("</int:params>\n")
-		p.indent(depth)
-		p.b.WriteString("</int:fun>\n")
+		return false
 	}
+	p.b.WriteString(">\n")
+	calls := false
+	for i := 0; i < len(n.Children); {
+		if p.from != nil {
+			if j := p.splice(n.Children, i, depth+1); j > i {
+				i = j
+				continue
+			}
+		}
+		calls = p.print(n.Children[i], depth+1, false) || calls
+		i++
+	}
+	p.indent(depth)
+	p.b.WriteString("</")
+	p.b.WriteString(n.Label)
+	p.b.WriteString(">\n")
+	return calls
+}
+
+// fun prints a function node with its parameters.
+func (p *printer) fun(n *doc.Node, depth int, declareNS bool) {
+	ref := doc.ServiceRef{Method: n.Label}
+	if n.Service != nil {
+		ref = *n.Service
+	}
+	p.indent(depth)
+	p.b.WriteString("<int:fun")
+	p.nsDecl(declareNS)
+	if ref.Endpoint != "" {
+		p.attr("endpointURL", ref.Endpoint)
+	}
+	p.attr("methodName", ref.Method)
+	if ref.Namespace != "" {
+		p.attr("namespaceURI", ref.Namespace)
+	}
+	if len(n.Children) == 0 {
+		p.b.WriteString("/>\n")
+		return
+	}
+	p.b.WriteString(">\n")
+	p.indent(depth + 1)
+	p.b.WriteString("<int:params>\n")
+	for _, c := range n.Children {
+		p.indent(depth + 2)
+		p.b.WriteString("<int:param>\n")
+		p.node(c, depth+3, false)
+		p.indent(depth + 2)
+		p.b.WriteString("</int:param>\n")
+	}
+	p.indent(depth + 1)
+	p.b.WriteString("</int:params>\n")
+	p.indent(depth)
+	p.b.WriteString("</int:fun>\n")
 }

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -358,6 +359,92 @@ func TestQuickMinimize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: GlushkovDFA builds a DFA exactly for the one-unambiguous
+// expressions, and that DFA, built with no subset construction, is
+// equivalent to the completed subset construction and agrees with
+// regex.Match, also on a symbol the expression never mentions. Leaves
+// include the wildcard and negated classes. A cell bound one below the
+// DFA's cells refuses it.
+func TestQuickGlushkovDFA(t *testing.T) {
+	tab := regex.NewTable()
+	names := []string{"a", "b", "c", "z"} // z occurs in no expression
+	syms := make([]regex.Symbol, len(names))
+	for i, n := range names {
+		syms[i] = tab.Intern(n)
+	}
+	var leaf func(rng *rand.Rand) *regex.Regex
+	leaf = func(rng *rand.Rand) *regex.Regex {
+		switch rng.Intn(6) {
+		case 0:
+			return regex.Any()
+		case 1:
+			return regex.ClassOf(regex.NewClass(true, syms[rng.Intn(3)]))
+		default:
+			return regex.Sym(syms[rng.Intn(3)])
+		}
+	}
+	var gen func(rng *rand.Rand, depth int) *regex.Regex
+	gen = func(rng *rand.Rand, depth int) *regex.Regex {
+		if depth <= 0 || rng.Intn(4) == 0 {
+			return leaf(rng)
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return regex.Concat(gen(rng, depth-1), gen(rng, depth-1))
+		case 1:
+			return regex.Alt(gen(rng, depth-1), gen(rng, depth-1))
+		case 2:
+			return regex.Star(gen(rng, depth-1))
+		default:
+			return regex.Opt(gen(rng, depth-1))
+		}
+	}
+	built, refused := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := gen(rng, 4)
+		d, ok := GlushkovDFA(r, math.MaxInt)
+		if ok != regex.Deterministic(r) || ok != (d != nil) {
+			t.Logf("%s: one-unambiguous %t, GlushkovDFA %t", r.String(tab), regex.Deterministic(r), ok)
+			return false
+		}
+		if !ok {
+			refused++
+			return true
+		}
+		built++
+		if len(d.Trans) != len(regex.Positions(r).Classes)+1 {
+			t.Logf("%s: %d states for %d positions", r.String(tab), len(d.Trans), len(regex.Positions(r).Classes))
+			return false
+		}
+		if e, ok := GlushkovDFA(r, d.Cells()-1); ok || e != nil {
+			t.Logf("%s: built past a bound of %d cells", r.String(tab), d.Cells()-1)
+			return false
+		}
+		if !Equivalent(d, Determinize(FromRegex(r), r.Alphabet(nil)).Complete()) {
+			t.Logf("%s: not equivalent to the subset construction", r.String(tab))
+			return false
+		}
+		for i := 0; i < 10; i++ {
+			w := make([]regex.Symbol, rng.Intn(7))
+			for j := range w {
+				w[j] = syms[rng.Intn(len(syms))]
+			}
+			if d.Accepts(w) != regex.Match(r, w) {
+				t.Logf("%s: DFA and regex.Match disagree on %v", r.String(tab), w)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
+		t.Error(err)
+	}
+	if built < 100 || refused < 100 {
+		t.Errorf("the generator built %d DFAs and refused %d expressions; both should be common", built, refused)
 	}
 }
 

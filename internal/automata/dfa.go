@@ -26,6 +26,10 @@ type DFA struct {
 // NumStates returns the number of states.
 func (d *DFA) NumStates() int { return len(d.Accept) }
 
+// Cells returns the number of transition cells: states × (alphabet + the
+// other column).
+func (d *DFA) Cells() int { return len(d.Trans) * (len(d.Alphabet) + 1) }
+
 // otherCol is the index of the implicit other column.
 func (d *DFA) otherCol() int { return len(d.Alphabet) }
 

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"axml/internal/automata"
 	"axml/internal/regex"
 	"axml/internal/schema"
 )
@@ -39,11 +40,31 @@ import (
 // with function patterns expanded into alternations of the declared
 // functions that match them.
 //
-// A Compiled is safe for concurrent use once Compile returns: funcs and
-// alphabet are frozen, the pattern-expansion memo is lock-guarded, the lazy
-// engine's derivative table is itself concurrency-safe, and the word-verdict
-// memo (wordcache.go) is bounded and lock-guarded. Peers rely on this to
-// serve parallel requests from one cached analysis.
+// Compile also freezes one entry per name either schema declares (labels,
+// functions and patterns): the name's symbol and FuncInfo, whether the
+// target declares it and whether as data, its pattern-expanded content
+// model and, for a function, its expanded input type. Each of those models
+// that is one-unambiguous after expansion gets a DFA built straight from
+// its Glushkov positions (automata.GlushkovDFA) on the model's first use,
+// not by Compile: a request reaches few of the models a pair declares. All
+// the DFAs of one Compiled share a budget of dfaCellBudget cells. A model
+// that is ambiguous, which a compact-text schema or a pattern expansion can
+// produce, or whose DFA would overrun the budget, has none, and its words
+// step the shared derivative table instead, which decides the same words.
+// The static check, the tree executor and the streaming engine resolve node
+// labels through these entries, so a call-free word costs one DFA step per
+// child and takes no lock. Names neither schema declares still resolve
+// through Table.Intern.
+//
+// A Compiled is safe for concurrent use once Compile returns. funcs,
+// alphabet and the entries are frozen: they are keyed by declared names
+// and declared models, never by anything a request builds, and only read
+// afterwards. A model's DFA is written once, under the model's sync.Once,
+// before any reader sees it, so there are at most as many DFAs as declared
+// models. The pattern-expansion memo is lock-guarded, the lazy engine's
+// derivative table is itself concurrency-safe, and the word-verdict memo
+// (wordcache.go) is bounded and lock-guarded. Peers rely on this to serve
+// parallel requests from one cached analysis.
 type Compiled struct {
 	Table  *regex.Table
 	Sender *schema.Schema
@@ -51,6 +72,14 @@ type Compiled struct {
 
 	funcs    map[regex.Symbol]*FuncInfo
 	alphabet []regex.Symbol
+	// names holds the frozen entry of every declared name; see entry.
+	names map[string]*entry
+	// dfaMu serializes the first uses of the models' DFAs (dfaOf). It
+	// guards dfaCells, the cells of the DFAs built so far, and dfas, their
+	// number.
+	dfaMu    sync.Mutex
+	dfaCells int
+	dfas     int
 
 	expandedMu sync.RWMutex
 	expanded   map[string]*regex.Regex // memo: expandPatterns by regex key
@@ -66,6 +95,77 @@ type Compiled struct {
 	// instr carries the telemetry handles word-level analyses report into
 	// (instruments.go); nil disables instrumentation.
 	instr atomic.Pointer[Instruments]
+}
+
+// entry is what Compile freezes for one declared name. It is read without
+// locks and never written after Compile returns, but for the DFAs of its
+// models (dfaOf).
+type entry struct {
+	sym regex.Symbol
+	// fi is the name's function information; nil for non-functions.
+	fi *FuncInfo
+	// declared: the target declares the name as an element label; data: with
+	// atomic content.
+	declared, data bool
+	// content is the target content model of a declared structured label.
+	content model
+	// in is the input type of a function taking structured parameters.
+	in model
+}
+
+// dfaCellBudget bounds the cells of all the DFAs one Compiled builds: 1 MiB
+// of states. A DFA has (positions+1) × (symbols+1) cells, so without a
+// bound a receiver schema declaring a few long sequences of distinct names
+// could make one Compiled, and each entry of the compile cache, hold a
+// gigabyte of DFAs. Content models of a few dozen positions take a few
+// hundred cells each.
+const dfaCellBudget = 1 << 18
+
+// model is a declared word type, patterns expanded. Its DFA is built on
+// first use; see dfaOf.
+type model struct {
+	re *regex.Regex
+	// once builds dfa, which accepts L(re); dfa stays nil when re is not
+	// one-unambiguous or its DFA would overrun the Compiled's budget.
+	once sync.Once
+	dfa  *automata.DFA
+}
+
+// dfaOf returns m's DFA, building it on m's first use; nil when m has none.
+// Every call, the first included, returns after the DFA is written, so the
+// caller reads it without a lock.
+func (c *Compiled) dfaOf(m *model) *automata.DFA {
+	m.once.Do(func() {
+		c.dfaMu.Lock()
+		defer c.dfaMu.Unlock()
+		if d, ok := automata.GlushkovDFA(m.re, dfaCellBudget-c.dfaCells); ok {
+			m.dfa = d
+			c.dfaCells += d.Cells()
+			c.dfas++
+		}
+	})
+	return m.dfa
+}
+
+// symOf returns the symbol of a name whose entry is e (nil: undeclared, so
+// the name is interned).
+func (c *Compiled) symOf(e *entry, name string) regex.Symbol {
+	if e != nil {
+		return e.sym
+	}
+	return c.Table.Intern(name)
+}
+
+// symbol returns the symbol of a name.
+func (c *Compiled) symbol(name string) regex.Symbol { return c.symOf(c.names[name], name) }
+
+// funcOf returns the function information of a name, nil for names that
+// are not declared functions or patterns.
+func (c *Compiled) funcOf(name string) *FuncInfo {
+	if e := c.names[name]; e != nil {
+		return e.fi
+	}
+	return nil
 }
 
 // SetInstruments attaches telemetry instruments to this compiled analysis:
@@ -173,6 +273,45 @@ func Compile(sender, target *schema.Schema) *Compiled {
 	sigma := append(sender.Alphabet(), target.Alphabet()...)
 	sort.Slice(sigma, func(i, j int) bool { return sigma[i] < sigma[j] })
 	c.alphabet = dedup(sigma)
+
+	// Collect the distinct declared names first, so the entries are carved
+	// from one slice of exactly their number.
+	n := 0
+	for _, s := range []*schema.Schema{target, sender} {
+		n += len(s.Labels) + len(s.Funcs) + len(s.Patterns)
+	}
+	c.names = make(map[string]*entry, n)
+	for _, s := range []*schema.Schema{target, sender} {
+		for name := range s.Labels {
+			c.names[name] = nil
+		}
+		for name := range s.Funcs {
+			c.names[name] = nil
+		}
+		for name := range s.Patterns {
+			c.names[name] = nil
+		}
+	}
+	ents := make([]entry, len(c.names))
+	i := 0
+	// Every declared name is already interned, so the order of the map walk
+	// cannot change a symbol.
+	for name := range c.names {
+		e := &ents[i]
+		i++
+		e.sym = c.Table.Intern(name)
+		e.fi = c.funcs[e.sym]
+		if raw, isData, ok := target.Content(name); ok {
+			e.declared, e.data = true, isData
+			if !isData {
+				e.content.re = c.ExpandPatterns(raw)
+			}
+		}
+		if e.fi != nil && e.fi.In != nil {
+			e.in.re = c.ExpandPatterns(e.fi.In)
+		}
+		c.names[name] = e
+	}
 	return c
 }
 
@@ -303,24 +442,11 @@ func substitute(r *regex.Regex, subst map[regex.Symbol]*regex.Regex) *regex.Rege
 // ContentModel returns the (pattern-expanded) content model of a target
 // label; isData reports atomic content.
 func (c *Compiled) ContentModel(label string) (r *regex.Regex, isData, ok bool) {
-	raw, isData, ok := c.Target.Content(label)
-	if !ok || isData {
-		return nil, isData, ok
-	}
-	return c.ExpandPatterns(raw), false, true
-}
-
-// InputType returns the (pattern-expanded) input type of a function symbol;
-// exists is false when the symbol is not a function.
-func (c *Compiled) InputType(sym regex.Symbol) (r *regex.Regex, isData bool, exists bool) {
-	fi := c.funcs[sym]
-	if fi == nil {
+	e := c.names[label]
+	if e == nil || !e.declared {
 		return nil, false, false
 	}
-	if fi.In == nil {
-		return nil, true, true
-	}
-	return c.ExpandPatterns(fi.In), false, true
+	return e.content.re, e.data, true
 }
 
 func (c *Compiled) symName(s regex.Symbol) string { return c.Table.Name(s) }

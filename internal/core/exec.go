@@ -295,11 +295,11 @@ func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 		return nil
 	}
 	params := nodePath{up: at.box(), label: f.Label, index: paramStep}
-	in, isData, exists := c.InputType(c.Table.Intern(f.Label))
-	if !exists {
+	e := c.names[f.Label]
+	if e == nil || e.fi == nil {
 		return fail(&NotSafeError{Path: at.String(), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)})
 	}
-	if isData {
+	if e.fi.In == nil {
 		kids, err := ex.collapseToData(f.Children, params)
 		if err != nil {
 			return fail(err)
@@ -309,7 +309,7 @@ func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 		return nil
 	}
 	proven := ex.st.proof != nil && ex.st.proof.paramsOK[f]
-	kids, err := ex.forest(f.Children, in, params, proven)
+	kids, err := ex.forest(f.Children, e.in.re, params, proven)
 	if err != nil {
 		return fail(err)
 	}
@@ -328,7 +328,7 @@ func (ex *executor) collapseToData(children []*doc.Node, at nodePath) ([]*doc.No
 		case doc.Text:
 			out = append(out, ch)
 		case doc.Func:
-			fi := c.Func(c.Table.Intern(ch.Label))
+			fi := c.funcOf(ch.Label)
 			if fi == nil || !fi.Invocable || fi.Out != nil || ex.rw.K < 1 {
 				return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("cannot collapse %q to atomic data", ch.Label)}
 			}
@@ -354,15 +354,14 @@ func (ex *executor) collapseToData(children []*doc.Node, at nodePath) ([]*doc.No
 // element's function-free word was settled by the static check and is
 // left as it is.
 func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
-	c := ex.rw.Compiled
-	content, isData, declared := c.ContentModel(e.Label)
-	if !declared {
+	ent := ex.rw.Compiled.names[e.Label]
+	if ent == nil || !ent.declared {
 		if ex.rw.ctx.Strict {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
 		}
 		return nil
 	}
-	if isData {
+	if ent.data {
 		kids, err := ex.collapseToData(e.Children, at)
 		if err != nil {
 			return err
@@ -378,7 +377,7 @@ func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
 	kids, fresh := e.Children, []bool(nil)
 	if !proven || hasFunc(kids) {
 		var err error
-		if kids, fresh, err = ex.rewriteWord(e.Children, content, at); err != nil {
+		if kids, fresh, err = ex.rewriteWord(e.Children, ent.content.re, at); err != nil {
 			return err
 		}
 		e.Children = kids
@@ -547,8 +546,7 @@ func (ex *executor) callable(it *item) bool {
 	if ex.isFrozen(it.node) {
 		return false
 	}
-	c := ex.rw.Compiled
-	fi := c.Func(c.Table.Intern(it.node.Label))
+	fi := ex.rw.Compiled.funcOf(it.node.Label)
 	if fi == nil || !fi.Invocable {
 		return false
 	}
@@ -565,7 +563,7 @@ func (w *wordRun) tokens() []Token {
 		if it.node.Kind == doc.Text {
 			continue
 		}
-		tok := Token{Sym: c.Table.Intern(it.node.Label), Node: it.node, Depth: it.depth}
+		tok := Token{Sym: c.symbol(it.node.Label), Node: it.node, Depth: it.depth}
 		if it.node.Kind == doc.Func && (it.kept || !ex.callable(it)) {
 			tok.Frozen = true
 		}
@@ -621,9 +619,8 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 			res = fixed
 		}
 	}
-	c := ex.rw.Compiled
 	var cost float64
-	if fi := c.Func(c.Table.Intern(call.Label)); fi != nil {
+	if fi := ex.rw.Compiled.funcOf(call.Label); fi != nil {
 		cost = fi.Cost
 	}
 	ex.audit.Record(CallRecord{Func: call.Label, Depth: depth, Cost: cost,
@@ -673,7 +670,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 			keep(n)
 			continue
 		}
-		fi := c.Func(c.Table.Intern(n.Label))
+		fi := c.funcOf(n.Label)
 		if fi == nil || !fi.Invocable || !pred(fi) {
 			keep(n)
 			continue

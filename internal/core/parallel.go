@@ -309,8 +309,7 @@ func (w *wordRun) decideParallel() error {
 // quantifying over the output language is the same as splicing the actual
 // result, which makes verdicts fixed while the call is in flight exact.
 func (ex *executor) singletonOutput(n *doc.Node) bool {
-	c := ex.rw.Compiled
-	fi := c.Func(c.Table.Intern(n.Label))
+	fi := ex.rw.Compiled.funcOf(n.Label)
 	if fi == nil {
 		return false
 	}
@@ -455,7 +454,7 @@ func (ex *executor) gatherPre(container *doc.Node, depth int, at nodePath, pred 
 		if n.Kind != doc.Func || d >= ex.rw.K {
 			continue
 		}
-		fi := c.Func(c.Table.Intern(n.Label))
+		fi := c.funcOf(n.Label)
 		if fi == nil || !fi.Invocable || !pred(fi) {
 			continue
 		}

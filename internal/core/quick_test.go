@@ -315,3 +315,143 @@ func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the entries Compile freezes equal the locked lookups they
+// replace, and a model's DFA decides membership as the derivative table
+// and regex.Match do. Over random schema pairs — a random sender with
+// functions, and a target over an overlay of its table (as /exchange
+// parses receivers) with a pattern matching a sender function, a function
+// of its own, data and structured labels, and random content models mixing
+// labels, functions, the pattern, a name neither schema declares,
+// wildcards and negated classes — every declared name's entry holds its
+// Table.Intern symbol, its Func, its target declaration and the
+// pattern-expanded content model and input type, with a DFA exactly when that
+// model is one-unambiguous (these models all fit the Compiled's cell
+// budget); on random words, also over symbols neither
+// schema declares, the DFA accepts what Compiled.member and regex.Match do.
+func TestQuickFrozenEntries(t *testing.T) {
+	dfas := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sender := workload.RandomSchema(rng, workload.Options{Labels: 3, Funcs: 3})
+		target := schema.NewShared(sender.Table.Overlay())
+		f0 := sender.Funcs["f0"]
+		out := "data"
+		if f0.Out != nil {
+			out = f0.Out.String(sender.Table)
+		}
+		mustDo := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
+		mustDo(target.SetPattern("P", f0.In.String(sender.Table), out, nil))
+		mustDo(target.SetFunc("g", "d0.d1?", "data"))
+		tab := target.Table
+		pool := []regex.Symbol{tab.Intern("P"), tab.Intern("g"), tab.Intern("undeclared")}
+		for _, n := range append(sender.SortedLabels(), sender.SortedFuncs()...) {
+			pool = append(pool, tab.Intern(n))
+		}
+		var gen func(depth int) *regex.Regex
+		gen = func(depth int) *regex.Regex {
+			if depth == 0 || rng.Intn(3) == 0 {
+				switch rng.Intn(8) {
+				case 0:
+					return regex.Any()
+				case 1:
+					return regex.ClassOf(regex.NewClass(true, pool[rng.Intn(len(pool))]))
+				default:
+					return regex.Sym(pool[rng.Intn(len(pool))])
+				}
+			}
+			switch rng.Intn(4) {
+			case 0:
+				return regex.Concat(gen(depth-1), gen(depth-1))
+			case 1:
+				return regex.Alt(gen(depth-1), gen(depth-1))
+			case 2:
+				return regex.Star(gen(depth - 1))
+			default:
+				return regex.Opt(gen(depth - 1))
+			}
+		}
+		for _, n := range []string{"e0", "e1", "d0", "t0", "t1"} {
+			if rng.Intn(4) == 0 {
+				mustDo(target.SetData(n))
+			} else {
+				mustDo(target.SetLabelRegex(n, gen(3)))
+			}
+		}
+		c := Compile(sender, target)
+		word := func() []Token {
+			w := make([]Token, rng.Intn(6))
+			for i := range w {
+				w[i] = Token{Sym: pool[rng.Intn(len(pool))]}
+				if rng.Intn(5) == 0 {
+					w[i].Sym = tab.Intern("stray")
+				}
+			}
+			return w
+		}
+		checkModel := func(name string, m *model, want *regex.Regex) bool {
+			d := c.dfaOf(m)
+			if !m.re.Equal(want) || (d != nil) != regex.Deterministic(m.re) {
+				t.Logf("seed %d: %s: model %s, want %s, DFA %t", seed, name, m.re.String(tab), want.String(tab), d != nil)
+				return false
+			}
+			if d == nil {
+				return true
+			}
+			dfas++
+			for i := 0; i < 10; i++ {
+				w := word()
+				syms := make([]regex.Symbol, len(w))
+				for j, tok := range w {
+					syms[j] = tok.Sym
+				}
+				in := d.Accepts(syms)
+				if in != c.member(w, m.re) || in != regex.Match(m.re, syms) {
+					t.Logf("seed %d: %s: %v in %s: DFA %t, derivatives %t, regex.Match %t",
+						seed, name, syms, m.re.String(tab), in, c.member(w, m.re), regex.Match(m.re, syms))
+					return false
+				}
+			}
+			return true
+		}
+		for _, s := range []*schema.Schema{sender, target} {
+			for _, names := range [][]string{s.SortedLabels(), s.SortedFuncs(), s.SortedPatterns()} {
+				for _, name := range names {
+					e := c.names[name]
+					sym := c.Table.Intern(name)
+					if e == nil || e.sym != sym || e.fi != c.Func(sym) {
+						t.Logf("seed %d: %s: entry %+v, symbol %d, Func %v", seed, name, e, sym, c.Func(sym))
+						return false
+					}
+					raw, isData, declared := target.Content(name)
+					if e.declared != declared || e.data != isData {
+						t.Logf("seed %d: %s: declared %t data %t, want %t %t", seed, name, e.declared, e.data, declared, isData)
+						return false
+					}
+					if declared && !isData && !checkModel(name, &e.content, c.ExpandPatterns(raw)) {
+						return false
+					}
+					if fi := c.Func(sym); fi != nil && fi.In != nil {
+						if !checkModel(name+" input", &e.in, c.ExpandPatterns(fi.In)) {
+							return false
+						}
+					} else if e.in.re != nil {
+						t.Logf("seed %d: %s: input model %s for a non-function or data input", seed, name, e.in.re.String(tab))
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if dfas < 200 {
+		t.Errorf("only %d models had a DFA", dfas)
+	}
+}

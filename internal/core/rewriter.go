@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"axml/internal/automata"
 	"axml/internal/doc"
 	"axml/internal/regex"
 	"axml/internal/schema"
@@ -292,7 +294,11 @@ func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode)
 // the executors consult it to skip the words the proof already settled.
 func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode) (*staticCheck, error) {
 	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]bool{}}
-	if err := sc.forest(forest, typ, nil); err != nil {
+	// typ is built per request, as a document type is: it gets no DFA, so
+	// the Compiled keeps nothing of it.
+	sc.top.re = typ
+	sc.top.once.Do(func() {})
+	if err := sc.forest(forest, &sc.top, nil); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -316,12 +322,19 @@ type staticCheck struct {
 	// fully consumes its token slice before the next one is built (the word
 	// engines never retain it), so one allocation serves every forest.
 	scratch []Token
+	// ents is a stack of the entries of the words being checked, one run
+	// per word from the root to the current one: word() pushes the entries
+	// of a word's nodes, which each node's own check receives, and the
+	// word's check pops them when done. So every label is resolved once.
+	ents []*entry
+	// top is the word type of the checked forest.
+	top model
 }
 
 // forest checks one forest against a word type: parameters bottom-up, then
 // the root-label word, then each element subtree top-down. at is the path
 // of the node whose children the forest is (nil at the top).
-func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, at *nodePath) error {
+func (sc *staticCheck) forest(forest []*doc.Node, typ *model, at *nodePath) error {
 	for _, tree := range forest {
 		funcs, _ := sc.funcsBottomUp(tree, nil)
 		for _, f := range funcs {
@@ -332,7 +345,9 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, at *nodePath
 			sc.paramsOK[f] = ok
 		}
 	}
-	ok, err := sc.wordOK(sc.tokens(forest), typ)
+	base := len(sc.ents)
+	defer func() { sc.ents = sc.ents[:base] }()
+	ok, err := sc.word(forest, typ)
 	if err != nil {
 		return err
 	}
@@ -340,15 +355,26 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, at *nodePath
 		return &NotSafeError{
 			Path: pathAt(at),
 			Msg: fmt.Sprintf("word %v does not %s-rewrite into %s within depth %d",
-				forestLabels(forest), sc.mode, typ.String(sc.rw.Compiled.Table), sc.rw.K),
+				forestLabels(forest), sc.mode, typ.re.String(sc.rw.Compiled.Table), sc.rw.K),
 		}
 	}
-	for i, tree := range forest {
-		if tree.Kind == doc.Element {
-			if err := sc.element(tree, nodePath{up: at, label: tree.Label, index: i}); err != nil {
+	return sc.elements(forest, base, at)
+}
+
+// elements checks the element subtrees of a word whose entries word()
+// pushed at base; at is the path of the node whose children they are.
+func (sc *staticCheck) elements(word []*doc.Node, base int, at *nodePath) error {
+	j := base
+	for i, n := range word {
+		switch n.Kind {
+		case doc.Text:
+			continue
+		case doc.Element:
+			if err := sc.element(n, sc.ents[j], nodePath{up: at, label: n.Label, index: i}); err != nil {
 				return err
 			}
 		}
+		j++
 	}
 	return nil
 }
@@ -386,12 +412,11 @@ func (sc *staticCheck) funcParams(f *doc.Node, at *nodePath) (bool, error) {
 		}
 		return false, nil
 	}
-	c := sc.rw.Compiled
-	in, isData, exists := c.InputType(c.Table.Intern(f.Label))
-	if !exists {
+	e := sc.rw.Compiled.names[f.Label]
+	if e == nil || e.fi == nil {
 		return fail(fmt.Sprintf("function %q is not declared by either schema", f.Label))
 	}
-	if isData {
+	if e.fi.In == nil {
 		if !sc.dataChildrenOK(f.Children) {
 			return fail(fmt.Sprintf("parameters of %q cannot become atomic data", f.Label))
 		}
@@ -401,7 +426,7 @@ func (sc *staticCheck) funcParams(f *doc.Node, at *nodePath) (bool, error) {
 	// sub-check whose verdict freezes f instead of failing, unless strict.
 	sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK, holdsCalls: sc.holdsCalls}
 	params := nodePath{up: at, label: f.Label, index: paramStep}
-	if err := sub.forest(f.Children, in, &params); err != nil {
+	if err := sub.forest(f.Children, &e.in, &params); err != nil {
 		if sc.rw.StrictParams {
 			return false, err
 		}
@@ -428,7 +453,7 @@ func (sc *staticCheck) dataChildrenOK(children []*doc.Node) bool {
 		case doc.Text:
 			continue
 		case doc.Func:
-			fi := c.Func(c.Table.Intern(ch.Label))
+			fi := c.funcOf(ch.Label)
 			if fi == nil || !fi.Invocable || fi.Out != nil || sc.rw.K < 1 {
 				return false
 			}
@@ -448,17 +473,17 @@ func (sc *staticCheck) dataChildrenOK(children []*doc.Node) bool {
 	return true
 }
 
-// element checks one element subtree top-down; at is the element's path.
-func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
+// element checks one element subtree top-down; ent is the entry of its
+// label (nil: undeclared) and at its path.
+func (sc *staticCheck) element(e *doc.Node, ent *entry, at nodePath) error {
 	c := sc.rw.Compiled
-	content, isData, declared := c.ContentModel(e.Label)
-	if !declared {
+	if ent == nil || !ent.declared {
 		if sc.rw.ctx.Strict {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q is not declared by the target schema", e.Label)}
 		}
 		return nil // wildcard territory: unconstrained
 	}
-	if isData {
+	if ent.data {
 		if !sc.dataChildrenOK(e.Children) {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("data element %q contains children that cannot become atomic data", e.Label)}
 		}
@@ -470,7 +495,9 @@ func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
 		}
 	}
-	ok, err := sc.wordOK(sc.tokens(e.Children), content)
+	base := len(sc.ents)
+	defer func() { sc.ents = sc.ents[:base] }()
+	ok, err := sc.word(e.Children, &ent.content)
 	if err != nil {
 		return err
 	}
@@ -478,54 +505,73 @@ func (sc *staticCheck) element(e *doc.Node, at nodePath) error {
 		return &NotSafeError{
 			Path: at.String(),
 			Msg: fmt.Sprintf("children %v do not %s-rewrite into %s within depth %d",
-				e.ChildLabels(), sc.mode, content.String(c.Table), sc.rw.K),
+				e.ChildLabels(), sc.mode, ent.content.re.String(c.Table), sc.rw.K),
 		}
 	}
-	for i, ch := range e.Children {
-		if ch.Kind == doc.Element {
-			if err := sc.element(ch, nodePath{up: &at, label: ch.Label, index: i}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return sc.elements(e.Children, base, &at)
 }
 
-// wordOK decides one word of the check. A word naming no function has no
-// fork: its automaton A_w^k is the word itself, so in every mode and engine
-// its verdict is membership in the content model. Such words step the
-// Compiled's shared derivative table instead of building a word-verdict
-// memo key; words with a function go through the memo.
-func (sc *staticCheck) wordOK(tokens []Token, typ *regex.Regex) (bool, error) {
+// word decides one word of the check against typ, pushing the entries of
+// its nodes onto ents. A word naming no function has no fork: its
+// automaton A_w^k is the word itself, so in every mode and engine its
+// verdict is membership in the content model. Such a word takes one step of
+// the model's DFA per node, or steps the Compiled's shared derivative table
+// when the model has no DFA, and builds no word-verdict memo key; a word
+// with a function goes through the memo.
+func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 	c := sc.rw.Compiled
-	for _, t := range tokens {
-		if c.Func(t.Sym) != nil {
-			return sc.rw.wordOK(tokens, typ, sc.mode)
+	base := len(sc.ents)
+	sc.ents = slices.Grow(sc.ents, len(forest))
+	calls := false
+	for _, n := range forest {
+		if n.Kind != doc.Text {
+			e := c.names[n.Label]
+			sc.ents = append(sc.ents, e)
+			calls = calls || e != nil && e.fi != nil
 		}
+	}
+	if calls {
+		return sc.rw.wordOK(sc.tokens(forest, base), typ.re, sc.mode)
 	}
 	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
-	return c.member(tokens, typ), nil
-}
-
-// tokens builds word tokens from a forest, freezing functions whose
-// parameters cannot be fixed and resolving pattern admissibility: a function
-// token is frozen when it cannot be invoked.
-func (sc *staticCheck) tokens(forest []*doc.Node) []Token {
-	c := sc.rw.Compiled
-	out := sc.scratch[:0]
-	defer func() { sc.scratch = out }()
-	for _, ch := range forest {
-		if ch.Kind == doc.Text {
+	d := c.dfaOf(typ)
+	if d == nil {
+		return c.member(sc.tokens(forest, base), typ.re), nil
+	}
+	// A symbol the model does not mention, declared or not, takes the DFA's
+	// other column, so the steps decide membership for every word.
+	s, j := d.Start, base
+	for _, n := range forest {
+		if n.Kind == doc.Text {
 			continue
 		}
-		tok := Token{Sym: c.Table.Intern(ch.Label), Node: ch}
-		if ch.Kind == doc.Func {
-			if ok := sc.paramsOK[ch]; !ok {
-				tok.Frozen = true
-			}
+		if s = d.Step(s, c.symOf(sc.ents[j], n.Label)); s == automata.NoState {
+			return false, nil
+		}
+		j++
+	}
+	return d.Accept[s], nil
+}
+
+// tokens builds the word tokens of a forest whose entries word() pushed at
+// base, freezing functions whose parameters cannot be fixed: a function
+// token is frozen when it cannot be invoked.
+func (sc *staticCheck) tokens(forest []*doc.Node, base int) []Token {
+	c := sc.rw.Compiled
+	out := slices.Grow(sc.scratch[:0], len(forest))
+	j := base
+	for _, n := range forest {
+		if n.Kind == doc.Text {
+			continue
+		}
+		tok := Token{Sym: c.symOf(sc.ents[j], n.Label), Node: n}
+		if n.Kind == doc.Func && !sc.paramsOK[n] {
+			tok.Frozen = true
 		}
 		out = append(out, tok)
+		j++
 	}
+	sc.scratch = out
 	return out
 }
 

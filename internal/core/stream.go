@@ -387,7 +387,8 @@ type streamEngine struct {
 	curNodes, peakNodes int
 }
 
-// labelInfo is the per-rewrite memo of one element label.
+// labelInfo is the per-rewrite memo of one element label, seeded from the
+// label's frozen entry.
 type labelInfo struct {
 	sym      regex.Symbol
 	content  *regex.Regex
@@ -402,8 +403,11 @@ type labelInfo struct {
 func (g *streamEngine) label(l string) *labelInfo {
 	li := g.labels[l]
 	if li == nil {
-		li = &labelInfo{sym: g.c.Table.Intern(l)}
-		li.content, li.isData, li.declared = g.c.ContentModel(l)
+		e := g.c.names[l]
+		li = &labelInfo{sym: g.c.symOf(e, l)}
+		if e != nil && e.declared {
+			li.content, li.isData, li.declared = e.content.re, e.data, true
+		}
 		g.labels[l] = li
 	}
 	return li
@@ -680,7 +684,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 		if n.Kind == doc.Text {
 			continue
 		}
-		tok := Token{Sym: g.c.Table.Intern(n.Label), Node: n}
+		tok := Token{Sym: g.c.symbol(n.Label), Node: n}
 		if n.Kind == doc.Func && !ex.callable(&item{node: n}) {
 			tok.Frozen = true
 		}

@@ -195,34 +195,44 @@ func (n *Node) SpineCopy() *Node {
 	if n == nil {
 		return nil
 	}
-	var s spiner
-	var holds bool
-	if s.spine, holds = s.size(n, make([]*Node, 0, 16)); !holds {
+	spine, _ := appendSpine(n, make([]*Node, 0, 16))
+	return n.SpineCopyAlong(spine)
+}
+
+// SpineCopyAlong returns what SpineCopy returns, given n's spine: the
+// elements of n that hold a function node outside every function's
+// parameters, in document order (xmlio.Rendering records it once per stored
+// version). Where SpineCopy walks all of n to find the spine, SpineCopyAlong
+// visits only the spine elements, their child lists and the function
+// subtrees, so its cost follows the calls, not the document.
+func (n *Node) SpineCopyAlong(spine []*Node) *Node {
+	switch {
+	case n == nil:
+		return nil
+	case n.Kind == Func:
+		return n.Clone()
+	case len(spine) == 0:
 		return n
 	}
-	s.c.alloc()
-	if n.Kind == Func {
-		return s.c.clone(n)
+	s := spiner{spine: spine}
+	for _, e := range spine {
+		s.c.count(e)
+		for _, ch := range e.Children {
+			if ch.Kind == Func {
+				s.c.size(ch)
+			}
+		}
 	}
+	s.c.alloc()
 	return s.copy(n)
 }
 
-// spiner sizes a spine copy, then builds it from a cloner's storage. spine
-// lists the spine elements in document order; the copy pass meets them in
-// the same order.
-type spiner struct {
-	c     cloner
-	spine []*Node
-	next  int
-}
-
-// size reports whether n's subtree holds a function node, appending n to
-// spine when it is an element that does, and counts the storage the copy
-// needs.
-func (s *spiner) size(n *Node, spine []*Node) ([]*Node, bool) {
+// appendSpine reports whether n's subtree holds a function node outside
+// every function's parameters, appending to spine, in document order, the
+// elements of the subtree that do.
+func appendSpine(n *Node, spine []*Node) ([]*Node, bool) {
 	switch n.Kind {
 	case Func:
-		s.c.size(n)
 		return spine, true
 	case Text:
 		return spine, false
@@ -232,15 +242,23 @@ func (s *spiner) size(n *Node, spine []*Node) ([]*Node, bool) {
 	holds := false
 	for _, ch := range n.Children {
 		var h bool
-		if spine, h = s.size(ch, spine); h {
+		if spine, h = appendSpine(ch, spine); h {
 			holds = true
 		}
 	}
 	if !holds {
 		return spine[:at], false
 	}
-	s.c.count(n)
 	return spine, true
+}
+
+// spiner builds a spine copy from a cloner's storage. spine lists the
+// spine elements in document order; the copy pass meets them in the same
+// order.
+type spiner struct {
+	c     cloner
+	spine []*Node
+	next  int
 }
 
 // copy copies the spine element n, which is s.spine[s.next].

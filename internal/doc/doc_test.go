@@ -332,6 +332,75 @@ func TestSpineCopy(t *testing.T) {
 	}
 }
 
+// spineOf lists n's spine in document order: the elements holding a
+// function node outside every function's parameters.
+func spineOf(n *Node, out []*Node) []*Node {
+	if n.Kind != Element || !n.HasFuncs() {
+		return out
+	}
+	out = append(out, n)
+	for _, c := range n.Children {
+		out = spineOf(c, out)
+	}
+	return out
+}
+
+// sameCopy reports whether a and b, two copies of the tree orig, match node
+// for node: where one shares a node of orig the other shares the same node,
+// and where one copies a node the other copies it into the same shape.
+func sameCopy(a, b *Node, orig map[*Node]bool) bool {
+	if orig[a] || orig[b] {
+		return a == b
+	}
+	if a.Kind != b.Kind || a.Label != b.Label || a.Value != b.Value ||
+		(a.Service == nil) != (b.Service == nil) || a.Service != nil && *a.Service != *b.Service ||
+		len(a.Children) != len(b.Children) || cap(a.Children) != cap(b.Children) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameCopy(a.Children[i], b.Children[i], orig) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSpineCopyAlong: driven by the tree's spine, the copy matches
+// SpineCopy node for node, and its allocations grow with neither the
+// shared part nor the walk SpineCopy makes over it.
+func TestSpineCopyAlong(t *testing.T) {
+	fixtures := []*Node{
+		Elem("report", Elem("title", TextNode("t")), Elem("block", Elem("para", TextNode("p"))),
+			Elem("block", Elem("heading", TextNode("h")), Call("F", Elem("key", Call("G")))), TextNode("tail")),
+		Elem("a", Elem("b", TextNode("x"))),
+		Call("R", Elem("p", Call("Q"))),
+		Elem("news", Elem("x", Elem("y", CallAt(ServiceRef{Method: "G", Endpoint: "e"}))), Call("H"), Elem("z")),
+	}
+	for _, d := range fixtures {
+		orig := map[*Node]bool{}
+		d.Walk(func(n *Node) bool { orig[n] = true; return true })
+		want := d.SpineCopy()
+		if got := d.SpineCopyAlong(spineOf(d, nil)); !sameCopy(got, want, orig) {
+			t.Errorf("copy along the spine of\n%s\ndiffers from SpineCopy", d)
+		}
+	}
+	if (*Node)(nil).SpineCopyAlong(nil) != nil {
+		t.Error("nil spine copy")
+	}
+	allocs := func(blocks int) float64 {
+		d := Elem("root")
+		for i := 0; i < blocks; i++ {
+			d.Children = append(d.Children, Elem("block", Elem("para", TextNode("text"))))
+		}
+		d.Children = append(d.Children, Elem("block", Call("f", Elem("k", TextNode("v")))))
+		spine := spineOf(d, nil)
+		return testing.AllocsPerRun(20, func() { d.SpineCopyAlong(spine) })
+	}
+	if small, large := allocs(10), allocs(1000); large != small {
+		t.Errorf("SpineCopyAlong = %v allocations at 1000 shared blocks, %v at 10", large, small)
+	}
+}
+
 // TestSpineCopyAllocations: like Clone, a spine copy is carved from one
 // allocation per kind, so its allocations do not grow with the shared part.
 func TestSpineCopyAllocations(t *testing.T) {

@@ -409,11 +409,18 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 	// version's second exchange on, their stored bytes are spliced in from
 	// its rendering, and only the rewritten spine and the returned forests
 	// are printed; the first exchange, with no rendering, prints it all.
+	// The rendering also records the spine, so the copy need not walk the
+	// stored tree to find it.
 	d, stored, ok := p.Repo.GetRendered(name)
 	if !ok {
 		err := p.noDocument(name)
 		http.Error(w, err.Error(), exchangeErrorStatus(err))
 		return
+	}
+	if stored != nil {
+		d = d.SpineCopyAlong(stored.Spine())
+	} else {
+		d = d.SpineCopy()
 	}
 	out, err := p.send(r.Context(), name, d, exchange, mode)
 	if err != nil {

@@ -259,7 +259,7 @@ func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *s
 	if !ok {
 		return nil, p.noDocument(name)
 	}
-	return p.send(ctx, name, d, exchange, mode)
+	return p.send(ctx, name, d.SpineCopy(), exchange, mode)
 }
 
 // noDocument is the error of a send naming a document the store lacks.
@@ -267,11 +267,11 @@ func (p *Peer) noDocument(name string) error {
 	return fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
 }
 
-// send rewrites a spine copy of the stored tree d (doc.Node.SpineCopy):
+// send rewrites d, a spine copy of a stored tree (doc.Node.SpineCopy):
 // rewriting writes only into the copied spine and the deep-copied function
-// subtrees, so d, shared with every other reader, stays untouched.
+// subtrees, so the stored tree, shared with every other reader, stays
+// untouched.
 func (p *Peer) send(ctx context.Context, name string, d *doc.Node, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
-	d = d.SpineCopy()
 	st := telemetry.StagesFrom(ctx)
 	var t0 time.Time
 	if st != nil {

@@ -50,6 +50,34 @@ type parser struct {
 	pos int
 }
 
+// maxPositions bounds the positions of a parsed expression: its symbol and
+// class leaves, counted with their repetitions, as Positions numbers them.
+// Without it a few bytes of repetition bounds could demand unbounded memory
+// and time (a{999999999}, or ((a+)+)+ nested thirty deep), and the automata
+// built per content model grow with the square of its positions. XML
+// Schema_int content models have the same bound.
+const maxPositions = 1 << 12
+
+// positions counts the leaf positions of r.
+func positions(r *Regex) int {
+	if r.Op == OpSym || r.Op == OpClass {
+		return 1
+	}
+	n := 0
+	for _, s := range r.Subs {
+		n += positions(s)
+	}
+	return n
+}
+
+// bounded refuses an expression of n positions beyond maxPositions.
+func (p *parser) bounded(n int) error {
+	if n > maxPositions {
+		return p.errorf("expression expands beyond %d positions", maxPositions)
+	}
+	return nil
+}
+
 func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("regex: parse %q at offset %d: %s", p.src, p.pos, fmt.Sprintf(format, args...))
 }
@@ -73,6 +101,7 @@ func (p *parser) alt() (*Regex, error) {
 		return nil, err
 	}
 	parts := []*Regex{first}
+	n := positions(first)
 	for {
 		p.skipSpace()
 		if p.peek() != '|' {
@@ -82,6 +111,9 @@ func (p *parser) alt() (*Regex, error) {
 		next, err := p.cat()
 		if err != nil {
 			return nil, err
+		}
+		if n += positions(next); n > maxPositions {
+			return nil, p.bounded(n)
 		}
 		parts = append(parts, next)
 	}
@@ -94,6 +126,7 @@ func (p *parser) cat() (*Regex, error) {
 		return nil, err
 	}
 	parts := []*Regex{first}
+	n := positions(first)
 	for {
 		p.skipSpace()
 		if p.peek() != '.' {
@@ -103,6 +136,9 @@ func (p *parser) cat() (*Regex, error) {
 		next, err := p.rep()
 		if err != nil {
 			return nil, err
+		}
+		if n += positions(next); n > maxPositions {
+			return nil, p.bounded(n)
 		}
 		parts = append(parts, next)
 	}
@@ -122,6 +158,9 @@ func (p *parser) rep() (*Regex, error) {
 			r = Star(r)
 		case '+':
 			p.pos++
+			if err := p.bounded(2 * positions(r)); err != nil {
+				return nil, err
+			}
 			r = Plus(r)
 		case '?':
 			p.pos++
@@ -130,6 +169,21 @@ func (p *parser) rep() (*Regex, error) {
 			p.pos++
 			min, max, err := p.bounds()
 			if err != nil {
+				return nil, err
+			}
+			// r{min,max} holds max copies of r, and r{min,} min+1; the
+			// copies are bounded first, since r may have no position.
+			if err := p.bounded(min); err != nil {
+				return nil, err
+			}
+			copies := max
+			if max == Unbounded {
+				copies = min + 1
+			}
+			if err := p.bounded(copies); err != nil {
+				return nil, err
+			}
+			if err := p.bounded(copies * positions(r)); err != nil {
 				return nil, err
 			}
 			r = Repeat(r, min, max)

@@ -272,6 +272,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBoundsExpansion: repetition is expanded, so Parse refuses an
+// expression beyond maxPositions positions before building it, whether a
+// single bound, nested repetition or a concatenation asks for it, and
+// accepts one at the bound.
+func TestParseBoundsExpansion(t *testing.T) {
+	tab := NewTable()
+	for _, src := range []string{
+		"a{4097}", "a{4097,}", "a{4096,}", "(){999999999}", "a{0,9223372036854775807}",
+		"(a.b){2049}", "((((((((((((a+)+)+)+)+)+)+)+)+)+)+)+)+", "a{3000}.b{3000}", "a{3000}|b{3000}",
+	} {
+		if _, err := Parse(tab, src); err == nil || !strings.Contains(err.Error(), "positions") {
+			t.Errorf("Parse(%q) = %v, want a refusal beyond %d positions", src, err, maxPositions)
+		}
+	}
+	for _, src := range []string{"a{4096}", "(a.b){2048}", "a{2048}.(b|c){1024}", "a{4095,}"} {
+		r, err := Parse(tab, src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		if n := len(Positions(r).Classes); n > maxPositions {
+			t.Errorf("Parse(%q) has %d positions", src, n)
+		}
+	}
+}
+
 func TestKeyCanonicalization(t *testing.T) {
 	tab := NewTable()
 	a, b := Sym(sym(tab, "a")), Sym(sym(tab, "b"))

@@ -403,3 +403,34 @@ func TestSigsSchemaSeparateFromTarget(t *testing.T) {
 		t.Errorf("pattern match through sender signatures failed: %v", err)
 	}
 }
+
+// TestMatchWordAllocations: MatchWord cuts every letter from one backing
+// slice, so its allocations do not grow with the word: the same at 10 and
+// at 1,000 element children, next to a function read through a pattern.
+func TestMatchWordAllocations(t *testing.T) {
+	s := MustParseText(`
+elem report = title.block*.(Forecast|temp)
+elem title = data
+elem block = data
+elem temp = data
+elem city = data
+func Get_Temp = city -> temp
+pattern Forecast = city -> temp
+`, nil)
+	c := NewContext(s, nil)
+	model := s.Labels["report"].Content
+	allocs := func(blocks int) float64 {
+		kids := []*doc.Node{doc.Elem("title")}
+		for i := 0; i < blocks; i++ {
+			kids = append(kids, doc.Elem("block"), doc.TextNode(" "))
+		}
+		kids = append(kids, doc.Call("Get_Temp", doc.Elem("city")))
+		if !c.MatchWord(model, kids) {
+			t.Fatalf("%d blocks and a call to a Forecast do not match %s", blocks, model.String(s.Table))
+		}
+		return testing.AllocsPerRun(20, func() { c.MatchWord(model, kids) })
+	}
+	if small, large := allocs(10), allocs(1000); large != small {
+		t.Errorf("MatchWord = %v allocations at 1,000 children, %v at 10", large, small)
+	}
+}

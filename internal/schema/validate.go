@@ -60,8 +60,12 @@ func (c *Context) LookupLabel(name string) *LabelDef {
 // every declared pattern that admits it (predicate passes and signatures
 // agree).
 func (c *Context) AdmissibleSyms(n *doc.Node) []regex.Symbol {
-	sym := c.Target.Table.Intern(n.Label)
-	out := []regex.Symbol{sym}
+	return c.appendAdmissible(nil, n)
+}
+
+// appendAdmissible appends n's admissible symbols (AdmissibleSyms) to out.
+func (c *Context) appendAdmissible(out []regex.Symbol, n *doc.Node) []regex.Symbol {
+	out = append(out, c.Target.Table.Intern(n.Label))
 	if n.Kind != doc.Func {
 		return out
 	}
@@ -135,14 +139,25 @@ func matchLetters(r *regex.Regex, letters [][]regex.Symbol) bool {
 }
 
 // MatchWord reports whether the (non-text) children of a node, resolved
-// through patterns, form a word of the content model r.
+// through patterns, form a word of the content model r. Every letter is a
+// sub-slice of one backing slice of symbols: an element contributes its own
+// symbol, a function its admissible set.
 func (c *Context) MatchWord(r *regex.Regex, children []*doc.Node) bool {
-	letters := make([][]regex.Symbol, 0, len(children))
+	syms := make([]regex.Symbol, 0, len(children))
+	ends := make([]int, 0, len(children))
 	for _, ch := range children {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		letters = append(letters, c.AdmissibleSyms(ch))
+		syms = c.appendAdmissible(syms, ch)
+		ends = append(ends, len(syms))
+	}
+	// The letters are cut once the backing slice has stopped growing.
+	letters := make([][]regex.Symbol, len(ends))
+	start := 0
+	for i, end := range ends {
+		letters[i] = syms[start:end:end]
+		start = end
 	}
 	return matchLetters(r, letters)
 }

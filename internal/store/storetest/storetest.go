@@ -50,6 +50,29 @@ func newsDoc(body string) *doc.Node {
 	return doc.Elem("page", doc.TextNode(body), doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
 }
 
+// sameSpineCopy reports whether a and b, two spine copies of orig, match
+// node for node: the same nodes of orig shared, the same shape copied.
+func sameSpineCopy(a, b, orig *doc.Node) bool {
+	stored := map[*doc.Node]bool{}
+	orig.Walk(func(n *doc.Node) bool { stored[n] = true; return true })
+	var same func(a, b *doc.Node) bool
+	same = func(a, b *doc.Node) bool {
+		if stored[a] || stored[b] {
+			return a == b
+		}
+		if a.Kind != b.Kind || a.Label != b.Label || a.Value != b.Value || len(a.Children) != len(b.Children) {
+			return false
+		}
+		for i := range a.Children {
+			if !same(a.Children[i], b.Children[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return same(a, b)
+}
+
 func mustPut(t *testing.T, s store.DocStore, name string, d *doc.Node) {
 	t.Helper()
 	if err := s.Put(name, d); err != nil {
@@ -152,6 +175,9 @@ func testGetRendered(t *testing.T, f Factory) {
 		}
 		if r != nil && string(r.Bytes()) != xmlio.MustString(d) {
 			t.Errorf("%s: rendering\n%s\nwant\n%s", when, r.Bytes(), xmlio.MustString(d))
+		}
+		if r != nil && !sameSpineCopy(d.SpineCopyAlong(r.Spine()), d.SpineCopy(), d) {
+			t.Errorf("%s: the copy along the rendering's spine differs from SpineCopy", when)
 		}
 		return r
 	}

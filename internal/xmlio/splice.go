@@ -19,12 +19,17 @@ import (
 // unchanged element prints at that same depth, its stored bytes can be
 // copied instead of printed (WriteSplicedTo).
 //
+// A Rendering also records the document's spine: the elements that hold
+// a function node outside every function's parameters, in document order,
+// which are the elements a spine copy copies (doc.Node.SpineCopyAlong).
+//
 // A Rendering is immutable once built and safe for concurrent readers. It
 // refers to the tree it was built from by node identity, so it stays valid
 // only while that tree is not mutated.
 type Rendering struct {
 	data  []byte
 	spans map[*doc.Node]elemSpan
+	spine []*doc.Node
 }
 
 // elemSpan locates one element's bytes in a Rendering.
@@ -69,6 +74,9 @@ func Render(n *doc.Node) *Rendering {
 	// The root is shared whole when the document holds no function node.
 	p.settle(0, true)
 	r.data = s.bytes()
+	if len(r.spine) > 0 {
+		r.spine = append([]*doc.Node(nil), r.spine...) // exact size
+	}
 	if len(r.data) > math.MaxInt32 {
 		r.spans = nil
 	}
@@ -135,6 +143,10 @@ func (s *chunkSink) bytes() []byte {
 
 // Bytes returns the canonical bytes; callers must not modify them.
 func (r *Rendering) Bytes() []byte { return r.data }
+
+// Spine returns the document's spine elements in document order; callers
+// must not modify the slice.
+func (r *Rendering) Spine() []*doc.Node { return r.spine }
 
 // at returns the span of n when r holds n at the given depth. A nil r
 // holds nothing.

@@ -65,6 +65,9 @@ func TestRenderMatchesWrite(t *testing.T) {
 			}
 		}
 		walk(n.SpineCopy())
+		if !sameCopy(n.SpineCopyAlong(r.Spine()), n.SpineCopy(), stored) {
+			t.Errorf("the copy along the rendering's spine differs from SpineCopy")
+		}
 		if len(r.spans) != shared {
 			t.Errorf("rendering holds %d elements, the spine copy shares %d", len(r.spans), shared)
 		}
@@ -225,7 +228,11 @@ func FuzzSplice(f *testing.F) {
 				return []*doc.Node{doc.Elem("fresh", doc.TextNode(fmt.Sprint(b))), doc.TextNode("t&t"), doc.Elem("e")}
 			}
 		}
-		out := replaceCalls(stored.SpineCopy(), r, forest)
+		copied := stored.SpineCopy()
+		if !sameCopy(stored.SpineCopyAlong(r.Spine()), copied, nodeSet(pool)) {
+			t.Fatalf("the copy along the rendering's spine differs from SpineCopy")
+		}
+		out := replaceCalls(copied, r, forest)
 		var got, want bytes.Buffer
 		if err := WriteSplicedTo(&got, out, r); err != nil {
 			t.Fatal(err)
@@ -240,6 +247,36 @@ func FuzzSplice(f *testing.F) {
 			t.Fatalf("rewriting the spine copy changed the stored tree:\n%s\nwas\n%s", after, before)
 		}
 	})
+}
+
+// sameCopy reports whether a and b, two copies of the tree whose nodes are
+// orig, match node for node: where one shares a node of orig the other
+// shares the same node, and where one copies a node the other copies it
+// into the same shape.
+func sameCopy(a, b *doc.Node, orig map[*doc.Node]bool) bool {
+	if orig[a] || orig[b] {
+		return a == b
+	}
+	if a.Kind != b.Kind || a.Label != b.Label || a.Value != b.Value ||
+		(a.Service == nil) != (b.Service == nil) || a.Service != nil && *a.Service != *b.Service ||
+		len(a.Children) != len(b.Children) || cap(a.Children) != cap(b.Children) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameCopy(a.Children[i], b.Children[i], orig) {
+			return false
+		}
+	}
+	return true
+}
+
+// nodeSet returns the set of the given nodes.
+func nodeSet(nodes []*doc.Node) map[*doc.Node]bool {
+	set := make(map[*doc.Node]bool, len(nodes))
+	for _, n := range nodes {
+		set[n] = true
+	}
+	return set
 }
 
 // holds reports whether r has a span for n.

@@ -587,17 +587,26 @@ func (p *printer) print(n *doc.Node, depth int, declareNS bool) bool {
 		if p.rec == nil {
 			return p.element(n, depth, declareNS)
 		}
-		start, mark := p.out.n, len(p.pending)
+		start, mark, at := p.out.n, len(p.pending), len(p.rec.spine)
+		p.rec.spine = append(p.rec.spine, n)
 		calls := p.element(n, depth, declareNS)
+		if !calls {
+			p.rec.spine = p.rec.spine[:at]
+		}
 		p.settle(mark, calls)
 		p.pending = append(p.pending, pendingSpan{n: n, calls: calls,
 			span: elemSpan{start: int32(start), end: int32(p.out.n), depth: int32(depth)}})
 		return calls
 	case doc.Func:
-		mark := len(p.pending)
+		if p.rec == nil {
+			p.fun(n, depth, declareNS)
+			return true
+		}
+		mark, at := len(p.pending), len(p.rec.spine)
 		p.fun(n, depth, declareNS)
-		// A spine copy deep-copies function subtrees: no parameter is shared.
-		p.pending = p.pending[:mark]
+		// A spine copy deep-copies function subtrees: no parameter is shared,
+		// and no parameter is on the spine.
+		p.pending, p.rec.spine = p.pending[:mark], p.rec.spine[:at]
 		return true
 	}
 	return false

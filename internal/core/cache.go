@@ -8,6 +8,9 @@
 //   - CompiledCache deduplicates Compile itself: one *Compiled per schema
 //     pair, keyed by content fingerprint so that re-parsed but identical
 //     exchange schemas (the /exchange endpoint creates one per request) hit;
+//     an entry can also be found by the receiver body it was parsed from
+//     (LookupReceiver), so a repeated body skips the parse and the
+//     fingerprints;
 //   - each *Compiled carries a bounded word-verdict memo (wordcache.go) that
 //     amortizes the safe/possible products and lazy derivative exploration
 //     across repeated words.
@@ -24,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"axml/internal/regex"
 	"axml/internal/schema"
 	"axml/internal/telemetry"
 )
@@ -54,16 +58,22 @@ type CompiledCache struct {
 	// memo). Zero keeps DefaultWordCacheSize.
 	WordCacheCapacity int
 
-	// mu guards entries/lru/inflight. Hits take only the read lock — the
-	// cache sits on every message's path, so parallel requests over cached
-	// pairs must not serialize. Counters are atomic for the same reason.
+	// mu guards entries/aliases/lru/inflight and the entries' alias
+	// fields. Hits take only the read lock — the cache sits on every
+	// message's path, so parallel requests over cached pairs must not
+	// serialize. Counters are atomic for the same reason.
 	mu       sync.RWMutex
 	capacity int
 	entries  map[string]*list.Element // key -> element holding *compiledEntry
-	lru      *list.List               // front = most recently used
+	// aliases maps a receiver body to the element of the entry it was
+	// parsed into; each entry holds at most one, dropped with the entry.
+	aliases  map[string]*list.Element
+	lru      *list.List // front = most recently used
 	inflight map[string]*inflightCompile
 
 	hits, misses, evictions atomic.Uint64
+	// receiverHits counts the hits LookupReceiver served.
+	receiverHits atomic.Uint64
 
 	// instr/compileSeconds are set once by Instrument (before the cache
 	// serves traffic) and propagated onto every Compiled this cache
@@ -75,6 +85,13 @@ type CompiledCache struct {
 type compiledEntry struct {
 	key string
 	c   *Compiled
+	// alias is the receiver body filed for this entry ("" for none), valid
+	// for a lookup from aliasSender while that schema is at aliasVersion
+	// and its table's root is aliasRoot.
+	alias        string
+	aliasSender  *schema.Schema
+	aliasVersion uint64
+	aliasRoot    *regex.Table
 }
 
 type inflightCompile struct {
@@ -91,6 +108,7 @@ func NewCompiledCache(capacity int) *CompiledCache {
 	return &CompiledCache{
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),
+		aliases:  make(map[string]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[string]*inflightCompile),
 	}
@@ -121,6 +139,73 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 	if cc == nil {
 		return Compile(sender, target)
 	}
+	c, _ := cc.get(sender, target)
+	return c
+}
+
+// GetReceiver is Get for a target parsed from a receiver's body into an
+// overlay of sender's table. It also files body as the alias of the pair's
+// entry, replacing the entry's previous alias, so that LookupReceiver
+// answers the same bytes without a parse while sender stays at the version
+// it had when GetReceiver began.
+func (cc *CompiledCache) GetReceiver(sender, target *schema.Schema, body []byte) *Compiled {
+	if cc == nil {
+		return Compile(sender, target)
+	}
+	if sender == nil {
+		sender = target
+	}
+	// The version is read before the fingerprints: a declaration racing
+	// this call leaves the alias an older version than the analysis, so
+	// it is never served for the newer one.
+	version := sender.Version()
+	c, key := cc.get(sender, target)
+	cc.mu.Lock()
+	if el := cc.entries[key]; el != nil && el.Value.(*compiledEntry).c == c {
+		cc.fileLocked(el, body, sender, version)
+	}
+	cc.mu.Unlock()
+	return c
+}
+
+// LookupReceiver returns the resident analysis whose alias is body, filed
+// by GetReceiver for the same sender, at the version sender has now and
+// over the same root table; nil when there is none. It neither parses nor
+// fingerprints. A hit counts as a hit; a nil return counts nothing, since
+// the caller then parses the body and calls GetReceiver, which counts.
+//
+// The key covers everything a fresh parse and compile of body could read:
+// the bytes, the sender's identity and declarations (its version counts
+// them, and DefineQueryService adds declarations to a live schema) and the
+// symbol namespace the body is parsed into.
+func (cc *CompiledCache) LookupReceiver(sender *schema.Schema, body []byte) *Compiled {
+	if cc == nil {
+		return nil
+	}
+	cc.mu.RLock()
+	el := cc.aliases[string(body)]
+	var c *Compiled
+	if el != nil {
+		e := el.Value.(*compiledEntry)
+		if e.aliasSender == sender && e.aliasVersion == sender.Version() && e.aliasRoot == sender.Table.Root() {
+			c = e.c
+		}
+	}
+	cc.mu.RUnlock()
+	if c == nil {
+		return nil
+	}
+	cc.hits.Add(1)
+	cc.receiverHits.Add(1)
+	if cc.mu.TryLock() {
+		cc.lru.MoveToFront(el) // a no-op once el is evicted
+		cc.mu.Unlock()
+	}
+	return c
+}
+
+// get is Get on a non-nil cache, also returning the pair's key.
+func (cc *CompiledCache) get(sender, target *schema.Schema) (*Compiled, string) {
 	key := PairKey(sender, target)
 	// Fast path: a resident entry is returned under the shared lock. Recency
 	// is updated only when the exclusive lock is free — an approximation that
@@ -142,7 +227,7 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 			}
 			cc.mu.Unlock()
 		}
-		return c
+		return c, key
 	}
 	cc.mu.Lock()
 	if el, ok := cc.entries[key]; ok { // raced with another miss
@@ -150,18 +235,18 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 		cc.hits.Add(1)
 		c := el.Value.(*compiledEntry).c
 		cc.mu.Unlock()
-		return c
+		return c, key
 	}
 	if fl, ok := cc.inflight[key]; ok {
 		cc.mu.Unlock()
 		<-fl.done
 		if fl.c == nil {
 			// The leader panicked; re-run to surface the same panic here.
-			return Compile(sender, target)
+			return Compile(sender, target), key
 		}
 		// A caller served by another's compile did not compile: a hit.
 		cc.hits.Add(1)
-		return fl.c
+		return fl.c, key
 	}
 	fl := &inflightCompile{done: make(chan struct{})}
 	cc.inflight[key] = fl
@@ -179,7 +264,11 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 			for cc.lru.Len() > cc.capacity {
 				oldest := cc.lru.Back()
 				cc.lru.Remove(oldest)
-				delete(cc.entries, oldest.Value.(*compiledEntry).key)
+				e := oldest.Value.(*compiledEntry)
+				delete(cc.entries, e.key)
+				if e.alias != "" {
+					delete(cc.aliases, e.alias)
+				}
 				cc.evictions.Add(1)
 			}
 		}
@@ -198,7 +287,42 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 		c.SetInstruments(instr)
 	}
 	fl.c = c
-	return c
+	return c, key
+}
+
+// fileLocked makes body the alias of el's entry, for lookups from sender
+// at version; cc.mu is held exclusively. The body's previous entry, and
+// el's previous alias, lose theirs, so an entry holds one alias at most
+// and an alias lives no longer than its entry.
+func (cc *CompiledCache) fileLocked(el *list.Element, body []byte, sender *schema.Schema, version uint64) {
+	e := el.Value.(*compiledEntry)
+	switch prev := cc.aliases[string(body)]; {
+	case prev == el:
+		// el already holds body as its alias.
+	case prev != nil:
+		// The body moves to el's entry, keeping its key string.
+		pe := prev.Value.(*compiledEntry)
+		if e.alias != "" {
+			delete(cc.aliases, e.alias)
+		}
+		e.alias = pe.alias
+		pe.alias, pe.aliasSender, pe.aliasRoot = "", nil, nil
+	default:
+		if e.alias != "" {
+			delete(cc.aliases, e.alias)
+		}
+		e.alias = string(body)
+	}
+	e.aliasSender, e.aliasVersion, e.aliasRoot = sender, version, sender.Table.Root()
+	cc.aliases[e.alias] = el
+}
+
+// ReceiverHits reports how many of Stats' hits LookupReceiver served.
+func (cc *CompiledCache) ReceiverHits() uint64 {
+	if cc == nil {
+		return 0
+	}
+	return cc.receiverHits.Load()
 }
 
 // Instrument wires the cache into a telemetry registry: hit/miss/eviction
@@ -223,6 +347,7 @@ func (cc *CompiledCache) Instrument(reg *telemetry.Registry) *Instruments {
 	reg.CounterFunc("axml_compile_cache_hits_total", func() float64 { return float64(cc.hits.Load()) })
 	reg.CounterFunc("axml_compile_cache_misses_total", func() float64 { return float64(cc.misses.Load()) })
 	reg.CounterFunc("axml_compile_cache_evictions_total", func() float64 { return float64(cc.evictions.Load()) })
+	reg.CounterFunc("axml_compile_cache_receiver_hits_total", func() float64 { return float64(cc.receiverHits.Load()) })
 	reg.GaugeFunc("axml_compile_cache_entries", func() float64 { return float64(cc.Len()) })
 	reg.CounterFunc("axml_word_cache_hits_total", func() float64 { return float64(cc.WordStats().Hits) })
 	reg.CounterFunc("axml_word_cache_misses_total", func() float64 { return float64(cc.WordStats().Misses) })
@@ -290,5 +415,6 @@ func (cc *CompiledCache) Purge() {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	cc.entries = make(map[string]*list.Element)
+	cc.aliases = make(map[string]*list.Element)
 	cc.lru.Init()
 }

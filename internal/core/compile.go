@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"axml/internal/automata"
+	"axml/internal/doc"
 	"axml/internal/regex"
 	"axml/internal/schema"
 )
@@ -95,6 +96,39 @@ type Compiled struct {
 	// instr carries the telemetry handles word-level analyses report into
 	// (instruments.go); nil disables instrumentation.
 	instr atomic.Pointer[Instruments]
+	// verified remembers the stored versions whose spine copies passed the
+	// static check under this pair (see verifiedKey), direct-mapped by
+	// rendering ID: a fixed-size set of numbers, so it never grows, keeps
+	// nothing alive and cannot mistake a new version for an old one.
+	verified [verifiedSlots]atomic.Uint64
+}
+
+// verifiedSlots bounds the versions a Compiled remembers as checked; as
+// many as a store keeps renderings of.
+const verifiedSlots = 256
+
+// verifiedKey is the key under which a Compiled remembers a checked
+// version: the ID of its rendering and the validation context's
+// strictness, the one input of the check of a call-free subtree besides
+// the Compiled itself. Rendering IDs start at 1, so no key is 0.
+func verifiedKey(id uint64, strict bool) uint64 {
+	k := id << 1
+	if strict {
+		k |= 1
+	}
+	return k
+}
+
+// isVerified reports whether the version rendered as id passed the static
+// check under c with the given strictness.
+func (c *Compiled) isVerified(id uint64, strict bool) bool {
+	return c.verified[id%verifiedSlots].Load() == verifiedKey(id, strict)
+}
+
+// markVerified records that the version rendered as id passed the static
+// check under c, evicting whichever version held its slot.
+func (c *Compiled) markVerified(id uint64, strict bool) {
+	c.verified[id%verifiedSlots].Store(verifiedKey(id, strict))
 }
 
 // entry is what Compile freezes for one declared name. It is read without
@@ -145,6 +179,15 @@ func (c *Compiled) dfaOf(m *model) *automata.DFA {
 		}
 	})
 	return m.dfa
+}
+
+// adhoc returns the model of a word type built per request, such as a
+// document type or a streaming residual: it gets no DFA, so the Compiled
+// keeps nothing of it.
+func adhoc(re *regex.Regex) *model {
+	m := &model{re: re}
+	m.once.Do(func() {})
+	return m
 }
 
 // symOf returns the symbol of a name whose entry is e (nil: undeclared, so
@@ -405,6 +448,42 @@ func (c *Compiled) member(tokens []Token, typ *regex.Regex) bool {
 	r := typ
 	for _, t := range tokens {
 		if r = c.deriver.Derive(r, t.Sym); r.IsNever() {
+			return false
+		}
+	}
+	return r.Nullable()
+}
+
+// matchWord decides what ctx.MatchWord(typ.re, word) decides: whether
+// the non-text nodes of word, read through patterns, spell a word of typ.
+// A node is read as its own symbol, resolved through the frozen entries,
+// and a function node also as every target pattern admitting it; so when
+// the target declares no pattern, or the word holds no function, every
+// letter is one symbol and the word steps typ's DFA, or the shared
+// derivative table when typ has none, with no lock and no allocation.
+// Otherwise it asks ctx.
+func (c *Compiled) matchWord(ctx *schema.Context, typ *model, word []*doc.Node) bool {
+	if len(c.Target.Patterns) > 0 && hasFunc(word) {
+		return ctx.MatchWord(typ.re, word)
+	}
+	if d := c.dfaOf(typ); d != nil {
+		s := d.Start
+		for _, n := range word {
+			if n.Kind == doc.Text {
+				continue
+			}
+			if s = d.Step(s, c.symbol(n.Label)); s == automata.NoState {
+				return false
+			}
+		}
+		return d.Accept[s]
+	}
+	r := typ.re
+	for _, n := range word {
+		if n.Kind == doc.Text {
+			continue
+		}
+		if r = c.deriver.Derive(r, c.symbol(n.Label)); r.IsNever() {
 			return false
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"axml/internal/doc"
 	"axml/internal/regex"
 	"axml/internal/telemetry"
+	"axml/internal/xmlio"
 )
 
 // RewriteDocument rewrites the document in place into the target schema and
@@ -31,11 +32,23 @@ func (rw *Rewriter) RewriteDocument(root *doc.Node, mode Mode) (*doc.Node, error
 // invokers, during) service calls, returning the context's error. Calls
 // already performed remain recorded in the Audit.
 func (rw *Rewriter) RewriteDocumentContext(ctx context.Context, root *doc.Node, mode Mode) (*doc.Node, error) {
+	return rw.RewriteSpineCopy(ctx, root, nil, mode)
+}
+
+// RewriteSpineCopy is RewriteDocumentContext for a spine copy of a stored
+// version: root must be a spine copy (doc.Node.SpineCopy or SpineCopyAlong)
+// of the very tree from was rendered from, and from is nil when the version
+// has no rendering yet. The first check of the version that passes under
+// the Rewriter's Compiled is remembered there by from's ID; later checks of
+// it skip the subtrees from shares, which are immutable and hold no call,
+// and so does the search for calls. Passing the rendering of another tree
+// would let a later check skip subtrees no check has seen.
+func (rw *Rewriter) RewriteSpineCopy(ctx context.Context, root *doc.Node, from *xmlio.Rendering, mode Mode) (*doc.Node, error) {
 	typ, err := rw.documentType(root)
 	if err != nil {
 		return nil, err
 	}
-	out, err := rw.RewriteForestContext(ctx, []*doc.Node{root}, typ, mode)
+	out, err := rw.rewriteForestContext(ctx, []*doc.Node{root}, typ, from, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -67,6 +80,13 @@ func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mod
 // function-free subtrees with a stored document: doc.Node.SpineCopy copies
 // exactly the part a rewriting writes.
 func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
+	return rw.rewriteForestContext(ctx, forest, typ, nil, mode)
+}
+
+// rewriteForestContext is RewriteForestContext over a forest that is a
+// spine copy of the version from renders, when from is not nil (see
+// RewriteSpineCopy).
+func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, from *xmlio.Rendering, mode Mode) ([]*doc.Node, error) {
 	if rw.Invoker == nil {
 		return nil, fmt.Errorf("core: Rewriter has no Invoker; use CheckForest for static analysis")
 	}
@@ -81,22 +101,22 @@ func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node
 	ins := rw.Instruments
 	sink := &stampSink{inner: rw.Audit, extra: rw.Events, ins: ins, id: id}
 	if ins == nil {
-		return rw.rewriteForest(ctx, forest, typ, mode, sink)
+		return rw.rewriteForest(ctx, forest, typ, from, mode, sink)
 	}
 	ctx = telemetry.WithRegistry(ctx, ins.Registry())
 	ctx, span := telemetry.StartSpan(ctx, rewriteSpanName(mode))
 	span.SetAttr("rewrite_id", id)
 	span.SetAttr("k", strconv.Itoa(rw.K))
 	start := time.Now()
-	out, err := rw.rewriteForest(ctx, forest, typ, mode, sink)
+	out, err := rw.rewriteForest(ctx, forest, typ, from, mode, sink)
 	ins.observeRewrite(mode, time.Since(start), err, id)
 	span.End(err)
 	return out, err
 }
 
-// rewriteForest is the uninstrumented body of RewriteForestContext; sink is
+// rewriteForest is the uninstrumented body of rewriteForestContext; sink is
 // the (stamping) event sink the whole rewriting reports into.
-func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode, sink EventSink) ([]*doc.Node, error) {
+func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, from *xmlio.Rendering, mode Mode, sink EventSink) ([]*doc.Node, error) {
 	ex := &executor{rw: rw, ctx: WithEventSink(ctx, sink), mode: mode, audit: rw.Audit,
 		st: &execState{
 			paramsDone: map[*doc.Node]bool{},
@@ -125,12 +145,12 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 	if mode == Possible {
 		checkMode = Possible
 	}
-	proof, err := rw.checkForest(forest, typ, checkMode)
+	proof, err := rw.checkForest(forest, typ, checkMode, from)
 	if err != nil {
 		return nil, err
 	}
 	ex.st.proof = proof
-	return ex.forest(forest, typ, nodePath{}, true)
+	return ex.forest(forest, proof.top, nodePath{}, true)
 }
 
 // execState is the rewriting state shared by every branch of one execution,
@@ -213,10 +233,16 @@ func (ex *executor) callCount() int {
 // returns the rewritten top level. at is the path of the node whose
 // children the forest is; proven says the static check covered the forest
 // (see descend).
-func (ex *executor) forest(forest []*doc.Node, typ *regex.Regex, at nodePath, proven bool) ([]*doc.Node, error) {
+func (ex *executor) forest(forest []*doc.Node, typ *model, at nodePath, proven bool) ([]*doc.Node, error) {
 	// Phase 1: parameters, deepest functions first.
+	var shared *xmlio.Rendering
+	if ex.st.proof != nil {
+		shared = ex.st.proof.shared
+	}
+	var funcs []*doc.Node
 	for _, tree := range forest {
-		for _, f := range doc.FuncsBottomUp(tree) {
+		funcs = funcsBottomUp(tree, shared, funcs[:0])
+		for _, f := range funcs {
 			if err := ex.materializeParams(f, at); err != nil {
 				return nil, err
 			}
@@ -235,6 +261,22 @@ func (ex *executor) forest(forest []*doc.Node, typ *regex.Regex, at nodePath, pr
 		return nil, err
 	}
 	return out, nil
+}
+
+// funcsBottomUp appends to out the function nodes of n in
+// doc.FuncsBottomUp order, without walking the subtrees shared shares:
+// those of a verified version's rendering, which hold none.
+func funcsBottomUp(n *doc.Node, shared *xmlio.Rendering, out []*doc.Node) []*doc.Node {
+	if shared.Shares(n) {
+		return out
+	}
+	for _, c := range n.Children {
+		out = funcsBottomUp(c, shared, out)
+	}
+	if n.Kind == doc.Func {
+		out = append(out, n)
+	}
+	return out
 }
 
 // hasFunc reports whether a word holds a function node.
@@ -309,7 +351,7 @@ func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 		return nil
 	}
 	proven := ex.st.proof != nil && ex.st.proof.paramsOK[f]
-	kids, err := ex.forest(f.Children, e.in.re, params, proven)
+	kids, err := ex.forest(f.Children, &e.in, params, proven)
 	if err != nil {
 		return fail(err)
 	}
@@ -377,7 +419,7 @@ func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
 	kids, fresh := e.Children, []bool(nil)
 	if !proven || hasFunc(kids) {
 		var err error
-		if kids, fresh, err = ex.rewriteWord(e.Children, ent.content.re, at); err != nil {
+		if kids, fresh, err = ex.rewriteWord(e.Children, &ent.content, at); err != nil {
 			return err
 		}
 		e.Children = kids
@@ -408,8 +450,8 @@ type item struct {
 //
 // Besides the rewritten word it returns which of its nodes an invocation
 // returned (nil when none did).
-func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, at nodePath) ([]*doc.Node, []bool, error) {
-	w := &wordRun{ex: ex, typ: typ}
+func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath) ([]*doc.Node, []bool, error) {
+	w := &wordRun{ex: ex, typ: typ.re}
 	w.items = make([]*item, len(children))
 	backing := make([]item, len(children)) // one allocation for the whole word
 	for i, ch := range children {
@@ -438,14 +480,14 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, at nodeP
 				fresh[i] = true
 			}
 		}
-		if ex.rw.ctx.MatchWord(typ, nodes) {
+		if ex.rw.Compiled.matchWord(ex.rw.ctx, typ, nodes) {
 			return nodes, fresh, nil
 		}
 		if ex.mode != Possible || len(w.kept) == 0 {
 			return nil, nil, &NotSafeError{
 				Path: at.String(),
 				Msg: fmt.Sprintf("rewriting finished on %v which does not match %s (mode %s, %d calls made)",
-					forestLabels(nodes), typ.String(ex.rw.Compiled.Table), ex.mode, ex.callCount()),
+					forestLabels(nodes), typ.re.String(ex.rw.Compiled.Table), ex.mode, ex.callCount()),
 			}
 		}
 		// Flip the most recent keep to a forced call and resume there.

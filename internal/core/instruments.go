@@ -41,6 +41,9 @@ type Instruments struct {
 	decInvoke   *telemetry.Counter
 	decDefer    *telemetry.Counter
 	decBack     *telemetry.Counter
+	// verifiedChecks counts static checks that skipped the shared subtrees
+	// of a version an earlier check verified (rewriter.go checkForest).
+	verifiedChecks *telemetry.Counter
 
 	// --- invocation layer (event bridge) ---
 	retries        *telemetry.Counter
@@ -138,6 +141,7 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	ins.decInvoke = reg.Counter("axml_word_decisions_total", "decision", "invoke")
 	ins.decDefer = reg.Counter("axml_word_decisions_total", "decision", "defer")
 	ins.decBack = reg.Counter("axml_word_decisions_total", "decision", "backtrack")
+	ins.verifiedChecks = reg.Counter("axml_static_checks_verified_total")
 
 	ins.retries = reg.Counter("axml_invoke_retries_total")
 	ins.exhausted = reg.Counter("axml_invoke_exhausted_total")
@@ -245,6 +249,14 @@ func (ins *Instruments) countDefer() {
 func (ins *Instruments) countBacktrack() {
 	if ins != nil {
 		ins.decBack.Inc()
+	}
+}
+
+// countVerifiedCheck tallies a static check that skipped a verified
+// version's shared subtrees.
+func (ins *Instruments) countVerifiedCheck() {
+	if ins != nil {
+		ins.verifiedChecks.Inc()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"axml/internal/regex"
 	"axml/internal/schema"
 	"axml/internal/telemetry"
+	"axml/internal/xmlio"
 )
 
 // Mode selects the rewriting discipline.
@@ -286,20 +287,32 @@ func (rw *Rewriter) documentType(root *doc.Node) (*regex.Regex, error) {
 // CheckForest reports whether the forest can be rewritten into the word type
 // typ (with every subtree an instance of the target schema), statically.
 func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode) error {
-	_, err := rw.checkForest(forest, typ, mode)
+	_, err := rw.checkForest(forest, typ, mode, nil)
 	return err
 }
 
 // checkForest is CheckForest returning, on success, what the check proved;
 // the executors consult it to skip the words the proof already settled.
-func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode) (*staticCheck, error) {
-	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]bool{}}
-	// typ is built per request, as a document type is: it gets no DFA, so
-	// the Compiled keeps nothing of it.
-	sc.top.re = typ
-	sc.top.once.Do(func() {})
-	if err := sc.forest(forest, &sc.top, nil); err != nil {
+//
+// from, when not nil, is the rendering of the stored version the forest is
+// a spine copy of (doc.Node.SpineCopyAlong), so every element from shares
+// is an immutable stored subtree without a function node. Once a check of
+// that version has passed under this Compiled and context strictness, its
+// later checks skip those subtrees: the check of a call-free subtree reads
+// nothing else, and it passed. A check that passes records the version; a
+// failed one records nothing.
+func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode, from *xmlio.Rendering) (*staticCheck, error) {
+	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]bool{}, top: adhoc(typ)}
+	c, strict := rw.Compiled, rw.ctx.Strict
+	if from != nil && c.isVerified(from.ID(), strict) {
+		sc.shared = from
+		c.instruments().countVerifiedCheck()
+	}
+	if err := sc.forest(forest, sc.top, nil); err != nil {
 		return nil, err
+	}
+	if from != nil && sc.shared == nil {
+		c.markVerified(from.ID(), strict)
 	}
 	return sc, nil
 }
@@ -328,7 +341,11 @@ type staticCheck struct {
 	// word's check pops them when done. So every label is resolved once.
 	ents []*entry
 	// top is the word type of the checked forest.
-	top model
+	top *model
+	// shared, when set, is the rendering of a version an earlier check
+	// verified under this Compiled: the check neither descends into nor
+	// walks the elements it shares (see checkForest).
+	shared *xmlio.Rendering
 }
 
 // forest checks one forest against a word type: parameters bottom-up, then
@@ -370,6 +387,9 @@ func (sc *staticCheck) elements(word []*doc.Node, base int, at *nodePath) error 
 		case doc.Text:
 			continue
 		case doc.Element:
+			if sc.shared.Shares(n) {
+				break // verified with its version
+			}
 			if err := sc.element(n, sc.ents[j], nodePath{up: at, label: n.Label, index: i}); err != nil {
 				return err
 			}
@@ -381,8 +401,12 @@ func (sc *staticCheck) elements(word []*doc.Node, base int, at *nodePath) error 
 
 // funcsBottomUp is doc.FuncsBottomUp that also marks, in holdsCalls, every
 // element with a function node below it. It reports whether n's subtree
-// holds a function node.
+// holds a function node. It does not walk the subtrees of a verified
+// version's rendering, which hold none.
 func (sc *staticCheck) funcsBottomUp(n *doc.Node, out []*doc.Node) ([]*doc.Node, bool) {
+	if sc.shared.Shares(n) {
+		return out, false
+	}
 	holds := false
 	for _, c := range n.Children {
 		var h bool

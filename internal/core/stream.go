@@ -701,7 +701,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 	}
 	own := &trail{}
 	ex.audit = own
-	out, _, err := ex.rewriteWord(fr.island, fr.resid, at)
+	out, _, err := ex.rewriteWord(fr.island, adhoc(fr.resid), at)
 	if err != nil {
 		return nil, nil, err
 	}

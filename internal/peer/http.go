@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"axml/internal/core"
@@ -371,30 +373,17 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "mode must be safe, possible or mixed", http.StatusBadRequest)
 		return
 	}
-	// The exchange schema is parsed into a request-scoped *overlay* of the
-	// peer's table: shared symbols resolve identically (so the rewriter can
-	// relate the two schemas and the enforcement cache still hits on repeated
-	// schemas), while labels this peer has never seen intern into the
-	// throwaway overlay — N distinct hostile schemas leave the shared table,
-	// and therefore peer memory, untouched. The body is capped like every
-	// other write path.
 	st := telemetry.StagesFrom(r.Context())
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	body := p.limitBody(w, r)
-	exchange, err := xsdint.Parse(body, xsdint.Options{Table: p.Schema.Table.Overlay()})
-	if st != nil {
-		st.Set(telemetry.StageParse, time.Since(t0))
-	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	c, status, err := p.receiver(st, p.limitBody(w, r), buf)
 	if err != nil {
-		http.Error(w, err.Error(), body.errorStatus(err))
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if p.Streaming {
 		sw := &xmlResponseWriter{w: w}
-		res, err := p.SendDocumentStream(r.Context(), name, exchange, mode, sw)
+		res, err := p.sendStream(r.Context(), name, c, mode, sw)
 		if err != nil {
 			if sw.wrote || (res != nil && res.BytesWritten > 0) {
 				// The status line and a document prefix are already on the
@@ -410,7 +399,8 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 	// its rendering, and only the rewritten spine and the returned forests
 	// are printed; the first exchange, with no rendering, prints it all.
 	// The rendering also records the spine, so the copy need not walk the
-	// stored tree to find it.
+	// stored tree to find it, and it lets the check skip the shared
+	// subtrees once a check of the version has passed under this pair.
 	d, stored, ok := p.Repo.GetRendered(name)
 	if !ok {
 		err := p.noDocument(name)
@@ -422,12 +412,13 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 	} else {
 		d = d.SpineCopy()
 	}
-	out, err := p.send(r.Context(), name, d, exchange, mode)
+	out, err := p.send(r.Context(), name, d, c, stored, mode)
 	if err != nil {
 		http.Error(w, err.Error(), exchangeErrorStatus(err))
 		return
 	}
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
@@ -435,6 +426,62 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 	if st != nil {
 		st.Set(telemetry.StageSerialize, time.Since(t0))
 	}
+}
+
+// bodyPool recycles the buffers POST /exchange reads receiver bodies into;
+// putBody drops a buffer grown past maxPooledBody rather than keep it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodyPool.Put(b)
+	}
+}
+
+// receiver reads a POST /exchange body into buf and returns the compiled
+// pair of the peer's schema and the receiver schema the body declares.
+// The enforcement cache answers a body it has filed for the peer's schema
+// at its current version (CompiledCache.LookupReceiver) without a parse.
+// Any other body is parsed into a request-scoped *overlay* of the peer's
+// table: shared symbols resolve identically (so the rewriter can relate the
+// two schemas and the cache still hits on equal schemas), while labels this
+// peer has never seen intern into the throwaway overlay — N distinct
+// hostile schemas leave the shared table, and therefore peer memory,
+// untouched. Only a body that parses is filed. On error, status is 413 when
+// the body cap tripped and 400 otherwise.
+//
+// The parse stage times the body read, the lookup and the parse; the
+// compile stage, the compile-cache lookup by schema or the compile.
+func (p *Peer) receiver(st *telemetry.Stages, body *cappedBody, buf *bytes.Buffer) (c *core.Compiled, status int, err error) {
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, body.errorStatus(err), err
+	}
+	if c := p.Enforcement.LookupReceiver(p.Schema, buf.Bytes()); c != nil {
+		if st != nil {
+			st.Set(telemetry.StageParse, time.Since(t0))
+		}
+		return c, 0, nil
+	}
+	exchange, err := xsdint.Parse(bytes.NewReader(buf.Bytes()), xsdint.Options{Table: p.Schema.Table.Overlay()})
+	if st != nil {
+		st.Set(telemetry.StageParse, time.Since(t0))
+		t0 = time.Now()
+	}
+	if err != nil {
+		return nil, body.errorStatus(err), err
+	}
+	c = p.Enforcement.GetReceiver(p.Schema, exchange, buf.Bytes())
+	if st != nil {
+		st.Add(telemetry.StageCompile, time.Since(t0))
+	}
+	return c, 0, nil
 }
 
 func exchangeErrorStatus(err error) int {

@@ -18,6 +18,7 @@ import (
 	"axml/internal/telemetry"
 	"axml/internal/telemetry/obslog"
 	"axml/internal/wsdl"
+	"axml/internal/xmlio"
 )
 
 // Peer is one Active XML node: repository + services + enforcement.
@@ -182,8 +183,13 @@ func (p *Peer) instruments() *core.Instruments {
 // analysis comes from the Enforcement cache; only the cheap per-message
 // rewriter state is fresh.
 func (p *Peer) rewriter(target *schema.Schema) *core.Rewriter {
+	return p.rewriterFor(p.Enforcement.Get(p.Schema, target))
+}
+
+// rewriterFor builds an enforcement rewriter over a compiled pair.
+func (p *Peer) rewriterFor(c *core.Compiled) *core.Rewriter {
 	ins := p.instruments()
-	rw := core.NewRewriterFor(p.Enforcement.Get(p.Schema, target), p.K, p.policyInvoker())
+	rw := core.NewRewriterFor(c, p.K, p.policyInvoker())
 	rw.Audit = p.Audit
 	rw.Events = p.eventSink()
 	rw.Parallelism = p.Parallelism
@@ -259,7 +265,22 @@ func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *s
 	if !ok {
 		return nil, p.noDocument(name)
 	}
-	return p.send(ctx, name, d.SpineCopy(), exchange, mode)
+	return p.send(ctx, name, d.SpineCopy(), p.compiled(ctx, exchange), nil, mode)
+}
+
+// compiled returns the compiled pair of the peer's schema and an exchange
+// schema from the enforcement cache, timed as the compile stage.
+func (p *Peer) compiled(ctx context.Context, exchange *schema.Schema) *core.Compiled {
+	st := telemetry.StagesFrom(ctx)
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	c := p.Enforcement.Get(p.Schema, exchange)
+	if st != nil {
+		st.Add(telemetry.StageCompile, time.Since(t0))
+	}
+	return c
 }
 
 // noDocument is the error of a send naming a document the store lacks.
@@ -267,22 +288,23 @@ func (p *Peer) noDocument(name string) error {
 	return fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
 }
 
-// send rewrites d, a spine copy of a stored tree (doc.Node.SpineCopy):
-// rewriting writes only into the copied spine and the deep-copied function
-// subtrees, so the stored tree, shared with every other reader, stays
-// untouched.
-func (p *Peer) send(ctx context.Context, name string, d *doc.Node, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
+// send rewrites d, a spine copy of a stored tree (doc.Node.SpineCopy),
+// under the compiled pair c: rewriting writes only into the copied spine
+// and the deep-copied function subtrees, so the stored tree, shared with
+// every other reader, stays untouched. from is the stored version's
+// rendering, or nil when it has none yet (core.Rewriter.RewriteSpineCopy).
+func (p *Peer) send(ctx context.Context, name string, d *doc.Node, c *core.Compiled, from *xmlio.Rendering, mode core.Mode) (*doc.Node, error) {
 	st := telemetry.StagesFrom(ctx)
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	rw := p.rewriter(exchange)
+	rw := p.rewriterFor(c)
 	if st != nil {
-		st.Set(telemetry.StageCompile, time.Since(t0))
+		st.Add(telemetry.StageCompile, time.Since(t0))
 		t0 = time.Now()
 	}
-	out, err := rw.RewriteDocumentContext(ctx, d, mode)
+	out, err := rw.RewriteSpineCopy(ctx, d, from, mode)
 	if st != nil {
 		st.Set(telemetry.StageRewrite, time.Since(t0))
 	}
@@ -300,6 +322,11 @@ func (p *Peer) send(ctx context.Context, name string, d *doc.Node, exchange *sch
 // peaks. On error, w may have received a partial document prefix — HTTP
 // callers must check StreamResult.BytesWritten before choosing a status.
 func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
+	return p.sendStream(ctx, name, p.compiled(ctx, exchange), mode, w)
+}
+
+// sendStream is SendDocumentStream under the compiled pair c.
+func (p *Peer) sendStream(ctx context.Context, name string, c *core.Compiled, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
 	d, ok := p.Repo.Get(name)
 	if !ok {
 		return nil, p.noDocument(name)
@@ -310,9 +337,9 @@ func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *sc
 	if st != nil {
 		t0 = time.Now()
 	}
-	rw := p.rewriter(exchange)
+	rw := p.rewriterFor(c)
 	if st != nil {
-		st.Set(telemetry.StageCompile, time.Since(t0))
+		st.Add(telemetry.StageCompile, time.Since(t0))
 		t0 = time.Now()
 	}
 	res, err := rw.RewriteDocumentStream(ctx, d, w, mode)

@@ -133,25 +133,97 @@ func mergeSorted(a, b []int) []int {
 // outgoing positions whose symbol classes overlap. Deterministic content
 // models keep the complement construction of the safe-rewriting algorithm
 // polynomial (Section 4 of the paper).
+//
+// Each state's positions are decided through a symbol index rather than
+// pair by pair, so a state of k positions costs the size of their classes,
+// not k² overlap tests: a starred choice of n names is checked in O(n²),
+// not O(n³).
 func Deterministic(r *Regex) bool {
 	info := Positions(r)
-	if !disjointClasses(info.First, info.Classes) {
+	x := newSymIndex(info.Classes)
+	if !x.disjoint(info.First) {
 		return false
 	}
 	for _, fol := range info.Follow {
-		if !disjointClasses(fol, info.Classes) {
+		if !x.disjoint(fol) {
 			return false
 		}
 	}
 	return true
 }
 
-func disjointClasses(positions []int, classes []Class) bool {
-	for i := 0; i < len(positions); i++ {
-		for j := i + 1; j < len(positions); j++ {
-			if classes[positions[i]-1].Overlaps(classes[positions[j]-1]) {
+// symIndex decides whether the classes of a set of positions are pairwise
+// disjoint, in time linear in their sizes. Every symbol the classes name
+// gets a dense index; a set is disjoint iff no symbol is claimed by two
+// positive classes, it holds at most one negated class (two negated classes
+// always overlap, the symbol universe being unbounded), and that class
+// excludes every symbol the positive classes claim. Classes are normalized
+// (NewClass), so a class names each symbol once.
+type symIndex struct {
+	classes []Class
+	// ids[p-1] lists the dense indexes of position p's symbols.
+	ids [][]int32
+	// claimed and excluded stamp, per dense index, the generation of the
+	// set that a positive class claimed it in, or whose negated class
+	// excludes it.
+	claimed, excluded []uint32
+	gen               uint32
+}
+
+func newSymIndex(classes []Class) *symIndex {
+	n := 0
+	for _, c := range classes {
+		n += len(c.Syms)
+	}
+	all := make([]Symbol, 0, n)
+	for _, c := range classes {
+		all = append(all, c.Syms...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	all = dedupSymbols(all)
+	flat := make([]int32, 0, n)
+	x := &symIndex{classes: classes, ids: make([][]int32, len(classes)),
+		claimed: make([]uint32, len(all)), excluded: make([]uint32, len(all))}
+	for i, c := range classes {
+		start := len(flat)
+		for _, s := range c.Syms {
+			flat = append(flat, int32(sort.Search(len(all), func(k int) bool { return all[k] >= s })))
+		}
+		x.ids[i] = flat[start:len(flat):len(flat)]
+	}
+	return x
+}
+
+// disjoint reports whether the classes of the given positions are
+// pairwise disjoint.
+func (x *symIndex) disjoint(positions []int) bool {
+	if len(positions) < 2 {
+		return true
+	}
+	x.gen++
+	neg := 0
+	for _, p := range positions {
+		if x.classes[p-1].Negated {
+			if neg != 0 {
 				return false
 			}
+			neg = p
+		}
+	}
+	if neg != 0 {
+		for _, id := range x.ids[neg-1] {
+			x.excluded[id] = x.gen
+		}
+	}
+	for _, p := range positions {
+		if p == neg {
+			continue
+		}
+		for _, id := range x.ids[p-1] {
+			if x.claimed[id] == x.gen || neg != 0 && x.excluded[id] != x.gen {
+				return false
+			}
+			x.claimed[id] = x.gen
 		}
 	}
 	return true
@@ -159,11 +231,16 @@ func disjointClasses(positions []int, classes []Class) bool {
 
 // Ambiguities returns, for diagnostic messages, the pairs of overlapping
 // competing classes that violate one-unambiguity (at most one pair per
-// state). The slice is empty iff Deterministic(r).
+// state, the first in position order). The slice is empty iff
+// Deterministic(r).
 func Ambiguities(r *Regex) []Class {
 	info := Positions(r)
+	x := newSymIndex(info.Classes)
 	var out []Class
 	collect := func(positions []int) {
+		if x.disjoint(positions) {
+			return
+		}
 		for i := 0; i < len(positions); i++ {
 			for j := i + 1; j < len(positions); j++ {
 				a, b := info.Classes[positions[i]-1], info.Classes[positions[j]-1]

@@ -11,6 +11,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"axml/internal/automata"
 	"axml/internal/regex"
@@ -108,7 +109,18 @@ type Schema struct {
 	// Root is the distinguished root label for schema-level rewriting
 	// (Definition 6); may be empty.
 	Root string
+
+	// version counts the declarations made through the Set methods; see
+	// Version.
+	version atomic.Uint64
 }
+
+// Version counts the declarations made through the Set methods so far. A
+// cache that identifies a schema by its pointer pairs it with Version, so
+// that a declaration added later (Peer.DefineQueryService calls SetFunc on
+// a live schema) is seen without fingerprinting the schema again. Writes
+// made straight to the maps or to Root are not counted.
+func (s *Schema) Version() uint64 { return s.version.Load() }
 
 // New returns an empty schema with a fresh symbol table.
 func New() *Schema { return NewShared(regex.NewTable()) }
@@ -157,6 +169,7 @@ func (s *Schema) SetLabel(name, content string) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name, Content: r}
+	s.version.Add(1)
 	return nil
 }
 
@@ -167,6 +180,7 @@ func (s *Schema) SetData(name string) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name}
+	s.version.Add(1)
 	return nil
 }
 
@@ -178,6 +192,7 @@ func (s *Schema) SetLabelRegex(name string, content *regex.Regex) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name, Content: content}
+	s.version.Add(1)
 	return nil
 }
 
@@ -207,6 +222,7 @@ func (s *Schema) SetFuncDef(name, in, out string, adjust func(*FuncDef)) error {
 	}
 	s.Table.Intern(name)
 	s.Funcs[name] = def
+	s.version.Add(1)
 	return nil
 }
 
@@ -225,6 +241,7 @@ func (s *Schema) SetPattern(name, in, out string, pred Predicate) error {
 	}
 	s.Table.Intern(name)
 	s.Patterns[name] = &PatternDef{Name: name, In: rin, Out: rout, Pred: pred, Invocable: true}
+	s.version.Add(1)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"axml/internal/doc"
 )
@@ -26,11 +27,20 @@ import (
 // A Rendering is immutable once built and safe for concurrent readers. It
 // refers to the tree it was built from by node identity, so it stays valid
 // only while that tree is not mutated.
+//
+// Every Rendering has an ID no other Rendering of the process has, so a
+// consumer can remember one (a checked version, say) by a number that
+// holds no pointer and cannot be confused with a later rendering built at
+// a reused address.
 type Rendering struct {
+	id    uint64
 	data  []byte
 	spans map[*doc.Node]elemSpan
 	spine []*doc.Node
 }
+
+// renderings numbers Renderings; IDs start at 1.
+var renderings atomic.Uint64
 
 // elemSpan locates one element's bytes in a Rendering.
 type elemSpan struct {
@@ -68,7 +78,7 @@ func (p *printer) settle(mark int, calls bool) {
 // no spans: WriteSplicedTo then prints all of it.
 func Render(n *doc.Node) *Rendering {
 	var s chunkSink
-	r := &Rendering{spans: make(map[*doc.Node]elemSpan)}
+	r := &Rendering{id: renderings.Add(1), spans: make(map[*doc.Node]elemSpan)}
 	p := &printer{b: &s, rec: r, out: &s}
 	p.document(n)
 	// The root is shared whole when the document holds no function node.
@@ -147,6 +157,21 @@ func (r *Rendering) Bytes() []byte { return r.data }
 // Spine returns the document's spine elements in document order; callers
 // must not modify the slice.
 func (r *Rendering) Spine() []*doc.Node { return r.spine }
+
+// ID returns r's process-unique identifier, never 0.
+func (r *Rendering) ID() uint64 { return r.id }
+
+// Shares reports whether n is one of the elements a spine copy of r's
+// document shares with it: a function-free element whose parent holds a
+// function node, or the root of a function-free document. A nil r, or one
+// of a document too large for spans, shares nothing.
+func (r *Rendering) Shares(n *doc.Node) bool {
+	if r == nil || n.Kind != doc.Element {
+		return false
+	}
+	_, ok := r.spans[n]
+	return ok
+}
 
 // at returns the span of n when r holds n at the given depth. A nil r
 // holds nothing.

@@ -37,8 +37,15 @@
 //	    elem city = data
 //	    func Get_Temp = city -> temp
 //	`)
-//	rw := axml.NewRewriter(sender, target, 2, myInvoker)
-//	materialized, err := rw.RewriteDocument(docRoot, axml.Safe)
+//	rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Invoker: myInvoker})
+//	materialized, err := rw.RewriteDocument(ctx, docRoot, axml.Safe)
+//
+// Every operation has one entry point, and those that can call a service
+// take the context first: rewriting (Rewriter.RewriteDocument,
+// RewriteForest), sending a stored document (Peer.SendDocument), the
+// receive- and send-side checks (Peer.EnforceIn, EnforceOut) and remote
+// calls (Peer.Call). An Invoker takes the context too; ContextInvokerFunc
+// adapts a plain function.
 //
 // The subpackage structure mirrors the system inventory of DESIGN.md; this
 // package re-exports the types a downstream application needs, so that the
@@ -58,7 +65,6 @@ import (
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wal"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
@@ -83,13 +89,8 @@ type (
 	// Invoker performs service calls for the rewriter. Invoke takes the
 	// rewriting's context; cancelling it aborts the call.
 	Invoker = core.Invoker
-	// InvokerFunc adapts a context-free function to Invoker (the context is
-	// still consulted for cancellation before each call).
-	InvokerFunc = core.InvokerFunc
 	// ContextInvokerFunc adapts a context-aware function to Invoker.
 	ContextInvokerFunc = core.ContextInvokerFunc
-	// LegacyInvoker is the pre-context Invoker shape; adapt with Legacy.
-	LegacyInvoker = core.LegacyInvoker
 	// Audit records the invocation trail of a rewriting, including policy
 	// events (attempts, retries, breaker transitions, degradations). It
 	// retains the most recent 4096 calls and 4096 events; its counts and
@@ -228,25 +229,16 @@ func Validate(s *Schema, sigs *Schema, n *Node) error {
 	return schema.NewContext(s, sigs).Validate(n)
 }
 
-// NewRewriter builds a rewriter from the sender schema (declaring the
-// signatures of every function documents may embed) into the exchange
+// NewRewriterWithConfig builds a rewriter from the sender schema (declaring
+// the signatures of every function documents may embed) into the exchange
 // schema. Both must share a symbol table (use ParseSchemaTextShared /
-// ParseXSD with base). k bounds rewriting depth; inv performs the calls and
-// may be nil for check-only use.
-func NewRewriter(sender, target *Schema, k int, inv Invoker) *Rewriter {
-	return core.NewRewriter(sender, target, k, inv)
-}
-
-// NewRewriterWithConfig builds a rewriter from an options struct instead of
-// positional parameters; zero values select the documented defaults. Policies
-// listed in cfg wrap cfg.Invoker outermost-first, and a fresh Audit is
-// attached when none is supplied.
+// ParseXSD with base). Zero values of cfg select the documented defaults:
+// depth 2 (set Rewriter.K after construction for depth 0), a fresh Audit,
+// and no Invoker, which leaves the rewriter check-only. Policies listed in
+// cfg wrap cfg.Invoker outermost-first.
 func NewRewriterWithConfig(sender, target *Schema, cfg RewriterConfig) *Rewriter {
 	return core.NewRewriterWithConfig(sender, target, cfg)
 }
-
-// Legacy adapts a pre-context LegacyInvoker to the Invoker interface.
-func Legacy(inv LegacyInvoker) Invoker { return core.Legacy(inv) }
 
 // ApplyPolicies wraps inv with the given policies, first outermost.
 func ApplyPolicies(inv Invoker, policies []InvokePolicy) Invoker {
@@ -340,18 +332,13 @@ type (
 	ServiceHandler = service.Handler
 	// Repository stores a peer's named intensional documents in memory —
 	// the default DocStore backend.
-	Repository = peer.Repository
+	Repository = store.Repository
 	// DurableRepository is a Repository backed by a write-ahead log and
-	// crash-safe snapshots (the "wal" backend of OpenStore).
-	DurableRepository = peer.DurableRepository
-	// DurableOptions configures OpenDurable.
-	//
-	// Deprecated: use StoreOptions with OpenStore.
-	DurableOptions = peer.DurableOptions
+	// crash-safe snapshots: what OpenStore returns for the "wal" backend.
+	DurableRepository = store.DurableRepository
 	// ConflictPolicy decides what Repository.LoadDirWith does on collision.
-	ConflictPolicy = peer.ConflictPolicy
-	// WALSyncMode selects the WAL fsync discipline for StoreOptions and
-	// DurableOptions.
+	ConflictPolicy = store.ConflictPolicy
+	// WALSyncMode selects the WAL fsync discipline for StoreOptions.
 	WALSyncMode = wal.SyncMode
 )
 
@@ -398,9 +385,9 @@ func StoreFuncNames(d *Node) []string { return store.FuncNames(d) }
 
 // LoadDir conflict policies.
 const (
-	KeepExisting   = peer.KeepExisting
-	Overwrite      = peer.Overwrite
-	FailOnConflict = peer.FailOnConflict
+	KeepExisting   = store.KeepExisting
+	Overwrite      = store.Overwrite
+	FailOnConflict = store.FailOnConflict
 )
 
 // WAL fsync disciplines.
@@ -412,17 +399,6 @@ const (
 
 // NewPeer creates a peer over the given schema.
 func NewPeer(name string, s *Schema) *Peer { return peer.New(name, s) }
-
-// OpenDurable opens (or creates) a durable repository in dir, running crash
-// recovery first: newest valid snapshot plus WAL tail, torn trailing records
-// truncated. Assign it (or its embedded Repository) to a Peer to make every
-// mutation path durable; Close writes a final snapshot.
-//
-// Deprecated: kept as a thin wrapper so existing callers compile unchanged;
-// use OpenStore with StoreOptions{Backend: StoreWAL, Dir: dir, ...}.
-func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
-	return peer.OpenDurable(dir, opts)
-}
 
 // Converter constructors (see internal/core for details).
 var (
@@ -482,8 +458,10 @@ var (
 
 // Observability surface (DESIGN.md §13): cross-process trace propagation,
 // structured logging, and the slow-request flight recorder. A Peer with
-// Logger set writes one structured line per request; with Flight set it
-// serves the slowest/failed request anatomies at /debug/slow.
+// Logger (a *log/slog.Logger) set writes one structured line per request;
+// wrap its handler in TraceLogHandler so each line carries the request's
+// trace_id. With Flight set the peer serves the slowest/failed request
+// anatomies at /debug/slow.
 type (
 	// Flight is the bounded slow/failed-request recorder.
 	Flight = telemetry.Flight
@@ -491,26 +469,10 @@ type (
 	FlightRecord = telemetry.FlightRecord
 	// Health tracks daemon lifecycle for /healthz and /readyz probes.
 	Health = peer.Health
-	// Logger is the dependency-free leveled structured logger; derive
-	// per-component loggers with With, build fields with LogField.
-	Logger = obslog.Logger
-	// LogField is one key/value pair on a log line.
-	LogField = obslog.Field
-	// LogLevel orders log severities (LogDebug … LogError).
-	LogLevel = obslog.Level
-	// LogFormat selects text or JSON line encoding.
-	LogFormat = obslog.Format
-)
-
-// Log levels and formats for NewLogger.
-const (
-	LogDebug = obslog.Debug
-	LogInfo  = obslog.Info
-	LogWarn  = obslog.Warn
-	LogError = obslog.Error
-
-	LogText = obslog.Text
-	LogJSON = obslog.JSON
+	// TraceLogHandler wraps an slog.Handler so that every record logged
+	// under a traced context gains the trace ID as trace_id, e.g.
+	// slog.New(axml.TraceLogHandler{Handler: slog.NewJSONHandler(w, nil)}).
+	TraceLogHandler = telemetry.TraceHandler
 )
 
 var (
@@ -519,12 +481,6 @@ var (
 	NewFlight = telemetry.NewFlight
 	// NewHealth builds a not-yet-ready lifecycle tracker.
 	NewHealth = peer.NewHealth
-	// NewLogger builds a structured logger writing to w.
-	NewLogger = obslog.New
-	// LogField constructor and level/format parsers.
-	LogF           = obslog.F
-	ParseLogLevel  = obslog.ParseLevel
-	ParseLogFormat = obslog.ParseFormat
 	// InjectTraceContext writes the context's trace identity into an
 	// outbound header as a W3C traceparent; ExtractTraceContext reads one
 	// back, and WithRemoteTrace makes root spans join the remote trace.

@@ -45,7 +45,7 @@ func newspaper() *axml.Node {
 }
 
 func weatherInvoker(t *testing.T) axml.Invoker {
-	return axml.InvokerFunc(func(call *axml.Node) ([]*axml.Node, error) {
+	return axml.ContextInvokerFunc(func(_ context.Context, call *axml.Node) ([]*axml.Node, error) {
 		switch call.Label {
 		case "Get_Temp":
 			return []*axml.Node{axml.Elem("temp", axml.Text("15"))}, nil
@@ -67,9 +67,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("document should not validate against target schema yet")
 	}
 
-	rw := axml.NewRewriter(sender, target, 2, weatherInvoker(t))
+	rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Depth: 2, Invoker: weatherInvoker(t)})
 	rw.Audit = &axml.Audit{}
-	out, err := rw.RewriteDocument(newspaper(), axml.Safe)
+	out, err := rw.RewriteDocument(context.Background(), newspaper(), axml.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestPublicAPIXSDRoundTrip(t *testing.T) {
 func TestPublicAPICheckOnly(t *testing.T) {
 	sender := axml.MustParseSchemaText(senderSrc)
 	target := axml.MustParseSchemaTextShared(sender, targetSrc)
-	rw := axml.NewRewriter(sender, target, 2, nil) // no invoker: checks only
+	rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Depth: 2}) // no invoker: checks only
 	if err := rw.CheckDocument(newspaper(), axml.Safe); err != nil {
 		t.Errorf("safe check failed: %v", err)
 	}
-	if _, err := rw.RewriteDocument(newspaper(), axml.Safe); err == nil {
+	if _, err := rw.RewriteDocument(context.Background(), newspaper(), axml.Safe); err == nil {
 		t.Error("rewriting without an invoker should fail loudly")
 	}
 }
@@ -162,7 +162,7 @@ func TestPublicAPIPolicies(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	out, err := rw.RewriteDocumentContext(ctx, newspaper(), axml.Safe)
+	out, err := rw.RewriteDocument(ctx, newspaper(), axml.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPublicAPITelemetry(t *testing.T) {
 	})
 	id := axml.NewRewriteID()
 	ctx := axml.WithRewriteID(context.Background(), id)
-	if _, err := rw.RewriteDocumentContext(ctx, newspaper(), axml.Safe); err != nil {
+	if _, err := rw.RewriteDocument(ctx, newspaper(), axml.Safe); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := reg.Value("axml_rewrites_total", "mode", "safe"); !ok || v != 1 {

@@ -8,6 +8,7 @@
 package axml_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -33,13 +34,13 @@ import (
 func BenchmarkFig2Materialize(b *testing.B) {
 	sender := axml.MustParseSchemaText(senderSrc)
 	target := axml.MustParseSchemaTextShared(sender, targetSrc)
-	inv := axml.InvokerFunc(func(call *axml.Node) ([]*axml.Node, error) {
+	inv := axml.ContextInvokerFunc(func(_ context.Context, call *axml.Node) ([]*axml.Node, error) {
 		return []*axml.Node{axml.Elem("temp", axml.Text("15"))}, nil
 	})
-	rw := axml.NewRewriter(sender, target, 2, inv)
+	rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Depth: 2, Invoker: inv})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := rw.RewriteDocument(newspaper(), axml.Safe); err != nil {
+		if _, err := rw.RewriteDocument(context.Background(), newspaper(), axml.Safe); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,11 +223,11 @@ func BenchmarkParallelMaterialize(b *testing.B) {
 	inv := invoke.Chain(experiments.ParallelInvoker(0), invoke.WithLatency(time.Millisecond))
 	for _, degree := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
-			rw := core.NewRewriterFor(core.Compile(sender, target), 2, inv)
+			rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: inv})
 			rw.Parallelism = degree
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rw.RewriteDocument(experiments.ParallelDoc(16), core.Safe); err != nil {
+				if _, err := rw.RewriteDocument(context.Background(), experiments.ParallelDoc(16), core.Safe); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -247,12 +248,12 @@ func Get_More = data -> url*.Get_More?
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sim := workload.NewSimInvoker(s, rand.New(rand.NewSource(42)))
-				rw := core.NewRewriter(s, s, k, sim)
+				rw := core.NewRewriterWithConfig(s, s, core.RewriterConfig{Depth: k, Invoker: sim})
 				rw.MaxCalls = 1 << 12
 				root := doc.Elem("results",
 					doc.Elem("url", doc.TextNode("u0")),
 					doc.Call("Get_More", doc.TextNode("q")))
-				if _, err := rw.RewriteDocument(root, core.Mixed); err != nil {
+				if _, err := rw.RewriteDocument(context.Background(), root, core.Mixed); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -314,7 +315,7 @@ func Front = data -> page
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := client.Call("Front", []*doc.Node{doc.TextNode("q")})
+		out, err := client.Call(context.Background(), "Front", []*doc.Node{doc.TextNode("q")})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,7 +400,7 @@ func TimeOut = data -> (exhibit|performance)*
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			out, err := p.SendDocument("today", exch, core.Safe)
+			out, err := p.SendDocument(context.Background(), "today", exch, core.Safe)
 			if err != nil {
 				b.Fatal(err)
 			}

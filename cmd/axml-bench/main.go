@@ -205,7 +205,7 @@ func benchTelemetry(path string, maxOverheadPct float64) error {
 		var callErr error
 		res := testing.Benchmark(func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				out, err := client.Call("Front", []*doc.Node{doc.TextNode("q")})
+				out, err := client.Call(context.Background(), "Front", []*doc.Node{doc.TextNode("q")})
 				if err != nil {
 					callErr = err
 					b.Fatal(err)
@@ -307,7 +307,7 @@ func benchWAL(path string) error {
 		return res, putErr
 	}
 
-	mem := peer.NewRepository()
+	mem := store.NewRepository()
 	base, err := measure(func(i int) error {
 		return mem.Put(fmt.Sprintf("doc%03d", i%128), payload)
 	})
@@ -327,7 +327,7 @@ func benchWAL(path string) error {
 		if err != nil {
 			return err
 		}
-		d, err := peer.OpenDurable(dir, peer.DurableOptions{Sync: mode, SnapshotEvery: 4096})
+		d, err := store.Open(store.Options{Backend: store.BackendWAL, Dir: dir, Sync: mode, SnapshotEvery: 4096})
 		if err != nil {
 			os.RemoveAll(dir)
 			return err
@@ -391,7 +391,7 @@ func benchStore(path string) error {
 	}{
 		{store.BackendMem, func(string) (store.DocStore, error) { return store.NewRepository(), nil }},
 		{store.BackendWAL, func(dir string) (store.DocStore, error) {
-			return store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncNone, SnapshotEvery: 4096})
+			return store.Open(store.Options{Backend: store.BackendWAL, Dir: dir, Sync: wal.SyncNone, SnapshotEvery: 4096})
 		}},
 		{store.BackendDisk, func(dir string) (store.DocStore, error) {
 			return store.OpenDisk(dir, store.DiskOptions{HotCache: 64, Shards: 16})
@@ -551,11 +551,11 @@ elem exhibit = title.date
 	// is one function node — the long prefix streams straight through.
 	kids = append(kids, doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
 	root := doc.Elem("newspaper", kids...)
-	rw := core.NewRewriterFor(core.Compile(sender, target), 2, inv)
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: inv})
 	ctx := context.Background()
 
 	// Correctness first: the two engines must emit identical bytes.
-	out, err := rw.RewriteDocument(root.Clone(), core.Safe)
+	out, err := rw.RewriteDocument(ctx, root.Clone(), core.Safe)
 	if err != nil {
 		return fmt.Errorf("tree rewrite: %w", err)
 	}
@@ -590,7 +590,7 @@ elem exhibit = title.date
 		return total / reps, nil
 	}
 	tree, err := measure(func(r *doc.Node) error {
-		out, err := rw.RewriteDocument(r, core.Safe)
+		out, err := rw.RewriteDocument(ctx, r, core.Safe)
 		if err != nil {
 			return err
 		}
@@ -662,13 +662,13 @@ func benchParallel(path string, minSpeedup float64) error {
 	sender, target := experiments.ParallelPair()
 	inv := invoke.Chain(experiments.ParallelInvoker(0), invoke.WithLatency(latency))
 	measure := func(degree int) (time.Duration, error) {
-		rw := core.NewRewriterFor(core.Compile(sender, target), 2, inv)
+		rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: inv})
 		rw.Parallelism = degree
 		var total time.Duration
 		for i := 0; i < reps; i++ {
 			root := experiments.ParallelDoc(funcs)
 			start := time.Now()
-			if _, err := rw.RewriteDocument(root, core.Safe); err != nil {
+			if _, err := rw.RewriteDocument(context.Background(), root, core.Safe); err != nil {
 				return 0, fmt.Errorf("degree %d: %w", degree, err)
 			}
 			total += time.Since(start)

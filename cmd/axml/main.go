@@ -166,6 +166,9 @@ func cmdCheck(args []string) error {
 	if *senderPath == "" || *targetPath == "" || fs.NArg() != 1 {
 		return fmt.Errorf("check needs -sender, -target and one document")
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k must not be negative, got %d", *k)
+	}
 	mode, err := parseMode(*modeStr)
 	if err != nil {
 		return err
@@ -178,7 +181,8 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rw := core.NewRewriter(sender, target, *k, nil)
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{})
+	rw.K = *k
 	if *lazy {
 		rw.Engine = core.Lazy
 	}
@@ -210,6 +214,9 @@ func cmdRewrite(args []string) error {
 	if *senderPath == "" || *targetPath == "" || fs.NArg() != 1 {
 		return fmt.Errorf("rewrite needs -sender, -target and one document")
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k must not be negative, got %d", *k)
+	}
 	mode, err := parseMode(*modeStr)
 	if err != nil {
 		return err
@@ -231,12 +238,11 @@ func cmdRewrite(args []string) error {
 	default:
 		return fmt.Errorf("rewrite needs -sim <seed> or -endpoint <url>")
 	}
-	rw := core.NewRewriter(sender, target, *k, invoker)
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Invoker: invoker, Parallelism: *parallel})
+	rw.K = *k
 	if *lazy {
 		rw.Engine = core.Lazy
 	}
-	rw.Parallelism = *parallel
-	rw.Audit = &core.Audit{}
 	ctx := context.Background()
 	if *verbose {
 		// One generated id per top-level rewrite; every audit record carries
@@ -245,7 +251,7 @@ func cmdRewrite(args []string) error {
 		ctx = telemetry.WithTraceID(ctx, id)
 		fmt.Fprintf(os.Stderr, "rewrite %s mode=%s k=%d\n", id, mode, *k)
 	}
-	out, err := rw.RewriteDocumentContext(ctx, d, mode)
+	out, err := rw.RewriteDocument(ctx, d, mode)
 	if *audit || *verbose {
 		for _, c := range rw.Audit.Calls() {
 			fmt.Fprintf(os.Stderr, "call %-20s rewrite=%s depth=%d cost=%.2f returned %d nodes\n",
@@ -269,6 +275,9 @@ func cmdSchemaCheck(args []string) error {
 	}
 	if *senderPath == "" || *targetPath == "" {
 		return fmt.Errorf("schema-check needs -sender and -target")
+	}
+	if *k < 0 {
+		return fmt.Errorf("-k must not be negative, got %d", *k)
 	}
 	sender, target, err := loadPair(*senderPath, *targetPath)
 	if err != nil {

@@ -65,6 +65,18 @@ func TestCheckCommand(t *testing.T) {
 	}); err != nil {
 		t.Errorf("possible check against (***) should pass: %v", err)
 	}
+	// Depth 0 invokes nothing, so (**) is out of reach: -k 0 must stay
+	// depth 0, not fall back to the default depth. A negative depth is
+	// refused as a flag error.
+	for k, want := range map[string]string{"0": "NOT safe-rewritable (k=0)", "-1": "-k must not be negative"} {
+		_, err := capture(t, func() error {
+			return run([]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs",
+				"-k", k, "testdata/newspaper.xml"})
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("check -k %s: error = %v, want it to contain %q", k, err, want)
+		}
+	}
 }
 
 func TestRewriteCommandSimulated(t *testing.T) {

@@ -88,6 +88,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -112,7 +113,6 @@ import (
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wal"
 	"axml/internal/workload"
 	"axml/internal/xsdint"
@@ -166,9 +166,9 @@ func run(p *peer.Peer, opts options) int {
 		// pinned the address to loopback.
 		pprofSrv = &http.Server{Addr: opts.pprof, Handler: http.DefaultServeMux}
 		go func() {
-			logger.Info(nil, "pprof serving", obslog.F("addr", opts.pprof))
+			logger.Info("pprof serving", "addr", opts.pprof)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error(nil, "pprof listener failed", obslog.Err(err))
+				logger.Error("pprof listener failed", "error", err)
 			}
 		}()
 	}
@@ -191,17 +191,17 @@ func run(p *peer.Peer, opts options) int {
 	p.Health.SetReady(true)
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info(nil, "serving",
-			obslog.F("peer", p.Name),
-			obslog.F("addr", opts.addr),
-			obslog.F("k", p.K),
-			obslog.F("mode", p.Mode),
-			obslog.F("store", opts.storeBackend),
-			obslog.F("data_dir", opts.dataDir),
-			obslog.F("role", opts.role),
-			obslog.F("telemetry", p.Telemetry != nil),
-			obslog.F("durable", p.Durable != nil),
-			obslog.F("version", buildVersion()),
+		logger.Info("serving",
+			"peer", p.Name,
+			"addr", opts.addr,
+			"k", p.K,
+			"mode", p.Mode.String(),
+			"store", opts.storeBackend,
+			"data_dir", opts.dataDir,
+			"role", opts.role,
+			"telemetry", p.Telemetry != nil,
+			"durable", p.Durable != nil,
+			"version", buildVersion(),
 		)
 		errc <- srv.ListenAndServe()
 	}()
@@ -213,12 +213,12 @@ func run(p *peer.Peer, opts options) int {
 		// Flip readiness first so load balancers stop routing while
 		// in-flight requests drain.
 		p.Health.StartDrain()
-		logger.Info(nil, "signal received, draining",
-			obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Info("signal received, draining",
+			"store", opts.storeBackend, "data_dir", opts.dataDir)
 		sd, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(sd); err != nil {
-			logger.Error(nil, "shutdown failed", obslog.Err(err))
+			logger.Error("shutdown failed", "error", err)
 			exit = 1
 		}
 		if pprofSrv != nil {
@@ -226,19 +226,19 @@ func run(p *peer.Peer, opts options) int {
 		}
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error(nil, "listener failed", obslog.Err(err))
+			logger.Error("listener failed", "error", err)
 			exit = 1
 		}
 	}
 	fstop()
 	fwg.Wait()
 	if err := p.Repo.Close(); err != nil {
-		logger.Error(nil, "closing store failed",
-			obslog.Err(err), obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Error("closing store failed",
+			"error", err, "store", opts.storeBackend, "data_dir", opts.dataDir)
 		exit = 1
 	} else if p.Durable != nil {
-		logger.Info(nil, "final snapshot written",
-			obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Info("final snapshot written",
+			"store", opts.storeBackend, "data_dir", opts.dataDir)
 	}
 	return exit
 }
@@ -274,7 +274,7 @@ type options struct {
 	addr  string
 	pprof string // "" = pprof disabled; otherwise a loopback host:port
 
-	logger       *obslog.Logger
+	logger       *slog.Logger
 	storeBackend string
 	dataDir      string
 	role         string
@@ -334,21 +334,24 @@ func configure(args []string) (*peer.Peer, options, error) {
 		return nil, options{}, err
 	}
 
-	format, err := obslog.ParseFormat(*logFormat)
-	if err != nil {
-		return nil, options{}, fmt.Errorf("-log-format: %w", err)
-	}
-	level, err := obslog.ParseLevel(*logLevel)
+	level, err := telemetry.ParseLogLevel(*logLevel)
 	if err != nil {
 		return nil, options{}, fmt.Errorf("-log-level: %w", err)
+	}
+	handler, err := telemetry.NewLogHandler(os.Stderr, *logFormat, level)
+	if err != nil {
+		return nil, options{}, fmt.Errorf("-log-format: %w", err)
 	}
 	if *slowRequests < 0 {
 		return nil, options{}, fmt.Errorf("-slow-requests must not be negative, got %d", *slowRequests)
 	}
-	logger := obslog.New(os.Stderr, level, format)
+	logger := slog.New(handler)
 
 	if *schemaPath == "" {
 		return nil, options{}, fmt.Errorf("-schema is required")
+	}
+	if *k < 0 {
+		return nil, options{}, fmt.Errorf("-k must not be negative, got %d", *k)
 	}
 	// A zero or negative capacity would silently disable the enforcement
 	// cache (or worse, misconfigure the peer); reject it up front.
@@ -482,7 +485,7 @@ func configure(args []string) (*peer.Peer, options, error) {
 	p.Health = peer.NewHealth()
 	// Request and policy-event log lines carry the store backend so a
 	// fleet's mixed-backend logs attribute latency to the right engine.
-	p.Logger = logger.With(obslog.F("store", backend))
+	p.Logger = logger.With("store", backend)
 	if *telemetryOn {
 		p.Telemetry = telemetry.NewRegistry()
 		p.Telemetry.Gauge("axml_build_info",
@@ -526,22 +529,22 @@ func configure(args []string) (*peer.Peer, options, error) {
 		case *store.DurableRepository:
 			p.Durable = s
 			ds := s.Stats()
-			logger.Info(nil, "durable repository recovered",
-				obslog.F("store", backend),
-				obslog.F("data_dir", *dataDir),
-				obslog.F("documents", ds.RecoveredDocuments),
-				obslog.F("wal_replayed", ds.WAL.RecoveryReplayed),
-				obslog.F("wal_truncated", ds.WAL.RecoveryTruncated),
+			logger.Info("durable repository recovered",
+				"store", backend,
+				"data_dir", *dataDir,
+				"documents", ds.RecoveredDocuments,
+				"wal_replayed", ds.WAL.RecoveryReplayed,
+				"wal_truncated", ds.WAL.RecoveryTruncated,
 			)
 		case *store.Disk:
 			ds := s.Stats()
-			logger.Info(nil, "disk store opened",
-				obslog.F("store", backend),
-				obslog.F("data_dir", *dataDir),
-				obslog.F("documents", ds.Documents),
-				obslog.F("shards", ds.Disk.Shards),
-				obslog.F("index_repairs", ds.Disk.IndexRepairs),
-				obslog.F("hot_cache", ds.Disk.HotCacheCap),
+			logger.Info("disk store opened",
+				"store", backend,
+				"data_dir", *dataDir,
+				"documents", ds.Documents,
+				"shards", ds.Disk.Shards,
+				"index_repairs", ds.Disk.IndexRepairs,
+				"hot_cache", ds.Disk.HotCacheCap,
 			)
 		}
 	}
@@ -552,11 +555,11 @@ func configure(args []string) (*peer.Peer, options, error) {
 		if err != nil {
 			return nil, options{}, err
 		}
-		logger.Info(nil, "documents loaded",
-			obslog.F("store", backend),
-			obslog.F("dir", *docsDir),
-			obslog.F("loaded", loaded),
-			obslog.F("total", p.Repo.Len()),
+		logger.Info("documents loaded",
+			"store", backend,
+			"dir", *docsDir,
+			"loaded", loaded,
+			"total", p.Repo.Len(),
 		)
 	}
 	if *simSeed >= 0 {
@@ -575,8 +578,8 @@ func configure(args []string) (*peer.Peer, options, error) {
 				return nil, options{}, err
 			}
 		}
-		logger.Info(nil, "simulated operations registered",
-			obslog.F("count", len(s.Funcs)), obslog.F("seed", *simSeed))
+		logger.Info("simulated operations registered",
+			"count", len(s.Funcs), "seed", *simSeed)
 	}
 	var follower *replica.Follower
 	switch *role {
@@ -585,13 +588,13 @@ func configure(args []string) (*peer.Peer, options, error) {
 		src := replica.NewSource(p.Durable, p.Telemetry)
 		p.Replica = src.Handler()
 		p.ReplicaStats = func() any { return src.Stats() }
-		logger.Info(nil, "replication source ready",
-			obslog.F("epoch", src.Epoch()), obslog.F("tail_records", tail))
+		logger.Info("replication source ready",
+			"epoch", src.Epoch(), "tail_records", tail)
 	case "follower":
 		follower = replica.NewFollower(replica.FollowerOptions{
 			Leader:   strings.TrimRight(*leaderURL, "/"),
 			Store:    p.Repo,
-			Logger:   logger.With(obslog.F("component", "replica")),
+			Logger:   logger.With("component", "replica"),
 			Registry: p.Telemetry,
 		})
 		// Hot-standby: the apply loop owns the store; HTTP serves reads

@@ -56,6 +56,8 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{"negative snapshot every", []string{"-schema", sp, "-snapshot-every", "-1"}, "-snapshot-every must not be negative"},
 		{"bad log format", []string{"-schema", sp, "-log-format", "xml"}, "-log-format"},
 		{"bad log level", []string{"-schema", sp, "-log-level", "verbose"}, "-log-level"},
+		{"loud log level", []string{"-schema", sp, "-log-level", "loud"}, "-log-level"},
+		{"negative depth", []string{"-schema", sp, "-k", "-1"}, "-k must not be negative"},
 		{"negative slow requests", []string{"-schema", sp, "-slow-requests", "-1"}, "-slow-requests must not be negative"},
 		{"bad role", []string{"-schema", sp, "-role", "observer"}, "bad -role"},
 		{"leader without wal", []string{"-schema", sp, "-role", "leader"}, "-role leader requires -store wal"},
@@ -118,6 +120,19 @@ func TestConfigureBuildsPeer(t *testing.T) {
 	}
 	if opts.storeBackend != "mem" {
 		t.Errorf("storeBackend = %q, want mem", opts.storeBackend)
+	}
+}
+
+// TestConfigureLogFlags: every documented -log-format and -log-level value
+// parses, "warning" included.
+func TestConfigureLogFlags(t *testing.T) {
+	sp := writeSchema(t)
+	for _, format := range []string{"text", "json"} {
+		for _, level := range []string{"debug", "info", "warn", "warning", "error"} {
+			if _, _, err := configure([]string{"-schema", sp, "-log-format", format, "-log-level", level}); err != nil {
+				t.Errorf("-log-format %s -log-level %s: %v", format, level, err)
+			}
+		}
 	}
 }
 

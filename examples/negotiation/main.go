@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,6 +28,7 @@ func TimeOut = data -> (exhibit|performance)*
 `
 
 func main() {
+	ctx := context.Background()
 	s := axml.MustParseSchemaText(senderSrc)
 	p := axml.NewPeer("news", s)
 	p.Repo.Put("today", axml.Elem("newspaper",
@@ -82,7 +84,7 @@ func TimeOut = data -> (exhibit|performance)*
 	}
 
 	fmt.Println("\n== converters heal a legacy service's vocabulary ==")
-	legacy := axml.InvokerFunc(func(call *axml.Node) ([]*axml.Node, error) {
+	legacy := axml.ContextInvokerFunc(func(_ context.Context, call *axml.Node) ([]*axml.Node, error) {
 		switch call.Label {
 		case "Get_Temp":
 			// Legacy vocabulary AND an envelope wrapper.
@@ -95,12 +97,11 @@ func TimeOut = data -> (exhibit|performance)*
 		}
 	})
 	target := mk("title.temp.exhibit*")
-	rw := axml.NewRewriter(s, target, 1, legacy)
-	rw.Audit = &axml.Audit{}
+	rw := axml.NewRewriterWithConfig(s, target, axml.RewriterConfig{Depth: 1, Invoker: legacy})
 
 	// The store shares its tree read-only; each rewriting takes its own copy.
 	stored, _ := p.Repo.Get("today")
-	if _, err := rw.RewriteDocument(stored.Clone(), axml.Possible); err != nil {
+	if _, err := rw.RewriteDocument(ctx, stored.Clone(), axml.Possible); err != nil {
 		fmt.Printf("  without converters: %v\n", err)
 	}
 	rw.Converters = axml.Converters{axml.InlineConverter(
@@ -115,7 +116,7 @@ func TimeOut = data -> (exhibit|performance)*
 			}
 			return renamed, ok1 || ok2
 		})}
-	out, err := rw.RewriteDocument(stored.Clone(), axml.Possible)
+	out, err := rw.RewriteDocument(ctx, stored.Clone(), axml.Possible)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -39,7 +40,7 @@ func newspaper() *axml.Node {
 // services simulates the two Web services. TimeOut's reply is configurable
 // so we can show both the lucky and the unlucky possible-rewriting runs.
 func services(timeOutReturnsPerformance bool) axml.Invoker {
-	return axml.InvokerFunc(func(call *axml.Node) ([]*axml.Node, error) {
+	return axml.ContextInvokerFunc(func(_ context.Context, call *axml.Node) ([]*axml.Node, error) {
 		switch call.Label {
 		case "Get_Temp":
 			return []*axml.Node{axml.Elem("temp", axml.Text("15"))}, nil
@@ -58,6 +59,7 @@ func services(timeOutReturnsPerformance bool) axml.Invoker {
 }
 
 func main() {
+	ctx := context.Background()
 	sender := axml.MustParseSchemaText(starSchema)
 	mk := func(model string) *axml.Schema {
 		return axml.MustParseSchemaTextShared(sender, strings.Replace(starSchema,
@@ -69,7 +71,7 @@ func main() {
 
 	fmt.Println("== document-level checks (Figure 2's word) ==")
 	check := func(name string, target *axml.Schema, mode axml.Mode) {
-		rw := axml.NewRewriter(sender, target, 1, nil)
+		rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Depth: 1})
 		err := rw.CheckDocument(newspaper(), mode)
 		verdict := "YES"
 		if err != nil {
@@ -82,9 +84,8 @@ func main() {
 	check("(***)", tripleStar, axml.Possible) // YES  (Figure 11)
 
 	fmt.Println("\n== safe execution into (**) ==")
-	rw := axml.NewRewriter(sender, starStar, 1, services(false))
-	rw.Audit = &axml.Audit{}
-	out, err := rw.RewriteDocument(newspaper(), axml.Safe)
+	rw := axml.NewRewriterWithConfig(sender, starStar, axml.RewriterConfig{Depth: 1, Invoker: services(false)})
+	out, err := rw.RewriteDocument(ctx, newspaper(), axml.Safe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,18 +95,16 @@ func main() {
 	}
 
 	fmt.Println("\n== possible execution into (***) — lucky TimeOut ==")
-	rw = axml.NewRewriter(sender, tripleStar, 1, services(false))
-	rw.Audit = &axml.Audit{}
-	out, err = rw.RewriteDocument(newspaper(), axml.Possible)
+	rw = axml.NewRewriterWithConfig(sender, tripleStar, axml.RewriterConfig{Depth: 1, Invoker: services(false)})
+	out, err = rw.RewriteDocument(ctx, newspaper(), axml.Possible)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  children after: %v (calls: %d)\n", out.ChildLabels(), rw.Audit.Len())
 
 	fmt.Println("\n== possible execution into (***) — unlucky TimeOut ==")
-	rw = axml.NewRewriter(sender, tripleStar, 1, services(true))
-	rw.Audit = &axml.Audit{}
-	if _, err = rw.RewriteDocument(newspaper(), axml.Possible); err != nil {
+	rw = axml.NewRewriterWithConfig(sender, tripleStar, axml.RewriterConfig{Depth: 1, Invoker: services(true)})
+	if _, err = rw.RewriteDocument(ctx, newspaper(), axml.Possible); err != nil {
 		fmt.Printf("  failed as expected: %v\n", err)
 		fmt.Printf("  side effects on record: %d calls\n", rw.Audit.Len())
 	} else {
@@ -113,9 +112,8 @@ func main() {
 	}
 
 	fmt.Println("\n== mixed execution into (***) — pre-invoke, then prove safety ==")
-	rw = axml.NewRewriter(sender, tripleStar, 1, services(false))
-	rw.Audit = &axml.Audit{}
-	out, err = rw.RewriteDocument(newspaper(), axml.Mixed)
+	rw = axml.NewRewriterWithConfig(sender, tripleStar, axml.RewriterConfig{Depth: 1, Invoker: services(false)})
+	out, err = rw.RewriteDocument(ctx, newspaper(), axml.Mixed)
 	if err != nil {
 		log.Fatal(err)
 	}

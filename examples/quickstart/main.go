@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The sender's schema: a newspaper may carry either a materialized
 	// temperature or a call to a weather service.
 	sender := axml.MustParseSchemaText(`
@@ -43,16 +45,15 @@ func Get_Temp = city -> temp
 
 	// The "Web service" (in-process here; see examples/searchengine for a
 	// real SOAP endpoint).
-	weather := axml.InvokerFunc(func(call *axml.Node) ([]*axml.Node, error) {
+	weather := axml.ContextInvokerFunc(func(_ context.Context, call *axml.Node) ([]*axml.Node, error) {
 		city := call.Children[0].Children[0].Value
 		fmt.Printf("... Get_Temp(%s) invoked\n", city)
 		return []*axml.Node{axml.Elem("temp", axml.Text("15"))}, nil
 	})
 
 	// Safe rewriting: the rewriter proves success before calling anything.
-	rw := axml.NewRewriter(sender, target, 1, weather)
-	rw.Audit = &axml.Audit{}
-	out, err := rw.RewriteDocument(page, axml.Safe)
+	rw := axml.NewRewriterWithConfig(sender, target, axml.RewriterConfig{Depth: 1, Invoker: weather})
+	out, err := rw.RewriteDocument(ctx, page, axml.Safe)
 	if err != nil {
 		log.Fatal(err)
 	}

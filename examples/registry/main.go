@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The registry knows three weather services.
 	registry := axml.NewPeer("uddi", axml.MustParseSchemaText(`
 elem city = data
@@ -101,9 +103,8 @@ elem city = data
 	if err != nil {
 		log.Fatal(err)
 	}
-	rw := axml.NewRewriter(sharedSchema, strict, 1, registry)
-	rw.Audit = &axml.Audit{}
-	out, err := rw.RewriteDocument(page("Get_Temp_Oslo"), axml.Safe)
+	rw := axml.NewRewriterWithConfig(sharedSchema, strict, axml.RewriterConfig{Depth: 1, Invoker: registry})
+	out, err := rw.RewriteDocument(ctx, page("Get_Temp_Oslo"), axml.Safe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,8 +136,8 @@ func Get_Temp_Oslo = city -> temp {noninvoke}
 	if err != nil {
 		log.Fatal(err)
 	}
-	rw2 := axml.NewRewriter(frozenSender, strict2, 1, registry)
-	if _, err := rw2.RewriteDocument(page("Get_Temp_Oslo"), axml.Safe); err != nil {
+	rw2 := axml.NewRewriterWithConfig(frozenSender, strict2, axml.RewriterConfig{Depth: 1, Invoker: registry})
+	if _, err := rw2.RewriteDocument(ctx, page("Get_Temp_Oslo"), axml.Safe); err != nil {
 		fmt.Printf("  refused as required: %v\n", err)
 	} else {
 		log.Fatal("a non-invocable function was invoked")

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -29,6 +30,7 @@ func Get_More = data -> url*.Get_More?
 `
 
 func main() {
+	ctx := context.Background()
 	s := axml.MustParseSchemaText(searchSchema)
 	p := axml.NewPeer("search", s)
 
@@ -107,9 +109,8 @@ func main() {
 		"elem results = url*", 1))
 
 	fmt.Println("receiver accepts intensional results (keep the handle):")
-	rw := axml.NewRewriter(s, intensional, 1, invoker)
-	rw.Audit = &axml.Audit{}
-	out, err := rw.RewriteDocument(fetch(), axml.Safe)
+	rw := axml.NewRewriterWithConfig(s, intensional, axml.RewriterConfig{Depth: 1, Invoker: invoker})
+	out, err := rw.RewriteDocument(ctx, fetch(), axml.Safe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,9 +118,8 @@ func main() {
 
 	fmt.Println("receiver demands plain data — chase the handle (possible mode):")
 	for _, k := range []int{1, 2, 3} {
-		rw := axml.NewRewriter(s, flat, k, invoker)
-		rw.Audit = &axml.Audit{}
-		out, err := rw.RewriteDocument(fetch(), axml.Possible)
+		rw := axml.NewRewriterWithConfig(s, flat, axml.RewriterConfig{Depth: k, Invoker: invoker})
+		out, err := rw.RewriteDocument(ctx, fetch(), axml.Possible)
 		if err != nil {
 			fmt.Printf("  k=%d: failed (%d calls): handle still alive beyond the depth bound\n", k, rw.Audit.Len())
 			continue
@@ -134,7 +134,7 @@ func main() {
 	}
 
 	fmt.Println("\nsafe mode can never promise a flat result (the handle may recur):")
-	rw = axml.NewRewriter(s, flat, 3, invoker)
+	rw = axml.NewRewriterWithConfig(s, flat, axml.RewriterConfig{Depth: 3, Invoker: invoker})
 	if err := rw.CheckDocument(fetch(), axml.Safe); err != nil {
 		fmt.Printf("  refused: %v\n", err)
 	} else {

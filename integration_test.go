@@ -1,6 +1,7 @@
 package axml_test
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,11 +88,11 @@ func Get_Temp = city -> temp
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := axml.NewRewriter(s, strict, 1, axml.SOAPInvoker(ts.URL+"/soap"))
+	rw := axml.NewRewriterWithConfig(s, strict, axml.RewriterConfig{Depth: 1, Invoker: axml.SOAPInvoker(ts.URL + "/soap")})
 	rw.Audit = &axml.Audit{}
 	stored, _ := p.Repo.Get("today")
 	// Get shares the stored tree; rewriting works on a copy.
-	out, err := rw.RewriteDocument(stored.Clone(), axml.Safe)
+	out, err := rw.RewriteDocument(context.Background(), stored.Clone(), axml.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +113,10 @@ elem temp = data
 elem city = data
 func Get_Temp = city -> temp
 `)
-	inv := axml.InvokerFunc(func(*axml.Node) ([]*axml.Node, error) {
+	inv := axml.ContextInvokerFunc(func(context.Context, *axml.Node) ([]*axml.Node, error) {
 		return []*axml.Node{axml.Elem("result", axml.Elem("temperature", axml.Text("15")))}, nil
 	})
-	rw := axml.NewRewriter(s, s, 1, inv)
+	rw := axml.NewRewriterWithConfig(s, s, axml.RewriterConfig{Depth: 1, Invoker: inv})
 	rw.Converters = axml.Converters{
 		axml.UnwrapElement("result"),
 		axml.RenameLabels(map[string]string{"temperature": "temp"}),
@@ -129,7 +130,7 @@ func Get_Temp = city -> temp
 	)}
 	rw.Converters = composite
 	root := axml.Elem("page", axml.Call("Get_Temp", axml.Elem("city", axml.Text("Nice"))))
-	out, err := rw.RewriteDocument(root, axml.Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, axml.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func Get = data -> val {cost=2}
 	rw := NewRewriterForConfig(Compile(sender, target), RewriterConfig{
 		Depth: 2, Invoker: &attemptInvoker{}, Parallelism: 4,
 	})
-	if _, err := rw.RewriteDocument(root, Safe); err != nil {
+	if _, err := rw.RewriteDocument(context.Background(), root, Safe); err != nil {
 		t.Fatal(err)
 	}
 	const want = big + 1

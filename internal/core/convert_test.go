@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,16 +24,16 @@ func Get_Temp = city -> temp
 		// Returns <temperature> instead of the declared <temp>.
 		"Get_Temp": ret(doc.Elem("temperature", doc.TextNode("15"))),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
 
 	// Without converters the exchange fails.
-	if _, err := rw.RewriteDocument(root.Clone(), Safe); err == nil {
+	if _, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe); err == nil {
 		t.Fatal("non-conforming result should fail without converters")
 	}
 	// With the rename converter it heals.
 	rw.Converters = Converters{RenameLabels(map[string]string{"temperature": "temp"})}
-	out, err := rw.RewriteDocument(root.Clone(), Safe)
+	out, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +54,10 @@ func Get_Temp = city -> temp
 	inv := stubInvoker{
 		"Get_Temp": ret(doc.Elem("result", doc.Elem("temp", doc.TextNode("15")))),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	rw.Converters = Converters{Unwrap("result")}
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	out, err := rw.RewriteDocument(root, Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +110,14 @@ func Get_Temp = city -> temp
 	inv := stubInvoker{
 		"Get_Temp": ret(doc.Elem("warmth", doc.TextNode("15"))),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	rw.Converters = Converters{
 		Unwrap("result"), // does not apply
 		RenameLabels(map[string]string{"warmth": "wrongname"}), // applies but still invalid
 		RenameLabels(map[string]string{"warmth": "temp"}),      // heals
 	}
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	out, err := rw.RewriteDocument(root, Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,23 +19,15 @@ import (
 // invoking it replaces it by the returned element. The returned document is
 // an instance of the target schema, or an error explains why the rewriting
 // was refused (safe mode) or failed (possible mode, with any side-effecting
-// calls already recorded in the Audit).
-//
-// RewriteDocument is the documented context-free wrapper over
-// RewriteDocumentContext, running under context.Background().
-func (rw *Rewriter) RewriteDocument(root *doc.Node, mode Mode) (*doc.Node, error) {
-	return rw.RewriteDocumentContext(context.Background(), root, mode)
-}
-
-// RewriteDocumentContext is RewriteDocument under a context: cancellation or
-// deadline expiry aborts the rewriting between (and, for context-aware
-// invokers, during) service calls, returning the context's error. Calls
-// already performed remain recorded in the Audit.
-func (rw *Rewriter) RewriteDocumentContext(ctx context.Context, root *doc.Node, mode Mode) (*doc.Node, error) {
+// calls already recorded in the Audit). Cancellation or deadline expiry of
+// ctx aborts the rewriting between (and, for context-aware invokers, during)
+// service calls, returning the context's error; calls already performed
+// remain recorded in the Audit.
+func (rw *Rewriter) RewriteDocument(ctx context.Context, root *doc.Node, mode Mode) (*doc.Node, error) {
 	return rw.RewriteSpineCopy(ctx, root, nil, mode)
 }
 
-// RewriteSpineCopy is RewriteDocumentContext for a spine copy of a stored
+// RewriteSpineCopy is RewriteDocument for a spine copy of a stored
 // version: root must be a spine copy (doc.Node.SpineCopy or SpineCopyAlong)
 // of the very tree from was rendered from, and from is nil when the version
 // has no rendering yet. The first check of the version that passes under
@@ -60,15 +52,9 @@ func (rw *Rewriter) RewriteSpineCopy(ctx context.Context, root *doc.Node, from *
 
 // RewriteForest rewrites a forest into the given word type — the operation
 // the Schema Enforcement module applies to service parameters (typ = τ_in)
-// and results (typ = τ_out). Trees are mutated in place; the returned slice
-// is the new top level. Context-free wrapper over RewriteForestContext.
-func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
-	return rw.RewriteForestContext(context.Background(), forest, typ, mode)
-}
-
-// RewriteForestContext is RewriteForest under a context (see
-// RewriteDocumentContext for the cancellation contract). With
-// Rewriter.Parallelism above 1 the rewriting runs on the parallel
+// and results (typ = τ_out) — under ctx, with RewriteDocument's cancellation
+// contract. Trees are mutated in place; the returned slice is the new top
+// level. With Rewriter.Parallelism above 1 the rewriting runs on the parallel
 // materialization engine (see parallel.go); at 1 it takes the sequential
 // code paths unchanged.
 //
@@ -79,11 +65,11 @@ func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mod
 // belong to the caller (service.Handler). So the input may share its
 // function-free subtrees with a stored document: doc.Node.SpineCopy copies
 // exactly the part a rewriting writes.
-func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
+func (rw *Rewriter) RewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
 	return rw.rewriteForestContext(ctx, forest, typ, nil, mode)
 }
 
-// rewriteForestContext is RewriteForestContext over a forest that is a
+// rewriteForestContext is RewriteForest over a forest that is a
 // spine copy of the version from renders, when from is not nil (see
 // RewriteSpineCopy).
 func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, from *xmlio.Rendering, mode Mode) ([]*doc.Node, error) {

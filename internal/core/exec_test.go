@@ -68,7 +68,7 @@ func paperRewriter(t *testing.T, newspaper string, inv Invoker) *Rewriter {
 	t.Helper()
 	sender := schema.MustParseText(senderText, nil)
 	target := targetSchema(t, sender, newspaper)
-	rw := NewRewriter(sender, target, 2, inv)
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 	rw.Audit = &Audit{}
 	return rw
 }
@@ -87,7 +87,7 @@ func TestFig2SafeExecution(t *testing.T) {
 		rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
 		rw.Engine = engine
 		root := fig2doc()
-		out, err := rw.RewriteDocument(root, Safe)
+		out, err := rw.RewriteDocument(context.Background(), root, Safe)
 		if err != nil {
 			t.Fatalf("engine %d: %v", engine, err)
 		}
@@ -112,12 +112,12 @@ func TestFig2SafeExecution(t *testing.T) {
 // TestFig8SafeRefusal: rewriting into (***) is refused before any call.
 func TestFig8SafeRefusal(t *testing.T) {
 	invoked := false
-	inv := InvokerFunc(func(*doc.Node) ([]*doc.Node, error) {
+	inv := ContextInvokerFunc(func(context.Context, *doc.Node) ([]*doc.Node, error) {
 		invoked = true
 		return nil, nil
 	})
 	rw := paperRewriter(t, "title.date.temp.exhibit*", inv)
-	if _, err := rw.RewriteDocument(fig2doc(), Safe); err == nil {
+	if _, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe); err == nil {
 		t.Fatal("safe rewriting into (***) should be refused")
 	}
 	if invoked {
@@ -138,7 +138,7 @@ func TestFig11PossibleExecution(t *testing.T) {
 		"TimeOut":  ret(exhibit, exhibit),
 	}
 	rw := paperRewriter(t, "title.date.temp.exhibit*", lucky)
-	out, err := rw.RewriteDocument(fig2doc(), Possible)
+	out, err := rw.RewriteDocument(context.Background(), fig2doc(), Possible)
 	if err != nil {
 		t.Fatalf("lucky TimeOut: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestFig11PossibleExecution(t *testing.T) {
 		"TimeOut":  ret(doc.Elem("performance", doc.TextNode("opera"))),
 	}
 	rw2 := paperRewriter(t, "title.date.temp.exhibit*", unlucky)
-	_, err = rw2.RewriteDocument(fig2doc(), Possible)
+	_, err = rw2.RewriteDocument(context.Background(), fig2doc(), Possible)
 	if err == nil {
 		t.Fatal("unlucky TimeOut should fail the possible rewriting")
 	}
@@ -172,7 +172,7 @@ func TestPossibleRefusedStatically(t *testing.T) {
 			return nil, nil
 		},
 	})
-	if _, err := rw.RewriteDocument(fig2doc(), Possible); err == nil {
+	if _, err := rw.RewriteDocument(context.Background(), fig2doc(), Possible); err == nil {
 		t.Fatal("impossible target should be refused")
 	}
 	if rw.Audit.Len() != 0 {
@@ -216,10 +216,10 @@ func Default_City = data -> city
 			return []*doc.Node{doc.Elem("temp", doc.TextNode("15"))}, nil
 		},
 	}
-	rw := NewRewriter(sender, target, 2, inv)
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 	rw.Audit = &Audit{}
 	root := doc.Elem("newspaper", doc.Call("Get_Temp", doc.Call("Default_City", doc.TextNode("fr"))))
-	out, err := rw.RewriteDocument(root, Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +268,9 @@ func Read_Sensor = data -> data
 	inv := stubInvoker{
 		"Read_Sensor": ret(doc.TextNode("21.5")),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	root := doc.Elem("page", doc.Elem("temp", doc.Call("Read_Sensor", doc.TextNode("s1"))))
-	out, err := rw.RewriteDocument(root, Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestValidateReturns(t *testing.T) {
 		"Get_Temp": ret(doc.Elem("city", doc.TextNode("nonsense"))),
 	}
 	rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
-	_, err := rw.RewriteDocument(fig2doc(), Safe)
+	_, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe)
 	if err == nil || !strings.Contains(err.Error(), "non-conforming") {
 		t.Fatalf("expected non-conforming result error, got %v", err)
 	}
@@ -301,7 +301,7 @@ func TestInvokerError(t *testing.T) {
 		"Get_Temp": func(*doc.Node) ([]*doc.Node, error) { return nil, errors.New("boom") },
 	}
 	rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
-	_, err := rw.RewriteDocument(fig2doc(), Safe)
+	_, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected invoker error, got %v", err)
 	}
@@ -318,10 +318,10 @@ func Get_More = data -> url*.Get_More?
 	inv := stubInvoker{
 		"Get_More": ret(doc.Elem("url", doc.TextNode("http://x")), doc.Call("Get_More", doc.TextNode("next"))),
 	}
-	rw := NewRewriter(sender, sender, 50, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 50, Invoker: inv})
 	rw.MaxCalls = 10
 	root := doc.Elem("results", doc.Call("Get_More", doc.TextNode("q")))
-	_, err := rw.RewriteDocument(root, Possible)
+	_, err := rw.RewriteDocument(context.Background(), root, Possible)
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("expected call budget error, got %v", err)
 	}
@@ -359,10 +359,10 @@ func Get_More = data -> url*.Get_More?
 			return out, nil
 		},
 	}
-	rw := NewRewriter(sender, target, 5, inv)
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 5, Invoker: inv})
 	rw.Audit = &Audit{}
 	root := doc.Elem("results", doc.Elem("url", doc.TextNode("u0")), doc.Call("Get_More", doc.TextNode("q")))
-	out, err := rw.RewriteDocument(root, Possible)
+	out, err := rw.RewriteDocument(context.Background(), root, Possible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestMixedMode(t *testing.T) {
 		"TimeOut":  ret(exhibit),
 	}
 	rw := paperRewriter(t, "title.date.temp.exhibit*", inv)
-	out, err := rw.RewriteDocument(fig2doc(), Mixed)
+	out, err := rw.RewriteDocument(context.Background(), fig2doc(), Mixed)
 	if err != nil {
 		t.Fatalf("mixed mode should succeed with conforming actual data: %v", err)
 	}
@@ -400,7 +400,7 @@ func TestMixedMode(t *testing.T) {
 		"TimeOut":  ret(doc.Elem("performance", doc.TextNode("opera"))),
 	}
 	rw2 := paperRewriter(t, "title.date.temp.exhibit*", inv2)
-	if _, err := rw2.RewriteDocument(fig2doc(), Mixed); err == nil {
+	if _, err := rw2.RewriteDocument(context.Background(), fig2doc(), Mixed); err == nil {
 		t.Fatal("mixed mode should refuse when actual data does not conform")
 	}
 }
@@ -420,9 +420,9 @@ func Pay = data -> receipt {effects}
 			return []*doc.Node{doc.Elem("receipt", doc.TextNode("ok"))}, nil
 		},
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	root := doc.Elem("page", doc.Call("Pay", doc.TextNode("100")))
-	out, err := rw.RewriteDocument(root, Mixed)
+	out, err := rw.RewriteDocument(context.Background(), root, Mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +441,8 @@ func Make_Page = data -> page
 	inv := stubInvoker{
 		"Make_Page": ret(doc.Elem("page", doc.TextNode("hello"))),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
-	out, err := rw.RewriteDocument(doc.Call("Make_Page", doc.TextNode("x")), Safe)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
+	out, err := rw.RewriteDocument(context.Background(), doc.Call("Make_Page", doc.TextNode("x")), Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestCompiledDoesNotGrowPerRequest(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c := cache.Get(sender, frozenReceiverSchema(t, sender))
 		rw := NewRewriterForConfig(c, RewriterConfig{Invoker: inv})
-		if _, err := rw.RewriteDocument(stored.SpineCopy(), Safe); err != nil {
+		if _, err := rw.RewriteDocument(context.Background(), stored.SpineCopy(), Safe); err != nil {
 			t.Fatalf("exchange %d: %v", i+1, err)
 		}
 		entries, dfas := c.tableSizes()
@@ -245,7 +245,7 @@ func TestCompiledConcurrentReadOnly(t *testing.T) {
 					t.Errorf("check, mode %s: %v", mode, err)
 					return
 				}
-				if _, err := rw.RewriteDocument(stored.SpineCopy(), mode); err != nil {
+				if _, err := rw.RewriteDocument(context.Background(), stored.SpineCopy(), mode); err != nil {
 					t.Errorf("rewrite, mode %s: %v", mode, err)
 					return
 				}

@@ -18,42 +18,9 @@ import (
 //
 // The context carries the deadline/cancellation of the whole rewriting (or
 // HTTP request) the call executes under; implementations must return promptly
-// with ctx.Err() once it is done. Legacy context-free implementations can be
-// adapted with Legacy.
+// with ctx.Err() once it is done.
 type Invoker interface {
 	Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, error)
-}
-
-// LegacyInvoker is the pre-context interface, kept so implementations written
-// against the original API can still be plugged in through Legacy.
-type LegacyInvoker interface {
-	Invoke(call *doc.Node) ([]*doc.Node, error)
-}
-
-// Legacy adapts a context-free invoker to the context-aware interface. The
-// adapted invoker checks the context before delegating, but a call already in
-// flight cannot be interrupted — prefer native context support for anything
-// that can block.
-func Legacy(li LegacyInvoker) Invoker {
-	return ContextInvokerFunc(func(ctx context.Context, call *doc.Node) ([]*doc.Node, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return li.Invoke(call)
-	})
-}
-
-// InvokerFunc adapts a context-free function to the Invoker interface — the
-// documented compatibility wrapper for code written against the original
-// one-argument API. The context is consulted before the function runs.
-type InvokerFunc func(*doc.Node) ([]*doc.Node, error)
-
-// Invoke implements Invoker.
-func (f InvokerFunc) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return f(call)
 }
 
 // ContextInvokerFunc adapts a context-aware function to the Invoker interface.

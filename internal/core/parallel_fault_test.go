@@ -77,11 +77,11 @@ func TestFaultParallelSafeCancelsSiblings(t *testing.T) {
 	fi.Plan("GetA", invoke.Fault{Kind: invoke.FaultLatency, Latency: 100 * time.Millisecond})
 	fi.Plan("GetB", invoke.Fault{Kind: invoke.FaultHang})
 
-	rw := core.NewRewriter(sender, target, 2, fi)
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: fi})
 	rw.Audit = &core.Audit{}
 	rw.Parallelism = 4
 	start := time.Now()
-	_, err := rw.RewriteDocument(faultDoc(), core.Safe)
+	_, err := rw.RewriteDocument(context.Background(), faultDoc(), core.Safe)
 	elapsed := time.Since(start)
 	if !errors.Is(err, invoke.ErrInjected) {
 		t.Fatalf("want ErrInjected from GetA, got %v", err)
@@ -103,10 +103,10 @@ func TestFaultParallelPossibleDegrades(t *testing.T) {
 	fi := invoke.NewFaultInjector(stubInv{})
 	fi.Plan("GetA", invoke.Fault{Kind: invoke.FaultError})
 
-	rw := core.NewRewriter(sender, target, 2, instantRetry(fi))
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: instantRetry(fi)})
 	rw.Audit = &core.Audit{}
 	rw.Parallelism = 4
-	_, err := rw.RewriteDocument(faultDoc(), core.Possible)
+	_, err := rw.RewriteDocument(context.Background(), faultDoc(), core.Possible)
 	var nse *core.NotSafeError
 	if !errors.As(err, &nse) {
 		t.Fatalf("want NotSafeError after degradation, got %v", err)
@@ -131,10 +131,10 @@ func TestFaultParallelMixedPreInvokeDegrades(t *testing.T) {
 	fi := invoke.NewFaultInjector(stubInv{})
 	fi.Plan("GetA", invoke.Fault{Kind: invoke.FaultError})
 
-	rw := core.NewRewriter(sender, target, 2, instantRetry(fi))
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: instantRetry(fi)})
 	rw.Audit = &core.Audit{}
 	rw.Parallelism = 4
-	out, err := rw.RewriteDocument(faultDoc(), core.Mixed)
+	out, err := rw.RewriteDocument(context.Background(), faultDoc(), core.Mixed)
 	if err != nil {
 		t.Fatalf("mixed rewriting must survive the degraded pre-invocation: %v", err)
 	}

@@ -97,10 +97,10 @@ func TestParallelStressIdenticalAcrossDegrees(t *testing.T) {
 		var refCalls []string
 		for _, degree := range degrees {
 			inv := &recordingInvoker{}
-			rw := NewRewriterFor(Compile(sender, target), 2, inv)
+			rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 			rw.Audit = &Audit{}
 			rw.Parallelism = degree
-			out, err := rw.RewriteDocument(stressDoc(funcs), mode)
+			out, err := rw.RewriteDocument(context.Background(), stressDoc(funcs), mode)
 			if err != nil {
 				t.Fatalf("mode %v degree %d: %v", mode, degree, err)
 			}
@@ -157,10 +157,10 @@ func Get = data -> val
 	var refTree *doc.Node
 	for _, degree := range []int{1, 8} {
 		inv := &recordingInvoker{}
-		rw := NewRewriterFor(Compile(sender, target), 2, inv)
+		rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 		rw.Audit = &Audit{}
 		rw.Parallelism = degree
-		out, err := rw.RewriteDocument(build(), Safe)
+		out, err := rw.RewriteDocument(context.Background(), build(), Safe)
 		if err != nil {
 			t.Fatalf("degree %d: %v", degree, err)
 		}
@@ -201,10 +201,10 @@ func TestParallelAuditDeterministic(t *testing.T) {
 	for _, degree := range []int{1, 4} {
 		for run := 0; run < 2; run++ {
 			inv := &recordingInvoker{}
-			rw := NewRewriterFor(Compile(sender, target), 2, inv)
+			rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 			rw.Audit = &Audit{}
 			rw.Parallelism = degree
-			if _, err := rw.RewriteDocument(stressDoc(funcs), Safe); err != nil {
+			if _, err := rw.RewriteDocument(context.Background(), stressDoc(funcs), Safe); err != nil {
 				t.Fatalf("degree %d: %v", degree, err)
 			}
 			records := rw.Audit.Calls()
@@ -251,13 +251,13 @@ func G = data -> val
 			mu.Unlock()
 			return []*doc.Node{doc.Elem("val", doc.TextNode(call.Label))}, nil
 		})
-		rw := NewRewriterFor(Compile(sender, target), 2, inv)
+		rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 		rw.Audit = &Audit{}
 		rw.Parallelism = degree
 		root := doc.Elem("page",
 			doc.Call("F", doc.TextNode("x")),
 			doc.Call("G", doc.TextNode("y")))
-		out, err := rw.RewriteDocument(root, Safe)
+		out, err := rw.RewriteDocument(context.Background(), root, Safe)
 		if err != nil {
 			t.Fatalf("degree %d: %v", degree, err)
 		}
@@ -307,11 +307,11 @@ func TestParallelErrorPathWideFanout(t *testing.T) {
 	sender, target := stressPair(t)
 	for _, degree := range []int{1, 4} {
 		inv := &recordingInvoker{wideFor: "Get:p37"}
-		rw := NewRewriterFor(Compile(sender, target), 2, inv)
+		rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 		rw.Audit = &Audit{}
 		rw.Parallelism = degree
 		rw.ValidateReturns = false // let the bad splice reach the word check
-		_, err := rw.RewriteDocument(stressDoc(funcs), Possible)
+		_, err := rw.RewriteDocument(context.Background(), stressDoc(funcs), Possible)
 		if err == nil {
 			t.Fatalf("degree %d: sec[37]'s double val must fail", degree)
 		}
@@ -340,7 +340,7 @@ func Opt = data -> a?
 func Data = data -> data
 `, nil)
 	c := Compile(s, s)
-	rw := NewRewriterFor(c, 1, nil)
+	rw := NewRewriterForConfig(c, RewriterConfig{Depth: 1})
 	ex := &executor{rw: rw}
 	for fn, want := range map[string]bool{
 		"One": true, "Many": false, "Star": false, "Opt": false, "Data": true,

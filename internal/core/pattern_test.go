@@ -46,12 +46,12 @@ pattern Forecast = city -> temp {pred=uddi}
 // be kept — the pattern expansion makes Get_Temp a word of the target model.
 func TestPatternKeepSafe(t *testing.T) {
 	sender, target := patternSchemas(t)
-	rw := NewRewriter(sender, target, 1, stubInvoker{})
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1, Invoker: stubInvoker{}})
 	rw.Audit = &Audit{}
 	good := doc.Elem("newspaper",
 		doc.Elem("title", doc.TextNode("t")),
 		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	out, err := rw.RewriteDocument(good, Safe)
+	out, err := rw.RewriteDocument(context.Background(), good, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,12 @@ func TestPatternRejectedMustMaterialize(t *testing.T) {
 	inv := stubInvoker{
 		"Rogue_Temp": ret(doc.Elem("temp", doc.TextNode("12"))),
 	}
-	rw := NewRewriter(sender, target, 1, inv)
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1, Invoker: inv})
 	rw.Audit = &Audit{}
 	rogue := doc.Elem("newspaper",
 		doc.Elem("title", doc.TextNode("t")),
 		doc.Call("Rogue_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	out, err := rw.RewriteDocument(rogue, Safe)
+	out, err := rw.RewriteDocument(context.Background(), rogue, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestPatternLazyAgrees(t *testing.T) {
 		d := doc.Elem("newspaper",
 			doc.Elem("title", doc.TextNode("t")),
 			doc.Call(callName, doc.Elem("city", doc.TextNode("Paris"))))
-		eager := NewRewriter(sender, target, 1, nil)
-		lazy := NewRewriter(sender, target, 1, nil)
+		eager := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1})
+		lazy := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1})
 		lazy.Engine = Lazy
 		// Safe either way (keep for Get_Temp, call for Rogue_Temp).
 		errE := eager.CheckDocument(d, Safe)
@@ -270,13 +270,13 @@ func Pricey = city -> temp {cost=10}
 		"Cheap":  ret(doc.Elem("temp", doc.TextNode("1"))),
 		"Pricey": ret(doc.Elem("temp", doc.TextNode("2"))),
 	}
-	rw := NewRewriter(sender, sender, 1, inv)
+	rw := NewRewriterWithConfig(sender, sender, RewriterConfig{Depth: 1, Invoker: inv})
 	rw.Audit = &Audit{}
 	root := doc.Elem("page",
 		doc.Call("Cheap", doc.Elem("city")),
 		doc.Call("Pricey", doc.Elem("city")))
 	// Target requires both materialized.
-	if _, err := rw.RewriteForest([]*doc.Node{root}, regex.MustParse(sender.Table, "page"), Safe); err != nil {
+	if _, err := rw.RewriteForest(context.Background(), []*doc.Node{root}, regex.MustParse(sender.Table, "page"), Safe); err != nil {
 		t.Fatal(err)
 	}
 	if got := rw.Audit.TotalCost(); got != 11 {
@@ -350,7 +350,7 @@ func TestModeAndErrorStrings(t *testing.T) {
 // TestDocumentTypeErrors: root resolution corner cases.
 func TestDocumentTypeErrors(t *testing.T) {
 	s := schema.MustParseText("elem a = data", nil) // no root declared
-	rw := NewRewriter(s, s, 1, nil)
+	rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 1})
 	if err := rw.CheckDocument(doc.Call("F"), Safe); err == nil {
 		t.Error("function root without schema root should fail")
 	}
@@ -364,7 +364,7 @@ func TestDocumentTypeErrors(t *testing.T) {
 
 // TestInvokerFuncAdapter covers the function adapter.
 func TestInvokerFuncAdapter(t *testing.T) {
-	inv := InvokerFunc(func(call *doc.Node) ([]*doc.Node, error) {
+	inv := ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
 		return []*doc.Node{doc.TextNode(call.Label)}, nil
 	})
 	out, err := inv.Invoke(context.Background(), doc.Call("X"))

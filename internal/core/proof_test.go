@@ -27,7 +27,7 @@ func TestLenientFrozenParamsNeverInvoked(t *testing.T) {
 			sender := schema.MustParseText(senderText, nil)
 			target := targetSchema(t, sender, "title.date.(Get_Temp|temp).(TimeOut|exhibit*)")
 			reg := telemetry.NewRegistry()
-			inv := InvokerFunc(func(call *doc.Node) ([]*doc.Node, error) {
+			inv := ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
 				t.Errorf("mode %v degree %d: %s invoked", mode, degree, call.Label)
 				return nil, errors.New("unexpected call")
 			})
@@ -39,7 +39,7 @@ func TestLenientFrozenParamsNeverInvoked(t *testing.T) {
 				doc.Elem("date", doc.TextNode("04/10/2002")),
 				doc.Call("Get_Temp", doc.Elem("date", doc.TextNode("not a city"))))
 			want := root.Clone()
-			out, err := rw.RewriteDocument(root, mode)
+			out, err := rw.RewriteDocument(context.Background(), root, mode)
 			if err != nil {
 				t.Fatalf("mode %v degree %d: %v", mode, degree, err)
 			}
@@ -96,8 +96,7 @@ elem b = data
 		{
 			name: "structured element with a short word",
 			rw: func() *Rewriter {
-				return NewRewriter(boxSchema, boxTarget, 2,
-					stubInvoker{"Mk": ret(doc.Elem("box", doc.Elem("a", doc.TextNode("x"))))})
+				return NewRewriterWithConfig(boxSchema, boxTarget, RewriterConfig{Depth: 2, Invoker: stubInvoker{"Mk": ret(doc.Elem("box", doc.Elem("a", doc.TextNode("x"))))}})
 			},
 			root: doc.Elem("page", doc.Call("Mk", doc.TextNode("m"))),
 			want: `core: /page[0]/box[0]: rewriting finished on [a] which does not match a.b (mode safe, 1 calls made)`,
@@ -108,7 +107,7 @@ elem b = data
 			rw := c.rw()
 			rw.ValidateReturns = false
 			rw.Parallelism = degree
-			_, err := rw.RewriteDocument(c.root.Clone(), Safe)
+			_, err := rw.RewriteDocument(context.Background(), c.root.Clone(), Safe)
 			if err == nil || err.Error() != c.want {
 				t.Errorf("%s, degree %d: err = %v\nwant %s", c.name, degree, err, c.want)
 			}
@@ -128,7 +127,7 @@ func TestGeneratedDocumentsAcrossModes(t *testing.T) {
 			mk := func() *Rewriter { rw, _ := propRewriter(t, degree); return rw }
 			for _, mode := range []Mode{Safe, Possible, Mixed} {
 				rw := mk()
-				out, err := rw.RewriteDocument(root.Clone(), mode)
+				out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
 				if err != nil {
 					t.Fatalf("seed %d degree %d mode %v: %v", seed, degree, mode, err)
 				}
@@ -169,7 +168,7 @@ func TestErrorPathsBothEngines(t *testing.T) {
 	for _, c := range cases {
 		for _, degree := range []int{1, 4} {
 			rwT, _ := propRewriter(t, degree)
-			_, errT := rwT.RewriteDocument(c.root.Clone(), Safe)
+			_, errT := rwT.RewriteDocument(context.Background(), c.root.Clone(), Safe)
 			rwS, _ := propRewriter(t, degree)
 			res, errS := rwS.RewriteDocumentStream(context.Background(), c.root.Clone(), &bytes.Buffer{}, Safe)
 			if !res.Streamed {

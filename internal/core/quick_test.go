@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,12 +116,12 @@ func TestQuickSafeExecutionAlwaysSucceeds(t *testing.T) {
 	f := func(seed int64) bool {
 		s, root, rng := randomInstanceSetup(seed)
 		inv := workload.NewSimInvoker(s, rng)
-		rw := NewRewriter(s, s, 2, inv)
+		rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 2, Invoker: inv})
 		rw.Audit = &Audit{}
 		if err := rw.CheckDocument(root, Safe); err != nil {
 			return true // not safe: nothing to verify
 		}
-		out, err := rw.RewriteDocument(root.Clone(), Safe)
+		out, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe)
 		if err != nil {
 			t.Logf("seed %d: safe execution failed: %v", seed, err)
 			return false
@@ -144,9 +145,9 @@ func TestQuickIdentityRewriteNoCalls(t *testing.T) {
 		_ = rng
 		inv := workload.NewSimInvoker(s, rand.New(rand.NewSource(seed+1)))
 		for _, mode := range []Mode{Safe, Possible} {
-			rw := NewRewriter(s, s, 1, inv)
+			rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 1, Invoker: inv})
 			rw.Audit = &Audit{}
-			out, err := rw.RewriteDocument(root.Clone(), mode)
+			out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
 			if err != nil {
 				t.Logf("seed %d mode %v: %v", seed, mode, err)
 				return false
@@ -185,7 +186,7 @@ func TestQuickSchemaRewriteSoundOnInstances(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			rw := NewRewriter(s, s, 2, nil)
+			rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 2})
 			if err := rw.CheckDocument(root, Safe); err != nil {
 				t.Logf("seed %d: schema-safe but instance unsafe: %v", seed, err)
 				return false
@@ -206,7 +207,8 @@ func TestQuickValidationAgreesWithK0(t *testing.T) {
 		if root.HasFuncs() {
 			return true
 		}
-		rw := NewRewriter(s, s, 0, nil)
+		rw := NewRewriterWithConfig(s, s, RewriterConfig{})
+		rw.K = 0
 		checkErr := rw.CheckDocument(root, Safe)
 		valErr := schema.NewContext(s, nil).Validate(root)
 		return (checkErr == nil) == (valErr == nil)

@@ -64,7 +64,7 @@ type Rewriter struct {
 	Invoker Invoker
 	// ValidateReturns verifies every returned forest is an output instance
 	// of the invoked function before splicing it (the Schema Enforcement
-	// module's receive-side check). Default true in NewRewriter.
+	// module's receive-side check). Default true (RewriterConfig.SkipValidation).
 	ValidateReturns bool
 	// StrictParams makes the rewriting fail when any function node's
 	// parameters cannot be rewritten into its input type (the paper's
@@ -72,7 +72,7 @@ type Rewriter struct {
 	// still be kept, just never invoked.
 	StrictParams bool
 	// MaxCalls caps total invocations per rewriting as a runaway valve
-	// (recursive services). Default 10000 in NewRewriter.
+	// (recursive services). Default DefaultMaxCalls.
 	MaxCalls int
 	// PreInvoke guards the Mixed mode's speculative pass; defaults to
 	// "no side effects and zero cost".
@@ -118,12 +118,13 @@ const DefaultDepth = 2
 // RewriterConfig leaves MaxCalls zero.
 const DefaultMaxCalls = 10000
 
-// RewriterConfig is the options struct behind NewRewriterWithConfig — the
-// growth path that replaced the positional NewRewriter(sender, target, k,
-// inv) constructor. The zero value is usable: depth DefaultDepth, eager
+// RewriterConfig is the options struct behind NewRewriterWithConfig and
+// NewRewriterForConfig. The zero value is usable: depth DefaultDepth, eager
 // engine, validated returns, strict parameters, a fresh Audit.
 type RewriterConfig struct {
 	// Depth bounds rewriting depth (Definition 7); 0 selects DefaultDepth.
+	// Depth 0 (no call may be invoked) is set through Rewriter.K after
+	// construction.
 	Depth int
 	// Engine selects the word-level analysis (zero value: Eager).
 	Engine EngineKind
@@ -159,28 +160,6 @@ type RewriterConfig struct {
 	// Streaming opts into the one-pass streaming enforcement engine for
 	// callers that serialize results (Rewriter.Streaming).
 	Streaming bool
-}
-
-// NewRewriter builds a rewriter for the (sender, target) schema pair,
-// compiling the pair analysis from scratch. It is the thin compatibility
-// wrapper over NewRewriterWithConfig kept for the original positional API;
-// note it leaves Audit nil (callers set it), unlike the config path.
-func NewRewriter(sender, target *schema.Schema, k int, inv Invoker) *Rewriter {
-	return NewRewriterFor(Compile(sender, target), k, inv)
-}
-
-// NewRewriterFor builds a rewriter over an existing compiled analysis — the
-// positional compatibility wrapper; see NewRewriterForConfig.
-func NewRewriterFor(c *Compiled, k int, inv Invoker) *Rewriter {
-	return &Rewriter{
-		Compiled:        c,
-		K:               k,
-		Invoker:         inv,
-		ValidateReturns: true,
-		StrictParams:    true,
-		MaxCalls:        DefaultMaxCalls,
-		ctx:             schema.NewContext(c.Target, c.Sender),
-	}
 }
 
 // NewRewriterWithConfig builds a rewriter for the (sender, target) schema

@@ -64,10 +64,10 @@ func TestQuickExecutorRobustness(t *testing.T) {
 					failEvery:    inject.fail,
 					garbageEvery: inject.garbage,
 				}
-				rw := NewRewriter(s, s, 2, inv)
+				rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 2, Invoker: inv})
 				rw.Audit = &Audit{}
 				rw.MaxCalls = 200
-				out, err := rw.RewriteDocument(root.Clone(), mode)
+				out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
 				if err != nil {
 					continue // failure is acceptable; panics are not
 				}
@@ -97,12 +97,12 @@ func TestQuickSafeDepthBound(t *testing.T) {
 			return true
 		}
 		k := 1 + rng.Intn(2)
-		rw := NewRewriter(s, s, k, workload.NewSimInvoker(s, rand.New(rand.NewSource(seed+7))))
+		rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: k, Invoker: workload.NewSimInvoker(s, rand.New(rand.NewSource(seed+7)))})
 		rw.Audit = &Audit{}
 		if err := rw.CheckDocument(root, Safe); err != nil {
 			return true
 		}
-		if _, err := rw.RewriteDocument(root.Clone(), Safe); err != nil {
+		if _, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe); err != nil {
 			t.Logf("seed %d: statically safe but execution failed: %v", seed, err)
 			return false
 		}
@@ -134,9 +134,9 @@ func Get_Temp = city -> temp
 		inner:        workload.NewSimInvoker(s, rand.New(rand.NewSource(1))),
 		garbageEvery: 1,
 	}
-	rw := NewRewriter(s, s, 1, inv)
+	rw := NewRewriterWithConfig(s, s, RewriterConfig{Depth: 1, Invoker: inv})
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("x"))))
-	out, err := rw.RewriteDocument(root, Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, Safe)
 	if err == nil {
 		t.Fatalf("garbage should fail, got %v", out)
 	}
@@ -183,7 +183,7 @@ func Get_Temp = city -> temp
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	out, err := rw.RewriteDocumentContext(ctx, root, Safe)
+	out, err := rw.RewriteDocument(ctx, root, Safe)
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -234,7 +234,7 @@ func Get_Temp = city -> temp
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("x"))))
-	if _, err := rw.RewriteDocumentContext(ctx, root, Safe); !errors.Is(err, context.Canceled) {
+	if _, err := rw.RewriteDocument(ctx, root, Safe); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
 	if calls != 0 {

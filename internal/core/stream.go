@@ -165,7 +165,7 @@ func (rw *Rewriter) streamPrescan(n *doc.Node) (ok, holds bool) {
 // RewriteDocumentStream enforces the exchange schema on root and writes the
 // serialized result to w in one pass, falling back to the tree engine (plus
 // direct serialization) for configurations streaming cannot handle. The
-// document is mutated like RewriteDocumentContext; pass a clone to keep the
+// document is mutated like RewriteDocument; pass a clone to keep the
 // original.
 func (rw *Rewriter) RewriteDocumentStream(ctx context.Context, root *doc.Node, w io.Writer, mode Mode) (*StreamResult, error) {
 	reason := ""
@@ -179,7 +179,7 @@ func (rw *Rewriter) RewriteDocumentStream(ctx context.Context, root *doc.Node, w
 	if reason != "" {
 		rw.Instruments.countStreamFallback(reason)
 		res := &StreamResult{FallbackReason: reason}
-		out, err := rw.RewriteDocumentContext(ctx, root, mode)
+		out, err := rw.RewriteDocument(ctx, root, mode)
 		if err != nil {
 			return res, err
 		}
@@ -202,7 +202,7 @@ func (rw *Rewriter) RewriteStream(ctx context.Context, src xmlio.TokenSource, w 
 	return rw.runStream(ctx, src, w)
 }
 
-// runStream is the instrumented entry, mirroring RewriteForestContext:
+// runStream is the instrumented entry, mirroring RewriteForest:
 // rewrite ID, stamped event sink, span, latency and stream metrics.
 func (rw *Rewriter) runStream(ctx context.Context, src xmlio.TokenSource, w io.Writer) (*StreamResult, error) {
 	if rw.Invoker == nil {

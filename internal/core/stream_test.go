@@ -191,7 +191,7 @@ func streamVsTree(t *testing.T, mk func() *Rewriter, root *doc.Node, mode Mode) 
 	t.Helper()
 	ctx := context.Background()
 	rwT := mk()
-	outT, errT := rwT.RewriteDocumentContext(ctx, root.Clone(), mode)
+	outT, errT := rwT.RewriteDocument(ctx, root.Clone(), mode)
 	var want bytes.Buffer
 	if errT == nil {
 		if err := xmlio.Write(&want, outT); err != nil {
@@ -232,7 +232,7 @@ func streamableFigRewriter(t *testing.T, inv Invoker) *Rewriter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := NewRewriter(sender, target, 2, inv)
+	rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
 	rw.Audit = &Audit{}
 	return rw
 }
@@ -287,7 +287,7 @@ func TestStreamFig2FallbackTarget(t *testing.T) {
 // single invocation.
 func TestStreamFig8RefusalEquivalence(t *testing.T) {
 	mk := func() *Rewriter {
-		return streamableFigRewriter(t, InvokerFunc(func(*doc.Node) ([]*doc.Node, error) {
+		return streamableFigRewriter(t, ContextInvokerFunc(func(context.Context, *doc.Node) ([]*doc.Node, error) {
 			t.Error("refused rewriting must not invoke")
 			return nil, nil
 		}))
@@ -430,7 +430,7 @@ func TestStreamReaderSourceEquivalence(t *testing.T) {
 		}
 
 		rwT, _ := propRewriter(t, 1)
-		outT, err := rwT.RewriteDocumentContext(context.Background(), root.Clone(), Safe)
+		outT, err := rwT.RewriteDocument(context.Background(), root.Clone(), Safe)
 		if err != nil {
 			t.Fatalf("seed %d: tree: %v", seed, err)
 		}

@@ -29,7 +29,7 @@ func TestRewriteTelemetry(t *testing.T) {
 		"Get_Temp": ret(doc.Elem("temp", doc.TextNode("15"))),
 	}
 	rw, reg := telemetryRewriter(t, inv)
-	if _, err := rw.RewriteDocument(fig2doc(), Safe); err != nil {
+	if _, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestRewriteIDStampsAuditAndSpans(t *testing.T) {
 	}
 	rw, reg := telemetryRewriter(t, inv)
 	ctx := telemetry.WithTraceID(context.Background(), "rw-test-1")
-	if _, err := rw.RewriteDocumentContext(ctx, fig2doc(), Safe); err != nil {
+	if _, err := rw.RewriteDocument(ctx, fig2doc(), Safe); err != nil {
 		t.Fatal(err)
 	}
 	calls := rw.Audit.Calls()
@@ -121,7 +121,7 @@ func TestRewriteIDWithoutTelemetry(t *testing.T) {
 	}
 	rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
 	ctx := telemetry.WithTraceID(context.Background(), "rw-plain")
-	if _, err := rw.RewriteDocumentContext(ctx, fig2doc(), Safe); err != nil {
+	if _, err := rw.RewriteDocument(ctx, fig2doc(), Safe); err != nil {
 		t.Fatal(err)
 	}
 	calls := rw.Audit.Calls()
@@ -150,7 +150,7 @@ func TestEventBridge(t *testing.T) {
 		Invoker:   inv,
 		Telemetry: reg,
 	})
-	if _, err := rw.RewriteDocument(fig2doc(), Possible); err == nil {
+	if _, err := rw.RewriteDocument(context.Background(), fig2doc(), Possible); err == nil {
 		t.Fatal("expected the degraded rewriting to fail")
 	}
 	if v, _ := reg.Value("axml_invoke_degraded_total"); v != 1 {
@@ -192,7 +192,7 @@ func TestParallelTelemetrySingleCounting(t *testing.T) {
 		Telemetry:   reg,
 		Parallelism: 4,
 	})
-	if _, err := rw.RewriteDocument(fig2doc(), Safe); err != nil {
+	if _, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Value("axml_rewrites_total", "mode", "safe"); v != 1 {

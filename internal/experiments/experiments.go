@@ -517,15 +517,15 @@ func Get_More = data -> url*.Get_More?
 `, nil)
 		rng := rand.New(rand.NewSource(42))
 		sim := workload.NewSimInvoker(s, rng)
-		rw := core.NewRewriter(s, s, k, sim)
-		rw.Audit = &core.Audit{}
+		rw := core.NewRewriterWithConfig(s, s, core.RewriterConfig{Invoker: sim})
+		rw.K = k
 		rw.MaxCalls = 1 << k * 8
 		root := doc.Elem("results",
 			doc.Elem("url", doc.TextNode("u0")),
 			doc.Call("Get_More", doc.TextNode("q")))
 		// Target: as flat as k allows — the peer's own schema; the mixed
 		// pre-invoke pass chases handles to depth k.
-		out, err := rw.RewriteDocument(root, core.Mixed)
+		out, err := rw.RewriteDocument(context.Background(), root, core.Mixed)
 		row := []string{fmt.Sprint(k), "-", "-", "-"}
 		if err == nil {
 			urls := 0
@@ -670,13 +670,13 @@ func ParallelSpeedup(degrees []int, latencies []time.Duration, densities []int, 
 			var base time.Duration
 			for _, degree := range degrees {
 				sender, target := ParallelPair()
-				rw := core.NewRewriterFor(core.Compile(sender, target), 2, ParallelInvoker(lat))
+				rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: ParallelInvoker(lat)})
 				rw.Parallelism = degree
 				var total time.Duration
 				for i := 0; i < reps; i++ {
 					root := ParallelDoc(n)
 					start := time.Now()
-					if _, err := rw.RewriteDocument(root, core.Safe); err != nil {
+					if _, err := rw.RewriteDocument(context.Background(), root, core.Safe); err != nil {
 						panic(err)
 					}
 					total += time.Since(start)

@@ -63,7 +63,7 @@ func TestFaultRetryRecoversSafeMode(t *testing.T) {
 		Invoker:  fi,
 		Policies: []core.InvokePolicy{WithRetry(Retry{Attempts: 3, Sleep: instant})},
 	})
-	out, err := rw.RewriteDocumentContext(context.Background(), pageDoc(), core.Safe)
+	out, err := rw.RewriteDocument(context.Background(), pageDoc(), core.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFaultRetryExhaustedAbortsSafeMode(t *testing.T) {
 		Invoker:  fi,
 		Policies: []core.InvokePolicy{WithRetry(Retry{Attempts: 3, Sleep: instant})},
 	})
-	_, err := rw.RewriteDocumentContext(context.Background(), pageDoc(), core.Safe)
+	_, err := rw.RewriteDocument(context.Background(), pageDoc(), core.Safe)
 	var pe *PolicyError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PolicyError, got %v", err)
@@ -131,7 +131,7 @@ func TestFaultPossibleModeDegradesToBacktracking(t *testing.T) {
 		Policies: []core.InvokePolicy{WithRetry(Retry{Attempts: 2, Sleep: instant})},
 	})
 	root := pageDoc()
-	_, err := rw.RewriteDocumentContext(context.Background(), root, core.Possible)
+	_, err := rw.RewriteDocument(context.Background(), root, core.Possible)
 	var nse *core.NotSafeError
 	if !errors.As(err, &nse) {
 		t.Fatalf("want *NotSafeError (degraded + backtracked), got %T: %v", err, err)
@@ -159,7 +159,7 @@ func TestFaultMixedPreInvokeSurvivesDeadService(t *testing.T) {
 		Invoker:  fi,
 		Policies: []core.InvokePolicy{WithRetry(Retry{Attempts: 2, Sleep: instant})},
 	})
-	out, err := rw.RewriteDocumentContext(context.Background(), pageDoc(), core.Mixed)
+	out, err := rw.RewriteDocument(context.Background(), pageDoc(), core.Mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFaultMixedPreInvokeUsesLiveService(t *testing.T) {
 		Depth:   1,
 		Invoker: NewFaultInjector(tempService),
 	})
-	out, err := rw.RewriteDocumentContext(context.Background(), pageDoc(), core.Mixed)
+	out, err := rw.RewriteDocument(context.Background(), pageDoc(), core.Mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestFaultRewriteCancellationNoLeak(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := rw.RewriteDocumentContext(ctx, pageDoc(), core.Safe)
+	_, err := rw.RewriteDocument(ctx, pageDoc(), core.Safe)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

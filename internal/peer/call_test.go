@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"axml/internal/doc"
 	"axml/internal/schema"
 	"axml/internal/soap"
+	"axml/internal/store"
 	"axml/internal/wsdl"
 	"axml/internal/xsdint"
 )
@@ -67,7 +69,7 @@ func Guess_City = data -> city
 		Name: "weather", TargetNamespace: "urn:axml:weather",
 		Endpoint: ts.URL + "/soap", Schema: weatherSchema,
 	}
-	result, err := reader.Call(desc, "Get_Temp",
+	result, err := reader.Call(context.Background(), desc, "Get_Temp",
 		[]*doc.Node{doc.Call("Guess_City", doc.TextNode("fr"))}, core.Safe)
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +82,11 @@ func Guess_City = data -> city
 	}
 
 	// Unknown operation and mismatched tables are rejected.
-	if _, err := reader.Call(desc, "Nope", nil, core.Safe); err == nil {
+	if _, err := reader.Call(context.Background(), desc, "Nope", nil, core.Safe); err == nil {
 		t.Error("unknown operation accepted")
 	}
 	foreign := &wsdl.Description{Name: "x", Schema: schema.MustParseText("elem a = data", nil)}
-	if _, err := reader.Call(foreign, "Get_Temp", nil, core.Safe); err == nil {
+	if _, err := reader.Call(context.Background(), foreign, "Get_Temp", nil, core.Safe); err == nil {
 		t.Error("foreign symbol table accepted")
 	}
 }
@@ -114,7 +116,7 @@ func Get_Temp = city -> temp
 
 	reader := New("reader", liarSchema)
 	desc := &wsdl.Description{Name: "liar", Endpoint: ts.URL, Schema: liarSchema}
-	_, err = reader.Call(desc, "Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}, core.Safe)
+	_, err = reader.Call(context.Background(), desc, "Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}, core.Safe)
 	if err == nil || !strings.Contains(err.Error(), "non-conforming") {
 		t.Errorf("expected non-conforming error, got %v", err)
 	}
@@ -153,7 +155,7 @@ func Get_Temp = city -> temp
 		desc.Endpoint = ts.URL + "/soap"
 	}
 	caller := New("caller", schema.NewShared(callerTable))
-	out, err := caller.Call(desc, "Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Nice"))}, core.Safe)
+	out, err := caller.Call(context.Background(), desc, "Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Nice"))}, core.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestEnforceOutRewrites(t *testing.T) {
 	must(t, p.Schema.SetFunc("Raw_Temp", "data", "temp"))
 	// The implementation returns an intensional temp (a Get_Temp call);
 	// τ_out(Raw_Temp) = temp requires materialization.
-	out, err := p.EnforceOut("Raw_Temp", []*doc.Node{
+	out, err := p.EnforceOut(context.Background(), "Raw_Temp", []*doc.Node{
 		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))),
 	})
 	if err != nil {
@@ -179,21 +181,21 @@ func TestEnforceOutRewrites(t *testing.T) {
 	}
 	// Conforming results pass through; unknown ops fail; hopeless fails.
 	pass := []*doc.Node{doc.Elem("temp", doc.TextNode("3"))}
-	got, err := p.EnforceOut("Raw_Temp", pass)
+	got, err := p.EnforceOut(context.Background(), "Raw_Temp", pass)
 	if err != nil || len(got) != 1 || got[0] != pass[0] {
 		t.Errorf("pass-through broken: %v %v", got, err)
 	}
-	if _, err := p.EnforceOut("Ghost", nil); err == nil {
+	if _, err := p.EnforceOut(context.Background(), "Ghost", nil); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := p.EnforceOut("Raw_Temp", []*doc.Node{doc.Elem("city")}); err == nil {
+	if _, err := p.EnforceOut(context.Background(), "Raw_Temp", []*doc.Node{doc.Elem("city")}); err == nil {
 		t.Error("hopeless result accepted")
 	}
 }
 
 // TestRepositoryErrors: persistence error paths.
 func TestRepositoryErrors(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	if err := r.LoadDir("/nonexistent-dir-xyz"); err == nil {
 		t.Error("LoadDir on missing dir should fail")
 	}

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,12 +13,13 @@ import (
 	"axml/internal/core"
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // TestRepositoryConcurrentAccess hammers the repository from many
 // goroutines; run with -race.
 func TestRepositoryConcurrentAccess(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -60,7 +62,7 @@ func TestConcurrentEnforcement(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				out, err := p.SendDocument("today", exch, core.Safe)
+				out, err := p.SendDocument(context.Background(), "today", exch, core.Safe)
 				if err != nil {
 					t.Errorf("concurrent send failed: %v", err)
 					return
@@ -112,18 +114,18 @@ func TestConcurrentEnforcementMixedTargets(t *testing.T) {
 			for j := 0; j < 15; j++ {
 				switch i % 3 {
 				case 0:
-					if _, err := p.SendDocument("today", exchA, core.Safe); err != nil {
+					if _, err := p.SendDocument(context.Background(), "today", exchA, core.Safe); err != nil {
 						t.Errorf("send A: %v", err)
 						return
 					}
 				case 1:
-					if _, err := p.SendDocument("today", exchB, core.Safe); err != nil {
+					if _, err := p.SendDocument(context.Background(), "today", exchB, core.Safe); err != nil {
 						t.Errorf("send B: %v", err)
 						return
 					}
 				default:
 					params := []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}
-					if _, err := p.EnforceIn("Get_Temp", params); err != nil {
+					if _, err := p.EnforceIn(context.Background(), "Get_Temp", params); err != nil {
 						t.Errorf("enforce in: %v", err)
 						return
 					}

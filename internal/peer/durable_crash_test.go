@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"axml/internal/doc"
+	"axml/internal/store"
 	"axml/internal/wal"
 )
 
@@ -41,7 +42,7 @@ func crashDoc(i int) *doc.Node {
 // i%7 == 6, otherwise a put of doc(i). Names are never reused, so a put at
 // index p is deleted if and only if p%7 == 3 and op p+3 ran.
 func runCrashChild(dir string) {
-	d, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways, SnapshotEvery: 16})
+	d, err := openWAL(dir, store.Options{Sync: wal.SyncAlways, SnapshotEvery: 16})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(2)
@@ -96,7 +97,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				t.Fatalf("child died after only %d acks, wanted at least %d", acked, killAfter)
 			}
 
-			rec, err := OpenDurable(dir, DurableOptions{})
+			rec, err := openWAL(dir, store.Options{})
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
@@ -110,7 +111,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 // ops of the deterministic stream. Ops with index >= acked may or may not
 // have been logged before the kill (appended but not yet acknowledged);
 // both outcomes are legal, and only for those is uncertainty tolerated.
-func assertCrashState(t *testing.T, rec *DurableRepository, acked int) {
+func assertCrashState(t *testing.T, rec *store.DurableRepository, acked int) {
 	t.Helper()
 	present := make(map[string]bool)
 	for _, name := range rec.Names() {

@@ -10,12 +10,23 @@ import (
 	"time"
 
 	"axml/internal/doc"
+	"axml/internal/store"
 	"axml/internal/wal"
 )
 
-func openDurable(t *testing.T, dir string, opts DurableOptions) *DurableRepository {
+// openWAL opens the wal backend in dir through store.Open.
+func openWAL(dir string, opts store.Options) (*store.DurableRepository, error) {
+	opts.Backend, opts.Dir = store.BackendWAL, dir
+	st, err := store.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.(*store.DurableRepository), nil
+}
+
+func openDurable(t *testing.T, dir string, opts store.Options) *store.DurableRepository {
 	t.Helper()
-	d, err := OpenDurable(dir, opts)
+	d, err := openWAL(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +36,7 @@ func openDurable(t *testing.T, dir string, opts DurableOptions) *DurableReposito
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if err := d.Put("news", doc.Elem("news", doc.TextNode("day1"))); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +56,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openDurable(t, dir, DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != 1 {
 		t.Fatalf("recovered %d docs (%v), want 1", d2.Len(), d2.Names())
 	}
@@ -80,7 +91,7 @@ func TestDurableRecoveryFromWALTailOnly(t *testing.T) {
 	}
 	l.Close() // closes the file but writes no snapshot, like a crash would
 
-	d := openDurable(t, dir, DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if d.Len() != 19 {
 		t.Fatalf("recovered %d docs, want 19", d.Len())
 	}
@@ -94,7 +105,7 @@ func TestDurableRecoveryFromWALTailOnly(t *testing.T) {
 
 func TestDurableAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, DurableOptions{SnapshotEvery: 8, Sync: wal.SyncNone})
+	d := openDurable(t, dir, store.Options{SnapshotEvery: 8, Sync: wal.SyncNone})
 	for i := 0; i < 50; i++ {
 		if err := d.Put(fmt.Sprintf("doc%02d", i%10), doc.Elem("d", doc.TextNode(fmt.Sprint(i)))); err != nil {
 			t.Fatal(err)
@@ -115,14 +126,14 @@ func TestDurableAutoCompaction(t *testing.T) {
 	if st := d.Stats(); st.WAL.Snapshots < 2 {
 		t.Errorf("expected automatic + final compactions, got %d snapshots (stats %+v)", st.WAL.Snapshots, st)
 	}
-	d2 := openDurable(t, dir, DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != 10 {
 		t.Errorf("recovered %d docs, want 10", d2.Len())
 	}
 }
 
 func TestDurableClosedRejectsMutations(t *testing.T) {
-	d := openDurable(t, t.TempDir(), DurableOptions{})
+	d := openDurable(t, t.TempDir(), store.Options{})
 	if err := d.Put("a", doc.Elem("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +159,7 @@ func TestDurableClosedRejectsMutations(t *testing.T) {
 // keep WAL-recovered state when a seed directory collides.
 func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if err := d.Put("a", doc.Elem("a", doc.TextNode("recovered"))); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +171,8 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d2 := openDurable(t, dir, DurableOptions{})
-	n, err := d2.LoadDirWith(seed, KeepExisting)
+	d2 := openDurable(t, dir, store.Options{})
+	n, err := d2.LoadDirWith(seed, store.KeepExisting)
 	if err != nil || n != 1 {
 		t.Fatalf("seed load = %d, %v; want 1", n, err)
 	}
@@ -172,7 +183,7 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 	d2.Close()
 
 	// The seeded document was journaled and survives the next restart.
-	d3 := openDurable(t, dir, DurableOptions{})
+	d3 := openDurable(t, dir, store.Options{})
 	if _, ok := d3.Get("b"); !ok {
 		t.Error("seeded document not persisted")
 	}
@@ -183,7 +194,7 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 // equals the final in-memory state exactly.
 func TestDurableConcurrentHammer(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, DurableOptions{Sync: wal.SyncNone, SnapshotEvery: 64})
+	d := openDurable(t, dir, store.Options{Sync: wal.SyncNone, SnapshotEvery: 64})
 	const workers = 8
 	const opsPerWorker = 100
 	var wg sync.WaitGroup
@@ -223,7 +234,7 @@ func TestDurableConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openDurable(t, dir, DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != len(final) {
 		t.Fatalf("recovered %d docs, want %d", d2.Len(), len(final))
 	}
@@ -245,7 +256,7 @@ func TestOpenDurableRejectsUnparseableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := OpenDurable(dir, DurableOptions{}); err == nil {
+	if _, err := openWAL(dir, store.Options{}); err == nil {
 		t.Error("unparseable logged document silently accepted")
 	}
 }

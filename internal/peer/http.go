@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,7 +18,6 @@ import (
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wal"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
@@ -70,8 +70,8 @@ func (p *Peer) Handler() http.Handler {
 	handle("/soap", "soap", &soap.Server{
 		Registry:        p.Services,
 		Namespace:       "urn:axml:" + p.Name,
-		OnRequest:       p.EnforceInContext,
-		OnResponse:      p.EnforceOutContext,
+		OnRequest:       p.EnforceIn,
+		OnResponse:      p.EnforceOut,
 		MaxRequestBytes: p.MaxRequestBytes,
 	})
 	handle("/wsdl", "wsdl", http.HandlerFunc(p.handleWSDL))
@@ -115,21 +115,21 @@ func (p *Peer) handlerHook() *telemetry.HandlerHook {
 // the fast path pays one atomic threshold check.
 func (p *Peer) requestDone(ctx context.Context, info telemetry.RequestInfo) {
 	if l := p.Logger; l != nil {
-		lv := obslog.Info
+		lv := slog.LevelInfo
 		switch {
 		case info.Status >= 500:
-			lv = obslog.Error
+			lv = slog.LevelError
 		case info.Status >= 400:
-			lv = obslog.Warn
+			lv = slog.LevelWarn
 		}
-		l.Log(ctx, lv, "request",
-			obslog.F("handler", info.Handler),
-			obslog.F("method", info.Method),
-			obslog.F("path", info.Path),
-			obslog.F("status", info.Status),
-			obslog.F("bytes_in", info.RequestBytes),
-			obslog.F("bytes_out", info.ResponseBytes),
-			obslog.F("duration", info.Duration),
+		l.LogAttrs(ctx, lv, "request",
+			slog.String("handler", info.Handler),
+			slog.String("method", info.Method),
+			slog.String("path", info.Path),
+			slog.Int("status", info.Status),
+			slog.Int64("bytes_in", info.RequestBytes),
+			slog.Int64("bytes_out", info.ResponseBytes),
+			slog.Duration("duration", info.Duration),
 		)
 	}
 	f := p.Flight
@@ -238,7 +238,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		// through a pooled buffer: no clone, no retained rendering.
 		_ = xmlio.WriteTo(w, d)
 	case http.MethodPut:
-		if err := ValidateDocName(name); err != nil {
+		if err := store.ValidateDocName(name); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"axml/internal/store"
 	"axml/internal/wal"
 )
 
@@ -71,7 +72,7 @@ func TestHTTPDocMutations(t *testing.T) {
 // /stats exposes the WAL counters.
 func TestHTTPDurablePeer(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways})
+	d, err := openWAL(dir, store.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestHTTPDurablePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDurable(dir, DurableOptions{})
+	d2, err := openWAL(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestHTTPDurablePeer(t *testing.T) {
 
 // A mutation after Close must not be acknowledged over HTTP either.
 func TestHTTPDurableClosedSurfacesError(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), DurableOptions{})
+	d, err := openWAL(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

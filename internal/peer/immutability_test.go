@@ -254,7 +254,7 @@ func clonePathBody(t *testing.T, p *Peer, name, xsd string, mode core.Mode) stri
 	if !ok {
 		t.Fatalf("no document %q", name)
 	}
-	out, err := p.rewriter(exchange).RewriteDocumentContext(context.Background(), d.Clone(), mode)
+	out, err := p.rewriter(exchange).RewriteDocument(context.Background(), d.Clone(), mode)
 	if err != nil {
 		t.Fatalf("%s %s: %v", name, mode, err)
 	}

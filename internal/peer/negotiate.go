@@ -5,6 +5,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // Negotiation implements the "negotiator" extension from the paper's
@@ -39,7 +40,7 @@ type Agreement struct {
 func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, error) {
 	d, ok := p.Repo.Get(docName)
 	if !ok {
-		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, docName, ErrNotFound)
+		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, docName, store.ErrNotFound)
 	}
 	// Tier 1: already an instance.
 	for _, prop := range proposals {
@@ -50,14 +51,16 @@ func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, erro
 	}
 	// Tier 2: safe rewriting exists.
 	for _, prop := range proposals {
-		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
+		rw := core.NewRewriterWithConfig(p.Schema, prop.Schema, core.RewriterConfig{})
+		rw.K = p.K
 		if err := rw.CheckDocument(d, core.Safe); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Safe}, nil
 		}
 	}
 	// Tier 3: possibly rewritable.
 	for _, prop := range proposals {
-		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
+		rw := core.NewRewriterWithConfig(p.Schema, prop.Schema, core.RewriterConfig{})
+		rw.K = p.K
 		if err := rw.CheckDocument(d, core.Possible); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Possible}, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +19,6 @@ import (
 	"axml/internal/schema"
 	"axml/internal/soap"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wsdl"
 )
 
@@ -53,6 +53,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// jsonLogger builds the daemon's JSON logger at info level over w.
+func jsonLogger(t *testing.T, w io.Writer) *slog.Logger {
+	t.Helper()
+	h, err := telemetry.NewLogHandler(w, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slog.New(h)
+}
+
 // TestObservabilityOneTraceID is the end-to-end correlation check: a
 // client-minted trace ID travels in via traceparent and must surface,
 // unchanged, on every observability surface — the structured request
@@ -62,7 +72,7 @@ func TestObservabilityOneTraceID(t *testing.T) {
 	p := newsPeer(t)
 	p.Telemetry = telemetry.NewRegistry()
 	logs := &syncBuf{}
-	p.Logger = obslog.New(logs, obslog.Info, obslog.JSON)
+	p.Logger = jsonLogger(t, logs)
 	p.Flight = telemetry.NewFlight(4, 4)
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -217,7 +227,7 @@ func Get_Temp = city -> temp
 	}
 	traceID := telemetry.NewID()
 	ctx := telemetry.WithTraceID(context.Background(), traceID)
-	out, err := reader.CallContext(ctx, desc, "Get_Temp",
+	out, err := reader.Call(ctx, desc, "Get_Temp",
 		[]*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}, core.Safe)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +338,7 @@ func TestObservabilityFailedRequest(t *testing.T) {
 	p := newsPeer(t)
 	p.Telemetry = telemetry.NewRegistry()
 	logs := &syncBuf{}
-	p.Logger = obslog.New(logs, obslog.Info, obslog.JSON)
+	p.Logger = jsonLogger(t, logs)
 	p.Flight = telemetry.NewFlight(4, 4)
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()

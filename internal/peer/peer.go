@@ -1,9 +1,16 @@
+// Package peer implements an Active XML peer (Section 7 of the paper): a
+// repository of intensional documents, services defined over the repository,
+// SOAP exchange with other peers, and the *Schema Enforcement* module, which
+// applies the safe/possible/mixed rewriting algorithms of internal/core to
+// every document sent, every parameter list received, and every result
+// returned. The repository itself is any internal/store backend.
 package peer
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -16,7 +23,6 @@ import (
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
 )
@@ -81,12 +87,14 @@ type Peer struct {
 	// Durable or Repo == Durable.Repository): /stats then reports WAL
 	// counters and the daemon closes it on shutdown for a final snapshot.
 	// Nil means Repo is not WAL-backed (in-memory or disk-sharded).
-	Durable *DurableRepository
+	Durable *store.DurableRepository
 	// Logger, if set, emits structured logs through Handler: one line per
-	// request (method, route, status, bytes, duration, trace ID) and one
-	// per notable invocation-policy event (retries, timeouts, breaker
-	// transitions). Works with or without Telemetry; nil disables logging.
-	Logger *obslog.Logger
+	// request (method, route, status, bytes, duration) and one per notable
+	// invocation-policy event (retries, timeouts, breaker transitions).
+	// Request lines carry the trace ID when the logger's handler is a
+	// telemetry.TraceHandler. Works with or without Telemetry; nil
+	// disables logging.
+	Logger *slog.Logger
 	// Flight, if set, records the slowest and all failed requests — span
 	// tree, audit events, per-stage latency — served at /debug/slow.
 	Flight *telemetry.Flight
@@ -124,7 +132,7 @@ func New(name string, s *schema.Schema) *Peer {
 	return &Peer{
 		Name:        name,
 		Schema:      s,
-		Repo:        NewRepository(),
+		Repo:        store.NewRepository(),
 		Services:    service.NewRegistry(),
 		K:           2,
 		Mode:        core.Safe,
@@ -186,13 +194,19 @@ func (p *Peer) rewriter(target *schema.Schema) *core.Rewriter {
 	return p.rewriterFor(p.Enforcement.Get(p.Schema, target))
 }
 
-// rewriterFor builds an enforcement rewriter over a compiled pair.
+// rewriterFor builds an enforcement rewriter over a compiled pair. K and
+// Instruments are assigned after construction: the config would map depth
+// 0 to DefaultDepth, and its Telemetry field would build fresh Instruments
+// and write them into c, which the cache shares.
 func (p *Peer) rewriterFor(c *core.Compiled) *core.Rewriter {
 	ins := p.instruments()
-	rw := core.NewRewriterFor(c, p.K, p.policyInvoker())
-	rw.Audit = p.Audit
-	rw.Events = p.eventSink()
-	rw.Parallelism = p.Parallelism
+	rw := core.NewRewriterForConfig(c, core.RewriterConfig{
+		Invoker:     p.policyInvoker(),
+		Audit:       p.Audit,
+		Events:      p.eventSink(),
+		Parallelism: p.Parallelism,
+	})
+	rw.K = p.K
 	rw.Instruments = ins
 	return rw
 }
@@ -213,38 +227,40 @@ func (p *Peer) eventSink() core.EventSink {
 
 // eventLogSink bridges core.InvokeEvent onto the structured logger.
 type eventLogSink struct {
-	log *obslog.Logger
+	log *slog.Logger
 }
 
+// RecordEvent logs under context.Background and stamps the event's own
+// rewrite ID as trace_id: events carry no context of their own.
 func (s *eventLogSink) RecordEvent(e core.InvokeEvent) {
-	var lv obslog.Level
+	var lv slog.Level
 	switch e.Kind {
 	case core.EventAttempt:
 		return // one per call: far too chatty for a log stream
 	case core.EventRetryWait, core.EventBreakerHalfOpen, core.EventBreakerClose:
-		lv = obslog.Info
+		lv = slog.LevelInfo
 	default:
 		// exhausted, timeout, fault, degraded, breaker open/reject
-		lv = obslog.Warn
+		lv = slog.LevelWarn
 	}
-	fields := make([]obslog.Field, 0, 6)
-	fields = append(fields, obslog.F("kind", e.Kind), obslog.F("func", e.Func))
+	attrs := make([]slog.Attr, 0, 7)
+	attrs = append(attrs, slog.String("kind", e.Kind), slog.String("func", e.Func))
 	if e.Endpoint != "" {
-		fields = append(fields, obslog.F("endpoint", e.Endpoint))
+		attrs = append(attrs, slog.String("endpoint", e.Endpoint))
 	}
 	if e.Attempt > 0 {
-		fields = append(fields, obslog.F("attempt", e.Attempt))
+		attrs = append(attrs, slog.Int("attempt", e.Attempt))
 	}
 	if e.Wait > 0 {
-		fields = append(fields, obslog.F("wait", e.Wait))
+		attrs = append(attrs, slog.Duration("wait", e.Wait))
 	}
 	if e.Rewrite != "" {
-		fields = append(fields, obslog.F("trace_id", e.Rewrite))
+		attrs = append(attrs, slog.String("trace_id", e.Rewrite))
 	}
 	if e.Err != "" {
-		fields = append(fields, obslog.F("error", e.Err))
+		attrs = append(attrs, slog.String("error", e.Err))
 	}
-	s.log.Log(nil, lv, "invoke event", fields...)
+	s.log.LogAttrs(context.Background(), lv, "invoke event", attrs...)
 }
 
 // SendDocument is the paper's Figure 1 scenario: materialize the named
@@ -252,15 +268,9 @@ func (s *eventLogSink) RecordEvent(e core.InvokeEvent) {
 // schema, and return the result. The repository copy is left untouched —
 // the same document can be sent to differently-abled receivers. The result
 // shares the stored document's function-free subtrees and must be treated
-// as read-only.
-// Context-free wrapper over SendDocumentContext.
-func (p *Peer) SendDocument(name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
-	return p.SendDocumentContext(context.Background(), name, exchange, mode)
-}
-
-// SendDocumentContext is SendDocument under a context: the enforcement
-// rewriting and every service call it schedules abort once ctx is done.
-func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
+// as read-only. The enforcement rewriting and every service call it
+// schedules abort once ctx is done.
+func (p *Peer) SendDocument(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
 	d, ok := p.Repo.Get(name)
 	if !ok {
 		return nil, p.noDocument(name)
@@ -355,32 +365,20 @@ func (p *Peer) sendStream(ctx context.Context, name string, c *core.Compiled, mo
 }
 
 // Materialize rewrites a repository document in place against the peer's own
-// schema — the "active" enrichment feature. Context-free wrapper over
-// MaterializeContext.
-func (p *Peer) Materialize(name string, mode core.Mode) error {
-	return p.MaterializeContext(context.Background(), name, mode)
-}
-
-// MaterializeContext is Materialize under a context.
-func (p *Peer) MaterializeContext(ctx context.Context, name string, mode core.Mode) error {
+// schema — the "active" enrichment feature — under ctx.
+func (p *Peer) Materialize(ctx context.Context, name string, mode core.Mode) error {
 	return p.Repo.Update(name, func(d *doc.Node) (*doc.Node, error) {
 		// Update hands fn a clone, so the rewriter may consume d in place.
 		rw := p.rewriter(p.Schema)
-		return rw.RewriteDocumentContext(ctx, d, mode)
+		return rw.RewriteDocument(ctx, d, mode)
 	})
 }
 
 // EnforceIn implements the receive-side of the Schema Enforcement module:
 // incoming parameters must be (or be rewritten into) an input instance of
-// the operation's declared signature. Context-free wrapper over
-// EnforceInContext.
-func (p *Peer) EnforceIn(method string, params []*doc.Node) ([]*doc.Node, error) {
-	return p.EnforceInContext(context.Background(), method, params)
-}
-
-// EnforceInContext is EnforceIn under a context; Handler wires the request
-// context through it, so a disconnected client stops the rewriting.
-func (p *Peer) EnforceInContext(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
+// the operation's declared signature. Handler wires the request context
+// through it, so a disconnected client stops the rewriting.
+func (p *Peer) EnforceIn(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
 	typ, isData, ok := p.inputType(method)
 	if !ok {
 		return nil, fmt.Errorf("peer %s: operation %q is not declared", p.Name, method)
@@ -393,7 +391,7 @@ func (p *Peer) EnforceInContext(ctx context.Context, method string, params []*do
 		return nil, fmt.Errorf("peer %s: %q expects atomic data parameters", p.Name, method)
 	}
 	rw := p.rewriter(p.Schema)
-	out, err := rw.RewriteForestContext(ctx, params, typ, p.Mode) // (ii) try to rewrite
+	out, err := rw.RewriteForest(ctx, params, typ, p.Mode) // (ii) try to rewrite
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: parameters of %q: %w", p.Name, method, err) // (iii) report
 	}
@@ -401,14 +399,8 @@ func (p *Peer) EnforceInContext(ctx context.Context, method string, params []*do
 }
 
 // EnforceOut is the send-side: results must conform to the declared output
-// type before leaving the peer. Context-free wrapper over
-// EnforceOutContext.
-func (p *Peer) EnforceOut(method string, result []*doc.Node) ([]*doc.Node, error) {
-	return p.EnforceOutContext(context.Background(), method, result)
-}
-
-// EnforceOutContext is EnforceOut under a context.
-func (p *Peer) EnforceOutContext(ctx context.Context, method string, result []*doc.Node) ([]*doc.Node, error) {
+// type before leaving the peer.
+func (p *Peer) EnforceOut(ctx context.Context, method string, result []*doc.Node) ([]*doc.Node, error) {
 	def := p.Schema.Funcs[method]
 	if def == nil {
 		return nil, fmt.Errorf("peer %s: operation %q is not declared", p.Name, method)
@@ -421,7 +413,7 @@ func (p *Peer) EnforceOutContext(ctx context.Context, method string, result []*d
 		return nil, fmt.Errorf("peer %s: %q must return atomic data", p.Name, method)
 	}
 	rw := p.rewriter(p.Schema)
-	out, err := rw.RewriteForestContext(ctx, result, def.Out, p.Mode)
+	out, err := rw.RewriteForest(ctx, result, def.Out, p.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: result of %q: %w", p.Name, method, err)
 	}
@@ -439,19 +431,13 @@ func (p *Peer) inputType(method string) (r *regex.Regex, isData, ok bool) {
 	return def.In, false, true
 }
 
-// Call invokes an operation on a remote peer with client-side enforcement —
-// the context-free wrapper over CallContext.
-func (p *Peer) Call(desc *wsdl.Description, method string, params []*doc.Node, mode core.Mode) ([]*doc.Node, error) {
-	return p.CallContext(context.Background(), desc, method, params, mode)
-}
-
-// CallContext invokes an operation on a remote peer with client-side
-// enforcement: the parameters are first rewritten into the remote's declared
-// input type (materializing whatever the remote should not or cannot
-// evaluate), and the result is validated against the declared output type.
+// Call invokes an operation on a remote peer with client-side enforcement:
+// the parameters are first rewritten into the remote's declared input type
+// (materializing whatever the remote should not or cannot evaluate), and
+// the result is validated against the declared output type.
 // The context governs both the local enforcement rewriting and the remote
 // round trip.
-func (p *Peer) CallContext(ctx context.Context, desc *wsdl.Description, method string, params []*doc.Node, mode core.Mode) ([]*doc.Node, error) {
+func (p *Peer) Call(ctx context.Context, desc *wsdl.Description, method string, params []*doc.Node, mode core.Mode) ([]*doc.Node, error) {
 	def := desc.Schema.Funcs[method]
 	if def == nil {
 		return nil, fmt.Errorf("peer %s: %q is not an operation of service %q", p.Name, method, desc.Name)
@@ -461,7 +447,7 @@ func (p *Peer) CallContext(ctx context.Context, desc *wsdl.Description, method s
 	}
 	if def.In != nil {
 		rw := p.rewriter(desc.Schema)
-		out, err := rw.RewriteForestContext(ctx, params, def.In, mode)
+		out, err := rw.RewriteForest(ctx, params, def.In, mode)
 		if err != nil {
 			return nil, fmt.Errorf("peer %s: parameters for %s.%s: %w", p.Name, desc.Name, method, err)
 		}
@@ -472,7 +458,7 @@ func (p *Peer) CallContext(ctx context.Context, desc *wsdl.Description, method s
 		endpoint = desc.Endpoint
 	}
 	client := &soap.Client{Endpoint: endpoint, Namespace: desc.TargetNamespace}
-	result, err := client.CallContext(ctx, method, params)
+	result, err := client.Call(ctx, method, params)
 	if err != nil {
 		return nil, err
 	}

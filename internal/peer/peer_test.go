@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"axml/internal/schema"
 	"axml/internal/service"
 	"axml/internal/soap"
+	"axml/internal/store"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
 	"axml/internal/xsdint"
@@ -67,7 +69,7 @@ func must(t testing.TB, err error) {
 }
 
 func TestRepositoryBasics(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	d := doc.Elem("a", doc.TextNode("x"))
 	r.Put("one", d)
 	d.Children[0].Value = "mutated"
@@ -100,13 +102,13 @@ func TestRepositoryBasics(t *testing.T) {
 
 func TestRepositorySaveLoadDir(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRepository()
+	r := store.NewRepository()
 	r.Put("news", doc.Elem("newspaper", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris")))))
 	r.Put("plain", doc.Elem("note", doc.TextNode("hi")))
 	if err := r.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestSendDocumentMaterializesPerReceiver(t *testing.T) {
 		"elem newspaper = title.date.(Get_Temp|temp).(TimeOut|exhibit*)",
 		"elem newspaper = title.date.temp.(TimeOut|exhibit*)", 1), nil)
 	must(t, err)
-	out, err := p.SendDocument("today", exch, core.Safe)
+	out, err := p.SendDocument(context.Background(), "today", exch, core.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestSendDocumentMaterializesPerReceiver(t *testing.T) {
 
 func TestMaterializeInPlace(t *testing.T) {
 	p := newsPeer(t)
-	if err := p.Materialize("today", core.Possible); err != nil {
+	if err := p.Materialize(context.Background(), "today", core.Possible); err != nil {
 		t.Fatal(err)
 	}
 	stored, _ := p.Repo.Get("today")
@@ -169,12 +171,12 @@ func Guess_City = data -> city
 	})))
 	// Conforming params pass through untouched.
 	params := []*doc.Node{doc.Elem("city", doc.TextNode("Nice"))}
-	out, err := p.EnforceIn("Get_Temp", params)
+	out, err := p.EnforceIn(context.Background(), "Get_Temp", params)
 	if err != nil || len(out) != 1 || out[0] != params[0] {
 		t.Fatalf("pass-through failed: %v %v", out, err)
 	}
 	// Intensional params are materialized.
-	out, err = p.EnforceIn("Get_Temp", []*doc.Node{doc.Call("Guess_City", doc.TextNode("fr"))})
+	out, err = p.EnforceIn(context.Background(), "Get_Temp", []*doc.Node{doc.Call("Guess_City", doc.TextNode("fr"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +184,10 @@ func Guess_City = data -> city
 		t.Errorf("enforced params = %v", out)
 	}
 	// Unknown operations and hopeless params fail.
-	if _, err := p.EnforceIn("Nope", nil); err == nil {
+	if _, err := p.EnforceIn(context.Background(), "Nope", nil); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := p.EnforceIn("Get_Temp", []*doc.Node{doc.Elem("temp")}); err == nil {
+	if _, err := p.EnforceIn(context.Background(), "Get_Temp", []*doc.Node{doc.Elem("temp")}); err == nil {
 		t.Error("hopeless params accepted")
 	}
 }
@@ -206,11 +208,11 @@ elem date = data
 	must(t, p.DefineQueryService("All_Exhibits", "data", "exhibit*", Query{Doc: "guide", Path: []string{"exhibit"}}))
 	must(t, p.DefineQueryService("Find_Exhibit", "title", "exhibit*", Query{Doc: "guide", Path: []string{"exhibit"}, Where: "title"}))
 
-	out, err := p.Services.Call("All_Exhibits", nil)
+	out, err := p.Services.Call(context.Background(), "All_Exhibits", nil)
 	if err != nil || len(out) != 2 {
 		t.Fatalf("All_Exhibits = %v, %v", out, err)
 	}
-	out, err = p.Services.Call("Find_Exhibit", []*doc.Node{doc.Elem("title", doc.TextNode("Monet"))})
+	out, err = p.Services.Call(context.Background(), "Find_Exhibit", []*doc.Node{doc.Elem("title", doc.TextNode("Monet"))})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("Find_Exhibit = %v, %v", out, err)
 	}
@@ -219,7 +221,7 @@ elem date = data
 	}
 	// Query over a missing document errors at call time.
 	must(t, p.DefineQueryService("Broken", "data", "exhibit*", Query{Doc: "ghost"}))
-	if _, err := p.Services.Call("Broken", nil); err == nil {
+	if _, err := p.Services.Call(context.Background(), "Broken", nil); err == nil {
 		t.Error("query over missing doc should fail")
 	}
 }
@@ -349,7 +351,7 @@ func TestTwoPeerExchange(t *testing.T) {
 	defer ts.Close()
 
 	client := &soap.Client{Endpoint: ts.URL + "/soap", Namespace: "urn:axml:news"}
-	out, err := client.Call("Front_Page", []*doc.Node{doc.TextNode("paris-edition")})
+	out, err := client.Call(context.Background(), "Front_Page", []*doc.Node{doc.TextNode("paris-edition")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"axml/internal/doc"
+	"axml/internal/store"
 	"axml/internal/wal"
 	"axml/internal/xmlio"
 )
@@ -16,7 +17,7 @@ import (
 // and no temp files are ever left for LoadDir to trip on.
 func TestSaveDirAtomicReplace(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRepository()
+	r := store.NewRepository()
 	if err := r.Put("a", doc.Elem("a", doc.TextNode("v1"))); err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +28,13 @@ func TestSaveDirAtomicReplace(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "a.xml"), []byte("<?xml ver"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewRepository().LoadDir(dir); err == nil {
+	if err := store.NewRepository().LoadDir(dir); err == nil {
 		t.Fatal("sanity: the truncated file should poison LoadDir")
 	}
 	if err := r.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(dir); err != nil {
 		t.Fatalf("save did not heal the truncated file: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestSaveDirCleansCrashedTemp(t *testing.T) {
 	if err := os.WriteFile(crashed, []byte("<a>half a docu"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := NewRepository()
+	r := store.NewRepository()
 	if err := r.LoadDir(dir); err != nil {
 		t.Fatalf("LoadDir observed a partially-written temp file: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestSaveDirCleansCrashedTemp(t *testing.T) {
 // document deleted since the previous save must not resurrect.
 func TestSaveDirReconcilesDeletes(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRepository()
+	r := store.NewRepository()
 	for _, name := range []string{"keep", "drop"} {
 		if err := r.Put(name, doc.Elem(name)); err != nil {
 			t.Fatal(err)
@@ -98,7 +99,7 @@ func TestSaveDirReconcilesDeletes(t *testing.T) {
 	if err := r.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestSaveDirReconcilesDeletes(t *testing.T) {
 // TestUpdateClonesOnTheWayIn: a callback that retains its argument must not
 // be able to mutate repository state after the lock is released.
 func TestUpdateClonesOnTheWayIn(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	if err := r.Put("d", doc.Elem("d", doc.TextNode("before"))); err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +150,14 @@ func TestLoadDirConflictPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inMemory := func() *Repository {
-		r := NewRepository()
+	inMemory := func() *store.Repository {
+		r := store.NewRepository()
 		if err := r.Put("a", doc.Elem("a", doc.TextNode("in-memory"))); err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	text := func(r *Repository, name string) string {
+	text := func(r *store.Repository, name string) string {
 		d, ok := r.Get(name)
 		if !ok {
 			t.Fatalf("doc %q missing", name)
@@ -165,7 +166,7 @@ func TestLoadDirConflictPolicies(t *testing.T) {
 	}
 
 	r := inMemory()
-	n, err := r.LoadDirWith(dir, KeepExisting)
+	n, err := r.LoadDirWith(dir, store.KeepExisting)
 	if err != nil || n != 1 {
 		t.Fatalf("KeepExisting loaded %d, %v; want 1 (only b)", n, err)
 	}
@@ -174,7 +175,7 @@ func TestLoadDirConflictPolicies(t *testing.T) {
 	}
 
 	r = inMemory()
-	n, err = r.LoadDirWith(dir, Overwrite)
+	n, err = r.LoadDirWith(dir, store.Overwrite)
 	if err != nil || n != 2 {
 		t.Fatalf("Overwrite loaded %d, %v; want 2", n, err)
 	}
@@ -182,7 +183,7 @@ func TestLoadDirConflictPolicies(t *testing.T) {
 		t.Errorf("Overwrite kept the in-memory doc: a=%q", text(r, "a"))
 	}
 
-	if _, err := inMemory().LoadDirWith(dir, FailOnConflict); err == nil || !strings.Contains(err.Error(), "already exists") {
+	if _, err := inMemory().LoadDirWith(dir, store.FailOnConflict); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Errorf("FailOnConflict error = %v", err)
 	}
 

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,13 +13,14 @@ import (
 	"axml/internal/core"
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // TestPutRejectsPathTraversal is the regression test for the SaveDir escape:
 // a document named "../evil" must never be accepted, since SaveDir joins
 // names onto its directory.
 func TestPutRejectsPathTraversal(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	d := doc.Elem("a", doc.TextNode("x"))
 	for _, name := range []string{"", ".", "..", "../evil", "a/b", `a\b`, "/abs", `..\up`} {
 		if err := r.Put(name, d); err == nil {
@@ -55,7 +57,7 @@ func TestPutRejectsPathTraversal(t *testing.T) {
 		t.Errorf("SaveDir escaped its directory: parent has %d entries", len(parent))
 	}
 
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(sub); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ elem city = data
 
 func TestQueryWhereFilters(t *testing.T) {
 	p := queryPeer(t)
-	out, err := p.Services.Call("ByCity", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))})
+	out, err := p.Services.Call(context.Background(), "ByCity", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +105,11 @@ func TestQueryWhereFilters(t *testing.T) {
 // error, not a silent match against "".
 func TestQueryWhereMissingParam(t *testing.T) {
 	p := queryPeer(t)
-	_, err := p.Services.Call("ByCity", nil)
+	_, err := p.Services.Call(context.Background(), "ByCity", nil)
 	if err == nil || !strings.Contains(err.Error(), "atomic parameter") {
 		t.Fatalf("missing parameter: got err=%v, want atomic-parameter error", err)
 	}
-	_, err = p.Services.Call("ByCity", []*doc.Node{doc.Elem("city", doc.Elem("name"))})
+	_, err = p.Services.Call(context.Background(), "ByCity", []*doc.Node{doc.Elem("city", doc.Elem("name"))})
 	if err == nil {
 		t.Fatal("structured-only parameter must not silently match")
 	}
@@ -118,7 +120,7 @@ func TestQueryWhereMissingParam(t *testing.T) {
 // child never match.
 func TestQueryWhereEmptyValue(t *testing.T) {
 	p := queryPeer(t)
-	out, err := p.Services.Call("ByCity", []*doc.Node{doc.Elem("city", doc.TextNode(""))})
+	out, err := p.Services.Call(context.Background(), "ByCity", []*doc.Node{doc.Elem("city", doc.TextNode(""))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SendDocument("today", exch, core.Safe); err != nil {
+	if _, err := p.SendDocument(context.Background(), "today", exch, core.Safe); err != nil {
 		t.Fatal(err)
 	}
 

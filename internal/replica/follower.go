@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wal"
 	"axml/internal/xmlio"
 )
@@ -36,7 +36,7 @@ type FollowerOptions struct {
 	// (default 500ms).
 	Backoff time.Duration
 	// Logger, when non-nil, records bootstrap/reconnect/apply events.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 	// Registry, when non-nil, registers the follower-side axml_replica_*
 	// metrics (lag, applied records, apply errors, reconnects, bootstraps).
 	Registry *telemetry.Registry
@@ -192,11 +192,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.lastErr = ""
 	f.mu.Unlock()
 	if f.opts.Logger != nil {
-		f.opts.Logger.Info(ctx, "replica bootstrap complete",
-			obslog.F("leader", f.opts.Leader),
-			obslog.F("epoch", epoch),
-			obslog.F("documents", len(seen)),
-			obslog.F("seq", head))
+		f.opts.Logger.InfoContext(ctx, "replica bootstrap complete",
+			"leader", f.opts.Leader,
+			"epoch", epoch,
+			"documents", len(seen),
+			"seq", head)
 	}
 	return nil
 }
@@ -269,8 +269,8 @@ func (f *Follower) apply(ctx context.Context, rec wal.Record) {
 	if err != nil {
 		f.applyErrors.Add(1)
 		if f.opts.Logger != nil {
-			f.opts.Logger.Error(ctx, "replica apply failed",
-				obslog.F("doc", rec.Name), obslog.Err(err))
+			f.opts.Logger.ErrorContext(ctx, "replica apply failed",
+				"doc", rec.Name, "error", err)
 		}
 		return
 	}
@@ -310,7 +310,7 @@ func (f *Follower) noteError(err error) {
 
 func (f *Follower) logf(ctx context.Context, msg string, err error) {
 	if f.opts.Logger != nil {
-		f.opts.Logger.Warn(ctx, msg, obslog.F("leader", f.opts.Leader), obslog.Err(err))
+		f.opts.Logger.WarnContext(ctx, msg, "leader", f.opts.Leader, "error", err)
 	}
 }
 

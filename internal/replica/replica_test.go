@@ -18,17 +18,22 @@ import (
 	"axml/internal/xmlio"
 )
 
+// openWAL opens the wal backend in a fresh directory through store.Open.
+func openWAL(t *testing.T, opts store.Options) *store.DurableRepository {
+	t.Helper()
+	opts.Backend, opts.Dir = store.BackendWAL, t.TempDir()
+	st, err := store.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*store.DurableRepository)
+}
+
 // newLeader opens a durable repository with a replica tail and serves it
 // the way a peer does: the source handler mounted under /replica/.
 func newLeader(t *testing.T, tailRecords int) (*store.DurableRepository, *Source, *httptest.Server) {
 	t.Helper()
-	repo, err := store.OpenDurable(t.TempDir(), store.DurableOptions{
-		Sync:        wal.SyncNone,
-		TailRecords: tailRecords,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := openWAL(t, store.Options{Sync: wal.SyncNone, ReplicaTail: tailRecords})
 	t.Cleanup(func() { _ = repo.Close() })
 	src := NewSource(repo, nil)
 	mux := http.NewServeMux()
@@ -348,10 +353,7 @@ func (w *truncatingWriter) Write(p []byte) (int, error) {
 // boundary, it would have accepted the one-document snapshot and dropped
 // every other local document.
 func TestTruncatedSnapshotFailsBootstrap(t *testing.T) {
-	repo, err := store.OpenDurable(t.TempDir(), store.DurableOptions{Sync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := openWAL(t, store.Options{Sync: wal.SyncNone})
 	t.Cleanup(func() { _ = repo.Close() })
 	for _, name := range []string{"a", "b", "c"} {
 		put(t, repo, name, strings.Repeat(name, 8<<10))

@@ -63,7 +63,7 @@ const (
 
 // Source is the leader side: it serves snapshot bootstraps and long-poll
 // tail reads from a DurableRepository opened with a replica tail
-// (store.DurableOptions.TailRecords > 0).
+// (store.Options.ReplicaTail > 0).
 type Source struct {
 	repo     *store.DurableRepository
 	epoch    string

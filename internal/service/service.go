@@ -100,16 +100,10 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Call executes an operation by name — the context-free wrapper over
-// CallContext.
-func (r *Registry) Call(name string, params []*doc.Node) ([]*doc.Node, error) {
-	return r.CallContext(context.Background(), name, params)
-}
-
-// CallContext executes an operation by name under the caller's context.
+// Call executes an operation by name under the caller's context.
 // Context-free handlers are checked for cancellation before they run but
 // cannot be interrupted once started.
-func (r *Registry) CallContext(ctx context.Context, name string, params []*doc.Node) ([]*doc.Node, error) {
+func (r *Registry) Call(ctx context.Context, name string, params []*doc.Node) ([]*doc.Node, error) {
 	op, ok := r.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("service: unknown operation %q", name)
@@ -126,7 +120,7 @@ func (r *Registry) CallContext(ctx context.Context, name string, params []*doc.N
 // Invoke implements core.Invoker: the function node's label selects the
 // operation, its children are the parameters.
 func (r *Registry) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, error) {
-	return r.CallContext(ctx, call.Label, call.Children)
+	return r.Call(ctx, call.Label, call.Children)
 }
 
 var _ core.Invoker = (*Registry)(nil)

@@ -29,11 +29,11 @@ func TestRegistryBasics(t *testing.T) {
 	if !ok || op.Def.Name != "Get_Temp" {
 		t.Fatal("Lookup failed")
 	}
-	out, err := r.Call("Get_Temp", nil)
+	out, err := r.Call(context.Background(), "Get_Temp", nil)
 	if err != nil || len(out) != 1 || out[0].Label != "temp" {
 		t.Fatalf("Call = %v, %v", out, err)
 	}
-	if _, err := r.Call("nope", nil); err == nil {
+	if _, err := r.Call(context.Background(), "nope", nil); err == nil {
 		t.Error("unknown operation should error")
 	}
 	if names := r.Names(); len(names) != 1 || names[0] != "Get_Temp" {
@@ -206,11 +206,11 @@ func Get_Temp = city -> temp
 	if err := reg.Register(&Operation{Name: "Get_Temp", Def: sender.Funcs["Get_Temp"], Handler: tempHandler}); err != nil {
 		t.Fatal(err)
 	}
-	rw := core.NewRewriter(sender, target, 1, reg)
+	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 1, Invoker: reg})
 	root := doc.Elem("newspaper",
 		doc.Elem("title", doc.TextNode("The Sun")),
 		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	out, err := rw.RewriteDocument(root, core.Safe)
+	out, err := rw.RewriteDocument(context.Background(), root, core.Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	result, err := s.Registry.CallContext(r.Context(), req.Method, params)
+	result, err := s.Registry.Call(r.Context(), req.Method, params)
 	if err != nil {
 		s.fault(w, http.StatusInternalServerError, "soap:Server", err)
 		return
@@ -146,20 +146,14 @@ type Client struct {
 	MaxResponseBytes int64
 }
 
-// Call performs one SOAP request/response round trip — the context-free
-// wrapper over CallContext.
-func (c *Client) Call(method string, params []*doc.Node) ([]*doc.Node, error) {
-	return c.CallContext(context.Background(), method, params)
-}
-
-// CallContext performs one SOAP request/response round trip under a context:
+// Call performs one SOAP request/response round trip under a context:
 // cancellation or deadline expiry interrupts the connection, the in-flight
 // request and the body read. HTTP-level failures are reported as such: a
 // SOAP fault in the body (whatever the status code) surfaces as *Fault,
 // while a non-SOAP error body — a proxy error page, a plain-text http.Error
 // — yields an error carrying the HTTP status and a bounded excerpt instead
 // of a confusing XML parse error.
-func (c *Client) CallContext(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
+func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = DefaultClient
@@ -284,7 +278,7 @@ func (i *Invoker) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, erro
 		return nil, fmt.Errorf("soap: no endpoint for %q", call.Label)
 	}
 	c := &Client{Endpoint: endpoint, Namespace: ns, HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
-	return c.CallContext(ctx, call.Label, call.Children)
+	return c.Call(ctx, call.Label, call.Children)
 }
 
 var _ core.Invoker = (*Invoker)(nil)

@@ -125,7 +125,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{Endpoint: ts.URL, Namespace: "urn:weather"}
-	out, err := c.Call("Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))})
+	out, err := c.Call(context.Background(), "Get_Temp", []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Unknown method becomes a Fault.
-	_, err = c.Call("Nope", nil)
+	_, err = c.Call(context.Background(), "Nope", nil)
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("expected Fault, got %v", err)
@@ -155,7 +155,7 @@ func TestHTTPHooks(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &Client{Endpoint: ts.URL}
-	if _, err := c.Call("Get_Temp", []*doc.Node{doc.Elem("city")}); err != nil {
+	if _, err := c.Call(context.Background(), "Get_Temp", []*doc.Node{doc.Elem("city")}); err != nil {
 		t.Fatal(err)
 	}
 	if reqHook != 1 || respHook != 1 {
@@ -165,7 +165,7 @@ func TestHTTPHooks(t *testing.T) {
 	srv.OnRequest = func(context.Context, string, []*doc.Node) ([]*doc.Node, error) {
 		return nil, errors.New("schema violation")
 	}
-	_, err := c.Call("Get_Temp", nil)
+	_, err := c.Call(context.Background(), "Get_Temp", nil)
 	var f *Fault
 	if !errors.As(err, &f) || !strings.Contains(f.String, "schema violation") {
 		t.Errorf("expected schema-violation fault, got %v", err)
@@ -228,7 +228,7 @@ func TestIntensionalResultOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(&Server{Registry: reg})
 	defer ts.Close()
 	c := &Client{Endpoint: ts.URL}
-	out, err := c.Call("TimeOut", []*doc.Node{doc.TextNode("exhibits")})
+	out, err := c.Call(context.Background(), "TimeOut", []*doc.Node{doc.TextNode("exhibits")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -98,7 +99,7 @@ func TestClientHTTPErrors(t *testing.T) {
 			ts := httptest.NewServer(tc.handler)
 			defer ts.Close()
 			c := &Client{Endpoint: ts.URL}
-			_, err := c.Call("Op", []*doc.Node{doc.TextNode("x")})
+			_, err := c.Call(context.Background(), "Op", []*doc.Node{doc.TextNode("x")})
 			if err == nil {
 				t.Fatal("expected an error")
 			}
@@ -143,12 +144,12 @@ func TestServerRequestBodyLimit(t *testing.T) {
 	defer ts.Close()
 	c := &Client{Endpoint: ts.URL}
 
-	if _, err := c.Call("Echo", []*doc.Node{doc.TextNode("small")}); err != nil {
+	if _, err := c.Call(context.Background(), "Echo", []*doc.Node{doc.TextNode("small")}); err != nil {
 		t.Fatalf("small request rejected: %v", err)
 	}
 
 	big := strings.Repeat("y", 4096)
-	_, err = c.Call("Echo", []*doc.Node{doc.TextNode(big)})
+	_, err = c.Call(context.Background(), "Echo", []*doc.Node{doc.TextNode(big)})
 	var fault *Fault
 	if !errors.As(err, &fault) {
 		t.Fatalf("oversized request: want *Fault, got %T: %v", err, err)
@@ -167,7 +168,7 @@ func TestClientResponseBodyLimit(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := &Client{Endpoint: ts.URL, MaxResponseBytes: 1024}
-	_, err := c.Call("Op", nil)
+	_, err := c.Call(context.Background(), "Op", nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds 1024 bytes") {
 		t.Fatalf("oversized response: got %v", err)
 	}
@@ -230,7 +231,7 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 
 	c := &Client{Endpoint: ts.URL} // nil HTTP selects DefaultClient
 	call := func() {
-		if _, err := c.Call("Echo", []*doc.Node{doc.TextNode("x")}); err != nil {
+		if _, err := c.Call(context.Background(), "Echo", []*doc.Node{doc.TextNode("x")}); err != nil {
 			t.Errorf("call: %v", err)
 		}
 	}

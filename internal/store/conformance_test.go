@@ -27,9 +27,9 @@ func TestConformance(t *testing.T) {
 	t.Run("wal", func(t *testing.T) {
 		var dir string
 		open := func(t *testing.T) store.DocStore {
-			d, err := store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncNone})
+			d, err := store.Open(store.Options{Backend: store.BackendWAL, Dir: dir, Sync: wal.SyncNone})
 			if err != nil {
-				t.Fatalf("OpenDurable: %v", err)
+				t.Fatalf("Open: %v", err)
 			}
 			return d
 		}

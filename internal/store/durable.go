@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"axml/internal/doc"
 	"axml/internal/wal"
@@ -54,34 +53,17 @@ type DurableRepository struct {
 // mutations; a larger document's buffer is dropped after use.
 const maxJournalBuf = 1 << 20
 
-// DurableOptions configures OpenDurable.
-type DurableOptions struct {
-	// Sync is the WAL fsync discipline (default wal.SyncAlways).
-	Sync wal.SyncMode
-	// SyncInterval is the background fsync period for wal.SyncInterval.
-	SyncInterval time.Duration
-	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// logged mutations; 0 snapshots only on Close (and explicit Snapshot
-	// calls).
-	SnapshotEvery int
-	// Metrics, when non-nil, instruments the WAL (see wal.NewMetrics).
-	Metrics *wal.Metrics
-	// TailRecords, when positive, retains that many recent WAL records in
-	// memory for replication streaming (wal.Options.TailRecords) — set on
-	// a federation leader so followers can resume incrementally.
-	TailRecords int
-}
-
-// OpenDurable opens (or creates) the durable repository stored in dir,
-// running crash recovery first: state = newest valid snapshot + WAL tail,
-// with later records winning over both the snapshot and any torn garbage
-// dropped. The returned repository is empty only if the directory was.
-func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
-	log, state, err := wal.Open(dir, wal.Options{
+// openDurable opens (or creates) the durable repository stored in
+// opts.Dir, running crash recovery first: state = newest valid snapshot +
+// WAL tail, with later records winning over both the snapshot and any torn
+// garbage dropped. The returned repository is empty only if the directory
+// was.
+func openDurable(opts Options) (*DurableRepository, error) {
+	log, state, err := wal.Open(opts.Dir, wal.Options{
 		Sync:         opts.Sync,
 		SyncInterval: opts.SyncInterval,
-		Metrics:      opts.Metrics,
-		TailRecords:  opts.TailRecords,
+		Metrics:      wal.NewMetrics(opts.Registry),
+		TailRecords:  opts.ReplicaTail,
 	})
 	if err != nil {
 		return nil, err

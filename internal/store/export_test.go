@@ -17,7 +17,7 @@ import (
 // concurrent mutations and replays each export's capture forward through
 // the WAL tail, expecting convergence with the final repository state.
 func TestExportStateConsistentUnderMutation(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncNone, TailRecords: 4096})
+	d, err := openDurable(Options{Dir: t.TempDir(), Sync: wal.SyncNone, ReplicaTail: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

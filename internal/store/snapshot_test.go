@@ -54,7 +54,7 @@ func wantFrames(t *testing.T, docs map[string]*doc.Node) []byte {
 // compaction and bootstrap share one format.
 func TestSnapshotStreamsNameOrderedFrames(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncNone})
+	d, err := openDurable(Options{Dir: dir, Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func largeDoc(i, size int) *doc.Node {
 // several copies of it.
 func TestSnapshotAllocationIsBounded(t *testing.T) {
 	const docSize, ndocs = 64 << 10, 256
-	d, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncNone})
+	d, err := openDurable(Options{Dir: t.TempDir(), Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSnapshotAllocationIsBounded(t *testing.T) {
 func BenchmarkSnapshot(b *testing.B) {
 	for _, c := range []struct{ mib, docKiB int }{{1, 64}, {4, 64}, {16, 64}, {16, 1}} {
 		b.Run(fmt.Sprintf("store=%dMiB/doc=%dKiB", c.mib, c.docKiB), func(b *testing.B) {
-			d, err := OpenDurable(b.TempDir(), DurableOptions{Sync: wal.SyncNone})
+			d, err := openDurable(Options{Dir: b.TempDir(), Sync: wal.SyncNone})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -185,7 +185,9 @@ type Options struct {
 	ReplicaTail int
 }
 
-// Open builds the selected backend. An empty Backend selects mem.
+// Open builds the selected backend; it is the only constructor of the wal
+// backend, whose result is a *DurableRepository. An empty Backend selects
+// mem.
 func Open(opts Options) (DocStore, error) {
 	switch opts.Backend {
 	case "", BackendMem:
@@ -194,13 +196,11 @@ func Open(opts Options) (DocStore, error) {
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("store: the wal backend requires a data directory")
 		}
-		return OpenDurable(opts.Dir, DurableOptions{
-			Sync:          opts.Sync,
-			SyncInterval:  opts.SyncInterval,
-			SnapshotEvery: opts.SnapshotEvery,
-			Metrics:       wal.NewMetrics(opts.Registry),
-			TailRecords:   opts.ReplicaTail,
-		})
+		d, err := openDurable(opts)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
 	case BackendDisk:
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("store: the disk backend requires a data directory")

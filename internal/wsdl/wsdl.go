@@ -46,8 +46,8 @@ func Write(w io.Writer, d *Description, predNames map[string]string) error {
 		return err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "<definitions xmlns=%q name=%q targetNamespace=%q>\n",
-		Namespace, d.Name, d.TargetNamespace)
+	fmt.Fprintf(&b, "<definitions xmlns=%q name=%s targetNamespace=%s>\n",
+		Namespace, xsdint.QuoteAttr(d.Name), xsdint.QuoteAttr(d.TargetNamespace))
 	b.WriteString("  <types>\n")
 	for _, line := range strings.Split(strings.TrimRight(types, "\n"), "\n") {
 		b.WriteString("    ")
@@ -55,9 +55,9 @@ func Write(w io.Writer, d *Description, predNames map[string]string) error {
 		b.WriteByte('\n')
 	}
 	b.WriteString("  </types>\n")
-	fmt.Fprintf(&b, "  <service name=%q>\n", d.Name)
+	fmt.Fprintf(&b, "  <service name=%s>\n", xsdint.QuoteAttr(d.Name))
 	if d.Endpoint != "" {
-		fmt.Fprintf(&b, "    <address location=%q/>\n", d.Endpoint)
+		fmt.Fprintf(&b, "    <address location=%s/>\n", xsdint.QuoteAttr(d.Endpoint))
 	}
 	b.WriteString("  </service>\n</definitions>\n")
 	_, err = io.WriteString(w, b.String())

@@ -34,9 +34,9 @@ func String(s *schema.Schema, predNames map[string]string) (string, error) {
 	return b.String(), nil
 }
 
-// quoteAttr renders s as a double-quoted XML attribute value. (Go's %q
+// QuoteAttr renders s as a double-quoted XML attribute value. (Go's %q
 // would apply Go escapes, which an XML parser does not undo.)
-func quoteAttr(s string) string {
+func QuoteAttr(s string) string {
 	var b strings.Builder
 	b.WriteByte('"')
 	_ = xml.EscapeText(&b, []byte(s))
@@ -53,27 +53,27 @@ type xsdPrinter struct {
 func (p *xsdPrinter) schema(b *strings.Builder) {
 	rootAttr := ""
 	if p.s.Root != "" {
-		rootAttr = " root=" + quoteAttr(p.s.Root)
+		rootAttr = " root=" + QuoteAttr(p.s.Root)
 	}
 	fmt.Fprintf(b, "<schema xmlns=%q%s>\n", XSDNamespace, rootAttr)
 	for _, name := range p.s.SortedLabels() {
 		d := p.s.Labels[name]
 		if d.IsData() {
-			fmt.Fprintf(b, "  <element name=%s type=\"xs:string\"/>\n", quoteAttr(name))
+			fmt.Fprintf(b, "  <element name=%s type=\"xs:string\"/>\n", QuoteAttr(name))
 			continue
 		}
-		fmt.Fprintf(b, "  <element name=%s>\n    <complexType>\n", quoteAttr(name))
+		fmt.Fprintf(b, "  <element name=%s>\n    <complexType>\n", QuoteAttr(name))
 		p.particle(b, d.Content, 6, false)
 		fmt.Fprintf(b, "    </complexType>\n  </element>\n")
 	}
 	for _, name := range p.s.SortedFuncs() {
 		d := p.s.Funcs[name]
-		attrs := " id=" + quoteAttr(name) + " methodName=" + quoteAttr(name)
+		attrs := " id=" + QuoteAttr(name) + " methodName=" + QuoteAttr(name)
 		if d.Endpoint != "" {
-			attrs += " endpointURL=" + quoteAttr(d.Endpoint)
+			attrs += " endpointURL=" + QuoteAttr(d.Endpoint)
 		}
 		if d.Namespace != "" {
-			attrs += " namespaceURI=" + quoteAttr(d.Namespace)
+			attrs += " namespaceURI=" + QuoteAttr(d.Namespace)
 		}
 		if !d.Invocable {
 			attrs += ` invocable="false"`
@@ -90,9 +90,9 @@ func (p *xsdPrinter) schema(b *strings.Builder) {
 	}
 	for _, name := range p.s.SortedPatterns() {
 		d := p.s.Patterns[name]
-		attrs := " id=" + quoteAttr(name)
+		attrs := " id=" + QuoteAttr(name)
 		if pn := p.predNames[name]; pn != "" {
-			attrs += " predicate=" + quoteAttr(pn)
+			attrs += " predicate=" + QuoteAttr(pn)
 		}
 		if !d.Invocable {
 			attrs += ` invocable="false"`
@@ -208,7 +208,7 @@ func (p *xsdPrinter) symParticle(b *strings.Builder, sym regex.Symbol, pad, occu
 	case schema.KindPattern:
 		tag = "functionPattern"
 	}
-	fmt.Fprintf(b, "%s<%s ref=%s%s/>\n", pad, tag, quoteAttr(name), occursAttrs)
+	fmt.Fprintf(b, "%s<%s ref=%s%s/>\n", pad, tag, QuoteAttr(name), occursAttrs)
 }
 
 func (p *xsdPrinter) classParticle(b *strings.Builder, cls regex.Class, pad, occursAttrs string) {
@@ -219,7 +219,7 @@ func (p *xsdPrinter) classParticle(b *strings.Builder, cls regex.Class, pad, occ
 			for i, s := range cls.Syms {
 				names[i] = p.s.Table.Name(s)
 			}
-			not = " not=" + quoteAttr(strings.Join(names, " "))
+			not = " not=" + QuoteAttr(strings.Join(names, " "))
 		}
 		fmt.Fprintf(b, "%s<any%s%s/>\n", pad, not, occursAttrs)
 		return

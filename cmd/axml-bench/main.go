@@ -9,19 +9,15 @@
 //	axml-bench -telemetry out.json -max-overhead 5  # telemetry overhead gate
 //	axml-bench -wal out.json  # durable-repository put cost per WAL sync mode
 //	axml-bench -store out.json  # Put/Get cost per storage backend (mem/wal/disk)
-//	axml-bench -stream out.json -max-buffered-frac 0.1  # streaming vs tree
-//	                             enforcement on a ~1MiB document
 //
 // Output is deterministic except for wall-clock timings.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"os"
 	"sort"
@@ -40,7 +36,6 @@ import (
 	"axml/internal/store"
 	"axml/internal/telemetry"
 	"axml/internal/wal"
-	"axml/internal/xmlio"
 )
 
 func main() {
@@ -48,13 +43,11 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	invokeOut := flag.String("invoke", "", "benchmark the invocation policy chain and write ns/op JSON to this file")
 	parallelOut := flag.String("parallel", "", "benchmark the parallel materialization engine and write the speedup JSON to this file")
-	minSpeedup := flag.Float64("min-speedup", 0, "with -parallel or -stream: fail unless the faster configuration beats the baseline by this factor (0 = no gate)")
+	minSpeedup := flag.Float64("min-speedup", 0, "with -parallel: fail unless degree 4 beats the sequential engine by this factor (0 = no gate)")
 	telemetryOut := flag.String("telemetry", "", "benchmark instrumented vs uninstrumented enforcement and write the overhead JSON to this file")
 	maxOverhead := flag.Float64("max-overhead", 0, "with -telemetry: fail if the overhead exceeds this percentage (0 = no gate)")
 	walOut := flag.String("wal", "", "benchmark durable-repository put throughput across WAL sync modes and write the JSON to this file")
 	storeOut := flag.String("store", "", "benchmark Put/Get across storage backends (mem, wal, disk) and write the JSON to this file")
-	streamOut := flag.String("stream", "", "benchmark streaming vs tree enforcement on a ~1MiB document and write the JSON to this file")
-	maxBufferedFrac := flag.Float64("max-buffered-frac", 0, "with -stream: fail if peak buffered bytes exceed this fraction of the document (0 = no gate)")
 	flag.Parse()
 
 	if *invokeOut != "" {
@@ -87,13 +80,6 @@ func main() {
 	}
 	if *storeOut != "" {
 		if err := benchStore(*storeOut); err != nil {
-			fmt.Fprintln(os.Stderr, "axml-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamOut != "" {
-		if err := benchStream(*streamOut, *maxBufferedFrac, *minSpeedup); err != nil {
 			fmt.Fprintln(os.Stderr, "axml-bench:", err)
 			os.Exit(1)
 		}
@@ -500,151 +486,6 @@ func Front = data -> page
 		return nil, err
 	}
 	return p, nil
-}
-
-// benchStream compares the streaming enforcement engine against the tree
-// engine on a ~1MiB newspaper document with one materializable call near the
-// front (E-ST1): the tree path buffers the whole rewritten document before a
-// byte leaves, the streaming path holds only the open-element frames and the
-// one function island. It verifies the two paths produce identical bytes,
-// then reports wall clock, peak buffered bytes, and first-byte latency. The
-// gates: peak buffered bytes must stay under maxBufferedFrac of the document
-// and the streamed path must not be slower than 1/minSpeedup of the tree
-// path.
-func benchStream(path string, maxBufferedFrac, minSpeedup float64) error {
-	sender := schema.MustParseText(`
-root newspaper
-elem newspaper = title.date.exhibit*.(Get_Temp|temp)
-elem title = data
-elem date = data
-elem temp = data
-elem city = data
-elem exhibit = title.date
-func Get_Temp = city -> temp
-`, nil)
-	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), `
-root newspaper
-elem newspaper = title.date.exhibit*.temp
-elem title = data
-elem date = data
-elem temp = data
-elem city = data
-elem exhibit = title.date
-`, nil)
-	if err != nil {
-		return fmt.Errorf("target schema: %w", err)
-	}
-	inv := core.ContextInvokerFunc(func(context.Context, *doc.Node) ([]*doc.Node, error) {
-		return []*doc.Node{doc.Elem("temp", doc.TextNode("15"))}, nil
-	})
-	fat := strings.Repeat("x", 900)
-	kids := []*doc.Node{
-		doc.Elem("title", doc.TextNode("The Sun")),
-		doc.Elem("date", doc.TextNode("04/10/2002")),
-	}
-	for i := 0; i < 1100; i++ {
-		kids = append(kids, doc.Elem("exhibit",
-			doc.Elem("title", doc.TextNode(fat)),
-			doc.Elem("date", doc.TextNode("2002"))))
-	}
-	// The call sits after the exhibits, so the island the engine must hold
-	// is one function node — the long prefix streams straight through.
-	kids = append(kids, doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
-	root := doc.Elem("newspaper", kids...)
-	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Depth: 2, Invoker: inv})
-	ctx := context.Background()
-
-	// Correctness first: the two engines must emit identical bytes.
-	out, err := rw.RewriteDocument(ctx, root.Clone(), core.Safe)
-	if err != nil {
-		return fmt.Errorf("tree rewrite: %w", err)
-	}
-	var treeBytes, streamBytes bytes.Buffer
-	if err := xmlio.WriteTo(&treeBytes, out); err != nil {
-		return err
-	}
-	probe, err := rw.RewriteDocumentStream(ctx, root.Clone(), &streamBytes, core.Safe)
-	if err != nil {
-		return fmt.Errorf("streamed rewrite: %w", err)
-	}
-	if !probe.Streamed {
-		return fmt.Errorf("fixture fell back to the tree engine (%s)", probe.FallbackReason)
-	}
-	if !bytes.Equal(treeBytes.Bytes(), streamBytes.Bytes()) {
-		return fmt.Errorf("streamed output diverges from the tree engine")
-	}
-	docBytes := treeBytes.Len()
-	frac := float64(probe.PeakBufferedBytes) / float64(docBytes)
-
-	const reps = 5
-	measure := func(run func(r *doc.Node) error) (time.Duration, error) {
-		var total time.Duration
-		for i := 0; i < reps; i++ {
-			r := root.Clone()
-			start := time.Now()
-			if err := run(r); err != nil {
-				return 0, err
-			}
-			total += time.Since(start)
-		}
-		return total / reps, nil
-	}
-	tree, err := measure(func(r *doc.Node) error {
-		out, err := rw.RewriteDocument(ctx, r, core.Safe)
-		if err != nil {
-			return err
-		}
-		return xmlio.WriteTo(io.Discard, out)
-	})
-	if err != nil {
-		return err
-	}
-	var firstByte time.Duration
-	stream, err := measure(func(r *doc.Node) error {
-		res, err := rw.RewriteDocumentStream(ctx, r, io.Discard, core.Safe)
-		if err == nil {
-			firstByte = res.FirstByte
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	speedup := float64(tree) / float64(stream)
-
-	report := map[string]any{
-		"benchmark":           "stream-enforcement",
-		"workload":            "~1MiB newspaper, 1100 exhibits then one materializable call (E-ST1)",
-		"doc_bytes":           docBytes,
-		"peak_buffered_bytes": probe.PeakBufferedBytes,
-		"peak_buffered_nodes": probe.PeakBufferedNodes,
-		"buffered_frac":       frac,
-		"max_buffered_frac":   maxBufferedFrac,
-		"tree_ns":             tree.Nanoseconds(),
-		"stream_ns":           stream.Nanoseconds(),
-		"speedup":             speedup,
-		"min_speedup":         minSpeedup,
-		"first_byte_ns":       firstByte.Nanoseconds(),
-		"byte_identical":      true,
-		"generated_by_flag":   "-stream",
-		"speedup_unit_note":   "tree wall clock over streamed wall clock; > 1 means streaming is faster",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("stream benchmark: doc %d B, peak buffered %d B (%.3f), tree %v, streamed %v (%.2fx, first byte %v) -> %s\n",
-		docBytes, probe.PeakBufferedBytes, frac, tree, stream, speedup, firstByte, path)
-	if maxBufferedFrac > 0 && frac > maxBufferedFrac {
-		return fmt.Errorf("peak buffered fraction %.3f exceeds budget %.3f", frac, maxBufferedFrac)
-	}
-	if minSpeedup > 0 && speedup < minSpeedup {
-		return fmt.Errorf("stream speedup %.2fx below required %.2fx", speedup, minSpeedup)
-	}
-	return nil
 }
 
 // benchParallel measures the parallel materialization engine on the E-P1

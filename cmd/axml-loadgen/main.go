@@ -18,9 +18,9 @@
 //	          15% GET /docs/by-function — storage-engine churn for the
 //	          disk backend's tiering and index paths
 //	stream    90% POST /exchange, 10% GET /doc, recording time-to-first-byte
-//	          alongside the full round trip — point it at a peer running
-//	          with -stream and grow -doc-bytes (1KiB, 64KiB, 1MiB) to watch
-//	          first-byte latency decouple from document size
+//	          alongside the full round trip — the peer enforces the whole
+//	          document before it writes, so grow -doc-bytes (1KiB, 64KiB,
+//	          1MiB) to separate enforcement from body transfer
 //	replica   30% PUT probe documents, 45% read-your-writes GETs, 25%
 //	          population GETs — set -write-url to the leader and -url to a
 //	          follower; reads a lagging follower answers with a 404 or an

@@ -26,12 +26,10 @@
 //	             a persistent per-shard function-node index serving
 //	             GET /docs/by-function/{fn}.
 //
-// -stream switches /exchange to the one-pass streaming enforcement engine:
-// the response body starts flowing while the document tail is still being
-// validated, holding only O(depth) state plus unresolved function islands in
-// memory. Targets whose content models mention function symbols fall back to
-// the buffered tree path automatically; a failure after bytes have been sent
-// aborts the connection instead of ending the response as if complete.
+// POST /exchange enforces the whole document before it writes a byte: a
+// rewriting that is not safe (or not possible, under -mode possible) is
+// refused with 422 and a plain-text reason, never with a 200 and a truncated
+// document.
 //
 // Federation: -role selects the peer's place in a static cluster.
 //
@@ -309,7 +307,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures opening a per-endpoint circuit breaker (0 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", invoke.DefaultBreakerCooldown, "how long an open breaker rejects calls before probing")
 	parallel := fs.Int("parallel", 1, "parallel materialization degree for enforcement rewritings (1 = sequential)")
-	streaming := fs.Bool("stream", false, "stream /exchange responses: validate and rewrite in one pass, emitting accepted output while the document is still being enforced (falls back to the buffered path when the target schema is not streamable)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", defaultReadHeaderTimeout, "max time to read a request's headers (0 disables)")
 	readTimeout := fs.Duration("read-timeout", defaultReadTimeout, "max time to read an entire request including the body (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", defaultWriteTimeout, "max time to write a response (0 disables)")
@@ -481,7 +478,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	p.MaxRequestBytes = *maxRequest
 	p.Policies = policies(*breakerFailures, *breakerCooldown, *retries, *retryBackoff, *callTimeout)
 	p.Parallelism = *parallel
-	p.Streaming = *streaming
 	p.Health = peer.NewHealth()
 	// Request and policy-event log lines carry the store backend so a
 	// fleet's mixed-backend logs attribute latency to the right engine.

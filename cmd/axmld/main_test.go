@@ -67,6 +67,7 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{"leader url on leader", []string{"-schema", sp, "-role", "leader", "-store", "wal", "-data-dir", dd, "-leader", "http://x:8080"}, "-leader requires -role follower"},
 		{"bad peers", []string{"-schema", sp, "-peers", "nourl"}, "-peers"},
 		{"duplicate peers", []string{"-schema", sp, "-peers", "a=http://x,a=http://y"}, "-peers"},
+		{"removed stream flag", []string{"-schema", sp, "-stream"}, "flag provided but not defined: -stream"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

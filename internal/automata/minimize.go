@@ -86,25 +86,3 @@ func (d *DFA) Minimize() *DFA {
 	}
 	return out
 }
-
-// NumReachable counts states reachable from the start state; Determinize
-// only ever creates reachable states, but products can include fewer after
-// minimization, and tests use this to assert exploration sizes.
-func (d *DFA) NumReachable() int {
-	seen := make([]bool, d.NumStates())
-	seen[d.Start] = true
-	stack := []State{d.Start}
-	count := 1
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range d.Trans[s] {
-			if t != NoState && !seen[t] {
-				seen[t] = true
-				count++
-				stack = append(stack, t)
-			}
-		}
-	}
-	return count
-}

@@ -49,21 +49,9 @@ func NewNFA(n int, start State) *NFA {
 // Len returns the number of states.
 func (a *NFA) Len() int { return len(a.Accept) }
 
-// AddState appends a fresh state and returns it.
-func (a *NFA) AddState(accept bool) State {
-	a.Accept = append(a.Accept, accept)
-	a.Edges = append(a.Edges, nil)
-	return State(len(a.Accept) - 1)
-}
-
 // AddEdge adds a symbol-class transition.
 func (a *NFA) AddEdge(from State, cls regex.Class, to State) {
 	a.Edges[from] = append(a.Edges[from], Edge{Cls: cls, To: to})
-}
-
-// AddSym adds a single-symbol transition.
-func (a *NFA) AddSym(from State, s regex.Symbol, to State) {
-	a.AddEdge(from, regex.NewClass(false, s), to)
 }
 
 // AddEps adds an ε-transition.
@@ -165,18 +153,6 @@ func (a *NFA) MentionedSymbols() []regex.Symbol {
 		}
 	}
 	return out
-}
-
-// HasWildcardEdges reports whether any transition carries a negated class.
-func (a *NFA) HasWildcardEdges() bool {
-	for _, edges := range a.Edges {
-		for _, e := range edges {
-			if !e.Eps && e.Cls.Negated {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (a *NFA) String() string {

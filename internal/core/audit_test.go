@@ -120,10 +120,10 @@ func Get = data -> val {cost=2}
 	}
 }
 
-// The streaming engine holds phase-1 parameter calls and the closed
-// elements' calls aside until the document ends; with more of them than the
-// audit window, the Audit must still count every call the result reports.
-func TestStreamAuditExactBeyondWindow(t *testing.T) {
+// A document whose every call carries a nested parameter call: with more
+// of them than the audit window, the Audit still counts every call, on the
+// sequential and the parallel engine alike.
+func TestAuditExactBeyondWindow(t *testing.T) {
 	const deep = auditWindow + 104
 	kids := []*doc.Node{doc.Elem("hdr", doc.TextNode("h"))}
 	for i := 0; i < deep; i++ {
@@ -131,24 +131,17 @@ func TestStreamAuditExactBeyondWindow(t *testing.T) {
 			doc.Call("Deep", doc.Call("MkTtl", doc.TextNode(fmt.Sprintf("d%d", i))))))
 	}
 	root := doc.Elem("page", kids...)
-
-	var made []*Rewriter
-	mk := func() *Rewriter {
-		rw, _ := propRewriter(t, 1)
-		made = append(made, rw)
-		return rw
-	}
-	res := streamVsTree(t, mk, root, Safe)
-	if !res.Streamed {
-		t.Fatalf("unexpected fallback %q", res.FallbackReason)
-	}
 	const want = 2 * deep // one MkTtl parameter call and one Deep per occurrence
-	if res.Calls != want {
-		t.Errorf("StreamResult.Calls = %d, want %d", res.Calls, want)
-	}
-	for i, rw := range made {
+	for _, degree := range []int{1, 4} {
+		rw := propRewriter(t, degree)
+		if _, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe); err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
 		if got := rw.Audit.Len(); got != want {
-			t.Errorf("engine %d: Audit.Len = %d, want %d", i, got, want)
+			t.Errorf("degree %d: Audit.Len = %d, want %d", degree, got, want)
+		}
+		if got := len(rw.Audit.Calls()); got != auditWindow {
+			t.Errorf("degree %d: retained %d calls, want the newest %d", degree, got, auditWindow)
 		}
 	}
 }

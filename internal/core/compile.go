@@ -52,10 +52,9 @@ import (
 // that is ambiguous, which a compact-text schema or a pattern expansion can
 // produce, or whose DFA would overrun the budget, has none, and its words
 // step the shared derivative table instead, which decides the same words.
-// The static check, the tree executor and the streaming engine resolve node
-// labels through these entries, so a call-free word costs one DFA step per
-// child and takes no lock. Names neither schema declares still resolve
-// through Table.Intern.
+// The static check and the executor resolve node labels through these
+// entries, so a call-free word costs one DFA step per child and takes no
+// lock. Names neither schema declares still resolve through Table.Intern.
 //
 // A Compiled is safe for concurrent use once Compile returns. funcs,
 // alphabet and the entries are frozen: they are keyed by declared names
@@ -88,9 +87,6 @@ type Compiled struct {
 	// deriver is shared by every lazy analysis over this pair, so derivative
 	// tables of the target content models are computed once.
 	deriver *regex.Deriver
-	// streamable memoizes the target-streamability analysis (stream.go).
-	streamOnce sync.Once
-	streamable bool
 	// words memoizes word-level verdicts; see wordcache.go.
 	words atomic.Pointer[wordCacheBox]
 	// instr carries the telemetry handles word-level analyses report into
@@ -182,8 +178,7 @@ func (c *Compiled) dfaOf(m *model) *automata.DFA {
 }
 
 // adhoc returns the model of a word type built per request, such as a
-// document type or a streaming residual: it gets no DFA, so the Compiled
-// keeps nothing of it.
+// document type: it gets no DFA, so the Compiled keeps nothing of it.
 func adhoc(re *regex.Regex) *model {
 	m := &model{re: re}
 	m.once.Do(func() {})
@@ -517,18 +512,6 @@ func substitute(r *regex.Regex, subst map[regex.Symbol]*regex.Regex) *regex.Rege
 		return r
 	}
 }
-
-// ContentModel returns the (pattern-expanded) content model of a target
-// label; isData reports atomic content.
-func (c *Compiled) ContentModel(label string) (r *regex.Regex, isData, ok bool) {
-	e := c.names[label]
-	if e == nil || !e.declared {
-		return nil, false, false
-	}
-	return e.content.re, e.data, true
-}
-
-func (c *Compiled) symName(s regex.Symbol) string { return c.Table.Name(s) }
 
 // Err helpers shared by analyses and executors.
 

@@ -58,13 +58,13 @@ func (rw *Rewriter) RewriteSpineCopy(ctx context.Context, root *doc.Node, from *
 // materialization engine (see parallel.go); at 1 it takes the sequential
 // code paths unchanged.
 //
-// Read-only invariant: no executor — sequential, parallel, streaming, in any
-// mode — writes into a function-free subtree of its input. Writes land only
-// on function nodes (their parameters), on elements with a function node
-// below them (their children), and on forests services returned, which
-// belong to the caller (service.Handler). So the input may share its
-// function-free subtrees with a stored document: doc.Node.SpineCopy copies
-// exactly the part a rewriting writes.
+// Read-only invariant: no executor — sequential or parallel, in any mode —
+// writes into a function-free subtree of its input. Writes land only on
+// function nodes (their parameters), on elements with a function node below
+// them (their children), and on forests services returned, which belong to
+// the caller (service.Handler). So the input may share its function-free
+// subtrees with a stored document: doc.Node.SpineCopy copies exactly the
+// part a rewriting writes.
 func (rw *Rewriter) RewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
 	return rw.rewriteForestContext(ctx, forest, typ, nil, mode)
 }

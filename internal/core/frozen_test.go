@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -222,9 +221,9 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestCompiledConcurrentReadOnly runs static checks and rewritings, tree
-// and streaming, eager and lazy, in every mode, concurrently over one fresh
-// Compiled, so the first uses of its models race to build their DFAs.
+// TestCompiledConcurrentReadOnly runs static checks and rewritings, eager
+// and lazy, sequential and parallel, in every mode, concurrently over one
+// fresh Compiled, so the first uses of its models race to build their DFAs.
 // Nothing may write what Compile froze, and a DFA may be written only
 // under its model's sync.Once: under -race, any other write into an entry
 // or a DFA during these reads is a reported data race.
@@ -247,10 +246,6 @@ func TestCompiledConcurrentReadOnly(t *testing.T) {
 				}
 				if _, err := rw.RewriteDocument(context.Background(), stored.SpineCopy(), mode); err != nil {
 					t.Errorf("rewrite, mode %s: %v", mode, err)
-					return
-				}
-				if _, err := rw.RewriteDocumentStream(context.Background(), stored.SpineCopy(), io.Discard, Safe); err != nil {
-					t.Errorf("streamed rewrite: %v", err)
 					return
 				}
 			}

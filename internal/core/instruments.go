@@ -56,15 +56,6 @@ type Instruments struct {
 	breakerHalf    *telemetry.Counter
 	breakerRejects *telemetry.Counter
 
-	// --- streaming engine (stream.go) ---
-	streamOK        *telemetry.Counter
-	streamErr       *telemetry.Counter
-	streamFallbacks map[string]*telemetry.Counter // by reason, pre-registered
-	streamFallOther *telemetry.Counter
-	streamPeakBytes *telemetry.Histogram
-	streamPeakNodes *telemetry.Histogram
-	streamFirstByte *telemetry.Histogram
-
 	// --- parallel engine (parallel.go) ---
 	parActive  *telemetry.Gauge
 	parSpawned *telemetry.Counter
@@ -152,17 +143,6 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	ins.breakerClose = reg.Counter("axml_breaker_transitions_total", "state", "closed")
 	ins.breakerHalf = reg.Counter("axml_breaker_transitions_total", "state", "half-open")
 	ins.breakerRejects = reg.Counter("axml_breaker_rejections_total")
-
-	ins.streamOK = reg.Counter("axml_stream_rewrites_total", "result", "streamed")
-	ins.streamErr = reg.Counter("axml_stream_rewrites_total", "result", "error")
-	ins.streamFallbacks = make(map[string]*telemetry.Counter, len(streamFallbackReasons))
-	for _, reason := range streamFallbackReasons {
-		ins.streamFallbacks[reason] = reg.Counter("axml_stream_fallbacks_total", "reason", reason)
-	}
-	ins.streamFallOther = reg.Counter("axml_stream_fallbacks_total", "reason", "other")
-	ins.streamPeakBytes = reg.Histogram("axml_stream_peak_buffered_bytes", telemetry.ByteBuckets)
-	ins.streamPeakNodes = reg.Histogram("axml_stream_peak_buffered_nodes", telemetry.CountBuckets)
-	ins.streamFirstByte = reg.Histogram("axml_stream_first_byte_seconds", telemetry.DefBuckets)
 
 	ins.parActive = reg.Gauge("axml_parallel_active_slots")
 	ins.parSpawned = reg.Counter("axml_parallel_tasks_total", "exec", "spawned")
@@ -258,37 +238,6 @@ func (ins *Instruments) countVerifiedCheck() {
 	if ins != nil {
 		ins.verifiedChecks.Inc()
 	}
-}
-
-// observeStream records the outcome of one streamed rewriting: result
-// counter, peak buffered frontier (the O(depth) claim made measurable) and
-// first-byte latency when a byte left before the document finished.
-func (ins *Instruments) observeStream(peakBytes, peakNodes int, firstByte time.Duration, err error) {
-	if ins == nil {
-		return
-	}
-	if err != nil {
-		ins.streamErr.Inc()
-	} else {
-		ins.streamOK.Inc()
-	}
-	ins.streamPeakBytes.Observe(float64(peakBytes))
-	ins.streamPeakNodes.Observe(float64(peakNodes))
-	if firstByte > 0 {
-		ins.streamFirstByte.Observe(firstByte.Seconds())
-	}
-}
-
-// countStreamFallback tallies one fallback to the tree engine by reason.
-func (ins *Instruments) countStreamFallback(reason string) {
-	if ins == nil {
-		return
-	}
-	if c := ins.streamFallbacks[reason]; c != nil {
-		c.Inc()
-		return
-	}
-	ins.streamFallOther.Inc()
 }
 
 // taskStart / taskEnd track parallel-engine slot utilization; spawned

@@ -152,15 +152,15 @@ func (ex *executor) flushSlot(buf *trail) {
 }
 
 // recorder takes an executor's call records: the Rewriter's Audit, or a
-// trail buffering one parallel slot or streaming phase.
+// trail buffering one parallel slot.
 type recorder interface {
 	Record(r CallRecord)
 }
 
-// trail buffers the calls and events of one parallel slot or streaming
-// phase until they are replayed, in document order, into the Rewriter's
-// Audit. Unlike Audit it keeps everything — it lives for one rewriting —
-// so the replay is exact however many calls one slot makes.
+// trail buffers the calls and events of one parallel slot until they are
+// replayed, in document order, into the Rewriter's Audit. Unlike Audit it
+// keeps everything — it lives for one rewriting — so the replay is exact
+// however many calls one slot makes.
 type trail struct {
 	mu     sync.Mutex
 	calls  []CallRecord

@@ -372,3 +372,70 @@ func TestInvokerFuncAdapter(t *testing.T) {
 		t.Errorf("adapter broken: %v %v", out, err)
 	}
 }
+
+// Wildcard schemas: x is mentioned by page's content model but never
+// declared, so x subtrees are foreign content the executor passes through.
+const wildSenderText = `
+root page
+elem page = hdr.x*
+elem hdr = data
+elem val = data
+func Get = data -> val
+`
+
+func wildRewriter(t *testing.T) *Rewriter {
+	t.Helper()
+	sender := schema.MustParseText(wildSenderText, nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), wildSenderText, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewRewriterForConfig(Compile(sender, target), RewriterConfig{Invoker: newPureInvoker()})
+}
+
+// passesThroughUnchanged rewrites root in Safe mode with a lenient wildcard
+// rewriter and checks the output equals the input and no call was made.
+func passesThroughUnchanged(t *testing.T, root *doc.Node) {
+	t.Helper()
+	rw := wildRewriter(t)
+	out, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Equal(root) {
+		t.Errorf("foreign content changed:\n%s\nwant\n%s", out, root)
+	}
+	if n := rw.Audit.Len(); n != 0 {
+		t.Errorf("%d calls made, want none", n)
+	}
+}
+
+// TestWildcardContentPassesThrough: foreign subtrees come out verbatim in
+// lenient mode, and a strict context refuses them.
+func TestWildcardContentPassesThrough(t *testing.T) {
+	root := doc.Elem("page",
+		doc.Elem("hdr", doc.TextNode("h")),
+		doc.Elem("x",
+			doc.Elem("y", doc.TextNode("w")),
+			doc.TextNode("free  text"),
+			doc.Elem("z"),
+		),
+		doc.Elem("x", doc.TextNode("only")),
+		doc.Elem("x"),
+	)
+	passesThroughUnchanged(t, root)
+	strict := wildRewriter(t)
+	strict.Context().Strict = true
+	if _, err := strict.RewriteDocument(context.Background(), root.Clone(), Safe); err == nil {
+		t.Error("a strict context accepted foreign content")
+	}
+}
+
+// TestWildcardCallKeptUninvoked: a call inside foreign content is foreign
+// content too. It is kept as written and never invoked.
+func TestWildcardCallKeptUninvoked(t *testing.T) {
+	passesThroughUnchanged(t, doc.Elem("page",
+		doc.Elem("hdr", doc.TextNode("h")),
+		doc.Elem("x", doc.Call("Get", doc.TextNode("frozen"))),
+	))
+}

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"axml/internal/doc"
@@ -115,18 +115,15 @@ elem b = data
 	}
 }
 
-// TestGeneratedDocumentsAcrossModes runs the streaming tests' random
-// documents through every mode at parallelism 1 and 4: every tree-engine
-// output is an instance of the target, and wherever the streaming engine
-// serves the request, it agrees with the tree engine on bytes and audit
-// order.
+// TestGeneratedDocumentsAcrossModes runs random generated documents through
+// every mode at parallelism 1 and 4: every output is an instance of the
+// target.
 func TestGeneratedDocumentsAcrossModes(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		root := propDoc(rand.New(rand.NewSource(seed)), 1+int(seed%7))
 		for _, degree := range []int{1, 4} {
-			mk := func() *Rewriter { rw, _ := propRewriter(t, degree); return rw }
 			for _, mode := range []Mode{Safe, Possible, Mixed} {
-				rw := mk()
+				rw := propRewriter(t, degree)
 				out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
 				if err != nil {
 					t.Fatalf("seed %d degree %d mode %v: %v", seed, degree, mode, err)
@@ -135,56 +132,86 @@ func TestGeneratedDocumentsAcrossModes(t *testing.T) {
 					t.Errorf("seed %d degree %d mode %v: output is no instance: %v", seed, degree, mode, err)
 				}
 			}
-			if res := streamVsTree(t, mk, root, Safe); !res.Streamed {
-				t.Fatalf("seed %d degree %d: unexpected fallback %q", seed, degree, res.FallbackReason)
+		}
+	}
+}
+
+// TestGeneratedDocumentsEnginesAgree runs the same generated documents on
+// the eager and lazy engines at parallelism 1 and 4, in every mode: every
+// run agrees with the sequential eager one on the output tree and the audit
+// order. Mixed mode at degree 4 agrees on the tree only: it batches
+// pre-invocation calls round by round, outermost calls first.
+func TestGeneratedDocumentsEnginesAgree(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		root := propDoc(rand.New(rand.NewSource(seed)), 1+int(seed%7))
+		for _, mode := range []Mode{Safe, Possible, Mixed} {
+			var refOut *doc.Node
+			var refAudit []string
+			for _, engine := range []EngineKind{Eager, Lazy} {
+				for _, degree := range []int{1, 4} {
+					rw := propRewriter(t, degree)
+					rw.Engine = engine
+					out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
+					if err != nil {
+						t.Fatalf("seed %d engine %d degree %d mode %v: %v", seed, engine, degree, mode, err)
+					}
+					if refOut == nil {
+						refOut, refAudit = out, auditKeys(rw.Audit)
+						continue
+					}
+					if !out.Equal(refOut) {
+						t.Errorf("seed %d mode %v: engine %d degree %d output diverges\n%s\nsequential eager\n%s", seed, mode, engine, degree, out, refOut)
+					}
+					if got := auditKeys(rw.Audit); (mode != Mixed || degree == 1) && !slices.Equal(got, refAudit) {
+						t.Errorf("seed %d mode %v: engine %d degree %d audit diverges\n%v\nsequential eager\n%v", seed, mode, engine, degree, got, refAudit)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestErrorPathsBothEngines pins NotSafeError.Path literally on the tree
-// and streaming engines for failures at the document word, in a nested
-// element, inside a function's parameter forest and in a data element.
-// Where both engines fail in the same check, the whole message agrees too.
+// TestErrorPathsBothEngines pins NotSafeError.Path literally on the eager
+// and lazy engines, at parallelism 1 and 4, for failures at the document
+// word, in a nested element, inside a function's parameter forest and in a
+// data element. The whole message agrees across engines and degrees too.
 func TestErrorPathsBothEngines(t *testing.T) {
 	sec := func(kids ...*doc.Node) *doc.Node {
 		return doc.Elem("sec", append([]*doc.Node{doc.Elem("ttl", doc.TextNode("t"))}, kids...)...)
 	}
 	hdr := doc.Elem("hdr", doc.TextNode("h"))
 	cases := []struct {
-		name    string
-		root    *doc.Node
-		path    string
-		sameMsg bool
+		name string
+		root *doc.Node
+		path string
 	}{
-		{"document word", doc.Elem("hdr", doc.TextNode("h")), "", false},
-		{"root element text", doc.Elem("page", hdr.Clone(), doc.TextNode("stray")), "/page[0]", true},
-		{"nested element text", doc.Elem("page", hdr.Clone(), sec(), sec(doc.TextNode("stray"))), "/page[0]/sec[2]", true},
+		{"document word", doc.Elem("hdr", doc.TextNode("h")), ""},
+		{"root element text", doc.Elem("page", hdr.Clone(), doc.TextNode("stray")), "/page[0]"},
+		{"nested element text", doc.Elem("page", hdr.Clone(), sec(), sec(doc.TextNode("stray"))), "/page[0]/sec[2]"},
 		{"parameter forest", doc.Elem("page", hdr.Clone(),
-			sec(doc.Call("Deep", doc.Elem("ttl", doc.Elem("x"))))), "/@Deep/ttl[0]", false},
+			sec(doc.Call("Deep", doc.Elem("ttl", doc.Elem("x"))))), "/@Deep/ttl[0]"},
 		{"data element", doc.Elem("page", hdr.Clone(), sec(),
-			doc.Elem("sec", doc.Elem("ttl", doc.TextNode("t"), doc.Elem("x")))), "/page[0]/sec[2]/ttl[0]", false},
+			doc.Elem("sec", doc.Elem("ttl", doc.TextNode("t"), doc.Elem("x")))), "/page[0]/sec[2]/ttl[0]"},
 	}
 	for _, c := range cases {
-		for _, degree := range []int{1, 4} {
-			rwT, _ := propRewriter(t, degree)
-			_, errT := rwT.RewriteDocument(context.Background(), c.root.Clone(), Safe)
-			rwS, _ := propRewriter(t, degree)
-			res, errS := rwS.RewriteDocumentStream(context.Background(), c.root.Clone(), &bytes.Buffer{}, Safe)
-			if !res.Streamed {
-				t.Fatalf("%s: unexpected fallback %q", c.name, res.FallbackReason)
-			}
-			for engine, err := range map[string]error{"tree": errT, "stream": errS} {
+		var first error
+		for _, engine := range []EngineKind{Eager, Lazy} {
+			for _, degree := range []int{1, 4} {
+				rw := propRewriter(t, degree)
+				rw.Engine = engine
+				_, err := rw.RewriteDocument(context.Background(), c.root.Clone(), Safe)
 				var nse *NotSafeError
 				if !errors.As(err, &nse) {
-					t.Fatalf("%s, degree %d, %s engine: want NotSafeError, got %v", c.name, degree, engine, err)
+					t.Fatalf("%s, engine %d, degree %d: want NotSafeError, got %v", c.name, engine, degree, err)
 				}
 				if nse.Path != c.path {
-					t.Errorf("%s, degree %d, %s engine: path %q, want %q (%v)", c.name, degree, engine, nse.Path, c.path, err)
+					t.Errorf("%s, engine %d, degree %d: path %q, want %q (%v)", c.name, engine, degree, nse.Path, c.path, err)
 				}
-			}
-			if c.sameMsg && errT.Error() != errS.Error() {
-				t.Errorf("%s, degree %d: messages differ:\ntree:   %v\nstream: %v", c.name, degree, errT, errS)
+				if first == nil {
+					first = err
+				} else if err.Error() != first.Error() {
+					t.Errorf("%s, engine %d, degree %d: message differs:\n%v\nfirst run:\n%v", c.name, engine, degree, err, first)
+				}
 			}
 		}
 	}

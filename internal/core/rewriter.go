@@ -99,13 +99,6 @@ type Rewriter struct {
 	// backtrack decisions, per-endpoint call latency, bridged policy events
 	// and tracing spans. Nil (the default) is a zero-overhead no-op.
 	Instruments *Instruments
-	// Streaming opts callers holding serialization targets into the
-	// one-pass engine (stream.go): RewriteDocumentStream validates,
-	// rewrites and serializes in a single pass with O(depth) buffering,
-	// falling back to the tree engine when the mode or schema requires it.
-	// The flag is advisory wiring for servers (internal/peer); the
-	// streaming entry points work regardless.
-	Streaming bool
 
 	ctx *schema.Context
 }
@@ -157,9 +150,6 @@ type RewriterConfig struct {
 	// word-level analyses) against this registry; see internal/telemetry.
 	// Nil leaves every instrumentation path a no-op.
 	Telemetry *telemetry.Registry
-	// Streaming opts into the one-pass streaming enforcement engine for
-	// callers that serialize results (Rewriter.Streaming).
-	Streaming bool
 }
 
 // NewRewriterWithConfig builds a rewriter for the (sender, target) schema
@@ -217,7 +207,6 @@ func NewRewriterForConfig(c *Compiled, cfg RewriterConfig) *Rewriter {
 		Events:          cfg.Events,
 		Parallelism:     parallelism,
 		Instruments:     ins,
-		Streaming:       cfg.Streaming,
 		ctx:             schema.NewContext(c.Target, c.Sender),
 	}
 }

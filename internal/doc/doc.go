@@ -348,31 +348,6 @@ func (n *Node) HasFuncs() bool {
 	return found
 }
 
-// sizeOverhead approximates the resident bytes of one Node struct plus its
-// bookkeeping (child-slice headers, allocator rounding); ServiceRef adds its
-// own share. The figure feeds buffered-memory accounting, not allocation.
-const (
-	sizeOverhead    = 80
-	serviceOverhead = 56
-)
-
-// Size estimates the resident memory of the subtree in bytes: node structs,
-// label/value string bytes, child pointer slots and service references. The
-// streaming engine reports its buffered frontier through this estimate.
-func (n *Node) Size() int {
-	if n == nil {
-		return 0
-	}
-	sz := sizeOverhead + len(n.Label) + len(n.Value) + 8*len(n.Children)
-	if n.Service != nil {
-		sz += serviceOverhead + len(n.Service.Endpoint) + len(n.Service.Method) + len(n.Service.Namespace)
-	}
-	for _, c := range n.Children {
-		sz += c.Size()
-	}
-	return sz
-}
-
 // ChildLabels returns the labels of the node's children, in order — the word
 // w the per-node rewriting step works on. Text children have no label in the
 // word model; they are skipped (atomic content is typed by the "data"

@@ -93,16 +93,6 @@ func PaperCompiled() (*core.Compiled, []core.Token) {
 	return c, w
 }
 
-// NewspaperDoc is the Figure 2.a document.
-func NewspaperDoc() *doc.Node {
-	return doc.Elem("newspaper",
-		doc.Elem("title", doc.TextNode("The Sun")),
-		doc.Elem("date", doc.TextNode("04/10/2002")),
-		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))),
-		doc.Call("TimeOut", doc.TextNode("exhibits")),
-	)
-}
-
 // TargetStarStar is the (**) newspaper content model; TargetTripleStar is
 // (***).
 const (

@@ -63,8 +63,9 @@ type Config struct {
 	// skewed (exchange traffic with Zipf-distributed hot keys), store
 	// (storage-engine churn: mutations plus /docs pagination and
 	// /docs/by-function index lookups), stream (exchange traffic that
-	// also records time-to-first-body-byte — against a peer running with
-	// -stream, first-byte latency decouples from document size), or replica
+	// also records the time to the first body byte; the peer enforces the
+	// whole document before it writes, so this times a buffered exchange's
+	// first byte), or replica
 	// (writes to WriteURL, stale-tolerant reads from BaseURL — point them at
 	// a leader/follower pair).
 	Mix string
@@ -439,9 +440,9 @@ func parseProbeSeq(body []byte) (uint64, bool) {
 // doStream issues one POST /exchange and records two latencies: time to the
 // first body byte into the client-only TTFB histogram, and the full drain
 // into the exchange histogram (so cross-checks against the server still
-// hold). Against a streaming peer the first byte arrives while the server is
-// still enforcing the document tail; against a buffering peer the two
-// coincide.
+// hold). The peer writes only after enforcement has finished, so the first
+// byte times the buffered exchange and the gap to the full drain is the
+// transfer of the body.
 func (w *worker) doStream(path string, body []byte) {
 	req, err := http.NewRequest(http.MethodPost, w.r.cfg.BaseURL+path, bytes.NewReader(body))
 	if err != nil {

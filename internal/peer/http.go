@@ -381,19 +381,6 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	if p.Streaming {
-		sw := &xmlResponseWriter{w: w}
-		res, err := p.sendStream(r.Context(), name, c, mode, sw)
-		if err != nil {
-			if sw.wrote || (res != nil && res.BytesWritten > 0) {
-				// The status line and a document prefix are already on the
-				// wire; the only honest signal left is killing the connection.
-				panic(http.ErrAbortHandler)
-			}
-			http.Error(w, err.Error(), exchangeErrorStatus(err))
-		}
-		return
-	}
 	// The response shares the stored version's untouched subtrees. From the
 	// version's second exchange on, their stored bytes are spliced in from
 	// its rendering, and only the rewritten spine and the returned forests
@@ -491,23 +478,6 @@ func exchangeErrorStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// xmlResponseWriter defers the response headers of a streamed exchange until
-// the first output byte: enforcement failures that occur before anything was
-// flushed still produce a clean error status, while the first flushed byte
-// commits the 200 and the XML content type.
-type xmlResponseWriter struct {
-	w     http.ResponseWriter
-	wrote bool
-}
-
-func (x *xmlResponseWriter) Write(p []byte) (int, error) {
-	if !x.wrote {
-		x.wrote = true
-		x.w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	}
-	return x.w.Write(p)
-}
-
 // cappedBody is a request body behind http.MaxBytesReader that remembers
 // whether the cap tripped. The XML parsers wrap the reader's
 // *http.MaxBytesError with %w, but a body can also fail on malformed bytes
@@ -587,7 +557,6 @@ func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"word_cache":    words,
 		"invocations":   p.Audit.Len(),
 		"parallelism":   max(p.Parallelism, 1),
-		"streaming":     p.Streaming,
 		"telemetry":     p.Telemetry != nil,
 		"read_only":     p.ReadOnly,
 	}

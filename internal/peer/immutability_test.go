@@ -162,11 +162,11 @@ func openBackend(t *testing.T, backend string) store.DocStore {
 }
 
 // TestExchangeLeavesStoreUnchanged is the store-immutability oracle: on
-// every backend, exchanges in every mode, at parallelism 1 and 4, streamed
-// and not, run concurrently over shared stored trees — including a query
-// service that returns the document's own subtrees and a service that
-// echoes its parameters — and leave every stored document exactly as it
-// was, down to node identity. Run it under -race: the shared trees are read
+// every backend, exchanges in every mode, at parallelism 1 and 4, run
+// concurrently over shared stored trees — including a query service that
+// returns the document's own subtrees and a service that echoes its
+// parameters — and leave every stored document exactly as it was, down to
+// node identity. Run it under -race: the shared trees are read
 // by concurrent exchanges. Each body also equals the one the clone-based
 // path produces: the rewriting of a deep copy, printed in full.
 func TestExchangeLeavesStoreUnchanged(t *testing.T) {
@@ -188,26 +188,24 @@ func TestExchangeLeavesStoreUnchanged(t *testing.T) {
 			}
 			before := fingerprint(t, p.Repo)
 			for _, par := range []int{1, 4} {
-				for _, streaming := range []bool{false, true} {
-					p.Parallelism, p.Streaming = par, streaming
-					var wg sync.WaitGroup
-					for key, body := range want {
-						wg.Add(1)
-						go func(key, body string) {
-							defer wg.Done()
-							name, xsd, mode := parseExchangeKey(key)
-							req := httptest.NewRequest(http.MethodPost, "/exchange/"+name+"?mode="+mode.String(), strings.NewReader(xsd))
-							w := httptest.NewRecorder()
-							h.ServeHTTP(w, req)
-							if w.Code != http.StatusOK {
-								t.Errorf("parallelism %d streaming %t %s: status %d: %s", par, streaming, key, w.Code, w.Body.String())
-							} else if w.Body.String() != body {
-								t.Errorf("parallelism %d streaming %t %s: body\n%s\nclone path\n%s", par, streaming, key, w.Body.String(), body)
-							}
-						}(key, body)
-					}
-					wg.Wait()
+				p.Parallelism = par
+				var wg sync.WaitGroup
+				for key, body := range want {
+					wg.Add(1)
+					go func(key, body string) {
+						defer wg.Done()
+						name, xsd, mode := parseExchangeKey(key)
+						req := httptest.NewRequest(http.MethodPost, "/exchange/"+name+"?mode="+mode.String(), strings.NewReader(xsd))
+						w := httptest.NewRecorder()
+						h.ServeHTTP(w, req)
+						if w.Code != http.StatusOK {
+							t.Errorf("parallelism %d %s: status %d: %s", par, key, w.Code, w.Body.String())
+						} else if w.Body.String() != body {
+							t.Errorf("parallelism %d %s: body\n%s\nclone path\n%s", par, key, w.Body.String(), body)
+						}
+					}(key, body)
 				}
+				wg.Wait()
 			}
 			after := fingerprint(t, p.Repo)
 			for name, fp := range before {

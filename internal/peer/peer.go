@@ -9,7 +9,6 @@ package peer
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -70,13 +69,6 @@ type Peer struct {
 	// pre-invocation, pipelined safe-mode calls). Values <= 1 keep the
 	// sequential engine.
 	Parallelism int
-	// Streaming opts /exchange responses into the one-pass streaming
-	// enforcement engine: validated output bytes leave while the document is
-	// still being rewritten, with O(depth) buffering. Configurations the
-	// streaming engine cannot serve byte-identically (non-Safe modes,
-	// targets admitting kept functions) fall back to the tree path
-	// automatically; see core.Rewriter.RewriteDocumentStream.
-	Streaming bool
 	// Telemetry, if set, instruments the whole peer against this registry:
 	// enforcement rewritings, the compiled-schema and word-verdict caches,
 	// the invocation layer's policy events, and (through Handler) per-HTTP-
@@ -322,46 +314,6 @@ func (p *Peer) send(ctx context.Context, name string, d *doc.Node, c *core.Compi
 		return nil, fmt.Errorf("peer %s: sending %q: %w", p.Name, name, err)
 	}
 	return out, nil
-}
-
-// SendDocumentStream is the Figure 1 scenario with a streaming response: the
-// named document is enforced against the exchange schema and serialized to w
-// in one pass, the first bytes leaving before rewriting completes whenever
-// the configuration allows (see Peer.Streaming). The returned StreamResult
-// reports whether the streaming engine served the request and its buffering
-// peaks. On error, w may have received a partial document prefix — HTTP
-// callers must check StreamResult.BytesWritten before choosing a status.
-func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
-	return p.sendStream(ctx, name, p.compiled(ctx, exchange), mode, w)
-}
-
-// sendStream is SendDocumentStream under the compiled pair c.
-func (p *Peer) sendStream(ctx context.Context, name string, c *core.Compiled, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
-	d, ok := p.Repo.Get(name)
-	if !ok {
-		return nil, p.noDocument(name)
-	}
-	d = d.SpineCopy()
-	st := telemetry.StagesFrom(ctx)
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	rw := p.rewriterFor(c)
-	if st != nil {
-		st.Add(telemetry.StageCompile, time.Since(t0))
-		t0 = time.Now()
-	}
-	res, err := rw.RewriteDocumentStream(ctx, d, w, mode)
-	if st != nil {
-		// The streaming engine serializes as it rewrites; the combined
-		// pass is attributed to the rewrite stage.
-		st.Set(telemetry.StageRewrite, time.Since(t0))
-	}
-	if err != nil {
-		return res, fmt.Errorf("peer %s: sending %q: %w", p.Name, name, err)
-	}
-	return res, nil
 }
 
 // Materialize rewrites a repository document in place against the peer's own

@@ -235,16 +235,13 @@ func childTextOf(n *doc.Node, label string) string {
 	return ""
 }
 
-func TestHTTPExchangeEndpoint(t *testing.T) {
-	p := newsPeer(t)
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-
-	exchangeXSD := `
+// callFreeExchangeXSD is a receiver whose content models admit no
+// function: every call must be invoked, none may be kept.
+const callFreeExchangeXSD = `
 <schema root="newspaper">
   <element name="newspaper"><complexType><sequence>
     <element ref="title"/><element ref="date"/><element ref="temp"/>
-    <choice><function ref="TimeOut"/><element ref="exhibit" minOccurs="0" maxOccurs="unbounded"/></choice>
+    <element ref="exhibit" minOccurs="0" maxOccurs="unbounded"/>
   </sequence></complexType></element>
   <element name="title" type="xs:string"/>
   <element name="date" type="xs:string"/>
@@ -253,15 +250,16 @@ func TestHTTPExchangeEndpoint(t *testing.T) {
   <element name="exhibit"><complexType><sequence>
     <element ref="title"/><element ref="date"/>
   </sequence></complexType></element>
-  <element name="performance" type="xs:string"/>
   <function id="Get_Temp"><params><param><element ref="city"/></param></params>
     <return><element ref="temp"/></return></function>
-  <function id="TimeOut">
-    <return><choice minOccurs="0" maxOccurs="unbounded">
-      <element ref="exhibit"/><element ref="performance"/>
-    </choice></return></function>
 </schema>`
-	resp, err := http.Post(ts.URL+"/exchange/today?mode=safe", "text/xml", strings.NewReader(exchangeXSD))
+
+func TestHTTPExchangeEndpoint(t *testing.T) {
+	p := newsPeer(t)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/exchange/today?mode=safe", "text/xml", strings.NewReader(identityExchangeXSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +267,9 @@ func TestHTTPExchangeEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/xml; charset=utf-8" {
+		t.Errorf("Content-Type = %q", ct)
 	}
 	got, err := xmlio.ParseString(string(body))
 	if err != nil {
@@ -279,23 +280,62 @@ func TestHTTPExchangeEndpoint(t *testing.T) {
 		t.Errorf("exchanged children = %v", labels)
 	}
 
-	// An unsafe request is rejected with 422.
-	resp2, err := http.Post(ts.URL+"/exchange/today?mode=bogus", "text/xml", strings.NewReader(exchangeXSD))
+	postRefused(t, ts.URL, "/exchange/today?mode=bogus", identityExchangeXSD, http.StatusBadRequest)
+	postRefused(t, ts.URL, "/exchange/ghost", identityExchangeXSD, http.StatusNotFound)
+}
+
+// postRefused posts receiver to path and checks the refusal: the status is
+// want and the body carries no document prefix.
+func postRefused(t *testing.T, base, path, receiver string, want int) {
+	t.Helper()
+	resp, err := http.Post(base+path, "text/xml", strings.NewReader(receiver))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", path, err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 400 {
-		t.Errorf("bogus mode status = %d", resp2.StatusCode)
-	}
-	resp3, err := http.Post(ts.URL+"/exchange/ghost", "text/xml", strings.NewReader(exchangeXSD))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: reading the body: %v", path, err)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != 404 {
-		t.Errorf("missing doc status = %d", resp3.StatusCode)
+	if resp.StatusCode != want {
+		t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 	}
+	if b := string(body); strings.HasPrefix(b, "<?xml") || strings.HasPrefix(b, "<newspaper") {
+		t.Errorf("%s: refusal carries a document prefix: %.60q", path, b)
+	}
+}
+
+// TestHTTPExchangeUnsafeRewriting: "today" embeds a TimeOut call that a
+// call-free receiver cannot keep and Safe mode may not invoke, so the
+// exchange is refused with 422.
+func TestHTTPExchangeUnsafeRewriting(t *testing.T) {
+	ts := httptest.NewServer(newsPeer(t).Handler())
+	defer ts.Close()
+	postRefused(t, ts.URL, "/exchange/today?mode=safe", callFreeExchangeXSD, http.StatusUnprocessableEntity)
+}
+
+// TestHTTPExchangeLateInvalidChild: "long" holds 800 valid exhibits and then
+// a performance element the receiver rejects. Enforcement decides over the
+// whole document before anything is written, so the refusal is a clean 422,
+// not a 200 with a document prefix.
+func TestHTTPExchangeLateInvalidChild(t *testing.T) {
+	p := newsPeer(t)
+	fat := strings.Repeat("x", 100)
+	kids := []*doc.Node{
+		doc.Elem("title", doc.TextNode("The Sun")),
+		doc.Elem("date", doc.TextNode("04/10/2002")),
+		doc.Elem("temp", doc.TextNode("15")),
+	}
+	for i := 0; i < 800; i++ {
+		kids = append(kids, doc.Elem("exhibit",
+			doc.Elem("title", doc.TextNode(fat)),
+			doc.Elem("date", doc.TextNode("2002"))))
+	}
+	kids = append(kids, doc.Elem("performance", doc.TextNode("rejected")))
+	must(t, p.Repo.Put("long", doc.Elem("newspaper", kids...)))
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	postRefused(t, ts.URL, "/exchange/long?mode=safe", identityExchangeXSD, http.StatusUnprocessableEntity)
 }
 
 func TestHTTPDocAndWSDL(t *testing.T) {

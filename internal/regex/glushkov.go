@@ -257,16 +257,3 @@ func Ambiguities(r *Regex) []Class {
 	}
 	return out
 }
-
-// SortedAlphabetOf returns the sorted, deduplicated union of the positive
-// symbols mentioned by the positions of r. Wildcard (negated) classes
-// contribute their excluded symbols, which is what callers need to build a
-// closed effective alphabet.
-func SortedAlphabetOf(rs ...*Regex) []Symbol {
-	var all []Symbol
-	for _, r := range rs {
-		all = r.Alphabet(all)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return dedupSymbols(all)
-}

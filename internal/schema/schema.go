@@ -253,18 +253,6 @@ func (s *Schema) parseContent(src string) (*regex.Regex, error) {
 	return regex.Parse(s.Table, src)
 }
 
-// MustBuild is a convenience for tests and examples: it applies the given
-// declaration steps and panics on the first error.
-func MustBuild(steps ...func(*Schema) error) *Schema {
-	s := New()
-	for _, step := range steps {
-		if err := step(s); err != nil {
-			panic(err)
-		}
-	}
-	return s
-}
-
 // Content returns τ(l) for an element label; ok is false for unknown labels.
 func (s *Schema) Content(label string) (r *regex.Regex, isData, ok bool) {
 	d := s.Labels[label]

@@ -47,14 +47,6 @@ func (c *Context) LookupFunc(name string) *FuncDef {
 	return c.Sigs.Funcs[name]
 }
 
-// LookupLabel resolves an element declaration, target schema first.
-func (c *Context) LookupLabel(name string) *LabelDef {
-	if d := c.Target.Labels[name]; d != nil {
-		return d
-	}
-	return c.Sigs.Labels[name]
-}
-
 // AdmissibleSyms returns the schema symbols a document child can be read as
 // when matching a content model: its own name, plus — for function nodes —
 // every declared pattern that admits it (predicate passes and signatures

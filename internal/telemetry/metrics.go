@@ -31,10 +31,6 @@ var DefBuckets = []float64{
 // SizeBuckets are byte-size buckets for request/response payloads.
 var SizeBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 
-// ByteBuckets extend SizeBuckets upward for resident-memory measurements
-// (buffered streaming frontiers) that may exceed payload sizes.
-var ByteBuckets = append(append([]float64{}, SizeBuckets...), 16777216, 67108864)
-
 // CountBuckets are power-of-two buckets for small cardinalities:
 // automaton states, batch sizes, forest widths.
 var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
@@ -222,20 +218,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if traceID != "" {
 		h.ex[i].Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
 	}
-}
-
-// Exemplars returns the current per-bucket exemplars (nil entries for
-// buckets that never saw one), ordered like the upper bounds with the
-// +Inf bucket last.
-func (h *Histogram) Exemplars() []*Exemplar {
-	if h == nil {
-		return nil
-	}
-	out := make([]*Exemplar, len(h.ex))
-	for i := range h.ex {
-		out[i] = h.ex[i].Load()
-	}
-	return out
 }
 
 // ObserveSince records the seconds elapsed since start.

@@ -305,21 +305,14 @@ func (g *Generator) text() string {
 type SimInvoker struct {
 	mu  sync.Mutex
 	Gen *Generator
-	// Calls counts invocations (also visible through core.Audit); read it
-	// via CallCount when the invoker may still be serving calls.
+	// Calls counts invocations (also visible through core.Audit). Invoke
+	// updates it under mu, so read it only once no call is in flight.
 	Calls int
 }
 
 // NewSimInvoker builds a simulated service endpoint for the schema.
 func NewSimInvoker(s *schema.Schema, rng *rand.Rand) *SimInvoker {
 	return &SimInvoker{Gen: NewGenerator(s, rng)}
-}
-
-// CallCount returns the number of invocations served so far.
-func (si *SimInvoker) CallCount() int {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	return si.Calls
 }
 
 // Invoke implements core.Invoker. The simulation is synchronous and local,

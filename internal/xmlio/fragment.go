@@ -7,15 +7,6 @@ import (
 	"axml/internal/doc"
 )
 
-// ParseElementAt parses the element that start opened, reading the rest of
-// it from tz. It lets embedding formats (SOAP envelopes, WSDL_int) delegate
-// intensional-content parsing mid-stream.
-func ParseElementAt(tz *Tokenizer, start *Token) (*doc.Node, error) {
-	b := getBuilder(tz)
-	defer putBuilder(b)
-	return b.subtree(start)
-}
-
 // ParseChildrenAt parses a forest: all content of the open element named
 // parent, up to and including its end tag. Whitespace-only text is dropped;
 // other text becomes trimmed text nodes.

@@ -189,46 +189,6 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzReaderSource: streaming the input yields the events of walking the
-// tree Parse builds, and fails exactly when Parse fails.
-func FuzzReaderSource(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > maxFuzzInput {
-			return
-		}
-		tree, perr := ParseBytes(data)
-		rs := NewReaderSource(&chunkReader{b: data, n: 1 + len(data)%13})
-		defer rs.Close()
-		var ts *TreeSource
-		if perr == nil {
-			ts = NewTreeSource(tree)
-		}
-		for i := 0; ; i++ {
-			got, err := rs.Next()
-			if err != nil {
-				if perr == nil {
-					t.Fatalf("event %d: reader source failed on a document Parse accepts: %v", i, err)
-				}
-				return
-			}
-			if perr != nil {
-				if got.Kind == EventEOF {
-					t.Fatalf("reader source accepted what Parse rejects: %v", perr)
-				}
-				continue
-			}
-			want, _ := ts.Next()
-			if got.Kind != want.Kind || got.Label != want.Label || got.Text != want.Text ||
-				want.Kind == EventFunc && !got.Node.Equal(want.Node) {
-				t.Fatalf("event %d: reader %+v, tree %+v", i, got, want)
-			}
-			if got.Kind == EventEOF {
-				return
-			}
-		}
-	})
-}
-
 // FuzzWriteFixpoint: Write's output parses, and parse-then-write reaches a
 // fixpoint by the second round. (The first round may merge adjacent text
 // nodes that Write puts on separate lines.) Documents are single-namespace

@@ -356,9 +356,9 @@ func Write(w io.Writer, n *doc.Node) error {
 	return err
 }
 
-// flushWriterPool recycles the bufio.Writers behind WriteTo and Emitter:
-// serialization streams through a fixed 32 KiB window instead of
-// materializing the whole document a second time.
+// flushWriterPool recycles the bufio.Writers behind WriteTo: serialization
+// goes through a fixed 32 KiB window instead of materializing the whole
+// document a second time.
 var flushWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 32<<10) }}
 
 // WriteTo serializes the document straight to w through a pooled

@@ -217,6 +217,51 @@ func TestWordVerdictMemo(t *testing.T) {
 	}
 }
 
+// TestWordVerdictMemoKey pins the memo key's bytes, and checks that a hit
+// through reused key scratch allocates nothing.
+func TestWordVerdictMemoKey(t *testing.T) {
+	sender, target := cachePair(t)
+	c := Compile(sender, target)
+	model := c.ExpandPatterns(target.Labels["newspaper"].Content)
+	word := []Token{
+		{Sym: 3},
+		{Sym: 12, Depth: 1, Frozen: true},
+		{Sym: 7, MustCall: true},
+		{Sym: 40, Depth: 2, Frozen: true, MustCall: true},
+	}
+	for _, tc := range []struct {
+		engine EngineKind
+		mode   Mode
+		k      int
+		want   string
+	}{
+		{Eager, Safe, 2, "0s2|3.12@1!.7^.40@2!^.|"},
+		{Lazy, Mixed, 1, "1s1|3.12@1!.7^.40@2!^.|"},
+		{Eager, Possible, 10, "0p10|3.12@1!.7^.40@2!^.|"},
+	} {
+		if got := string(appendWordKey([]byte("stale"), tc.engine, tc.mode, word, model, tc.k)); got != "stale"+tc.want+model.Key() {
+			t.Errorf("key = %q, want %q", got, "stale"+tc.want+model.Key())
+		}
+	}
+
+	hit := []Token{{Sym: c.Table.Intern("title")}, {Sym: c.Table.Intern("Get_Temp")}}
+	var key []byte
+	if _, err := c.wordVerdict(&key, Eager, Safe, hit, model, 1); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := c.wordVerdict(&key, Eager, Safe, hit, model, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a memo hit = %v allocations", n)
+	}
+	if st := c.WordCacheStats(); st.Misses != 1 || st.Hits != 101 {
+		t.Errorf("word memo stats = %s, want 1 miss and 101 hits", st)
+	}
+}
+
 // TestWordCacheBoundsAndDisable: the memo is LRU-bounded and can be disabled.
 func TestWordCacheBoundsAndDisable(t *testing.T) {
 	sender, target := cachePair(t)

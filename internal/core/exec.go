@@ -172,6 +172,9 @@ type executor struct {
 	mode  Mode
 	audit recorder
 	st    *execState
+	// key backs the word-verdict memo keys of every word this executor
+	// decides; an executor runs on one goroutine.
+	key []byte
 }
 
 func (ex *executor) paramsReady(n *doc.Node) bool {
@@ -470,10 +473,11 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath) (
 			return nodes, fresh, nil
 		}
 		if ex.mode != Possible || len(w.kept) == 0 {
+			labels, where := wordText(ex.rw.ctx, typ.re, nodes)
 			return nil, nil, &NotSafeError{
 				Path: at.String(),
-				Msg: fmt.Sprintf("rewriting finished on %v which does not match %s (mode %s, %d calls made)",
-					forestLabels(nodes), typ.re.String(ex.rw.Compiled.Table), ex.mode, ex.callCount()),
+				Msg: fmt.Sprintf("rewriting finished on %s which does not match %s%s (mode %s, %d calls made)",
+					labels, typ.re.String(ex.rw.Compiled.Table), where, ex.mode, ex.callCount()),
 			}
 		}
 		// Flip the most recent keep to a forced call and resume there.
@@ -503,6 +507,7 @@ type wordRun struct {
 	kept  []*item // keeps decided since the last invocation
 	// tokScratch backs tokens(): each verdict consumes its slice before the
 	// next decision rebuilds it, and a word run never queries concurrently.
+	// It is sized to the word when first needed.
 	tokScratch []Token
 }
 
@@ -519,7 +524,7 @@ func (w *wordRun) decideFrom(j int) error {
 		}
 		if !it.forced {
 			it.kept = true
-			ok, err := ex.rw.wordOK(w.tokens(), w.typ, ex.mode)
+			ok, err := ex.rw.wordOK(&ex.key, w.tokens(), w.typ, ex.mode)
 			if err != nil {
 				return err
 			}
@@ -587,6 +592,9 @@ func (w *wordRun) tokens() []Token {
 	ex := w.ex
 	c := ex.rw.Compiled
 	out := w.tokScratch[:0]
+	if cap(out) < len(w.items) {
+		out = make([]Token, 0, len(w.items))
+	}
 	for _, it := range w.items {
 		if it.node.Kind == doc.Text {
 			continue

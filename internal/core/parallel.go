@@ -242,7 +242,7 @@ func (w *wordRun) decideParallel() error {
 				continue
 			}
 			it.kept = true
-			ok, err := ex.rw.wordOK(w.tokens(), w.typ, ex.mode)
+			ok, err := ex.rw.wordOK(&ex.key, w.tokens(), w.typ, ex.mode)
 			if err != nil {
 				return err
 			}

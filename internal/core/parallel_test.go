@@ -368,19 +368,3 @@ func BenchmarkPathString(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkForestLabels(b *testing.B) {
-	forest := make([]*doc.Node, 0, 24)
-	for i := 0; i < 16; i++ {
-		forest = append(forest, doc.Elem(fmt.Sprintf("sec%d", i)))
-		if i%2 == 0 {
-			forest = append(forest, doc.TextNode("x"))
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s := forestLabels(forest); len(s) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}

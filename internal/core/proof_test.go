@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"axml/internal/doc"
+	"axml/internal/regex"
 	"axml/internal/schema"
 	"axml/internal/telemetry"
 )
@@ -111,6 +112,82 @@ elem b = data
 			if err == nil || err.Error() != c.want {
 				t.Errorf("%s, degree %d: err = %v\nwant %s", c.name, degree, err, c.want)
 			}
+		}
+	}
+}
+
+// TestRefusalTextBounded: a refusal of a word wider than maxListedLabels
+// lists its first labels, names its length and the first child at which
+// the content model stops matching, so its text does not grow with the
+// width of the word: for the document word, an element's children and the
+// executor's final verification alike. A word as wide as the cap is
+// listed whole.
+func TestRefusalTextBounded(t *testing.T) {
+	const wide = 1000
+	sender := schema.MustParseText(`
+root page
+elem page = (Mk|box)
+elem box = a*.b
+elem a = data
+elem b = data
+elem c = data
+func Mk = data -> box
+`, nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), `
+root page
+elem page = box
+elem box = a*.b
+elem a = data
+elem b = data
+elem c = data
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := func(tail ...*doc.Node) []*doc.Node {
+		kids := make([]*doc.Node, 0, wide+len(tail))
+		for i := 0; i < wide; i++ {
+			kids = append(kids, doc.Elem("a", doc.TextNode("x")))
+		}
+		return append(kids, tail...)
+	}
+	rewriter := func(inv Invoker) *Rewriter {
+		rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
+		rw.ValidateReturns = false
+		return rw
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"document word", func() error {
+			return rewriter(nil).CheckForest(many(), regex.Star(regex.Sym(sender.Table.Intern("b"))), Safe)
+		}, "core: word [a a a a a a a a …] (length 1000) does not safe-rewrite into b* within depth 2: " +
+			"the model stops matching at child 0 <a>"},
+		{"element children", func() error {
+			_, err := rewriter(stubInvoker{}).RewriteDocument(context.Background(),
+				doc.Elem("page", doc.Elem("box", many(doc.Elem("b"), doc.Elem("c"))...)), Safe)
+			return err
+		}, "core: /page[0]/box[0]: children [a a a a a a a a …] (length 1002) do not safe-rewrite into a*.b within depth 2: " +
+			"the model stops matching at child 1001 <c>"},
+		{"final verification", func() error {
+			inv := stubInvoker{"Mk": ret(doc.Elem("box", many()...))}
+			_, err := rewriter(inv).RewriteDocument(context.Background(), doc.Elem("page", doc.Call("Mk", doc.TextNode("m"))), Safe)
+			return err
+		}, "core: /page[0]/box[0]: rewriting finished on [a a a a a a a a …] (length 1000) which does not match a*.b: " +
+			"the word ends before the model does (mode safe, 1 calls made)"},
+		{"a word as wide as the cap", func() error {
+			_, err := rewriter(stubInvoker{}).RewriteDocument(context.Background(),
+				doc.Elem("page", doc.Elem("box", doc.Elem("a"), doc.Elem("a"), doc.Elem("a"), doc.Elem("a"),
+					doc.Elem("a"), doc.Elem("a"), doc.Elem("b"), doc.Elem("c"))), Safe)
+			return err
+		}, "core: /page[0]/box[0]: children [a a a a a a b c] do not safe-rewrite into a*.b within depth 2"},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v\nwant %s", c.name, err, c.want)
 		}
 	}
 }

@@ -218,9 +218,10 @@ func (rw *Rewriter) Context() *schema.Context { return rw.ctx }
 // wordOK dispatches the word-level verdict for the configured engine,
 // through the Compiled's word-verdict memo: the verdict depends only on the
 // token word, target, k, mode and engine, so repeated words across messages
-// skip the automata constructions entirely.
-func (rw *Rewriter) wordOK(tokens []Token, target *regex.Regex, mode Mode) (bool, error) {
-	return rw.Compiled.WordVerdict(rw.Engine, mode, tokens, target, rw.K)
+// skip the automata constructions entirely. key is the caller's scratch
+// for the memo key, reused across its words.
+func (rw *Rewriter) wordOK(key *[]byte, tokens []Token, target *regex.Regex, mode Mode) (bool, error) {
+	return rw.Compiled.wordVerdict(key, rw.Engine, mode, tokens, target, rw.K)
 }
 
 // ---------------------------------------------------------------------------
@@ -303,6 +304,9 @@ type staticCheck struct {
 	// fully consumes its token slice before the next one is built (the word
 	// engines never retain it), so one allocation serves every forest.
 	scratch []Token
+	// key backs the word-verdict memo keys of the words the check asks
+	// about, likewise.
+	key []byte
 	// ents is a stack of the entries of the words being checked, one run
 	// per word from the root to the current one: word() pushes the entries
 	// of a word's nodes, which each node's own check receives, and the
@@ -337,10 +341,11 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *model, at *nodePath) erro
 		return err
 	}
 	if !ok {
+		labels, where := wordText(sc.rw.ctx, typ.re, forest)
 		return &NotSafeError{
 			Path: pathAt(at),
-			Msg: fmt.Sprintf("word %v does not %s-rewrite into %s within depth %d",
-				forestLabels(forest), sc.mode, typ.re.String(sc.rw.Compiled.Table), sc.rw.K),
+			Msg: fmt.Sprintf("word %s does not %s-rewrite into %s within depth %d%s",
+				labels, sc.mode, typ.re.String(sc.rw.Compiled.Table), sc.rw.K, where),
 		}
 	}
 	return sc.elements(forest, base, at)
@@ -494,10 +499,11 @@ func (sc *staticCheck) element(e *doc.Node, ent *entry, at nodePath) error {
 		return err
 	}
 	if !ok {
+		labels, where := wordText(sc.rw.ctx, ent.content.re, e.Children)
 		return &NotSafeError{
 			Path: at.String(),
-			Msg: fmt.Sprintf("children %v do not %s-rewrite into %s within depth %d",
-				e.ChildLabels(), sc.mode, ent.content.re.String(c.Table), sc.rw.K),
+			Msg: fmt.Sprintf("children %s do not %s-rewrite into %s within depth %d%s",
+				labels, sc.mode, ent.content.re.String(c.Table), sc.rw.K, where),
 		}
 	}
 	return sc.elements(e.Children, base, &at)
@@ -523,7 +529,7 @@ func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 		}
 	}
 	if calls {
-		return sc.rw.wordOK(sc.tokens(forest, base), typ.re, sc.mode)
+		return sc.rw.wordOK(&sc.key, sc.tokens(forest, base), typ.re, sc.mode)
 	}
 	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
 	d := c.dfaOf(typ)
@@ -636,30 +642,45 @@ func (p nodePath) String() string {
 	return string(buf)
 }
 
-// forestLabels renders the non-text labels of a forest as "[a b c]" — the
-// same shape fmt's %v gave the label slice it replaced, without building the
-// intermediate slice.
-func forestLabels(forest []*doc.Node) string {
-	n := 2
-	for _, node := range forest {
-		if node.Kind != doc.Text {
-			n += len(node.Label) + 1
-		}
-	}
+// maxListedLabels caps the labels a refusal lists, so that its text, the
+// whole body of a 422, does not grow with the width of the refused element.
+const maxListedLabels = 8
+
+// wordText renders a refused word for a NotSafeError in bounded text. A
+// word of at most maxListedLabels labels is listed whole, "[a b c]", and
+// where is empty. A longer one is listed by its first maxListedLabels
+// labels, "…" and its length, and where says, after a colon, where it
+// leaves the content model typ, read as ctx.MatchPrefix reads it: at the
+// first child the model stops matching, or at its end.
+func wordText(ctx *schema.Context, typ *regex.Regex, word []*doc.Node) (labels, where string) {
 	var b strings.Builder
-	b.Grow(n)
 	b.WriteByte('[')
-	first := true
-	for _, node := range forest {
+	n := 0
+	for _, node := range word {
 		if node.Kind == doc.Text {
 			continue
 		}
-		if !first {
-			b.WriteByte(' ')
+		if n < maxListedLabels {
+			if n > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(node.Label)
 		}
-		first = false
-		b.WriteString(node.Label)
+		n++
 	}
-	b.WriteByte(']')
-	return b.String()
+	if n <= maxListedLabels {
+		b.WriteByte(']')
+		return b.String(), ""
+	}
+	b.WriteString(" …] (length ")
+	b.WriteString(strconv.Itoa(n))
+	b.WriteByte(')')
+	i, match := ctx.MatchPrefix(typ, word)
+	switch {
+	case i < len(word):
+		where = fmt.Sprintf(": the model stops matching at child %d <%s>", i, word[i].Label)
+	case !match:
+		where = ": the word ends before the model does"
+	}
+	return b.String(), where
 }

@@ -211,7 +211,7 @@ func TestQuickMatchWordAgrees(t *testing.T) {
 		for _, m := range []*model{{re: re}, adhoc(re)} {
 			if got := c.matchWord(ctx, m, word); got != want {
 				t.Logf("seed %d: %s on %s: matchWord %t (DFA %t), MatchWord %t",
-					seed, forestLabels(word), re.String(c.Table), got, m.dfa != nil, want)
+					seed, doc.Elem("word", word...).ChildLabels(), re.String(c.Table), got, m.dfa != nil, want)
 				return false
 			}
 		}

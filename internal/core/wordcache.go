@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,12 +50,13 @@ func newWordCache(capacity int) *wordCache {
 	}
 }
 
-func (wc *wordCache) get(key string) (bool, bool) {
+// get looks key up; the map lookup converts the bytes without copying.
+func (wc *wordCache) get(key []byte) (bool, bool) {
 	if wc == nil {
 		return false, false
 	}
 	wc.mu.RLock()
-	el, ok := wc.entries[key]
+	el, ok := wc.entries[string(key)]
 	var verdict bool
 	if ok {
 		verdict = el.Value.(*wordEntry).verdict
@@ -69,7 +69,7 @@ func (wc *wordCache) get(key string) (bool, bool) {
 	wc.hits.Add(1)
 	if wc.mu.TryLock() {
 		// MoveToFront is a no-op if a racing eviction already removed el.
-		if el, still := wc.entries[key]; still {
+		if el, still := wc.entries[string(key)]; still {
 			wc.lru.MoveToFront(el)
 		}
 		wc.mu.Unlock()
@@ -112,37 +112,34 @@ func (wc *wordCache) stats() CacheStats {
 	}
 }
 
-// wordKey serializes everything a word-level verdict depends on. Token.Node
-// is deliberately excluded: it back-references the document and never
-// influences the automata.
-func wordKey(engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) string {
-	var b strings.Builder
-	b.Grow(len(tokens)*8 + 32)
-	b.WriteByte(byte('0' + engine))
+// appendWordKey appends to dst everything a word-level verdict depends
+// on. Token.Node is deliberately excluded: it back-references the document
+// and never influences the automata.
+func appendWordKey(dst []byte, engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) []byte {
+	dst = append(dst, byte('0'+engine))
 	if mode == Possible {
-		b.WriteByte('p')
+		dst = append(dst, 'p')
 	} else {
-		b.WriteByte('s') // Safe and Mixed share the safe word analysis
+		dst = append(dst, 's') // Safe and Mixed share the safe word analysis
 	}
-	b.WriteString(strconv.Itoa(k))
-	b.WriteByte('|')
+	dst = strconv.AppendInt(dst, int64(k), 10)
+	dst = append(dst, '|')
 	for _, t := range tokens {
-		b.WriteString(strconv.Itoa(int(t.Sym)))
+		dst = strconv.AppendInt(dst, int64(t.Sym), 10)
 		if t.Depth != 0 {
-			b.WriteByte('@')
-			b.WriteString(strconv.Itoa(t.Depth))
+			dst = append(dst, '@')
+			dst = strconv.AppendInt(dst, int64(t.Depth), 10)
 		}
 		if t.Frozen {
-			b.WriteByte('!')
+			dst = append(dst, '!')
 		}
 		if t.MustCall {
-			b.WriteByte('^')
+			dst = append(dst, '^')
 		}
-		b.WriteByte('.')
+		dst = append(dst, '.')
 	}
-	b.WriteByte('|')
-	b.WriteString(target.Key())
-	return b.String()
+	dst = append(dst, '|')
+	return append(dst, target.Key()...)
 }
 
 // WordVerdict answers the word-level rewriting question through the memo:
@@ -150,13 +147,23 @@ func wordKey(engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, 
 // mode and engine? Cache misses run the same analyses the uncached entry
 // points do; errors (oversized fork automata) are never cached.
 func (c *Compiled) WordVerdict(engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
+	var key []byte
+	return c.wordVerdict(&key, engine, mode, tokens, target, k)
+}
+
+// wordVerdict is WordVerdict with the memo key appended into *key, scratch
+// the caller reuses across the words it asks about: a memo hit allocates
+// nothing, and a miss allocates only the key string it files.
+func (c *Compiled) wordVerdict(key *[]byte, engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
 	ins := c.instruments()
 	ins.observeWordVerdict(engine, mode)
 	wc := c.loadWordCache()
-	var key string
 	if wc != nil {
-		key = wordKey(engine, mode, tokens, target, k)
-		if v, ok := wc.get(key); ok {
+		if need := len(tokens)*8 + 32 + len(target.Key()); cap(*key) < need {
+			*key = make([]byte, 0, need)
+		}
+		*key = appendWordKey((*key)[:0], engine, mode, tokens, target, k)
+		if v, ok := wc.get(*key); ok {
 			return v, nil
 		}
 	}
@@ -192,7 +199,7 @@ func (c *Compiled) WordVerdict(engine EngineKind, mode Mode, tokens []Token, tar
 		ins.observeLazy(lazyRes)
 	}
 	if wc != nil {
-		wc.put(key, verdict)
+		wc.put(string(*key), verdict)
 	}
 	return verdict, nil
 }

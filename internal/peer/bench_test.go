@@ -11,6 +11,7 @@ import (
 
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/soap"
 )
 
 // BenchmarkExchangeHandler drives the full /exchange path in-process — body
@@ -31,6 +32,52 @@ func BenchmarkExchangeHandler(b *testing.B) {
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
+	}
+}
+
+// remotePeers returns run, which drives peer A's POST /exchange of the
+// Figure 2 newspaper in-process, with A's services served by peer B over
+// SOAP: A's calls go through a soap.Invoker to B's Handler behind an
+// httptest.Server. The receiver keeps TimeOut, so one exchange makes one
+// remote call, to Get_Temp, which B checks on the way in and out
+// (EnforceIn, EnforceOut) and A checks on return (ValidateReturns). stop
+// closes B's server.
+func remotePeers(t testing.TB) (run func(), stop func()) {
+	t.Helper()
+	b := newsPeer(t)
+	ts := httptest.NewServer(b.Handler())
+	a := New("news", schema.MustParseText(newspaperSchema, nil))
+	must(t, a.Repo.Put("today", doc.Elem("newspaper",
+		doc.Elem("title", doc.TextNode("The Sun")),
+		doc.Elem("date", doc.TextNode("04/10/2002")),
+		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))),
+		doc.Call("TimeOut", doc.TextNode("exhibits")),
+	)))
+	a.Remote = &soap.Invoker{Default: ts.URL + "/soap", Namespace: "urn:axml:news"}
+	h := a.Handler()
+	body := []byte(identityExchangeXSD)
+	return func() {
+		req := httptest.NewRequest(http.MethodPost, "/exchange/today?mode=safe", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+	}, ts.Close
+}
+
+// BenchmarkExchangeRemote drives peer A's /exchange with its one call
+// served by peer B over loopback SOAP (remotePeers): the round trip the
+// exchange-remote workload makes 3-4 times per request. Its allocation
+// budget is enforced by TestExchangeRemoteAllocBudget.
+func BenchmarkExchangeRemote(b *testing.B) {
+	run, stop := remotePeers(b)
+	defer stop()
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
@@ -215,11 +262,36 @@ func TestExchangeAllocBudget(t *testing.T) {
 		}
 	}
 	run() // warm the enforcement cache; the budget is for the steady state
-	// Measured 97 allocs/op warmed (E-L1: a repeated receiver body is
-	// answered by the compile cache without a parse, and a verified
-	// version's check skips its shared subtrees); ~40% headroom.
-	const budget = 136
-	if got := testing.AllocsPerRun(50, run); got > budget {
+	// Measured 87 allocs/op warmed (E-L1: a repeated receiver body is
+	// answered by the compile cache without a parse, a verified version's
+	// check skips its shared subtrees, and the instance checks and memo
+	// hits allocate nothing); ~40% headroom.
+	const budget = 122
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("warmed /exchange = %.0f allocs/op", got)
+	if got > budget {
 		t.Errorf("warmed /exchange = %.0f allocs/op, budget %d", got, budget)
+	}
+}
+
+// TestExchangeRemoteAllocBudget is TestExchangeAllocBudget for an
+// exchange whose call goes over SOAP to a second peer (remotePeers): the
+// budget covers both peers, the loopback round trip and net/http's own
+// allocations on both ends. Skipped under -race.
+func TestExchangeRemoteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	run, stop := remotePeers(t)
+	defer stop()
+	run() // warm both peers' caches and the connection pool
+	// Measured 206 allocs/op warmed (EXPERIMENTS.md E-C8): the envelopes
+	// render into pooled buffers and decode in place, and the three
+	// instance checks of a conforming call allocate nothing; ~40% headroom.
+	const budget = 288
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("warmed remote /exchange = %.0f allocs/op", got)
+	if got > budget {
+		t.Errorf("warmed remote /exchange = %.0f allocs/op, budget %d", got, budget)
 	}
 }

@@ -335,7 +335,7 @@ func (p *Peer) EnforceIn(ctx context.Context, method string, params []*doc.Node)
 	if !ok {
 		return nil, fmt.Errorf("peer %s: operation %q is not declared", p.Name, method)
 	}
-	sctx := schema.NewContext(p.Schema, nil)
+	sctx := schema.Context{Target: p.Schema, Sigs: p.Schema} // on the stack: a passing check allocates nothing
 	if err := sctx.IsInputInstance(method, params); err == nil {
 		return params, nil // (i) conforms as-is
 	}
@@ -357,7 +357,7 @@ func (p *Peer) EnforceOut(ctx context.Context, method string, result []*doc.Node
 	if def == nil {
 		return nil, fmt.Errorf("peer %s: operation %q is not declared", p.Name, method)
 	}
-	sctx := schema.NewContext(p.Schema, nil)
+	sctx := schema.Context{Target: p.Schema, Sigs: p.Schema}
 	if err := sctx.IsOutputInstance(method, result); err == nil {
 		return result, nil
 	}
@@ -409,7 +409,7 @@ func (p *Peer) Call(ctx context.Context, desc *wsdl.Description, method string, 
 	if endpoint == "" {
 		endpoint = desc.Endpoint
 	}
-	client := &soap.Client{Endpoint: endpoint, Namespace: desc.TargetNamespace}
+	client := soap.Client{Endpoint: endpoint, Namespace: desc.TargetNamespace}
 	result, err := client.Call(ctx, method, params)
 	if err != nil {
 		return nil, err

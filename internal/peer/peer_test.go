@@ -286,7 +286,7 @@ func TestHTTPExchangeEndpoint(t *testing.T) {
 
 // postRefused posts receiver to path and checks the refusal: the status is
 // want and the body carries no document prefix.
-func postRefused(t *testing.T, base, path, receiver string, want int) {
+func postRefused(t *testing.T, base, path, receiver string, want int) string {
 	t.Helper()
 	resp, err := http.Post(base+path, "text/xml", strings.NewReader(receiver))
 	if err != nil {
@@ -300,9 +300,11 @@ func postRefused(t *testing.T, base, path, receiver string, want int) {
 	if resp.StatusCode != want {
 		t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 	}
-	if b := string(body); strings.HasPrefix(b, "<?xml") || strings.HasPrefix(b, "<newspaper") {
+	b := string(body)
+	if strings.HasPrefix(b, "<?xml") || strings.HasPrefix(b, "<newspaper") {
 		t.Errorf("%s: refusal carries a document prefix: %.60q", path, b)
 	}
+	return b
 }
 
 // TestHTTPExchangeUnsafeRewriting: "today" embeds a TimeOut call that a
@@ -317,7 +319,8 @@ func TestHTTPExchangeUnsafeRewriting(t *testing.T) {
 // TestHTTPExchangeLateInvalidChild: "long" holds 800 valid exhibits and then
 // a performance element the receiver rejects. Enforcement decides over the
 // whole document before anything is written, so the refusal is a clean 422,
-// not a 200 with a document prefix.
+// not a 200 with a document prefix. Its text names the child at which the
+// content model stops matching, and stays short however wide the word is.
 func TestHTTPExchangeLateInvalidChild(t *testing.T) {
 	p := newsPeer(t)
 	fat := strings.Repeat("x", 100)
@@ -335,7 +338,10 @@ func TestHTTPExchangeLateInvalidChild(t *testing.T) {
 	must(t, p.Repo.Put("long", doc.Elem("newspaper", kids...)))
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
-	postRefused(t, ts.URL, "/exchange/long?mode=safe", identityExchangeXSD, http.StatusUnprocessableEntity)
+	body := postRefused(t, ts.URL, "/exchange/long?mode=safe", identityExchangeXSD, http.StatusUnprocessableEntity)
+	if len(body) >= 1024 || !strings.Contains(body, "performance") {
+		t.Errorf("422 body of %d bytes, want under 1 KiB naming performance:\n%.300s", len(body), body)
+	}
 }
 
 func TestHTTPDocAndWSDL(t *testing.T) {

@@ -434,3 +434,79 @@ pattern Forecast = city -> temp
 		t.Errorf("MatchWord = %v allocations at 1,000 children, %v at 10", large, small)
 	}
 }
+
+// instanceSchema declares a one-key input and a structured, starred
+// output, with a pattern that admits Get_Temp.
+const instanceSchema = `
+elem report = title.block*.(Forecast|temp)
+elem title = data
+elem block = heading.para*
+elem heading = data
+elem para = data
+elem temp = data
+elem city = data
+elem exhibit = title.block
+func Get_Temp = city -> temp
+func TimeOut = data -> (exhibit|temp)*
+pattern Forecast = city -> temp
+`
+
+// TestInstanceChecksAllocateNothing: a passing IsInputInstance or
+// IsOutputInstance allocates nothing: no message text, no path and no
+// letters are built for a forest that conforms.
+func TestInstanceChecksAllocateNothing(t *testing.T) {
+	s := MustParseText(instanceSchema, nil)
+	c := NewContext(s, nil)
+	params := []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}
+	block := doc.Elem("block", doc.Elem("heading", doc.TextNode("h")), doc.Elem("para", doc.TextNode("p")))
+	result := []*doc.Node{
+		doc.Elem("exhibit", doc.Elem("title", doc.TextNode("Dali")), block),
+		doc.TextNode(" "),
+		doc.Elem("exhibit", doc.Elem("title", doc.TextNode("Miro")), block),
+	}
+	report := []*doc.Node{doc.Elem("report", doc.Elem("title"), block, block,
+		doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))}
+	for _, tc := range []struct {
+		name  string
+		check func() error
+	}{
+		{"input", func() error { return c.IsInputInstance("Get_Temp", params) }},
+		{"output", func() error { return c.IsOutputInstance("TimeOut", result) }},
+		{"validate through a pattern", func() error { return c.Validate(report[0]) }},
+	} {
+		if err := tc.check(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := testing.AllocsPerRun(50, func() { _ = tc.check() }); n != 0 {
+			t.Errorf("%s: a passing check = %v allocations", tc.name, n)
+		}
+	}
+}
+
+// TestInstanceCheckErrors pins the text of failed instance checks: the
+// side and function they name, and the path of the offending node.
+func TestInstanceCheckErrors(t *testing.T) {
+	s := MustParseText(instanceSchema, nil)
+	c := NewContext(s, nil)
+	bad := doc.Elem("block", doc.Elem("heading", doc.TextNode("h")), doc.Elem("para", doc.Elem("x")))
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{c.IsInputInstance("Get_Temp", []*doc.Node{doc.Elem("temp")}),
+			"schema: input of Get_Temp [temp] does not match type city"},
+		{c.IsInputInstance("TimeOut", []*doc.Node{doc.Elem("city")}),
+			`schema: input of TimeOut must be atomic data, got "city"`},
+		{c.IsOutputInstance("TimeOut", []*doc.Node{doc.Elem("temp"), doc.Elem("exhibit", doc.Elem("title"), bad)}),
+			`output of TimeOut: schema: /exhibit/block[1]/para[1]: data element contains non-text child "x"`},
+		{c.IsOutputInstance("Nope", nil), `schema: function "Nope" is not declared`},
+		{c.Validate(doc.Elem("report", doc.Elem("title"), doc.Elem("block", doc.Elem("heading")), doc.Elem("temp"), doc.Elem("temp"))),
+			"schema: /report: children [title block temp temp] do not match content model title.block*.(Forecast|temp)"},
+		{c.Validate(doc.Elem("report", doc.Elem("title"), doc.TextNode(" "), bad, doc.Elem("temp"))),
+			`schema: /report/block[2]/para[1]: data element contains non-text child "x"`},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error = %v\nwant    %s", tc.err, tc.want)
+		}
+	}
+}

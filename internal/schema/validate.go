@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"axml/internal/doc"
@@ -55,7 +56,8 @@ func (c *Context) AdmissibleSyms(n *doc.Node) []regex.Symbol {
 	return c.appendAdmissible(nil, n)
 }
 
-// appendAdmissible appends n's admissible symbols (AdmissibleSyms) to out.
+// appendAdmissible appends n's admissible symbols (AdmissibleSyms) to out,
+// patterns in no particular order.
 func (c *Context) appendAdmissible(out []regex.Symbol, n *doc.Node) []regex.Symbol {
 	out = append(out, c.Target.Table.Intern(n.Label))
 	if n.Kind != doc.Func {
@@ -65,19 +67,41 @@ func (c *Context) appendAdmissible(out []regex.Symbol, n *doc.Node) []regex.Symb
 	if def == nil {
 		return out
 	}
-	for _, pname := range c.Target.SortedPatterns() {
-		if FuncMatchesPattern(def, c.Target.Patterns[pname]) {
+	for pname, pat := range c.Target.Patterns {
+		if FuncMatchesPattern(def, pat) {
 			out = append(out, c.Target.Table.Intern(pname))
 		}
 	}
 	return out
 }
 
-// matchLetters runs the Glushkov automaton of r over a word whose letters
-// are *sets* of admissible symbols: an edge fires when its class contains
-// any admissible symbol of the letter.
-func matchLetters(r *regex.Regex, letters [][]regex.Symbol) bool {
+// MatchWord reports whether the (non-text) children of a node, resolved
+// through patterns, form a word of the content model r.
+func (c *Context) MatchWord(r *regex.Regex, children []*doc.Node) bool {
+	_, match := c.MatchPrefix(r, children)
+	return match
+}
+
+// MatchPrefix reads children as MatchWord does and returns the index in
+// children of the first child at which r stops matching (len(children)
+// when no child does) and whether the children form a word of r. It runs
+// the Glushkov automaton of r over the children, whose letters are *sets*
+// of admissible symbols: an edge fires when its class contains any
+// admissible symbol of the letter. Its position sets and letters live in
+// fixed scratch on the stack, so a model of up to 63 positions whose
+// function children match at most 7 patterns is matched without
+// allocating.
+func (c *Context) MatchPrefix(r *regex.Regex, children []*doc.Node) (stop int, match bool) {
 	info := regex.Positions(r)
+	// Dense position sets: positions are small ints (1..len(Classes)).
+	var curBuf, nextBuf [64]bool
+	cur, next := curBuf[:], nextBuf[:]
+	if n := len(info.Classes) + 1; n <= len(curBuf) {
+		cur, next = cur[:n], next[:n]
+	} else {
+		cur, next = make([]bool, n), make([]bool, n)
+	}
+	var letterBuf [8]regex.Symbol
 	contains := func(cls regex.Class, letter []regex.Symbol) bool {
 		for _, s := range letter {
 			if cls.Contains(s) {
@@ -86,72 +110,47 @@ func matchLetters(r *regex.Regex, letters [][]regex.Symbol) bool {
 		}
 		return false
 	}
-	if len(letters) == 0 {
-		return info.Nullable
-	}
-	// Dense position sets: positions are small ints (1..len(Classes)), so two
-	// reused bool slices beat a fresh map per letter.
-	cur := make([]bool, len(info.Classes)+1)
-	next := make([]bool, len(info.Classes)+1)
-	alive := false
-	for _, p := range info.First {
-		if contains(info.Classes[p-1], letters[0]) {
-			cur[p] = true
-			alive = true
-		}
-	}
-	if !alive {
-		return false
-	}
-	for _, letter := range letters[1:] {
-		clear(next)
-		alive = false
-		for p := 1; p < len(cur); p++ {
-			if !cur[p] {
-				continue
-			}
-			for _, q := range info.Follow[p-1] {
-				if contains(info.Classes[q-1], letter) {
-					next[q] = true
-					alive = true
-				}
-			}
-		}
-		cur, next = next, cur
-		if !alive {
-			return false
-		}
-	}
-	for _, p := range info.Last {
-		if cur[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// MatchWord reports whether the (non-text) children of a node, resolved
-// through patterns, form a word of the content model r. Every letter is a
-// sub-slice of one backing slice of symbols: an element contributes its own
-// symbol, a function its admissible set.
-func (c *Context) MatchWord(r *regex.Regex, children []*doc.Node) bool {
-	syms := make([]regex.Symbol, 0, len(children))
-	ends := make([]int, 0, len(children))
-	for _, ch := range children {
+	started := false
+	for i, ch := range children {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		syms = c.appendAdmissible(syms, ch)
-		ends = append(ends, len(syms))
+		letter := c.appendAdmissible(letterBuf[:0], ch)
+		alive := false
+		if !started {
+			started = true
+			for _, p := range info.First {
+				if contains(info.Classes[p-1], letter) {
+					cur[p], alive = true, true
+				}
+			}
+		} else {
+			clear(next)
+			for p := 1; p < len(cur); p++ {
+				if !cur[p] {
+					continue
+				}
+				for _, q := range info.Follow[p-1] {
+					if contains(info.Classes[q-1], letter) {
+						next[q], alive = true, true
+					}
+				}
+			}
+			cur, next = next, cur
+		}
+		if !alive {
+			return i, false
+		}
 	}
-	// The letters are cut once the backing slice has stopped growing.
-	letters := make([][]regex.Symbol, len(ends))
-	start := 0
-	for i, end := range ends {
-		letters[i] = syms[start:end:end]
-		start = end
+	if !started {
+		return len(children), info.Nullable
 	}
-	return matchLetters(r, letters)
+	for _, p := range info.Last {
+		if cur[p] {
+			return len(children), true
+		}
+	}
+	return len(children), false
 }
 
 // ValidationError reports the first schema violation found, with the path of
@@ -165,8 +164,22 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("schema: %s: %s", e.Path, e.Msg)
 }
 
-func errAt(path []string, format string, args ...any) error {
-	return &ValidationError{Path: "/" + strings.Join(path, "/"), Msg: fmt.Sprintf(format, args...)}
+// errAt reports a violation at the node being checked. Its path starts
+// out empty: each level of the check the error returns through prepends
+// its own step (within), so a tree that passes costs no path at all.
+func errAt(format string, args ...any) *ValidationError {
+	return &ValidationError{Msg: fmt.Sprintf(format, args...)}
+}
+
+// within prepends the step to the node labelled label, the index-th child
+// of its parent (index -1: the root of the check), to e's path.
+func (e *ValidationError) within(label string, index int) *ValidationError {
+	step := "/" + label
+	if index >= 0 {
+		step += "[" + strconv.Itoa(index) + "]"
+	}
+	e.Path = step + e.Path
+	return e
 }
 
 // Validate checks that n is an instance of the target schema (Definition 3):
@@ -174,10 +187,14 @@ func errAt(path []string, format string, args ...any) error {
 // node's parameters form a word of its input type, and data elements hold
 // only text.
 func (c *Context) Validate(n *doc.Node) error {
-	return c.validate(n, []string{n.Label})
+	if e := c.validate(n); e != nil {
+		return e.within(n.Label, -1)
+	}
+	return nil
 }
 
-func (c *Context) validate(n *doc.Node, path []string) error {
+// validate checks the tree rooted at n; the error's path is relative to n.
+func (c *Context) validate(n *doc.Node) *ValidationError {
 	switch n.Kind {
 	case doc.Text:
 		return nil
@@ -185,67 +202,67 @@ func (c *Context) validate(n *doc.Node, path []string) error {
 		def := c.Target.Labels[n.Label]
 		if def == nil {
 			if c.Strict {
-				return errAt(path, "element %q is not declared", n.Label)
+				return errAt("element %q is not declared", n.Label)
 			}
 			return nil // lenient: foreign content is unconstrained
 		}
 		if def.IsData() {
 			for _, ch := range n.Children {
 				if ch.Kind != doc.Text {
-					return errAt(path, "data element contains non-text child %q", ch.Label)
+					return errAt("data element contains non-text child %q", ch.Label)
 				}
 			}
 			return nil
 		}
-		if err := c.checkContentAndText(n, def.Content, path); err != nil {
-			return err
+		if e := c.checkContentAndText(n, def.Content); e != nil {
+			return e
 		}
-		return c.validateChildren(n, path)
+		return c.validateChildren(n)
 	case doc.Func:
 		def := c.LookupFunc(n.Label)
 		if def == nil {
 			if c.Strict {
-				return errAt(path, "function %q is not declared", n.Label)
+				return errAt("function %q is not declared", n.Label)
 			}
 			return nil
 		}
 		if def.In == nil {
 			for _, ch := range n.Children {
 				if ch.Kind != doc.Text {
-					return errAt(path, "function %q takes atomic data but was given %q", n.Label, ch.Label)
+					return errAt("function %q takes atomic data but was given %q", n.Label, ch.Label)
 				}
 			}
 			return nil
 		}
 		if !c.MatchWord(def.In, n.Children) {
-			return errAt(path, "parameters of %q do not match input type %s",
+			return errAt("parameters of %q do not match input type %s",
 				n.Label, def.In.String(c.Target.Table))
 		}
-		return c.validateChildren(n, path)
+		return c.validateChildren(n)
 	}
-	return errAt(path, "unknown node kind %d", n.Kind)
+	return errAt("unknown node kind %d", n.Kind)
 }
 
-func (c *Context) checkContentAndText(n *doc.Node, content *regex.Regex, path []string) error {
+func (c *Context) checkContentAndText(n *doc.Node, content *regex.Regex) *ValidationError {
 	for _, ch := range n.Children {
 		if ch.Kind == doc.Text && strings.TrimSpace(ch.Value) != "" {
-			return errAt(path, "element has structured content model but contains text %q", ch.Value)
+			return errAt("element has structured content model but contains text %q", ch.Value)
 		}
 	}
 	if !c.MatchWord(content, n.Children) {
-		return errAt(path, "children %v do not match content model %s",
+		return errAt("children %v do not match content model %s",
 			childLabels(n), content.String(c.Target.Table))
 	}
 	return nil
 }
 
-func (c *Context) validateChildren(n *doc.Node, path []string) error {
+func (c *Context) validateChildren(n *doc.Node) *ValidationError {
 	for i, ch := range n.Children {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		if err := c.validate(ch, append(path, fmt.Sprintf("%s[%d]", ch.Label, i))); err != nil {
-			return err
+		if e := c.validate(ch); e != nil {
+			return e.within(ch.Label, i)
 		}
 	}
 	return nil
@@ -255,43 +272,46 @@ func childLabels(n *doc.Node) []string { return n.ChildLabels() }
 
 // IsInputInstance checks that params is an input instance of function f
 // (Definition 3): the root labels form a word of τ_in(f) and every tree is
-// an instance of the schema.
+// an instance of the schema. A passing check allocates nothing.
 func (c *Context) IsInputInstance(f string, params []*doc.Node) error {
 	def := c.LookupFunc(f)
 	if def == nil {
 		return fmt.Errorf("schema: function %q is not declared", f)
 	}
-	return c.isForestInstance(def.In, params, fmt.Sprintf("input of %s", f))
+	return c.isForestInstance(def.In, params, "input", f)
 }
 
 // IsOutputInstance checks that result is an output instance of function f.
+// A passing check allocates nothing.
 func (c *Context) IsOutputInstance(f string, result []*doc.Node) error {
 	def := c.LookupFunc(f)
 	if def == nil {
 		return fmt.Errorf("schema: function %q is not declared", f)
 	}
-	return c.isForestInstance(def.Out, result, fmt.Sprintf("output of %s", f))
+	return c.isForestInstance(def.Out, result, "output", f)
 }
 
-func (c *Context) isForestInstance(typ *regex.Regex, forest []*doc.Node, what string) error {
+// isForestInstance checks forest against typ; its errors name the forest
+// as the side ("input" or "output") of function f.
+func (c *Context) isForestInstance(typ *regex.Regex, forest []*doc.Node, side, f string) error {
 	if typ == nil {
 		for _, n := range forest {
 			if n.Kind != doc.Text {
-				return fmt.Errorf("schema: %s must be atomic data, got %q", what, n.Label)
+				return fmt.Errorf("schema: %s of %s must be atomic data, got %q", side, f, n.Label)
 			}
 		}
 		return nil
 	}
 	if !c.MatchWord(typ, forest) {
-		return fmt.Errorf("schema: %s %v does not match type %s",
-			what, forestLabels(forest), typ.String(c.Target.Table))
+		return fmt.Errorf("schema: %s of %s %v does not match type %s",
+			side, f, forestLabels(forest), typ.String(c.Target.Table))
 	}
 	for _, n := range forest {
 		if n.Kind == doc.Text {
 			continue
 		}
-		if err := c.validate(n, []string{n.Label}); err != nil {
-			return fmt.Errorf("%s: %w", what, err)
+		if e := c.validate(n); e != nil {
+			return fmt.Errorf("%s of %s: %w", side, f, e.within(n.Label, -1))
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -74,7 +75,11 @@ type Server struct {
 	MaxRequestBytes int64
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It reads the capped body into a
+// pooled buffer before parsing it, so a body over the cap is refused with
+// 413 whether or not it would also fail to parse; it decodes the envelope
+// in place, and renders the reply into a pooled buffer that it writes
+// once, with its Content-Length.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "soap endpoints accept POST only", http.StatusMethodNotAllowed)
@@ -88,44 +93,53 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 {
 		body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	req, err := ReadRequest(body)
-	if err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	var err error
+	if *buf, err = readBody(*buf, body, 0); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fault(w, http.StatusRequestEntityTooLarge, "soap:Client",
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
+		s.fault(w, http.StatusBadRequest, "soap:Client", fmt.Errorf("soap: reading envelope: %w", err))
+		return
+	}
+	method, _, params, err := decodeRequest(*buf)
+	if err != nil {
 		s.fault(w, http.StatusBadRequest, "soap:Client", err)
 		return
 	}
-	params := req.Params
 	if s.OnRequest != nil {
-		params, err = s.OnRequest(r.Context(), req.Method, params)
+		params, err = s.OnRequest(r.Context(), method, params)
 		if err != nil {
 			s.fault(w, http.StatusBadRequest, "soap:Client", err)
 			return
 		}
 	}
-	result, err := s.Registry.Call(r.Context(), req.Method, params)
+	result, err := s.Registry.Call(r.Context(), method, params)
 	if err != nil {
 		s.fault(w, http.StatusInternalServerError, "soap:Server", err)
 		return
 	}
 	if s.OnResponse != nil {
-		result, err = s.OnResponse(r.Context(), req.Method, result)
+		result, err = s.OnResponse(r.Context(), method, result)
 		if err != nil {
 			s.fault(w, http.StatusInternalServerError, "soap:Server", err)
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, req.Method, s.Namespace, result); err != nil {
+	// The decoded request refers to nothing in buf, which now takes the
+	// reply.
+	if *buf, err = appendEnvelope((*buf)[:0], method, "Response", s.Namespace, result); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	_, _ = w.Write(buf.Bytes())
+	h := w.Header()
+	h.Set("Content-Type", "text/xml; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	_, _ = w.Write(*buf)
 }
 
 func (s *Server) fault(w http.ResponseWriter, status int, code string, err error) {
@@ -153,16 +167,23 @@ type Client struct {
 // while a non-SOAP error body — a proxy error page, a plain-text http.Error
 // — yields an error carrying the HTTP status and a bounded excerpt instead
 // of a confusing XML parse error.
+//
+// The request is rendered into a pooled buffer and sent from one
+// exact-size copy: the transport may read the body after Do returns, and
+// reads it again through GetBody to retry. The response is read, under
+// MaxResponseBytes, into the pooled buffer and decoded in place.
 func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = DefaultClient
 	}
-	var buf bytes.Buffer
-	if err := WriteRequest(&buf, method, c.Namespace, params); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	var err error
+	if *buf, err = appendEnvelope(*buf, method, "", c.Namespace, params); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(bytes.Clone(*buf)))
 	if err != nil {
 		return nil, fmt.Errorf("soap: calling %s at %s: %w", method, c.Endpoint, err)
 	}
@@ -179,24 +200,15 @@ func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([
 	if limit == 0 {
 		limit = DefaultMaxResponseBytes
 	}
-	var body []byte
-	if limit > 0 {
-		body, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
-		if err == nil && int64(len(body)) > limit {
-			err = fmt.Errorf("response body exceeds %d bytes", limit)
-		}
-	} else {
-		body, err = io.ReadAll(resp.Body)
-	}
-	if err != nil {
+	if *buf, err = readBody((*buf)[:0], resp.Body, max(limit, 0)); err != nil { // a negative limit reads all
 		return nil, fmt.Errorf("soap: %s at %s: reading response: %w", method, c.Endpoint, err)
 	}
+	body := *buf
 
 	ct := resp.Header.Get("Content-Type")
 	if xmlContentType(ct) {
-		out, perr := ReadResponse(bytes.NewReader(body))
-		var fault *Fault
-		if errors.As(perr, &fault) {
+		out, perr := decodeResponse(body)
+		if fault, ok := perr.(*Fault); ok {
 			return nil, fault // server-reported fault, any status code
 		}
 		if perr == nil {
@@ -222,7 +234,8 @@ func xmlContentType(ct string) bool {
 	if ct == "" {
 		return true
 	}
-	mediaType := strings.TrimSpace(strings.ToLower(strings.SplitN(ct, ";", 2)[0]))
+	mediaType, _, _ := strings.Cut(ct, ";")
+	mediaType = strings.TrimSpace(strings.ToLower(mediaType))
 	switch mediaType {
 	case "text/xml", "application/xml", "application/soap+xml":
 		return true
@@ -257,7 +270,7 @@ type Invoker struct {
 	Namespace string
 	// HTTP performs the round trips; nil selects DefaultClient.
 	HTTP *http.Client
-	// MaxResponseBytes is forwarded to the per-call Client.
+	// MaxResponseBytes caps each response body as Client's does.
 	MaxResponseBytes int64
 }
 
@@ -277,7 +290,7 @@ func (i *Invoker) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, erro
 	if endpoint == "" {
 		return nil, fmt.Errorf("soap: no endpoint for %q", call.Label)
 	}
-	c := &Client{Endpoint: endpoint, Namespace: ns, HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
+	c := Client{Endpoint: endpoint, Namespace: ns, HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
 	return c.Call(ctx, call.Label, call.Children)
 }
 

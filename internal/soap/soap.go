@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"axml/internal/doc"
 	"axml/internal/xmlio"
@@ -42,74 +43,166 @@ type Request struct {
 
 // WriteRequest encodes a call envelope.
 func WriteRequest(w io.Writer, method, namespace string, params []*doc.Node) error {
-	return writeEnvelope(w, method, namespace, params)
+	return writeEnvelope(w, method, "", namespace, params)
 }
 
 // WriteResponse encodes a reply envelope; the body element is
 // <m:<method>Response>.
 func WriteResponse(w io.Writer, method, namespace string, result []*doc.Node) error {
-	return writeEnvelope(w, method+"Response", namespace, result)
+	return writeEnvelope(w, method, "Response", namespace, result)
 }
 
 // WriteFault encodes a fault envelope.
 func WriteFault(w io.Writer, code, msg string) error {
-	var b strings.Builder
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, "<soap:Envelope xmlns:soap=%q>\n  <soap:Body>\n    <soap:Fault>\n", EnvelopeNS)
-	fmt.Fprintf(&b, "      <faultcode>%s</faultcode>\n", escape(code))
-	fmt.Fprintf(&b, "      <faultstring>%s</faultstring>\n", escape(msg))
-	b.WriteString("    </soap:Fault>\n  </soap:Body>\n</soap:Envelope>\n")
-	_, err := io.WriteString(w, b.String())
+	b := getBuf()
+	defer putBuf(b)
+	*b = appendFault(*b, code, msg)
+	_, err := w.Write(*b)
 	return err
 }
 
-func escape(s string) string {
-	var b strings.Builder
-	_ = xml.EscapeText(&b, []byte(s))
-	return b.String()
+// writeEnvelope renders an envelope into a pooled buffer and writes it to
+// w in one call.
+func writeEnvelope(w io.Writer, method, suffix, namespace string, forest []*doc.Node) error {
+	b := getBuf()
+	defer putBuf(b)
+	var err error
+	if *b, err = appendEnvelope(*b, method, suffix, namespace, forest); err != nil {
+		return err
+	}
+	_, err = w.Write(*b)
+	return err
 }
 
-func writeEnvelope(w io.Writer, bodyElem, namespace string, forest []*doc.Node) error {
-	var b strings.Builder
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, "<soap:Envelope xmlns:soap=%q xmlns:int=%q>\n", EnvelopeNS, xmlio.Namespace)
-	b.WriteString("  <soap:Body>\n")
-	ns, prefix := "", ""
+// envelopeOpen starts every call and reply envelope, up to the name of its
+// body entry; envelopeClose ends it.
+const (
+	envelopeOpen = xml.Header + `<soap:Envelope xmlns:soap="` + EnvelopeNS + `" xmlns:int="` + xmlio.Namespace + "\">\n" +
+		"  <soap:Body>\n    <"
+	envelopeClose = "  </soap:Body>\n</soap:Envelope>\n"
+)
+
+// appendEnvelope appends the envelope whose body entry, named method
+// followed by suffix, holds forest. A namespace qualifies the entry with
+// the prefix m.
+func appendEnvelope(b []byte, method, suffix, namespace string, forest []*doc.Node) ([]byte, error) {
+	prefix := ""
 	if namespace != "" {
 		// A prefix can qualify only a colon-free name.
-		if strings.Contains(bodyElem, ":") {
-			return fmt.Errorf("soap: body element %q cannot take namespace %q", bodyElem, namespace)
+		if strings.Contains(method, ":") {
+			return b, fmt.Errorf("soap: body element %q cannot take namespace %q", method+suffix, namespace)
 		}
-		ns, prefix = ` xmlns:m="`+escape(namespace)+`"`, "m:"
+		prefix = "m:"
 	}
-	fmt.Fprintf(&b, "    <%s%s%s>\n", prefix, bodyElem, ns)
-	for _, n := range forest {
-		if err := xmlio.WriteFragment(&b, n, 3, false); err != nil {
-			return err
-		}
+	b = append(b, envelopeOpen...)
+	b = append(append(append(b, prefix...), method...), suffix...)
+	if namespace != "" {
+		b = append(b, ` xmlns:m="`...)
+		b = append(xmlio.AppendEscaped(b, namespace), '"')
 	}
-	fmt.Fprintf(&b, "    </%s%s>\n", prefix, bodyElem)
-	b.WriteString("  </soap:Body>\n</soap:Envelope>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	b = append(b, ">\n"...)
+	b = xmlio.AppendFragment(b, forest, 3, false)
+	b = append(append(append(append(b, "    </"...), prefix...), method...), suffix...)
+	return append(b, ">\n"+envelopeClose...), nil
 }
 
-// ReadRequest decodes a call envelope.
+// appendFault appends a fault envelope.
+func appendFault(b []byte, code, msg string) []byte {
+	b = append(b, xml.Header+`<soap:Envelope xmlns:soap="`+EnvelopeNS+"\">\n"+
+		"  <soap:Body>\n    <soap:Fault>\n      <faultcode>"...)
+	b = append(xmlio.AppendEscaped(b, code), "</faultcode>\n      <faultstring>"...)
+	b = xmlio.AppendEscaped(b, msg)
+	return append(b, "</faultstring>\n    </soap:Fault>\n"+envelopeClose...)
+}
+
+// bufPool recycles the buffers envelopes are rendered into and bodies are
+// read into; putBuf drops a buffer grown past maxPooledBuf rather than
+// keep it.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte {
+	b := bufPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		bufPool.Put(b)
+	}
+}
+
+// readBody appends all of r to dst. A positive limit caps what it reads:
+// a response longer than limit bytes fails once limit+1 have been read.
+func readBody(dst []byte, r io.Reader, limit int64) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		room := dst[len(dst):cap(dst)]
+		if left := limit + 1 - int64(len(dst)); limit > 0 && int64(len(room)) > left {
+			room = room[:left]
+		}
+		n, err := r.Read(room)
+		dst = dst[:len(dst)+n]
+		if limit > 0 && int64(len(dst)) > limit {
+			return dst, fmt.Errorf("response body exceeds %d bytes", limit)
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// ReadRequest decodes a call envelope. It reads all of r, then decodes
+// the bytes in place.
 func ReadRequest(r io.Reader) (*Request, error) {
-	method, ns, forest, fault, err := readEnvelope(r)
+	b := getBuf()
+	defer putBuf(b)
+	var err error
+	if *b, err = readBody(*b, r, 0); err != nil {
+		return nil, fmt.Errorf("soap: reading envelope: %w", err)
+	}
+	method, ns, forest, err := decodeRequest(*b)
 	if err != nil {
 		return nil, err
-	}
-	if fault != nil {
-		return nil, fault
 	}
 	return &Request{Method: method, Namespace: ns, Params: forest}, nil
 }
 
 // ReadResponse decodes a reply envelope, returning the result forest; SOAP
-// faults surface as *Fault errors.
+// faults surface as *Fault errors. It reads all of r, then decodes the
+// bytes in place.
 func ReadResponse(r io.Reader) ([]*doc.Node, error) {
-	method, _, forest, fault, err := readEnvelope(r)
+	b := getBuf()
+	defer putBuf(b)
+	var err error
+	if *b, err = readBody(*b, r, 0); err != nil {
+		return nil, fmt.Errorf("soap: reading envelope: %w", err)
+	}
+	return decodeResponse(*b)
+}
+
+// decodeRequest decodes a call envelope held in data.
+func decodeRequest(data []byte) (method, namespace string, params []*doc.Node, err error) {
+	method, namespace, params, fault, err := decodeEnvelope(data)
+	if err != nil {
+		return "", "", nil, err
+	}
+	if fault != nil {
+		return "", "", nil, fault
+	}
+	return method, namespace, params, nil
+}
+
+// decodeResponse decodes a reply envelope held in data.
+func decodeResponse(data []byte) ([]*doc.Node, error) {
+	method, _, forest, fault, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +215,11 @@ func ReadResponse(r io.Reader) ([]*doc.Node, error) {
 	return forest, nil
 }
 
-// readEnvelope walks Envelope/Body and decodes the single body entry. It
-// reads r only as far as the end of that entry.
-func readEnvelope(r io.Reader) (method, namespace string, forest []*doc.Node, fault *Fault, err error) {
-	tz := xmlio.NewTokenizer(r)
+// decodeEnvelope walks Envelope/Body and decodes the single body entry,
+// scanning data in place. It reads data only as far as the end of that
+// entry. Nothing it returns refers to data.
+func decodeEnvelope(data []byte) (method, namespace string, forest []*doc.Node, fault *Fault, err error) {
+	tz := xmlio.NewBytesTokenizer(data)
 	defer tz.Close()
 	if err := expectStart(tz, EnvelopeNS, "Envelope"); err != nil {
 		return "", "", nil, nil, err

@@ -1,8 +1,10 @@
 package soap
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -237,5 +239,57 @@ func TestIntensionalResultOverHTTP(t *testing.T) {
 	}
 	if out[1].Service == nil || out[1].Service.Endpoint != "http://timeout.example/soap" {
 		t.Error("service ref lost in transit")
+	}
+}
+
+// TestWriteAllocations: an envelope renders into a pooled buffer that is
+// written once, so writing one into a discarding writer allocates nothing.
+func TestWriteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	params := []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}
+	result := []*doc.Node{
+		doc.Elem("exhibit", doc.Elem("title", doc.TextNode("Dali & Miró"))),
+		doc.CallAt(doc.ServiceRef{Endpoint: "http://b.example/soap", Method: "Get_More", Namespace: "urn:more"}),
+	}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"request", func() error { return WriteRequest(io.Discard, "Get_Temp", "urn:weather", params) }},
+		{"response", func() error { return WriteResponse(io.Discard, "TimeOut", "urn:axml:b", result) }},
+		{"fault", func() error { return WriteFault(io.Discard, "soap:Server", "it <broke>") }},
+	} {
+		if err := tc.write(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = tc.write() }); n != 0 {
+			t.Errorf("%s: %v allocations", tc.name, n)
+		}
+	}
+}
+
+// TestDecodeAllocations: a reply decodes in place, so reading one costs
+// what it returns, not the envelope's bytes: the method name, the result's
+// node and child-list slabs, its label and text strings, and the forest's
+// holder.
+func TestDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	var b bytes.Buffer
+	result := []*doc.Node{doc.Elem("temp", doc.TextNode("15")), doc.Elem("temp", doc.TextNode("16"))}
+	if err := WriteResponse(&b, "Get_Temp", "urn:weather", result); err != nil {
+		t.Fatal(err)
+	}
+	data := b.Bytes()
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeResponse(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 8 {
+		t.Errorf("decoding a two-element reply = %v allocations, want at most 8", n)
 	}
 }

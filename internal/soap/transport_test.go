@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,4 +289,49 @@ func (b *burstBarrier) arrive() {
 		close(b.release)
 	}
 	<-b.release
+}
+
+// TestCallResultsOutliveTheirBuffers: both envelopes of a call pass
+// through pooled buffers that the next call reuses, so a result must not
+// refer to them. Concurrent calls keep every result they receive; each
+// must still read as the payload it echoed once all calls are done.
+func TestCallResultsOutliveTheirBuffers(t *testing.T) {
+	reg := service.NewRegistry()
+	if err := reg.Register(&service.Operation{
+		Name:    "Echo",
+		Handler: func(params []*doc.Node) ([]*doc.Node, error) { return params, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(&Server{Registry: reg, Namespace: "urn:echo"})
+	defer ts.Close()
+	inv := &Invoker{Default: ts.URL, Namespace: "urn:echo"}
+	const workers, calls = 8, 50
+	payload := func(w, i int) *doc.Node {
+		return doc.Elem("v", doc.Elem("w"+strconv.Itoa(w), doc.TextNode(strings.Repeat("x", i)+strconv.Itoa(w*calls+i))))
+	}
+	results := make([][]*doc.Node, workers*calls)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				out, err := inv.Invoke(context.Background(), doc.Call("Echo", payload(w, i)))
+				if err != nil {
+					t.Errorf("worker %d call %d: %v", w, i, err)
+					return
+				}
+				results[w*calls+i] = out
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < calls; i++ {
+			if out := results[w*calls+i]; len(out) != 1 || !out[0].Equal(payload(w, i)) {
+				t.Fatalf("worker %d call %d: result %v no longer reads as its payload", w, i, out)
+			}
+		}
+	}
 }

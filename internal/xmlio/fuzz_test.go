@@ -246,6 +246,9 @@ func FuzzWriteText(f *testing.F) {
 		if esc.String() != ref.String() {
 			t.Fatalf("escape(%q) = %q, xml.EscapeText gives %q", v, esc.String(), ref.String())
 		}
+		if app := AppendEscaped([]byte("<"), v); string(app[1:]) != ref.String() || app[0] != '<' {
+			t.Fatalf("AppendEscaped(%q) = %q, xml.EscapeText gives %q", v, app, ref.String())
+		}
 	})
 }
 

@@ -74,13 +74,13 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Fragment output re-parses to the same tree.
+// Property: AppendFragment output re-parses to the same tree.
 func TestQuickFragmentRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		orig := randDoc(rng, 3)
-		frag := Fragment(orig)
-		back, err := ParseString(frag)
+		frag := AppendFragment(nil, []*doc.Node{orig}, 0, orig.HasFuncs())
+		back, err := ParseBytes(frag)
 		if err != nil {
 			return false
 		}

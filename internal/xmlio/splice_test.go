@@ -72,12 +72,9 @@ func TestRenderMatchesWrite(t *testing.T) {
 			t.Errorf("rendering holds %d elements, the spine copy shares %d", len(r.spans), shared)
 		}
 		for el, sp := range r.spans {
-			var b bytes.Buffer
-			if err := WriteFragment(&b, el, int(sp.depth), false); err != nil {
-				t.Fatal(err)
-			}
-			if got := string(r.Bytes()[sp.start:sp.end]); got != b.String() {
-				t.Errorf("span of <%s> at depth %d is\n%q\nwant\n%q", el.Label, sp.depth, got, b.String())
+			want := AppendFragment(nil, []*doc.Node{el}, int(sp.depth), false)
+			if got := r.Bytes()[sp.start:sp.end]; !bytes.Equal(got, want) {
+				t.Errorf("span of <%s> at depth %d is\n%q\nwant\n%q", el.Label, sp.depth, got, want)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -108,6 +107,8 @@ type Tokenizer struct {
 	avals []span // decoded attribute values, resolved into attrs once the tag is scanned
 	text  []byte // decoded character data of the current token
 	adec  []byte // decoded attribute values of the current start tag
+
+	interned [16]string // recent namespace prefixes and URIs (intern)
 }
 
 type openElem struct {
@@ -709,9 +710,9 @@ func (t *Tokenizer) startTag(i int) (int, error) {
 		for _, a := range t.attrs {
 			switch {
 			case a.Space == "xmlns":
-				t.ns = append(t.ns, binding{prefix: string(a.Local), uri: internURI(a.Value)})
+				t.ns = append(t.ns, binding{prefix: t.intern(a.Local), uri: t.internURI(a.Value)})
 			case a.Space == "" && string(a.Local) == "xmlns":
-				t.ns = append(t.ns, binding{uri: internURI(a.Value)})
+				t.ns = append(t.ns, binding{uri: t.internURI(a.Value)})
 			}
 		}
 	}
@@ -786,14 +787,36 @@ func (t *Tokenizer) resolveAttr(prefix string) string {
 
 // internURI copies a namespace URI, sharing the string for the namespaces
 // this module speaks.
-func internURI(v []byte) string {
+func (t *Tokenizer) internURI(v []byte) string {
 	for _, s := range knownURIs {
 		if string(v) == s {
 			return s
 		}
 	}
-	return string(v)
+	return t.intern(v)
 }
+
+// intern copies a declared prefix or namespace URI, reusing the string of
+// an earlier declaration with the same bytes: a pooled tokenizer keeps the
+// last few across inputs, and a peer's documents and envelopes declare the
+// same handful. Long values are copied without being kept.
+func (t *Tokenizer) intern(v []byte) string {
+	if len(v) > maxInterned {
+		return string(v)
+	}
+	h := uint32(2166136261)
+	for _, c := range v {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	e := &t.interned[h%uint32(len(t.interned))]
+	if *e != string(v) {
+		*e = string(v)
+	}
+	return *e
+}
+
+// maxInterned bounds the declarations intern keeps.
+const maxInterned = 256
 
 var knownURIs = [...]string{
 	Namespace,
@@ -883,11 +906,10 @@ func (t *Tokenizer) procInst(i int) (int, error) {
 	}
 	data := b[j : j+k]
 	if string(b[i:nameEnd]) == "xml" {
-		content := string(data)
-		if ver := procInstParam("version", content); ver != "" && ver != "1.0" {
+		if ver := procInstParam(data, "version="); len(ver) > 0 && string(ver) != "1.0" {
 			return 0, fmt.Errorf("xmlio: unsupported XML version %q; only version 1.0 is supported", ver)
 		}
-		if enc := procInstParam("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
+		if enc := procInstParam(data, "encoding="); len(enc) > 0 && !bytes.EqualFold(enc, []byte("utf-8")) {
 			return 0, fmt.Errorf("xmlio: encoding %q declared; only UTF-8 is supported", enc)
 		}
 	}
@@ -895,18 +917,18 @@ func (t *Tokenizer) procInst(i int) (int, error) {
 	return j + k + 2, nil
 }
 
-// procInstParam extracts param="..." (or '...') from an XML declaration,
-// exactly as loosely as encoding/xml does.
-func procInstParam(param, s string) string {
-	param += "="
+// procInstParam returns the value that follows param, which ends in '=',
+// in quotes (" or ') in an XML declaration, exactly as loosely as
+// encoding/xml finds it. It scans s in place.
+func procInstParam(s []byte, param string) []byte {
 	lenp := len(param)
 	i := 0
 	var sep byte
 	for i < len(s) {
 		sub := s[i:]
-		k := strings.Index(sub, param)
+		k := bytes.Index(sub, []byte(param))
 		if k < 0 || lenp+k >= len(sub) {
-			return ""
+			return nil
 		}
 		i += lenp + k + 1
 		if c := sub[lenp+k]; c == '\'' || c == '"' {
@@ -915,11 +937,11 @@ func procInstParam(param, s string) string {
 		}
 	}
 	if sep == 0 {
-		return ""
+		return nil
 	}
-	j := strings.IndexByte(s[i:], sep)
+	j := bytes.IndexByte(s[i:], sep)
 	if j < 0 {
-		return ""
+		return nil
 	}
 	return s[i : i+j]
 }

@@ -2,6 +2,7 @@ package xmlio
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,5 +63,48 @@ func TestAppendMatchesWrite(t *testing.T) {
 			t.Errorf("%s: Append diverges from Write\n--- Write ---\n%s\n--- Append ---\n%s",
 				name, want.Bytes(), got)
 		}
+	}
+}
+
+// TestAppendFragmentMatchesWrite: a fragment at depth 0 is Write's output
+// without the declaration and the trailing newline, and one call over a
+// forest appends what one call per node appends.
+func TestAppendFragmentMatchesWrite(t *testing.T) {
+	docs := sampleDocs()
+	for name, d := range docs {
+		var want bytes.Buffer
+		if err := Write(&want, d); err != nil {
+			t.Fatalf("%s: Write: %v", name, err)
+		}
+		got := AppendFragment([]byte(xml.Header), []*doc.Node{d}, 0, d.HasFuncs())
+		if !bytes.Equal(append(got, '\n'), want.Bytes()) {
+			t.Errorf("%s: AppendFragment diverges from Write\n--- Write ---\n%s\n--- AppendFragment ---\n%s",
+				name, want.Bytes(), got)
+		}
+	}
+	forest := []*doc.Node{docs["block"], doc.TextNode("t"), docs["func"], docs["funcroot"]}
+	one := []byte("prefix")
+	for _, n := range forest {
+		one = AppendFragment(one, []*doc.Node{n}, 3, false)
+	}
+	if all := AppendFragment([]byte("prefix"), forest, 3, false); !bytes.Equal(all, one) {
+		t.Errorf("forest in one call:\n%s\nnode by node:\n%s", all, one)
+	}
+}
+
+// TestAppendAllocations: appending into a buffer with room allocates
+// nothing, for a document and for a fragment with text to escape.
+func TestAppendAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	d := sampleDocs()["func"]
+	forest := []*doc.Node{d, doc.Elem("e", doc.TextNode(`a<b & "c"`))}
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(100, func() { Append(buf[:0], d) }); n != 0 {
+		t.Errorf("Append = %v allocations", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { AppendFragment(buf[:0], forest, 3, false) }); n != 0 {
+		t.Errorf("AppendFragment = %v allocations", n)
 	}
 }

@@ -325,10 +325,9 @@ func (b *builder) inside(err error) error {
 	return fmt.Errorf("xmlio: inside <%s>: %w", f.node.Label, err)
 }
 
-// writeBufPool recycles the render buffers behind Write, String and
-// WriteFragment: a document is rendered into a pooled buffer and handed on
-// in one piece, so the hot serving path performs no per-node fmt formatting
-// or writer calls.
+// writeBufPool recycles the render buffers behind Write and String: a
+// document is rendered into a pooled buffer and handed on in one piece, so
+// the hot serving path performs no per-node fmt formatting or writer calls.
 var writeBufPool = sync.Pool{New: func() any { return new(appendSink) }}
 
 // maxPooledWriteBuf bounds what a returned buffer may retain.
@@ -373,8 +372,27 @@ func WriteTo(w io.Writer, n *doc.Node) error {
 // snapshots) render straight into a buffer they reuse, with no
 // intermediate copy.
 func Append(dst []byte, n *doc.Node) []byte {
-	b := appendSink(dst)
-	(&printer{b: &b}).document(n)
+	s := getSink(dst)
+	(&printer{b: s}).document(n)
+	return putSink(s)
+}
+
+// sinkPool lends Append and AppendFragment the slice header their printer
+// writes through: the printer reaches its sink through an interface, so a
+// header on the caller's stack would move to the heap on every call.
+var sinkPool = sync.Pool{New: func() any { return new(appendSink) }}
+
+func getSink(dst []byte) *appendSink {
+	s := sinkPool.Get().(*appendSink)
+	*s = dst
+	return s
+}
+
+// putSink returns s to the pool and the slice it grew to.
+func putSink(s *appendSink) []byte {
+	b := *s
+	*s = nil
+	sinkPool.Put(s)
 	return b
 }
 
@@ -461,14 +479,59 @@ func (p *printer) indent(depth int) {
 // xml.EscapeText writes: markup characters and tab, newline and carriage
 // return become character references, and every byte sequence XML cannot
 // carry (invalid UTF-8, C0 controls, U+FFFE, U+FFFF) becomes U+FFFD.
-// Documents overwhelmingly carry clean text, so the prefix EscapeText would
-// leave unchanged is copied through as is.
+// Documents overwhelmingly carry clean text, so the runs EscapeText would
+// leave unchanged are copied through as they are.
 func (p *printer) escape(s string) {
-	i := cleanPrefix(s)
-	p.b.WriteString(s[:i])
-	if i < len(s) {
-		_ = xml.EscapeText(p.b, []byte(s[i:]))
+	for {
+		i := cleanPrefix(s)
+		p.b.WriteString(s[:i])
+		if i == len(s) {
+			return
+		}
+		esc, w := escapeRune(s[i:])
+		p.b.WriteString(esc)
+		s = s[i+w:]
 	}
+}
+
+// AppendEscaped appends s to dst escaped as the printer escapes text and
+// attribute values, byte for byte what xml.EscapeText writes.
+func AppendEscaped(dst []byte, s string) []byte {
+	for {
+		i := cleanPrefix(s)
+		dst = append(dst, s[:i]...)
+		if i == len(s) {
+			return dst
+		}
+		esc, w := escapeRune(s[i:])
+		dst = append(dst, esc...)
+		s = s[i+w:]
+	}
+}
+
+// escapeRune returns what xml.EscapeText writes for the rune s starts
+// with, one cleanRune refuses, and that rune's width in bytes.
+func escapeRune(s string) (string, int) {
+	switch s[0] {
+	case '"':
+		return "&#34;", 1
+	case '\'':
+		return "&#39;", 1
+	case '&':
+		return "&amp;", 1
+	case '<':
+		return "&lt;", 1
+	case '>':
+		return "&gt;", 1
+	case '\t':
+		return "&#x9;", 1
+	case '\n':
+		return "&#xA;", 1
+	case '\r':
+		return "&#xD;", 1
+	}
+	_, w := utf8.DecodeRuneInString(s)
+	return "\uFFFD", w
 }
 
 // Byte-lane constants for cleanPrefix's word-at-a-time scan.

@@ -344,3 +344,30 @@ func TestParseConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDeclarationAllocations: an <?xml?> declaration is checked in place,
+// so tokenizing a document with one allocates no more than tokenizing the
+// same document without it.
+func TestDeclarationAllocations(t *testing.T) {
+	const body = `<a><b>x</b><c k="v"/></a>`
+	allocs := func(src string) float64 {
+		tz, b := new(Tokenizer), []byte(src)
+		return testing.AllocsPerRun(100, func() {
+			tz.reset(b, nil)
+			for {
+				if _, err := tz.Next(); err != nil {
+					break
+				}
+			}
+		})
+	}
+	for _, decl := range []string{
+		`<?xml version="1.0" encoding="UTF-8"?>`,
+		`<?xml version='1.0'?>`,
+		"<?xml version=\"1.0\" encoding='utf-8' standalone=\"yes\"?>\n",
+	} {
+		if with, without := allocs(decl+body), allocs(body); with > without {
+			t.Errorf("%s: %v allocations with the declaration, %v without", decl, with, without)
+		}
+	}
+}

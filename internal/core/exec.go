@@ -84,6 +84,11 @@ func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node
 		id = telemetry.NewID()
 		ctx = telemetry.WithTraceID(ctx, id)
 	}
+	if RoundFrom(ctx) != nil {
+		// The round of an enclosing rewriting (a service that rewrites
+		// under its caller's context) is not this rewriting's.
+		ctx = WithRound(ctx, nil)
+	}
 	ins := rw.Instruments
 	sink := &stampSink{inner: rw.Audit, extra: rw.Events, ins: ins, id: id}
 	if ins == nil {
@@ -136,7 +141,16 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 		return nil, err
 	}
 	ex.st.proof = proof
-	return ex.forest(forest, proof.top, nodePath{}, true)
+	if err := ex.params(forest, nodePath{}); err != nil {
+		return nil, err
+	}
+	var top *wordRun
+	if ex.mode == Safe {
+		if top, err = ex.plan(); err != nil {
+			return nil, err
+		}
+	}
+	return ex.rewrite(forest, proof.top, nodePath{}, true, top)
 }
 
 // execState is the rewriting state shared by every branch of one execution,
@@ -223,7 +237,15 @@ func (ex *executor) callCount() int {
 // children the forest is; proven says the static check covered the forest
 // (see descend).
 func (ex *executor) forest(forest []*doc.Node, typ *model, at nodePath, proven bool) ([]*doc.Node, error) {
-	// Phase 1: parameters, deepest functions first.
+	if err := ex.params(forest, at); err != nil {
+		return nil, err
+	}
+	return ex.rewrite(forest, typ, at, proven, nil)
+}
+
+// params runs phase 1 on a forest: it materializes the parameters of its
+// functions, deepest first.
+func (ex *executor) params(forest []*doc.Node, at nodePath) error {
 	var shared *xmlio.Rendering
 	if ex.st.proof != nil {
 		shared = ex.st.proof.shared
@@ -233,15 +255,21 @@ func (ex *executor) forest(forest []*doc.Node, typ *model, at nodePath, proven b
 		funcs = funcsBottomUp(tree, shared, funcs[:0])
 		for _, f := range funcs {
 			if err := ex.materializeParams(f, at); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
+	return nil
+}
+
+// rewrite runs phases 3 and 2 on a forest whose parameters are
+// materialized; run is the plan's run over its word, or nil.
+func (ex *executor) rewrite(forest []*doc.Node, typ *model, at nodePath, proven bool, run *wordRun) ([]*doc.Node, error) {
 	// Phase 3 at this level: rewrite the word of root labels.
 	out, fresh := forest, []bool(nil)
 	if !proven || hasFunc(forest) {
 		var err error
-		if out, fresh, err = ex.rewriteWord(forest, typ, at); err != nil {
+		if out, fresh, err = ex.rewriteWord(forest, typ, at, run); err != nil {
 			return nil, err
 		}
 	}
@@ -294,7 +322,7 @@ func (ex *executor) descend(kids []*doc.Node, fresh []bool, at nodePath, proven 
 		if n.Kind != doc.Element {
 			continue
 		}
-		if proven && (fresh == nil || !fresh[i]) && !ex.st.proof.holdsCalls[n] {
+		if proven && (fresh == nil || !fresh[i]) && !ex.st.proof.holds(n) {
 			continue
 		}
 		slots = append(slots, i)
@@ -408,7 +436,7 @@ func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
 	kids, fresh := e.Children, []bool(nil)
 	if !proven || hasFunc(kids) {
 		var err error
-		if kids, fresh, err = ex.rewriteWord(e.Children, &ent.content, at); err != nil {
+		if kids, fresh, err = ex.rewriteWord(e.Children, &ent.content, at, ex.st.proof.planned(e)); err != nil {
 			return err
 		}
 		e.Children = kids
@@ -423,7 +451,20 @@ type item struct {
 	kept    bool // decided keep (tentative in possible mode)
 	forced  bool // backtracking flipped this occurrence to "must call"
 	pending bool // decided invoke, dispatch deferred to the round's batch
+	// plan is the plan's verdict on the occurrence, which the executor
+	// reads instead of analyzing the word again (executor.plan).
+	plan verdict
 }
+
+// verdict is a keep-or-invoke decision the plan made ahead of the
+// executor.
+type verdict uint8
+
+const (
+	planNone   verdict = iota // left to the executor
+	planKeep                  // keeping the occurrence preserves the verdict
+	planInvoke                // keeping it breaks the verdict: invoke it
+)
 
 // rewriteWord performs the per-node decision loop: scan left to right, for
 // each invocable function occurrence test whether keeping it preserves the
@@ -438,14 +479,15 @@ type item struct {
 // a concurrent batch could not honor.
 //
 // Besides the rewritten word it returns which of its nodes an invocation
-// returned (nil when none did).
-func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath) ([]*doc.Node, []bool, error) {
-	w := &wordRun{ex: ex, typ: typ.re}
-	w.items = make([]*item, len(children))
-	backing := make([]item, len(children)) // one allocation for the whole word
-	for i, ch := range children {
-		backing[i].node = ch
-		w.items[i] = &backing[i]
+// returned (nil when none did). run, when not nil, is the plan's run over
+// the word, with the plan's verdicts on its items.
+func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath, run *wordRun) ([]*doc.Node, []bool, error) {
+	w := run
+	if w == nil {
+		w = &wordRun{ex: ex, typ: typ.re}
+		w.fill(children)
+	} else {
+		w.ex = ex
 	}
 	if ex.st.sched != nil && ex.mode == Safe {
 		if err := w.decideParallel(); err != nil {
@@ -499,6 +541,16 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath) (
 	}
 }
 
+// fill gives the run one undecided item per node of its word.
+func (w *wordRun) fill(children []*doc.Node) {
+	w.items = make([]*item, len(children))
+	backing := make([]item, len(children)) // one allocation for the whole word
+	for i, ch := range children {
+		backing[i].node = ch
+		w.items[i] = &backing[i]
+	}
+}
+
 // wordRun carries the mutable state of one word-rewriting pass.
 type wordRun struct {
 	ex    *executor
@@ -523,18 +575,17 @@ func (w *wordRun) decideFrom(j int) error {
 			continue
 		}
 		if !it.forced {
-			it.kept = true
-			ok, err := ex.rw.wordOK(&ex.key, w.tokens(), w.typ, ex.mode)
+			keep, err := w.keeps(it)
 			if err != nil {
 				return err
 			}
-			if ok {
+			if keep {
+				it.kept = true
 				w.kept = append(w.kept, it)
 				ex.rw.Instruments.countKeep()
 				j++
 				continue
 			}
-			it.kept = false
 		}
 		ex.rw.Instruments.countInvoke()
 		res, err := ex.invoke(it.node, it.depth+1)
@@ -568,6 +619,19 @@ func (w *wordRun) decideFrom(j int) error {
 		// Do not advance: returned occurrences are processed in order.
 	}
 	return nil
+}
+
+// keeps reports whether keeping the item preserves the word's verdict:
+// the plan's verdict when the plan decided the item, else the analysis of
+// the word with the item frozen.
+func (w *wordRun) keeps(it *item) (bool, error) {
+	if it.plan != planNone {
+		return it.plan == planKeep, nil
+	}
+	it.kept = true
+	ok, err := w.ex.rw.wordOK(&w.ex.key, w.tokens(), w.typ, w.ex.mode)
+	it.kept = false
+	return ok, err
 }
 
 // callable reports whether the item is a function occurrence the executor
@@ -677,7 +741,7 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
-		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
+		pred = speculable
 	}
 	c := ex.rw.Compiled
 	var out []*doc.Node // nil until the forest differs from its input
@@ -754,6 +818,11 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 	}
 	return out, nil
 }
+
+// speculable is the Mixed mode's default PreInvoke predicate, and the test
+// of a call the first round may send ahead of the executor: a function
+// declared without side effects and at zero cost.
+func speculable(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
 
 // sameForest reports whether a and b are the same slice of nodes.
 func sameForest(a, b []*doc.Node) bool {

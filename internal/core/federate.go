@@ -80,6 +80,11 @@ type ExchangeFunc func(ctx context.Context, base, docName string, params []*doc.
 // hops inherit timeouts, retries and circuit breaking — and, because the
 // transports inject the caller's traceparent per attempt, a materialization
 // that hops machines shows up as one trace.
+//
+// A rewriting's first round (Round) rides on to Next untouched: a peer://
+// call goes on as a resolved copy, which is no planned node, so it is a
+// request of its own, and a planned call's peer:// endpoint never equals
+// the URL a transport routes another call to.
 type PeerRouter struct {
 	// Roster resolves peer names to base URLs.
 	Roster Roster

@@ -27,7 +27,7 @@ import (
 //     genuinely dependent positions — are decided in the next round.
 //
 // Within-word verdicts made while calls are pending are only final when
-// they provably coincide with the sequential engine's (see decideParallel);
+// they provably coincide with the sequential engine's (see scan);
 // dependent positions defer to the next round, so the engine makes exactly
 // the decisions the sequential one would, in batches.
 //
@@ -202,75 +202,33 @@ func firstSlotError(ctx context.Context, errs []error) error {
 // ---------------------------------------------------------------------------
 // Safe-mode within-word pipelining.
 
-// decideParallel is the parallel counterpart of decideFrom for Safe mode: it
-// scans left to right fixing keep/invoke verdicts without performing any
-// call, dispatches the decided batch concurrently, splices the results back
-// left-to-right, and repeats until every position is kept or exhausted.
+// decideParallel is the parallel counterpart of decideFrom for Safe mode:
+// round after round, it fixes every verdict no pending call can change
+// (scan), dispatches the invocations decided concurrently, and splices the
+// results back left-to-right, until every position is kept or exhausted.
+// The first round reads the verdicts the plan made (executor.plan) instead
+// of analyzing those positions again.
 //
-// Verdicts made while earlier positions' calls are pending must coincide
-// with the decisions the sequential engine would make after seeing those
-// calls' actual results:
-//
-//   - A keep verdict (wordOK true with the position frozen and every pending
-//     call treated as a still-invocable occurrence) quantifies over the
-//     pending calls' whole output languages, so it implies the sequential
-//     verdict for whatever they actually return. Keeps are always final.
-//   - An invoke verdict (wordOK false) is final only while every pending
-//     call before the position has a singleton output word-language: then
-//     quantifying over its outputs is the same as splicing its one possible
-//     word, and the verdict is exactly the sequential one. Once a pending
-//     call can answer with more than one word, the safe strategy may need to
-//     adapt to the answer (keep a later occurrence on one output, call it on
-//     another), so such positions defer to the next round, where they are
-//     re-analyzed against the actual spliced results — precisely the word
-//     state the sequential engine decides them in.
-//
-// The deferral rule keeps the engine's decisions — and therefore the final
-// tree and the set of calls made — identical to the sequential engine's at
-// every degree; only the dispatch order (and so the wall-clock) differs.
-// Safe mode never revisits a keep (there is no backtracking), so decisions
-// from earlier rounds stand. Every round batches at least the leftmost
-// undecided invocation, so the loop terminates.
+// The deferral rule (see scan) keeps the engine's decisions — and therefore
+// the final tree and the set of calls made — identical to the sequential
+// engine's at every degree; only the dispatch order (and so the
+// wall-clock) differs. Safe mode never revisits a keep (there is no
+// backtracking), so decisions from earlier rounds stand. Every round
+// batches at least the leftmost undecided invocation, so the loop
+// terminates.
 func (w *wordRun) decideParallel() error {
 	ex := w.ex
 	for {
-		var pending []int
-		allSingleton := true
-		for j := 0; j < len(w.items); j++ {
-			it := w.items[j]
-			if it.pending || !ex.callable(it) {
-				continue
-			}
-			it.kept = true
-			ok, err := ex.rw.wordOK(&ex.key, w.tokens(), w.typ, ex.mode)
-			if err != nil {
-				return err
-			}
-			if ok {
-				ex.rw.Instruments.countKeep()
-				continue
-			}
-			it.kept = false
-			if len(pending) > 0 && !allSingleton {
-				// Dependent position: the verdict could change once the
-				// pending calls' actual results are spliced. Leave it
-				// undecided for the next round.
-				ex.rw.Instruments.countDefer()
-				continue
-			}
-			ex.rw.Instruments.countInvoke()
-			it.pending = true
-			pending = append(pending, j)
-			if !ex.singletonOutput(it.node) {
-				allSingleton = false
-			}
+		pending, err := w.scan(false, nil)
+		if err != nil {
+			return err
 		}
 		if len(pending) == 0 {
 			return nil
 		}
 		ex.rw.Instruments.round(phaseWord, len(pending))
 		results := make([][]*doc.Node, len(pending))
-		err := ex.runSlots(len(pending), func(child *executor, k int) error {
+		err = ex.runSlots(len(pending), func(child *executor, k int) error {
 			it := w.items[pending[k]]
 			res, err := child.invoke(it.node, it.depth+1)
 			if err != nil {
@@ -303,20 +261,104 @@ func (w *wordRun) decideParallel() error {
 	}
 }
 
-// singletonOutput reports whether the function occurrence's declared output
-// type denotes exactly one word of labels (atomic data produces no label
-// tokens at all, so data-returning functions count). For such functions,
-// quantifying over the output language is the same as splicing the actual
-// result, which makes verdicts fixed while the call is in flight exact.
+// scan makes one left-to-right pass over the word's undecided callable
+// positions, fixing every keep-or-invoke verdict no pending call can
+// change, without making a call. It marks the positions it decides to
+// invoke pending and returns them, in order, appended to pending.
+//
+// Verdicts made while earlier positions' calls are pending must coincide
+// with the decisions the sequential engine (decideFrom) would make after
+// seeing those calls' actual results:
+//
+//   - A keep verdict (wordOK true with the position frozen and every pending
+//     call treated as a still-invocable occurrence) quantifies over the
+//     pending calls' whole output languages, so it implies the sequential
+//     verdict for whatever they actually return. Keeps are always final.
+//   - An invoke verdict (wordOK false) is final only while every pending
+//     call before the position will splice one known word
+//     (singletonOutput): then quantifying over its outputs is the same as
+//     splicing that word, and the verdict is exactly the sequential one.
+//     Once a pending call can answer with more than one word, the safe
+//     strategy may need to adapt to the answer (keep a later occurrence on
+//     one output, call it on another), so such positions are open: they
+//     defer to the next round, where they are re-analyzed against the
+//     actual spliced results — precisely the word state the sequential
+//     engine decides them in.
+//
+// A position the plan decided takes the plan's verdict without an
+// analysis. With plan set, the pass is the plan's own (executor.plan): it
+// counts no decision, since the executor counts each one when it reads it,
+// and it stops before the first open position, leaving it and the rest of
+// the word unanalyzed for the executor to decide as it always did.
+func (w *wordRun) scan(plan bool, pending []int) ([]int, error) {
+	ex := w.ex
+	ins := ex.rw.Instruments
+	open := false // a pending position to the left can answer more than one word
+	for j, it := range w.items {
+		if it.pending || !ex.callable(it) {
+			continue
+		}
+		if open && plan {
+			break
+		}
+		keep, err := w.keeps(it)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case keep:
+			it.kept = true
+			if !plan {
+				ins.countKeep()
+			}
+		case open:
+			// Dependent position: the verdict could change once the
+			// pending calls' actual results are spliced. Leave it
+			// undecided for the next round.
+			ins.countDefer()
+		default:
+			if !plan {
+				ins.countInvoke()
+			}
+			it.pending = true
+			pending = append(pending, j)
+			open = !ex.singletonOutput(it.node)
+		}
+	}
+	return pending, nil
+}
+
+// singletonOutput reports whether invoking the function occurrence will
+// splice one word known in advance: its declared output type denotes
+// exactly one word of labels none of which names a function or pattern
+// (atomic data produces no label tokens at all, so data-returning
+// functions count), and returns are validated against it. For such
+// functions, quantifying over the output language is the same as splicing
+// the actual result, which makes verdicts fixed while the call is in
+// flight exact.
 func (ex *executor) singletonOutput(n *doc.Node) bool {
-	fi := ex.rw.Compiled.funcOf(n.Label)
-	if fi == nil {
+	c := ex.rw.Compiled
+	fi := c.funcOf(n.Label)
+	if fi == nil || !ex.rw.ValidateReturns {
 		return false
 	}
 	if fi.Out == nil {
 		return true
 	}
-	return singletonWord(fi.Out)
+	return singletonWord(fi.Out) && !mentionsFunc(c, fi.Out)
+}
+
+// mentionsFunc reports whether the regex names a function or pattern.
+func mentionsFunc(c *Compiled, r *regex.Regex) bool {
+	if r.Op == regex.OpSym {
+		return c.Func(r.Sym) != nil
+	}
+	for _, s := range r.Subs {
+		if mentionsFunc(c, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // singletonWord reports whether the regex denotes exactly one word.
@@ -360,7 +402,7 @@ type preTask struct {
 func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
-		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
+		pred = speculable
 	}
 	holder := &doc.Node{Kind: doc.Element, Children: forest}
 	// depthAt overrides the inherited depth for the roots of spliced

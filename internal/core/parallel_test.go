@@ -351,6 +351,60 @@ func Data = data -> data
 	}
 }
 
+// TestParallelDefersAfterReturnedCall: a pending call whose one output
+// word is itself a call settles nothing to its right. F returns a call of
+// G, whose answer (x or y) decides whether H may be kept, so H must wait
+// for G, as the sequential engine does: degree 4 keeps H after x, like
+// degree 1, instead of invoking it alongside F.
+func TestParallelDefersAfterReturnedCall(t *testing.T) {
+	sender := schema.MustParseText(`
+root page
+elem page = (F|G|x|y).(H|z)
+elem x = data
+elem y = data
+elem z = data
+func F = data -> G
+func G = data -> (x|y)
+func H = data -> z
+`, nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), `
+root page
+elem page = (x.H)|(y.z)
+elem x = data
+elem y = data
+elem z = data
+func F = data -> G
+func G = data -> (x|y)
+func H = data -> z
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
+		switch call.Label {
+		case "F":
+			return []*doc.Node{doc.Call("G", doc.TextNode("g"))}, nil
+		case "G":
+			return []*doc.Node{doc.Elem("x", doc.TextNode("1"))}, nil
+		}
+		return []*doc.Node{doc.Elem("z", doc.TextNode("2"))}, nil
+	})
+	for _, degree := range []int{1, 4} {
+		rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv, Parallelism: degree})
+		out, err := rw.RewriteDocument(context.Background(),
+			doc.Elem("page", doc.Call("F", doc.TextNode("f")), doc.Call("H", doc.TextNode("h"))), Safe)
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if got := out.ChildLabels(); len(got) != 2 || got[0] != "x" || got[1] != "H" {
+			t.Errorf("degree %d: children %v, want [x H]", degree, got)
+		}
+		if got := auditKeys(rw.Audit); len(got) != 2 {
+			t.Errorf("degree %d: audit %v, want F and G only", degree, got)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Micro-benchmarks for the error/audit-path string builders.
 

@@ -271,7 +271,8 @@ func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode)
 // nothing else, and it passed. A check that passes records the version; a
 // failed one records nothing.
 func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode, from *xmlio.Rendering) (*staticCheck, error) {
-	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]bool{}, top: adhoc(typ)}
+	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]int{}, top: adhoc(typ), list: mode == Safe}
+	sc.words = sc.wordsBuf[:0]
 	c, strict := rw.Compiled, rw.ctx.Strict
 	if from != nil && c.isVerified(from.ID(), strict) {
 		sc.shared = from
@@ -298,8 +299,18 @@ type staticCheck struct {
 	// passed its sub-check — and was therefore checked in full.
 	paramsOK map[*doc.Node]bool
 	// holdsCalls marks the elements with a function node somewhere below
-	// them; every other element the check reached is call-free.
-	holdsCalls map[*doc.Node]bool
+	// them; every other element the check reached is call-free. An element
+	// whose own word the check listed maps to 1 + the word's index in
+	// words, any other to 0.
+	holdsCalls map[*doc.Node]int
+	// words lists, when list is set (the top-level check of a Safe
+	// rewriting), the words holding a function node that the check
+	// decided outside parameter forests, in the order the executor
+	// rewrites them: the words its plan scans (executor.plan), which so
+	// walks no tree. wordsBuf backs the first few.
+	words    []checkedWord
+	wordsBuf [4]checkedWord
+	list     bool
 	// scratch backs tokens() across the whole traversal: each word check
 	// fully consumes its token slice before the next one is built (the word
 	// engines never retain it), so one allocation serves every forest.
@@ -318,6 +329,33 @@ type staticCheck struct {
 	// verified under this Compiled: the check neither descends into nor
 	// walks the elements it shares (see checkForest).
 	shared *xmlio.Rendering
+}
+
+// checkedWord is a word holding a function node that the check decided:
+// its nodes and word type, and the executor's run over it once the plan
+// has scanned it (run.ex is set).
+type checkedWord struct {
+	word []*doc.Node
+	typ  *model
+	run  wordRun
+}
+
+// holds reports whether the element e has a function node below it.
+func (sc *staticCheck) holds(e *doc.Node) bool {
+	_, ok := sc.holdsCalls[e]
+	return ok
+}
+
+// planned returns the plan's run over the word of the element e, or nil;
+// sc may be nil (no check has run yet).
+func (sc *staticCheck) planned(e *doc.Node) *wordRun {
+	if sc == nil {
+		return nil
+	}
+	if i := sc.holdsCalls[e]; i > 0 && sc.words[i-1].run.ex != nil {
+		return &sc.words[i-1].run
+	}
+	return nil
 }
 
 // forest checks one forest against a word type: parameters bottom-up, then
@@ -391,7 +429,7 @@ func (sc *staticCheck) funcsBottomUp(n *doc.Node, out []*doc.Node) ([]*doc.Node,
 		return append(out, n), true
 	case doc.Element:
 		if holds {
-			sc.holdsCalls[n] = true
+			sc.holdsCalls[n] = 0
 		}
 	}
 	return out, holds
@@ -492,11 +530,14 @@ func (sc *staticCheck) element(e *doc.Node, ent *entry, at nodePath) error {
 			return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
 		}
 	}
-	base := len(sc.ents)
+	base, listed := len(sc.ents), len(sc.words)
 	defer func() { sc.ents = sc.ents[:base] }()
 	ok, err := sc.word(e.Children, &ent.content)
 	if err != nil {
 		return err
+	}
+	if len(sc.words) > listed {
+		sc.holdsCalls[e] = len(sc.words)
 	}
 	if !ok {
 		labels, where := wordText(sc.rw.ctx, ent.content.re, e.Children)
@@ -529,7 +570,11 @@ func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 		}
 	}
 	if calls {
-		return sc.rw.wordOK(&sc.key, sc.tokens(forest, base), typ.re, sc.mode)
+		ok, err := sc.rw.wordOK(&sc.key, sc.tokens(forest, base), typ.re, sc.mode)
+		if ok && sc.list {
+			sc.words = append(sc.words, checkedWord{word: forest, typ: typ})
+		}
+		return ok, err
 	}
 	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
 	d := c.dfaOf(typ)

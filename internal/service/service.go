@@ -11,6 +11,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -100,14 +101,29 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// ErrUnknownOperation is the error, tested with errors.Is, of a call
+// naming an operation the registry lacks.
+var ErrUnknownOperation = errors.New("service: unknown operation")
+
+// unknownOperation is the error of a call naming an operation no member
+// provides: ErrUnknownOperation followed by the quoted name.
+func unknownOperation(name string) error {
+	return fmt.Errorf("%w %q", ErrUnknownOperation, name)
+}
+
 // Call executes an operation by name under the caller's context.
 // Context-free handlers are checked for cancellation before they run but
 // cannot be interrupted once started.
 func (r *Registry) Call(ctx context.Context, name string, params []*doc.Node) ([]*doc.Node, error) {
 	op, ok := r.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("service: unknown operation %q", name)
+		return nil, unknownOperation(name)
 	}
+	return op.run(ctx, params)
+}
+
+// run executes the operation under the caller's context.
+func (op *Operation) run(ctx context.Context, params []*doc.Node) ([]*doc.Node, error) {
 	if op.ContextHandler != nil {
 		return op.ContextHandler(ctx, params)
 	}
@@ -125,26 +141,54 @@ func (r *Registry) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, err
 
 var _ core.Invoker = (*Registry)(nil)
 
-// Chain tries invokers in order, falling through on "unknown operation"
-// errors; it lets a peer resolve local services first and remote endpoints
-// second.
+// Chain tries invokers in order, falling through only on an unknown
+// operation (ErrUnknownOperation); it lets a peer resolve local services
+// first and remote endpoints second. A *Registry member that lacks the
+// call's label is skipped without running anything; any other error ends
+// the chain at once, so a failing local operation is never re-sent to a
+// later member.
+//
+// A chain hands the first round of a rewriting (core.Round) riding on the
+// context only to a member behind empty registries: behind a registry
+// that serves some operation, or behind any other kind of member, a
+// planned call could ride to a transport the sequential engine would not
+// send it to, so later members see no round.
 type Chain []core.Invoker
 
 // Invoke implements core.Invoker.
 func (c Chain) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, error) {
 	var lastErr error
+	hide := false // an earlier member may serve a planned call
 	for _, inv := range c {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out, err := inv.Invoke(ctx, call)
-		if err == nil {
-			return out, nil
+		if reg, ok := inv.(*Registry); ok {
+			reg.mu.RLock()
+			op, found := reg.ops[call.Label]
+			hide = hide || len(reg.ops) > 0
+			reg.mu.RUnlock()
+			if found {
+				return op.run(ctx, call.Children)
+			}
+			continue
+		}
+		mctx := ctx
+		if hide && core.RoundFrom(ctx) != nil {
+			mctx = core.WithRound(ctx, nil)
+		}
+		out, err := inv.Invoke(mctx, call)
+		if err == nil || !errors.Is(err, ErrUnknownOperation) {
+			return out, err
 		}
 		lastErr = err
+		hide = true
 	}
-	if lastErr == nil {
+	switch {
+	case len(c) == 0:
 		lastErr = fmt.Errorf("service: empty invoker chain")
+	case lastErr == nil:
+		lastErr = unknownOperation(call.Label)
 	}
 	return nil, fmt.Errorf("service: no invoker handled %q: %w", call.Label, lastErr)
 }

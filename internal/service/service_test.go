@@ -218,3 +218,30 @@ func Get_Temp = city -> temp
 		t.Errorf("temp not materialized: %v", out.ChildLabels())
 	}
 }
+
+// TestChainFallsThroughOnlyOnUnknown: a local operation that fails ends
+// the chain with its own error and never reaches the next member; an
+// operation no member provides is ErrUnknownOperation, message unchanged.
+func TestChainFallsThroughOnlyOnUnknown(t *testing.T) {
+	first := NewRegistry()
+	if err := first.Register(&Operation{Name: "Op", Handler: func([]*doc.Node) ([]*doc.Node, error) {
+		return nil, errors.New("local failure")
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	second := core.ContextInvokerFunc(func(context.Context, *doc.Node) ([]*doc.Node, error) {
+		t.Error("a failing local operation reached the second member")
+		return nil, nil
+	})
+	if _, err := (Chain{first, second}).Invoke(context.Background(), doc.Call("Op")); err == nil || err.Error() != "local failure" {
+		t.Errorf("failing local operation: %v, want its own error", err)
+	}
+	_, err := NewRegistry().Invoke(context.Background(), doc.Call("Nowhere"))
+	if !errors.Is(err, ErrUnknownOperation) || err.Error() != `service: unknown operation "Nowhere"` {
+		t.Errorf("unknown operation: %v", err)
+	}
+	_, err = (Chain{NewRegistry(), NewRegistry()}).Invoke(context.Background(), doc.Call("Nowhere"))
+	if !errors.Is(err, ErrUnknownOperation) {
+		t.Errorf("chain of registries lacking the operation: %v", err)
+	}
+}

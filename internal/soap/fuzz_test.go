@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 
 	"axml/internal/doc"
@@ -78,14 +77,17 @@ func FuzzReadResponse(f *testing.F) {
 	})
 }
 
-// FuzzEnvelopeRoundTrip: any request, response or fault the readers accept
-// writes back through the writers, reads back as the same method,
-// namespace and forest (or fault), and writes back to identical bytes. A
-// forest read from an envelope that puts two text nodes side by side may
-// come back with them merged, the way the parser merges adjacent character
-// data; every other forest reads back as it was written. Seeds in
-// testdata/fuzz/FuzzEnvelopeRoundTrip copy the FuzzReadRequest and
-// FuzzReadResponse corpora; the golden envelopes are added here.
+// FuzzEnvelopeRoundTrip: any envelope the reader accepts — a request of
+// one or more calls, a reply of results ending, or not, in a fault, or a
+// fault alone — writes back through the writers' primitives, reads back as
+// the same entries (method, namespace and forest, or fault), and writes
+// back to identical bytes. A forest read from an envelope that puts two
+// text nodes side by side may come back with them merged, the way the
+// parser merges adjacent character data; every other forest reads back as
+// it was written. Seeds in testdata/fuzz/FuzzEnvelopeRoundTrip copy the
+// FuzzReadRequest and FuzzReadResponse corpora; the golden envelopes,
+// among them a three-call request and a reply of two results and a fault,
+// are added here.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, g := range goldenEnvelopes() {
 		var b bytes.Buffer
@@ -95,43 +97,74 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		f.Add(b.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		method, ns, forest, fault, err := decodeEnvelope(data)
+		entries, fault, err := decodeAll(data)
 		if err != nil {
 			return
 		}
-		write := func(method, ns string, forest []*doc.Node, fault *Fault) []byte {
-			var b bytes.Buffer
-			switch {
-			case fault != nil:
-				err = WriteFault(&b, fault.Code, fault.String)
-			case strings.HasSuffix(method, "Response"):
-				err = WriteResponse(&b, strings.TrimSuffix(method, "Response"), ns, forest)
-			default:
-				err = WriteRequest(&b, method, ns, forest)
-			}
-			if err != nil {
-				t.Skipf("the writer refuses %q in %q: %v", method, ns, err)
-			}
-			return b.Bytes()
-		}
-		w1 := write(method, ns, forest, fault)
-		m2, ns2, forest2, fault2, err := decodeEnvelope(w1)
+		w1 := writeAll(t, entries, fault)
+		entries2, fault2, err := decodeAll(w1)
 		if err != nil {
 			t.Fatalf("written envelope does not read back: %v\n%s", err, w1)
 		}
-		if m2 != method || ns2 != ns || (fault == nil) != (fault2 == nil) || fault != nil && *fault != *fault2 {
-			t.Fatalf("read back as %q in %q (fault %v), wrote %q in %q (fault %v)\n%s", m2, ns2, fault2, method, ns, fault, w1)
+		if len(entries2) != len(entries) || (fault == nil) != (fault2 == nil) || fault != nil && *fault != *fault2 {
+			t.Fatalf("read back as %d entries (fault %v), wrote %d (fault %v)\n%s", len(entries2), fault2, len(entries), fault, w1)
 		}
-		if !adjacentText(forest) && !sameForest(forest, forest2) {
-			t.Fatalf("forest changed in the round trip:\n%s", w1)
+		for i, e := range entries {
+			e2 := entries2[i]
+			if e2.Method != e.Method || e2.Namespace != e.Namespace {
+				t.Fatalf("entry %d read back as %q in %q, wrote %q in %q\n%s", i, e2.Method, e2.Namespace, e.Method, e.Namespace, w1)
+			}
+			if !adjacentText(e.Params) && !sameForest(e.Params, e2.Params) {
+				t.Fatalf("entry %d: forest changed in the round trip:\n%s", i, w1)
+			}
 		}
-		if w2 := write(m2, ns2, forest2, fault2); !bytes.Equal(w1, w2) {
+		if w2 := writeAll(t, entries2, fault2); !bytes.Equal(w1, w2) {
 			t.Fatalf("rewriting changed the bytes:\n%s\nvs\n%s", w1, w2)
 		}
-		if _, _, forest3, _, err := decodeEnvelope(w1); err != nil || !sameForest(forest2, forest3) {
+		entries3, _, err := decodeAll(w1)
+		if err != nil {
 			t.Fatalf("written envelope reads differently twice: %v\n%s", err, w1)
 		}
+		for i := range entries3 {
+			if !sameForest(entries2[i].Params, entries3[i].Params) {
+				t.Fatalf("written envelope reads differently twice:\n%s", w1)
+			}
+		}
 	})
+}
+
+// decodeAll decodes every body entry of an envelope, up to MaxEntries, and
+// the fault that ends it, if any.
+func decodeAll(data []byte) (entries []Request, fault *Fault, err error) {
+	err = decodeEntries(data, MaxEntries, func(e Request, f *Fault) error {
+		if f != nil {
+			fault = f
+		} else {
+			entries = append(entries, e)
+		}
+		return nil
+	})
+	return entries, fault, err
+}
+
+// writeAll writes body entries, then a fault if any, as one envelope; a
+// fault alone is a fault envelope. It skips the input when an entry cannot
+// be written.
+func writeAll(t *testing.T, entries []Request, fault *Fault) []byte {
+	if len(entries) == 0 {
+		return appendFault(nil, fault.Code, fault.String)
+	}
+	b := []byte(envelopeOpen)
+	for _, e := range entries {
+		var err error
+		if b, err = appendEntry(b, e.Method, "", e.Namespace, e.Params); err != nil {
+			t.Skipf("the writer refuses %q in %q: %v", e.Method, e.Namespace, err)
+		}
+	}
+	if fault != nil {
+		b = appendFaultEntry(b, fault.Code, fault.String)
+	}
+	return append(b, envelopeClose...)
 }
 
 // adjacentText reports whether some element of forest, or forest itself,

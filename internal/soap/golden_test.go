@@ -2,19 +2,26 @@ package soap
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"axml/internal/doc"
+	"axml/internal/service"
 )
 
 // goldenEnvelopes lists the envelopes whose bytes are pinned under
 // testdata/golden: requests and responses with a namespace and without,
-// function nodes carrying endpointURL and namespaceURI, and text and a
-// namespace that need escaping. Each file holds what the writer produced
-// when the pin was taken; a writer change must reproduce it byte for byte.
+// function nodes carrying endpointURL and namespaceURI, text and a
+// namespace that need escaping, a request of three calls across two
+// namespaces, and a server's reply of two results and then a fault. Each
+// file holds what the writer produced when the pin was taken; a writer
+// change must reproduce it byte for byte.
 func goldenEnvelopes() []struct {
 	name  string
 	write func(io.Writer) error
@@ -64,7 +71,53 @@ func goldenEnvelopes() []struct {
 		{"fault", func(w io.Writer) error {
 			return WriteFault(w, "soap:Server", "it <broke> & \"failed\"\n'twice'")
 		}},
+		{"request-multi", func(w io.Writer) error {
+			return writeEnvelope(w, requestOf(multiRequest()))
+		}},
+		{"response-multi-fault", func(w io.Writer) error {
+			calls := append(multiRequest(), Request{Method: "Get_Temp", Namespace: "urn:weather",
+				Params: []*doc.Node{doc.Elem("city", doc.TextNode("Nice"))}})
+			calls[2] = Request{Method: "Fail", Namespace: "urn:weather", Params: []*doc.Node{doc.Elem("city", doc.TextNode("Mars"))}}
+			var req bytes.Buffer
+			if err := writeEnvelope(&req, requestOf(calls)); err != nil {
+				return err
+			}
+			rec := httptest.NewRecorder()
+			multiServer().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/soap", &req))
+			_, err := w.Write(rec.Body.Bytes())
+			return err
+		}},
 	}
+}
+
+// multiRequest is a request of three calls across two namespaces.
+func multiRequest() []Request {
+	return []Request{
+		{Method: "Get_Temp", Namespace: "urn:weather", Params: []*doc.Node{doc.Elem("city", doc.TextNode("Paris"))}},
+		{Method: "Get_More", Namespace: "urn:more", Params: []*doc.Node{doc.Elem("city", doc.TextNode("Lyon")), doc.Call("Inner", doc.TextNode("x"))}},
+		{Method: "Get_Temp", Namespace: "urn:weather", Params: []*doc.Node{doc.Elem("city", doc.TextNode("Oslo"))}},
+	}
+}
+
+// multiServer serves Get_Temp and Get_More, which return a temp naming
+// their city, and Fail, which fails.
+func multiServer() *Server {
+	reg := service.NewRegistry()
+	temp := func(params []*doc.Node) ([]*doc.Node, error) {
+		return []*doc.Node{doc.Elem("temp", doc.TextNode("15 in "+params[0].Children[0].Value))}, nil
+	}
+	for _, op := range []*service.Operation{
+		{Name: "Get_Temp", Handler: temp},
+		{Name: "Get_More", Handler: temp},
+		{Name: "Fail", ContextHandler: func(context.Context, []*doc.Node) ([]*doc.Node, error) {
+			return nil, errors.New("no reading for <Mars>")
+		}},
+	} {
+		if err := reg.Register(op); err != nil {
+			panic(err)
+		}
+	}
+	return &Server{Registry: reg, Namespace: "urn:weather"}
 }
 
 // TestGoldenEnvelopes: the envelope writers reproduce the pinned bytes,

@@ -80,6 +80,14 @@ type Server struct {
 // 413 whether or not it would also fail to parse; it decodes the envelope
 // in place, and renders the reply into a pooled buffer that it writes
 // once, with its Content-Length.
+//
+// A request carries one body entry per call, at most MaxEntries: a request
+// with more is refused, as a malformed one is, before any entry runs. The
+// entries run in order, each through OnRequest, the registry and
+// OnResponse, and the reply holds one response entry per call. The first
+// entry that fails ends the run: the reply holds the results before it,
+// then its soap:Fault, under the fault's status, and nothing after it
+// runs. A reply to a single call that fails is the fault alone.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "soap endpoints accept POST only", http.StatusMethodNotAllowed)
@@ -106,40 +114,57 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.fault(w, http.StatusBadRequest, "soap:Client", fmt.Errorf("soap: reading envelope: %w", err))
 		return
 	}
-	method, _, params, err := decodeRequest(*buf)
+	calls, err := decodeRequests(*buf, MaxEntries)
 	if err != nil {
 		s.fault(w, http.StatusBadRequest, "soap:Client", err)
 		return
 	}
-	if s.OnRequest != nil {
-		params, err = s.OnRequest(r.Context(), method, params)
-		if err != nil {
-			s.fault(w, http.StatusBadRequest, "soap:Client", err)
-			return
-		}
-	}
-	result, err := s.Registry.Call(r.Context(), method, params)
-	if err != nil {
-		s.fault(w, http.StatusInternalServerError, "soap:Server", err)
-		return
-	}
-	if s.OnResponse != nil {
-		result, err = s.OnResponse(r.Context(), method, result)
-		if err != nil {
-			s.fault(w, http.StatusInternalServerError, "soap:Server", err)
-			return
-		}
-	}
-	// The decoded request refers to nothing in buf, which now takes the
+	// The decoded calls refer to nothing in buf, which now takes the
 	// reply.
-	if *buf, err = appendEnvelope((*buf)[:0], method, "Response", s.Namespace, result); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	reply, status := append((*buf)[:0], envelopeOpen...), http.StatusOK
+	for i := range calls {
+		result, st, code, err := s.run(r.Context(), &calls[i])
+		if err != nil {
+			if i == 0 {
+				s.fault(w, st, code, err)
+				return
+			}
+			reply, status = appendFaultEntry(reply, code, err.Error()), st
+			break
+		}
+		if reply, err = appendEntry(reply, calls[i].Method, "Response", s.Namespace, result); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
+	*buf = append(reply, envelopeClose...)
 	h := w.Header()
 	h.Set("Content-Type", "text/xml; charset=utf-8")
 	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
 	_, _ = w.Write(*buf)
+}
+
+// run runs one call through OnRequest, the registry and OnResponse. A
+// failure comes with the status and fault code of its reply.
+func (s *Server) run(ctx context.Context, call *Request) (result []*doc.Node, status int, code string, err error) {
+	params := call.Params
+	if s.OnRequest != nil {
+		if params, err = s.OnRequest(ctx, call.Method, params); err != nil {
+			return nil, http.StatusBadRequest, "soap:Client", err
+		}
+	}
+	if result, err = s.Registry.Call(ctx, call.Method, params); err != nil {
+		return nil, http.StatusInternalServerError, "soap:Server", err
+	}
+	if s.OnResponse != nil {
+		if result, err = s.OnResponse(ctx, call.Method, result); err != nil {
+			return nil, http.StatusInternalServerError, "soap:Server", err
+		}
+	}
+	return result, http.StatusOK, "", nil
 }
 
 func (s *Server) fault(w http.ResponseWriter, status int, code string, err error) {
@@ -166,26 +191,46 @@ type Client struct {
 // SOAP fault in the body (whatever the status code) surfaces as *Fault,
 // while a non-SOAP error body — a proxy error page, a plain-text http.Error
 // — yields an error carrying the HTTP status and a bounded excerpt instead
-// of a confusing XML parse error.
+// of a confusing XML parse error. Call is the one-call case of a request
+// of several calls (Invoker.SendShare).
+func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
+	results, fault, err := c.call(ctx, []Request{{Method: method, Namespace: c.Namespace, Params: params}})
+	switch {
+	case err != nil:
+		return nil, err
+	case fault != nil:
+		return nil, fault
+	}
+	return results[0], nil
+}
+
+// call sends calls, one body entry each, in one request and decodes the
+// reply: the results of the calls it answered, a prefix of calls, then the
+// fault that ended it, if one did. The request carries the calls whose
+// entries fit in maxShareBytes, and always the first; the reply answers
+// none of the others. A non-nil error fails the whole request; its text
+// names the first call. A fault surfaces whatever the status code, and the
+// results before it with it; a reply without a fault must come with 200.
 //
 // The request is rendered into a pooled buffer and sent from one
 // exact-size copy: the transport may read the body after Do returns, and
 // reads it again through GetBody to retry. The response is read, under
 // MaxResponseBytes, into the pooled buffer and decoded in place.
-func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([]*doc.Node, error) {
+func (c *Client) call(ctx context.Context, calls []Request) (results [][]*doc.Node, fault *Fault, err error) {
+	method := calls[0].Method
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = DefaultClient
 	}
 	buf := getBuf()
 	defer putBuf(buf)
-	var err error
-	if *buf, err = appendEnvelope(*buf, method, "", c.Namespace, params); err != nil {
-		return nil, err
+	var sent int
+	if *buf, sent, err = appendRequest(*buf, calls, maxShareBytes); err != nil {
+		return nil, nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(bytes.Clone(*buf)))
 	if err != nil {
-		return nil, fmt.Errorf("soap: calling %s at %s: %w", method, c.Endpoint, err)
+		return nil, nil, fmt.Errorf("soap: calling %s at %s: %w", method, c.Endpoint, err)
 	}
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	// Propagate the caller's trace so the remote peer's spans, audit
@@ -193,7 +238,7 @@ func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([
 	telemetry.InjectTraceContext(ctx, req.Header)
 	resp, err := httpc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("soap: calling %s at %s: %w", method, c.Endpoint, err)
+		return nil, nil, fmt.Errorf("soap: calling %s at %s: %w", method, c.Endpoint, err)
 	}
 	defer resp.Body.Close()
 	limit := c.MaxResponseBytes
@@ -201,30 +246,27 @@ func (c *Client) Call(ctx context.Context, method string, params []*doc.Node) ([
 		limit = DefaultMaxResponseBytes
 	}
 	if *buf, err = readBody((*buf)[:0], resp.Body, max(limit, 0)); err != nil { // a negative limit reads all
-		return nil, fmt.Errorf("soap: %s at %s: reading response: %w", method, c.Endpoint, err)
+		return nil, nil, fmt.Errorf("soap: %s at %s: reading response: %w", method, c.Endpoint, err)
 	}
 	body := *buf
 
 	ct := resp.Header.Get("Content-Type")
 	if xmlContentType(ct) {
-		out, perr := decodeResponse(body)
-		if fault, ok := perr.(*Fault); ok {
-			return nil, fault // server-reported fault, any status code
-		}
+		results, fault, perr := decodeResponses(body, sent)
 		if perr == nil {
-			if resp.StatusCode != http.StatusOK {
+			if fault == nil && resp.StatusCode != http.StatusOK {
 				// A well-formed response on an error status is a broken
 				// server or intermediary; do not trust the payload.
-				return nil, fmt.Errorf("soap: %s at %s: HTTP %s with a response body", method, c.Endpoint, resp.Status)
+				return nil, nil, fmt.Errorf("soap: %s at %s: HTTP %s with a response body", method, c.Endpoint, resp.Status)
 			}
-			return out, nil
+			return results, fault, nil // a fault is server-reported, any status code
 		}
 		if resp.StatusCode == http.StatusOK {
-			return nil, fmt.Errorf("soap: %s at %s: %w", method, c.Endpoint, perr)
+			return nil, nil, fmt.Errorf("soap: %s at %s: %w", method, c.Endpoint, perr)
 		}
 		// fall through: non-OK status with unparsable XML body
 	}
-	return nil, fmt.Errorf("soap: %s at %s: HTTP %s (Content-Type %q): %s",
+	return nil, nil, fmt.Errorf("soap: %s at %s: HTTP %s (Content-Type %q): %s",
 		method, c.Endpoint, resp.Status, ct, excerpt(body))
 }
 
@@ -262,7 +304,9 @@ func excerpt(body []byte) string {
 
 // Invoker routes function nodes to SOAP endpoints: a node's ServiceRef
 // endpoint wins; Default is used for nodes without one. It implements
-// core.Invoker, making remote services directly usable by the rewriter.
+// core.Invoker, making remote services directly usable by the rewriter,
+// and core.RoundSender: the calls of a rewriting's first round that go to
+// one endpoint share a request.
 type Invoker struct {
 	// Default is the endpoint for calls without an explicit ServiceRef.
 	Default string
@@ -275,23 +319,63 @@ type Invoker struct {
 }
 
 // Invoke implements core.Invoker; the rewriting's context rides the HTTP
-// request, so cancelling the rewrite tears down the connection.
+// request, so cancelling the rewrite tears down the connection. A call of
+// the first round riding on ctx goes out with the unsent planned calls for
+// its endpoint, up to MaxEntries entries and maxShareBytes, in one
+// request, and a planned call a reply already answered is answered at once
+// (core.Round.Send). Any other call, and a call whose context carries a
+// deadline, is a request of its own.
 func (i *Invoker) Invoke(ctx context.Context, call *doc.Node) ([]*doc.Node, error) {
-	endpoint := i.Default
-	ns := i.Namespace
-	if call.Service != nil {
-		if call.Service.Endpoint != "" {
-			endpoint = call.Service.Endpoint
-		}
-		if call.Service.Namespace != "" {
-			ns = call.Service.Namespace
-		}
+	if res, ok, err := core.RoundFrom(ctx).Send(ctx, call, i, MaxEntries); ok {
+		return res, err
 	}
+	endpoint := i.Route(call)
 	if endpoint == "" {
 		return nil, fmt.Errorf("soap: no endpoint for %q", call.Label)
 	}
-	c := Client{Endpoint: endpoint, Namespace: ns, HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
+	c := Client{Endpoint: endpoint, Namespace: i.namespace(call), HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
 	return c.Call(ctx, call.Label, call.Children)
 }
 
-var _ core.Invoker = (*Invoker)(nil)
+// Route implements core.RoundSender: the endpoint a call goes to, empty
+// when it has none.
+func (i *Invoker) Route(call *doc.Node) string {
+	if call.Service != nil && call.Service.Endpoint != "" {
+		return call.Service.Endpoint
+	}
+	return i.Default
+}
+
+// namespace returns the namespace that qualifies a call's body entry.
+func (i *Invoker) namespace(call *doc.Node) string {
+	if call.Service != nil && call.Service.Namespace != "" {
+		return call.Service.Namespace
+	}
+	return i.Namespace
+}
+
+// SendShare implements core.RoundSender: it sends calls, which share one
+// endpoint, as the body entries of one request, each in its own
+// namespace: the first call, and each next one while the envelope stays
+// within maxShareBytes.
+func (i *Invoker) SendShare(ctx context.Context, calls []*doc.Node) ([][]*doc.Node, error, error) {
+	endpoint := i.Route(calls[0])
+	if endpoint == "" {
+		return nil, nil, fmt.Errorf("soap: no endpoint for %q", calls[0].Label)
+	}
+	entries := make([]Request, len(calls))
+	for k, call := range calls {
+		entries[k] = Request{Method: call.Label, Namespace: i.namespace(call), Params: call.Children}
+	}
+	c := Client{Endpoint: endpoint, HTTP: i.HTTP, MaxResponseBytes: i.MaxResponseBytes}
+	results, fault, err := c.call(ctx, entries)
+	if fault == nil {
+		return results, nil, err
+	}
+	return results, fault, err
+}
+
+var (
+	_ core.Invoker     = (*Invoker)(nil)
+	_ core.RoundSender = (*Invoker)(nil)
+)

@@ -3,6 +3,7 @@ package soap
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"axml/internal/core"
 	"axml/internal/doc"
+	"axml/internal/schema"
 	"axml/internal/service"
 )
 
@@ -333,5 +336,250 @@ func TestCallResultsOutliveTheirBuffers(t *testing.T) {
 				t.Fatalf("worker %d call %d: result %v no longer reads as its payload", w, i, out)
 			}
 		}
+	}
+}
+
+// countingRegistry serves Get, which returns a val naming its first text
+// parameter and counts its runs, and Fail, which fails.
+func countingRegistry(t *testing.T, runs *atomic.Int64) *service.Registry {
+	t.Helper()
+	reg := service.NewRegistry()
+	for _, op := range []*service.Operation{
+		{Name: "Get", Handler: func(params []*doc.Node) ([]*doc.Node, error) {
+			runs.Add(1)
+			v := ""
+			if len(params) > 0 {
+				v = params[0].Value
+			}
+			return []*doc.Node{doc.Elem("val", doc.TextNode(v))}, nil
+		}},
+		{Name: "Fail", Handler: func([]*doc.Node) ([]*doc.Node, error) {
+			return nil, errors.New("failed on purpose")
+		}},
+	} {
+		if err := reg.Register(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// requestOf renders the envelope of a request carrying every call.
+func requestOf(calls []Request) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
+		b, _, err := appendRequest(b, calls, 0)
+		return b, err
+	}
+}
+
+func getCalls(n int) []Request {
+	calls := make([]Request, n)
+	for i := range calls {
+		calls[i] = Request{Method: "Get", Params: []*doc.Node{doc.TextNode(strconv.Itoa(i))}}
+	}
+	return calls
+}
+
+// TestServerEntryCap: a request of more than MaxEntries calls is refused
+// as a client error before any of them runs; one of MaxEntries runs them
+// all, in order.
+func TestServerEntryCap(t *testing.T) {
+	var runs atomic.Int64
+	ts := httptest.NewServer(&Server{Registry: countingRegistry(t, &runs)})
+	defer ts.Close()
+	c := &Client{Endpoint: ts.URL}
+	_, fault, err := c.call(context.Background(), getCalls(MaxEntries+1))
+	if err != nil || fault == nil || fault.Code != "soap:Client" || !strings.Contains(fault.String, strconv.Itoa(MaxEntries)) {
+		t.Fatalf("over the cap: fault %v, error %v", fault, err)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("%d entries ran before the refusal", n)
+	}
+	results, fault, err := c.call(context.Background(), getCalls(MaxEntries))
+	if err != nil || fault != nil || len(results) != MaxEntries {
+		t.Fatalf("at the cap: %d results, fault %v, error %v", len(results), fault, err)
+	}
+	for i, res := range results {
+		if len(res) != 1 || res[0].Children[0].Value != strconv.Itoa(i) {
+			t.Fatalf("result %d = %v", i, res)
+		}
+	}
+}
+
+// TestServerMultiEntryBodyLimit: a request of several calls is capped by
+// MaxRequestBytes like one of a single call: 413, and nothing runs.
+func TestServerMultiEntryBodyLimit(t *testing.T) {
+	var runs atomic.Int64
+	ts := httptest.NewServer(&Server{Registry: countingRegistry(t, &runs), MaxRequestBytes: 2048})
+	defer ts.Close()
+	calls := getCalls(40)
+	for i := range calls {
+		calls[i].Params = []*doc.Node{doc.TextNode(strings.Repeat("y", 100))}
+	}
+	var b strings.Builder
+	if err := writeEnvelope(&b, requestOf(calls)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL, "text/xml", strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || runs.Load() != 0 {
+		t.Fatalf("status %d after %d runs, want 413 and none", resp.StatusCode, runs.Load())
+	}
+}
+
+// TestServerStopsAtFirstFault: the reply holds the results before the
+// first failing call, then its fault, under the fault's status, and no
+// call after it runs.
+func TestServerStopsAtFirstFault(t *testing.T) {
+	var runs atomic.Int64
+	ts := httptest.NewServer(&Server{Registry: countingRegistry(t, &runs)})
+	defer ts.Close()
+	calls := getCalls(4)
+	calls[2].Method = "Fail"
+	results, fault, err := (&Client{Endpoint: ts.URL}).call(context.Background(), calls)
+	if err != nil || len(results) != 2 || fault == nil || fault.Code != "soap:Server" {
+		t.Fatalf("%d results, fault %v, error %v; want 2 and a soap:Server fault", len(results), fault, err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("%d calls ran, want the 2 before the fault", n)
+	}
+}
+
+// TestRoundAgainstSingleEntryServer: a rewriting's first round shares one
+// request with a server that runs every entry, and still completes every
+// call against an older server that answers only a request's first entry:
+// each reply returns the unanswered calls to the round, so that server
+// sees one request per call.
+func TestRoundAgainstSingleEntryServer(t *testing.T) {
+	sender := schema.MustParseText("root page\nelem page = (Get|val).(Get|val).(Get|val)\nelem val = data\nfunc Get = data -> val", nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), "root page\nelem page = val.val.val\nelem val = data", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	reg := countingRegistry(t, &runs)
+	oldStyle := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := ReadRequest(r.Body) // the first entry only
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res, err := reg.Call(r.Context(), req.Method, req.Params)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w.Header().Set("Content-Type", "text/xml")
+		_ = WriteResponse(w, req.Method, "", res)
+	})
+	for _, tc := range []struct {
+		name     string
+		handler  http.Handler
+		requests int64
+	}{
+		{"every entry", &Server{Registry: reg}, 1},
+		{"first entry only", oldStyle, 3},
+	} {
+		var requests atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			tc.handler.ServeHTTP(w, r)
+		}))
+		rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Invoker: &Invoker{Default: ts.URL}})
+		out, err := rw.RewriteDocument(context.Background(), doc.Elem("page",
+			doc.Call("Get", doc.TextNode("a")), doc.Call("Get", doc.TextNode("b")), doc.Call("Get", doc.TextNode("c"))), core.Safe)
+		ts.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []string
+		for _, n := range out.Children {
+			got = append(got, n.Children[0].Value)
+		}
+		if strings.Join(got, "") != "abc" {
+			t.Errorf("%s: values %v, want a b c", tc.name, got)
+		}
+		if n := requests.Load(); n != tc.requests {
+			t.Errorf("%s: %d requests, want %d", tc.name, n, tc.requests)
+		}
+	}
+}
+
+// TestRoundThroughChain: a service.Chain hands a later member the round
+// only behind empty registries. So the three planned calls share one
+// request behind an empty registry, none is sent when a local registry
+// serves them, and each is a request of its own behind a registry that
+// serves other operations or behind an opaque invoker.
+func TestRoundThroughChain(t *testing.T) {
+	sender := schema.MustParseText("root page\nelem page = (Get|val).(Get|val).(Get|val)\nelem val = data\nfunc Get = data -> val", nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), "root page\nelem page = val.val.val\nelem val = data", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs, localRuns atomic.Int64
+	local := countingRegistry(t, &localRuns)
+	other := service.NewRegistry()
+	if err := other.Register(&service.Operation{Name: "Other", Handler: func([]*doc.Node) ([]*doc.Node, error) { return nil, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	opaque := core.ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
+		return nil, fmt.Errorf("opaque: %w", service.ErrUnknownOperation)
+	})
+	var requests atomic.Int64
+	soapSrv := &Server{Registry: countingRegistry(t, &runs)}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		soapSrv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	remote := &Invoker{Default: ts.URL}
+	for _, tc := range []struct {
+		name     string
+		chain    service.Chain
+		requests int64
+	}{
+		{"behind an empty registry", service.Chain{service.NewRegistry(), remote}, 1},
+		{"behind a registry serving the calls", service.Chain{local, remote}, 0},
+		{"behind a registry serving other operations", service.Chain{other, remote}, 3},
+		{"behind an opaque invoker", service.Chain{opaque, remote}, 3},
+	} {
+		requests.Store(0)
+		rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Invoker: tc.chain})
+		if _, err := rw.RewriteDocument(context.Background(), doc.Elem("page",
+			doc.Call("Get", doc.TextNode("a")), doc.Call("Get", doc.TextNode("b")), doc.Call("Get", doc.TextNode("c"))), core.Safe); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := requests.Load(); n != tc.requests {
+			t.Errorf("%s: %d requests, want %d", tc.name, n, tc.requests)
+		}
+	}
+	if n := localRuns.Load(); n != 3 {
+		t.Errorf("the local registry ran %d calls, want 3", n)
+	}
+}
+
+// TestInvokerSplitsShareByBytes: a share whose entries would take the
+// envelope past maxShareBytes goes out as the calls that fit, the first
+// always, and the reply answers only those; the round sends the rest with
+// the next planned call.
+func TestInvokerSplitsShareByBytes(t *testing.T) {
+	var runs atomic.Int64
+	ts := httptest.NewServer(&Server{Registry: countingRegistry(t, &runs)})
+	defer ts.Close()
+	big := strings.Repeat("x", maxShareBytes/3)
+	calls := make([]*doc.Node, 4)
+	for i := range calls {
+		calls[i] = doc.Call("Get", doc.TextNode(big))
+	}
+	inv := &Invoker{Default: ts.URL}
+	results, fault, err := inv.SendShare(context.Background(), calls)
+	if err != nil || fault != nil || len(results) != 2 || runs.Load() != 2 {
+		t.Fatalf("%d results after %d runs, fault %v, error %v; want the 2 calls that fit", len(results), runs.Load(), fault, err)
+	}
+	if results, _, err = inv.SendShare(context.Background(), calls[3:]); err != nil || len(results) != 1 || runs.Load() != 3 {
+		t.Fatalf("one call alone: %d results after %d runs in all, error %v", len(results), runs.Load(), err)
 	}
 }

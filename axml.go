@@ -98,7 +98,8 @@ type (
 	Audit = core.Audit
 	// RewriterConfig configures NewRewriterWithConfig: depth bound, invoker,
 	// invocation policies, converters, audit sink, validation switches and
-	// the parallel materialization degree (Parallelism; 1 = sequential).
+	// the size of the executor's slot pool (Parallelism; 1 runs every slot
+	// inline, and no degree changes the result).
 	RewriterConfig = core.RewriterConfig
 	// InvokePolicy wraps an Invoker with cross-cutting behavior (timeout,
 	// retry, circuit breaking, concurrency limiting, fault injection).

@@ -54,11 +54,11 @@ func (rw *Rewriter) RewriteSpineCopy(ctx context.Context, root *doc.Node, from *
 // the Schema Enforcement module applies to service parameters (typ = τ_in)
 // and results (typ = τ_out) — under ctx, with RewriteDocument's cancellation
 // contract. Trees are mutated in place; the returned slice is the new top
-// level. With Rewriter.Parallelism above 1 the rewriting runs on the parallel
-// materialization engine (see parallel.go); at 1 it takes the sequential
-// code paths unchanged.
+// level. Rewriter.Parallelism sizes the executor's slot pool (see
+// parallel.go); every degree runs the same code, and degree 1 runs every
+// slot inline.
 //
-// Read-only invariant: no executor — sequential or parallel, in any mode —
+// Read-only invariant: the executor, at any degree and in any mode, never
 // writes into a function-free subtree of its input. Writes land only on
 // function nodes (their parameters), on elements with a function node below
 // them (their children), and on forests services returned, which belong to
@@ -115,13 +115,7 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 			sched:      newParScheduler(rw.Parallelism),
 		}}
 	if mode == Mixed {
-		var pre []*doc.Node
-		var err error
-		if ex.st.sched != nil {
-			pre, err = ex.preInvokeBatch(forest, 0)
-		} else {
-			pre, err = ex.preInvoke(forest, 0, nodePath{})
-		}
+		pre, err := ex.preInvoke(forest, 0, nodePath{})
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +139,7 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 		return nil, err
 	}
 	var top *wordRun
-	if ex.mode == Safe {
+	if ex.mode == Safe && !rw.reference {
 		if top, err = ex.plan(); err != nil {
 			return nil, err
 		}
@@ -155,8 +149,7 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 
 // execState is the rewriting state shared by every branch of one execution,
 // including all parallel branches: the parameter/permafrost memos, the call
-// budget and the worker scheduler. A nil sched selects the sequential code
-// paths throughout.
+// budget and the worker scheduler. A nil sched runs every slot inline.
 type execState struct {
 	mu sync.Mutex
 	// paramsDone marks function nodes whose parameters have been
@@ -307,13 +300,12 @@ func hasFunc(word []*doc.Node) bool {
 }
 
 // descend rewrites the element subtrees of a rewritten word — independent
-// of one another, so they fan out onto the scheduler when one is
-// configured. fresh marks the word's nodes an invocation returned (nil:
-// none). It skips what the static check proved: a call-free element
-// subtree of a proven word, not returned by an invocation, had each of its
-// words accepted by the check, and for a function-free word w the fork
-// automaton A_w^k is w itself, so acceptance was membership in the
-// content model. Rewriting would change nothing there, and the final
+// of one another, so they fan out through runSlots. fresh marks the word's
+// nodes an invocation returned (nil: none). It skips what the static check
+// proved: a call-free element subtree of a proven word, not returned by an
+// invocation, had each of its words accepted by the check, and for a
+// function-free word w the fork automaton A_w^k is w itself, so acceptance
+// was membership in the content model. Rewriting would change nothing there, and the final
 // verification would only repeat the check. Returned subtrees are never
 // proven: returns need not have been validated.
 func (ex *executor) descend(kids []*doc.Node, fresh []bool, at nodePath, proven bool) error {
@@ -446,41 +438,24 @@ func (ex *executor) element(e *doc.Node, at nodePath, proven bool) error {
 
 // item is one child slot during word rewriting.
 type item struct {
-	node    *doc.Node
-	depth   int
-	kept    bool // decided keep (tentative in possible mode)
-	forced  bool // backtracking flipped this occurrence to "must call"
-	pending bool // decided invoke, dispatch deferred to the round's batch
-	// plan is the plan's verdict on the occurrence, which the executor
-	// reads instead of analyzing the word again (executor.plan).
-	plan verdict
+	node   *doc.Node
+	depth  int
+	kept   bool // decided keep (tentative in possible mode)
+	forced bool // backtracking flipped this occurrence to "must call"
 }
-
-// verdict is a keep-or-invoke decision the plan made ahead of the
-// executor.
-type verdict uint8
-
-const (
-	planNone   verdict = iota // left to the executor
-	planKeep                  // keeping the occurrence preserves the verdict
-	planInvoke                // keeping it breaks the verdict: invoke it
-)
 
 // rewriteWord performs the per-node decision loop: scan left to right, for
 // each invocable function occurrence test whether keeping it preserves the
-// verdict; keep if so, invoke otherwise. In possible mode a final mismatch
-// backtracks over keeps made after the last call (left-to-right rewritings
-// never revisit positions left of an invocation).
-//
-// Safe mode on the parallel engine pipelines within the word: verdicts are
-// fixed by the same left-to-right scan, but the decided invocations dispatch
-// as one concurrent batch per round (decideParallel). Possible mode always
-// runs the sequential loop — backtracking revisits earlier decisions, which
-// a concurrent batch could not honor.
+// verdict; keep if so, invoke otherwise. Safe mode (and Mixed, whose words
+// take the safe analysis) decides in rounds (decideRounds), whose calls fan
+// out through runSlots. Possible mode runs decideFrom, one call at a time:
+// a final mismatch backtracks over keeps made after the last call
+// (left-to-right rewritings never revisit positions left of an
+// invocation), which a batch of calls could not honor.
 //
 // Besides the rewritten word it returns which of its nodes an invocation
 // returned (nil when none did). run, when not nil, is the plan's run over
-// the word, with the plan's verdicts on its items.
+// the word, which arrives with its first round decided.
 func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath, run *wordRun) ([]*doc.Node, []bool, error) {
 	w := run
 	if w == nil {
@@ -489,11 +464,13 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *model, at nodePath, r
 	} else {
 		w.ex = ex
 	}
-	if ex.st.sched != nil && ex.mode == Safe {
-		if err := w.decideParallel(); err != nil {
-			return nil, nil, err
-		}
-	} else if err := w.decideFrom(0); err != nil {
+	var err error
+	if ex.mode == Possible || ex.rw.reference {
+		err = w.decideFrom(0)
+	} else {
+		err = w.decideRounds(run != nil)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	// Final verification, with possible-mode backtracking over keeps made
@@ -556,7 +533,10 @@ type wordRun struct {
 	ex    *executor
 	typ   *regex.Regex
 	items []*item
-	kept  []*item // keeps decided since the last invocation
+	kept  []*item // keeps decided since the last invocation (possible mode)
+	// calls are the invocations the current round decided, in word order,
+	// with their results once dispatched.
+	calls []pendingCall
 	// tokScratch backs tokens(): each verdict consumes its slice before the
 	// next decision rebuilds it, and a word run never queries concurrently.
 	// It is sized to the word when first needed.
@@ -566,6 +546,8 @@ type wordRun struct {
 // decideFrom runs the left-to-right decision loop starting at index j: for
 // every invocable occurrence, tentatively keep it and test the verdict;
 // invoke it when keeping breaks the verdict (or when backtracking forced it).
+// It is Possible mode's loop, and, selected by Rewriter.reference, the
+// sequential reference the round loop is tested against.
 func (w *wordRun) decideFrom(j int) error {
 	ex := w.ex
 	for j < len(w.items) {
@@ -604,30 +586,17 @@ func (w *wordRun) decideFrom(j int) error {
 			}
 			return err
 		}
-		spliced := make([]*item, 0, len(w.items)-1+len(res))
-		spliced = append(spliced, w.items[:j]...)
-		for _, n := range res {
-			spliced = append(spliced, &item{node: n, depth: it.depth + 1})
-			if n.Kind == doc.Func {
-				// Output instances conform: parameters arrive materialized.
-				ex.markParamsDone(n)
-			}
-		}
-		spliced = append(spliced, w.items[j+1:]...)
-		w.items = spliced
+		w.calls = append(w.calls[:0], pendingCall{at: j, res: res})
+		w.splice()
 		w.kept = w.kept[:0] // nothing left of a call may flip
 		// Do not advance: returned occurrences are processed in order.
 	}
 	return nil
 }
 
-// keeps reports whether keeping the item preserves the word's verdict:
-// the plan's verdict when the plan decided the item, else the analysis of
-// the word with the item frozen.
+// keeps reports whether keeping the item preserves the word's verdict: the
+// analysis of the word with the item frozen.
 func (w *wordRun) keeps(it *item) (bool, error) {
-	if it.plan != planNone {
-		return it.plan == planKeep, nil
-	}
 	it.kept = true
 	ok, err := w.ex.rw.wordOK(&w.ex.key, w.tokens(), w.typ, w.ex.mode)
 	it.kept = false
@@ -729,99 +698,114 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 }
 
 // preInvoke is the Mixed mode's speculative pass: invoke every outermost
-// function the PreInvoke predicate admits (default: side-effect-free and
-// zero cost), splice the actual results, and recurse into them while depth
-// allows. The subsequent safe analysis then works on the concrete data.
-// This is the sequential pass; the parallel engine batches the same
-// admissible calls per round instead (preInvokeBatch in parallel.go).
+// speculable call within depth, splice the actual results, and recurse
+// into them while depth allows. The subsequent safe analysis then works on
+// the concrete data. The element subtrees and the calls of a forest carry
+// no ordering obligation, so they fan out through runSlots, each slot
+// doing for its node what a depth-first pass does; the slots' trails flush
+// in document order, so at every degree the audit order is the depth-first
+// one.
 //
 // It returns forest itself when nothing in it changed, and writes an
 // element's children only when they did: a function-free subtree, which
 // may be shared with a stored document, is walked but never written.
 func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*doc.Node, error) {
-	pred := ex.rw.PreInvoke
-	if pred == nil {
-		pred = speculable
-	}
 	c := ex.rw.Compiled
-	var out []*doc.Node // nil until the forest differs from its input
-	keep := func(n *doc.Node) {
-		if out != nil {
-			out = append(out, n)
-		}
-	}
+	var slots []int
 	var up *nodePath
+	calls := 0
 	for i, n := range forest {
-		if n.Kind == doc.Element {
+		switch {
+		case n.Kind == doc.Element:
 			if up == nil {
 				up = at.box()
 			}
-			kids, err := ex.preInvoke(n.Children, depth, nodePath{up: up, label: n.Label, index: plainStep})
-			if err != nil {
-				return nil, err
+		case n.Kind == doc.Func && depth < ex.rw.K:
+			if fi := c.funcOf(n.Label); fi == nil || !fi.Invocable || !speculable(fi) {
+				continue
 			}
-			if !sameForest(kids, n.Children) {
+			calls++
+		default:
+			continue
+		}
+		if slots == nil {
+			slots = make([]int, 0, len(forest)-i)
+		}
+		slots = append(slots, i)
+	}
+	if len(slots) == 0 {
+		return forest, nil
+	}
+	// spliced[k] is the forest that replaces slot k's call: its results,
+	// pre-invoked in turn, or the call itself when it stays.
+	var spliced [][]*doc.Node
+	if calls > 0 {
+		spliced = make([][]*doc.Node, len(slots))
+	}
+	err := ex.runSlots(len(slots), func(child *executor, k int) error {
+		i := slots[k]
+		n := forest[i]
+		if n.Kind == doc.Element {
+			kids, err := child.preInvoke(n.Children, depth, nodePath{up: up, label: n.Label, index: plainStep})
+			if err == nil && !sameForest(kids, n.Children) {
 				n.Children = kids
 			}
-			keep(n)
-			continue
+			return err
 		}
-		if n.Kind != doc.Func || depth >= ex.rw.K {
-			keep(n)
-			continue
-		}
-		fi := c.funcOf(n.Label)
-		if fi == nil || !fi.Invocable || !pred(fi) {
-			keep(n)
-			continue
-		}
+		spliced[k] = forest[i : i+1]
 		for _, f := range doc.FuncsBottomUp(n) {
-			if err := ex.materializeParams(f, at); err != nil {
-				return nil, err
+			if err := child.materializeParams(f, at); err != nil {
+				return err
 			}
 		}
-		if ex.isFrozen(n) {
-			keep(n)
-			continue
+		if child.isFrozen(n) {
+			return nil
 		}
-		res, err := ex.invoke(n, depth+1)
+		res, err := child.invoke(n, depth+1)
 		if err != nil {
-			if ex.ctx.Err() == nil && IsTransientCall(err) {
+			if child.ctx.Err() == nil && IsTransientCall(err) {
 				// The speculative pass is best-effort: a flaky endpoint
 				// leaves the call intensional and the safe analysis decides
 				// whether the document still rewrites without it.
-				ex.freeze(n)
-				Emit(ex.ctx, InvokeEvent{Func: n.Label, Endpoint: EndpointOf(n),
+				child.freeze(n)
+				Emit(child.ctx, InvokeEvent{Func: n.Label, Endpoint: EndpointOf(n),
 					Kind: EventDegraded, Err: err.Error()})
-				keep(n)
-				continue
+				return nil
 			}
-			return nil, err
+			return err
 		}
 		for _, r := range res {
 			if r.Kind == doc.Func {
-				ex.markParamsDone(r)
+				child.markParamsDone(r)
 			}
 		}
-		deeper, err := ex.preInvoke(res, depth+1, at)
-		if err != nil {
-			return nil, err
+		spliced[k], err = child.preInvoke(res, depth+1, at)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []*doc.Node // nil until the forest differs from its input
+	next := 0           // forest[next:] is not copied to out yet
+	for k, i := range slots {
+		if forest[i].Kind != doc.Func || sameForest(spliced[k], forest[i:i+1]) {
+			continue
 		}
 		if out == nil {
-			out = make([]*doc.Node, i, len(forest)-1+len(deeper))
-			copy(out, forest[:i])
+			out = make([]*doc.Node, 0, len(forest)-1+len(spliced[k]))
 		}
-		out = append(out, deeper...)
+		out = append(append(out, forest[next:i]...), spliced[k]...)
+		next = i + 1
 	}
 	if out == nil {
 		return forest, nil
 	}
-	return out, nil
+	return append(out, forest[next:]...), nil
 }
 
-// speculable is the Mixed mode's default PreInvoke predicate, and the test
-// of a call the first round may send ahead of the executor: a function
-// declared without side effects and at zero cost.
+// speculable is the test of a call Mixed mode's pre-pass invokes, and of a
+// call the first round may send ahead of the executor: a function declared
+// without side effects and at zero cost.
 func speculable(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
 
 // sameForest reports whether a and b are the same slice of nodes.

@@ -39,7 +39,6 @@ type Instruments struct {
 	rewriteSecs [3]*telemetry.Histogram
 	decKeep     *telemetry.Counter
 	decInvoke   *telemetry.Counter
-	decDefer    *telemetry.Counter
 	decBack     *telemetry.Counter
 	// verifiedChecks counts static checks that skipped the shared subtrees
 	// of a version an earlier check verified (rewriter.go checkForest).
@@ -56,12 +55,12 @@ type Instruments struct {
 	breakerHalf    *telemetry.Counter
 	breakerRejects *telemetry.Counter
 
-	// --- parallel engine (parallel.go) ---
+	// --- slot pool and rounds (parallel.go) ---
 	parActive  *telemetry.Gauge
 	parSpawned *telemetry.Counter
 	parInline  *telemetry.Counter
-	parRounds  [2]*telemetry.Counter   // [word|preinvoke]
-	parBatch   [2]*telemetry.Histogram // [word|preinvoke]
+	parRounds  *telemetry.Counter
+	parBatch   *telemetry.Histogram
 
 	// Per-endpoint handles are an open set, resolved lazily on the first
 	// call to an endpoint and cached here so the invocation hot path never
@@ -79,12 +78,6 @@ type endpointInstruments struct {
 	breaker  *telemetry.Gauge
 	spanName string // "invoke.<endpoint>"
 }
-
-// phase indices for parRounds/parBatch
-const (
-	phaseWord = iota
-	phasePre
-)
 
 // rewriteSpanNames pre-builds the per-mode span names stamped on every
 // top-level rewriting, sparing a concatenation per call.
@@ -130,7 +123,6 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	}
 	ins.decKeep = reg.Counter("axml_word_decisions_total", "decision", "keep")
 	ins.decInvoke = reg.Counter("axml_word_decisions_total", "decision", "invoke")
-	ins.decDefer = reg.Counter("axml_word_decisions_total", "decision", "defer")
 	ins.decBack = reg.Counter("axml_word_decisions_total", "decision", "backtrack")
 	ins.verifiedChecks = reg.Counter("axml_static_checks_verified_total")
 
@@ -147,10 +139,8 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 	ins.parActive = reg.Gauge("axml_parallel_active_slots")
 	ins.parSpawned = reg.Counter("axml_parallel_tasks_total", "exec", "spawned")
 	ins.parInline = reg.Counter("axml_parallel_tasks_total", "exec", "inline")
-	ins.parRounds[phaseWord] = reg.Counter("axml_parallel_rounds_total", "phase", "word")
-	ins.parRounds[phasePre] = reg.Counter("axml_parallel_rounds_total", "phase", "preinvoke")
-	ins.parBatch[phaseWord] = reg.Histogram("axml_parallel_batch_size", telemetry.CountBuckets, "phase", "word")
-	ins.parBatch[phasePre] = reg.Histogram("axml_parallel_batch_size", telemetry.CountBuckets, "phase", "preinvoke")
+	ins.parRounds = reg.Counter("axml_parallel_rounds_total")
+	ins.parBatch = reg.Histogram("axml_parallel_batch_size", telemetry.CountBuckets)
 	return ins
 }
 
@@ -206,8 +196,8 @@ func (ins *Instruments) observeRewrite(mode Mode, d time.Duration, err error, tr
 	}
 }
 
-// countKeep / countInvoke / countDefer / countBacktrack tally the
-// per-occurrence decisions of the word-rewriting loops.
+// countKeep / countInvoke / countBacktrack tally the per-occurrence
+// decisions of the word-rewriting loops.
 func (ins *Instruments) countKeep() {
 	if ins != nil {
 		ins.decKeep.Inc()
@@ -217,12 +207,6 @@ func (ins *Instruments) countKeep() {
 func (ins *Instruments) countInvoke() {
 	if ins != nil {
 		ins.decInvoke.Inc()
-	}
-}
-
-func (ins *Instruments) countDefer() {
-	if ins != nil {
-		ins.decDefer.Inc()
 	}
 }
 
@@ -240,7 +224,7 @@ func (ins *Instruments) countVerifiedCheck() {
 	}
 }
 
-// taskStart / taskEnd track parallel-engine slot utilization; spawned
+// taskStart / taskEnd track slot-pool utilization; spawned
 // distinguishes tasks handed to a worker goroutine from those the
 // spawning goroutine ran inline for lack of a free slot.
 func (ins *Instruments) taskStart(spawned bool) {
@@ -261,14 +245,14 @@ func (ins *Instruments) taskEnd() {
 	}
 }
 
-// round records one dispatch round of the parallel engine and its batch
-// size; phase is phaseWord or phasePre.
-func (ins *Instruments) round(phase, batch int) {
+// round records one round of a Safe word and the number of calls it
+// dispatched.
+func (ins *Instruments) round(calls int) {
 	if ins == nil {
 		return
 	}
-	ins.parRounds[phase].Inc()
-	ins.parBatch[phase].Observe(float64(batch))
+	ins.parRounds.Inc()
+	ins.parBatch.Observe(float64(calls))
 }
 
 // endpoint resolves (and caches) the per-endpoint handle bundle. The

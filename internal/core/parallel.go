@@ -9,41 +9,34 @@ import (
 	"axml/internal/regex"
 )
 
-// This file implements the parallel materialization engine: the paper's
-// rewriting discipline only constrains invocation order *within one
-// content-model word* (Section 4) — calls sitting in disjoint element
-// subtrees, and the whole mixed-mode speculative pass (Section 5), carry no
-// ordering obligations at all. The engine exploits exactly that slack:
+// This file holds the executor's slot pool and its Safe-mode round loop.
+// The paper's rewriting discipline only constrains invocation order *within
+// one content-model word* (Section 4): calls sitting in disjoint element
+// subtrees, and the calls of Mixed mode's speculative pass (Section 5),
+// carry no ordering obligation at all. The executor fans exactly that slack
+// out through runSlots:
 //
-//   - sibling element subtrees rewrite concurrently (each subtree's content
-//     models are analyzed in isolation), with document order preserved by
-//     slot assignment rather than execution order;
-//   - the mixed-mode pre-invocation pass gathers every admissible outermost
-//     call and issues them as one concurrent batch, round by round;
-//   - safe-mode word rewriting pipelines within a word: the left-to-right
-//     scan fixes keep/invoke verdicts without performing any call, then the
-//     decided invocations dispatch as one concurrent batch and splice back
-//     left-to-right; occurrences arriving inside spliced results — the
-//     genuinely dependent positions — are decided in the next round.
+//   - sibling element subtrees rewrite in slots of their own (each
+//     subtree's content models are analyzed in isolation);
+//   - Mixed mode's pre-pass gives each element subtree and each speculable
+//     call of a forest a slot (preInvoke);
+//   - a Safe word decides in rounds (decideRounds): a left-to-right scan
+//     fixes keep-or-invoke verdicts without making a call, the round's
+//     calls take a slot each and splice back left to right, and the
+//     positions whose verdict depends on a call's answer are decided in
+//     the next round.
 //
-// Within-word verdicts made while calls are pending are only final when
-// they provably coincide with the sequential engine's (see scan);
-// dependent positions defer to the next round, so the engine makes exactly
-// the decisions the sequential one would, in batches.
-//
-// Possible mode keeps its sequential within-word loop (backtracking re-reads
-// earlier decisions), but still gains subtree- and pre-invoke-level
-// concurrency.
-//
-// Determinism: a parallelism degree of 1 (or 0) takes the sequential code
-// paths untouched — byte-for-byte identical trees, errors and audit order.
-// At higher degrees, every fan-out buffers its audit (call records and
-// policy events) per slot and flushes the buffers in document order, so the
-// trail is deterministic for a fixed degree even though execution order is
-// not.
+// Rewriter.Parallelism sizes the pool and selects no code path: degree 1
+// runs every slot inline, in order, so it makes the calls the depth-first,
+// one-call-at-a-time executor makes, in its order. Above degree 1 every
+// fan-out buffers its audit (call records and policy events) per slot and
+// flushes the buffers in document order, so trees, audit order, events and
+// errors are those of degree 1 even though execution order is not. Only a
+// failed fan-out differs: other slots may have finished calls before the
+// failure cancelled them.
 
 // DefaultParallelism is the degree selected when RewriterConfig leaves
-// Parallelism zero: sequential execution, the paper's original discipline.
+// Parallelism zero: one slot, so every slot runs inline.
 const DefaultParallelism = 1
 
 // parScheduler bounds the number of concurrently executing rewriting tasks.
@@ -56,7 +49,7 @@ type parScheduler struct {
 }
 
 // newParScheduler returns nil for degree <= 1: the executor treats a nil
-// scheduler as "run the sequential code paths".
+// scheduler as "run every slot inline".
 func newParScheduler(degree int) *parScheduler {
 	if degree <= 1 {
 		return nil
@@ -77,12 +70,12 @@ func (s *parScheduler) tryAcquire() bool {
 func (s *parScheduler) release() { <-s.slots }
 
 // runSlots executes n slot tasks. With no scheduler (or a single slot) it
-// degenerates to the sequential loop, stopping at the first error — the
-// pre-parallel behavior. With a scheduler it fans the slots out, cancelling
-// the remaining ones on the first failure, and flushes each slot's buffered
-// audit trail in slot order once all are done. The returned error is the
-// first slot's (in document order) whose failure is not a cancellation
-// artifact of some other slot's.
+// runs them inline, in order, stopping at the first error. With a
+// scheduler it fans the slots out, cancelling the remaining ones on the
+// first failure, and flushes each slot's buffered audit trail in slot
+// order once all are done. The returned error is the first slot's (in
+// document order) whose failure is not a cancellation artifact of some
+// other slot's.
 func (ex *executor) runSlots(n int, fn func(child *executor, i int) error) error {
 	if n == 0 {
 		return nil
@@ -200,132 +193,128 @@ func firstSlotError(ctx context.Context, errs []error) error {
 }
 
 // ---------------------------------------------------------------------------
-// Safe-mode within-word pipelining.
+// Safe-mode rounds.
 
-// decideParallel is the parallel counterpart of decideFrom for Safe mode:
-// round after round, it fixes every verdict no pending call can change
-// (scan), dispatches the invocations decided concurrently, and splices the
-// results back left-to-right, until every position is kept or exhausted.
-// The first round reads the verdicts the plan made (executor.plan) instead
-// of analyzing those positions again.
+// pendingCall is an invocation a round decided: the position of its item
+// in the word and, once dispatched, what the call returned.
+type pendingCall struct {
+	at  int
+	res []*doc.Node
+}
+
+// decideRounds is the Safe-mode decision loop: round after round, it scans
+// the word (scan), dispatches the invocations the scan decided, one slot
+// each, and splices the results back left to right, until every position
+// is kept or exhausted. A run the plan scanned (executor.plan) arrives with
+// its first round decided, so scanned skips that round's scan.
 //
-// The deferral rule (see scan) keeps the engine's decisions — and therefore
-// the final tree and the set of calls made — identical to the sequential
-// engine's at every degree; only the dispatch order (and so the
-// wall-clock) differs. Safe mode never revisits a keep (there is no
-// backtracking), so decisions from earlier rounds stand. Every round
-// batches at least the leftmost undecided invocation, so the loop
-// terminates.
-func (w *wordRun) decideParallel() error {
+// A round's calls are a left-to-right prefix of the word's undecided
+// positions in which every call but the last splices one known word
+// holding no call (singletonOutput). So the next round starts on the last
+// call's returned occurrences, which is where a one-call-at-a-time loop
+// (decideFrom) continues, and decides every position as that loop does, in
+// its order. Safe mode never revisits a keep (there is no backtracking),
+// and every round dispatches at least one call, so the loop terminates.
+func (w *wordRun) decideRounds(scanned bool) error {
 	ex := w.ex
 	for {
-		pending, err := w.scan(false, nil)
-		if err != nil {
-			return err
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		ex.rw.Instruments.round(phaseWord, len(pending))
-		results := make([][]*doc.Node, len(pending))
-		err = ex.runSlots(len(pending), func(child *executor, k int) error {
-			it := w.items[pending[k]]
-			res, err := child.invoke(it.node, it.depth+1)
-			if err != nil {
+		if !scanned {
+			var err error
+			if w.calls, err = w.scan(w.calls[:0]); err != nil {
 				return err
 			}
-			results[k] = res
+		}
+		scanned = false
+		if len(w.calls) == 0 {
 			return nil
-		})
-		if err != nil {
+		}
+		ex.rw.Instruments.round(len(w.calls))
+		if err := ex.runSlots(len(w.calls), w.dispatch); err != nil {
 			return err
 		}
-		next := make([]*item, 0, len(w.items))
-		k := 0
-		for j, it := range w.items {
-			if k < len(pending) && pending[k] == j {
-				for _, n := range results[k] {
-					next = append(next, &item{node: n, depth: it.depth + 1})
-					if n.Kind == doc.Func {
-						// Output instances conform: parameters arrive
-						// materialized.
-						ex.markParamsDone(n)
-					}
-				}
-				k++
-				continue
-			}
-			next = append(next, it)
-		}
-		w.items = next
+		w.splice()
 	}
 }
 
-// scan makes one left-to-right pass over the word's undecided callable
-// positions, fixing every keep-or-invoke verdict no pending call can
-// change, without making a call. It marks the positions it decides to
-// invoke pending and returns them, in order, appended to pending.
-//
-// Verdicts made while earlier positions' calls are pending must coincide
-// with the decisions the sequential engine (decideFrom) would make after
-// seeing those calls' actual results:
-//
-//   - A keep verdict (wordOK true with the position frozen and every pending
-//     call treated as a still-invocable occurrence) quantifies over the
-//     pending calls' whole output languages, so it implies the sequential
-//     verdict for whatever they actually return. Keeps are always final.
-//   - An invoke verdict (wordOK false) is final only while every pending
-//     call before the position will splice one known word
-//     (singletonOutput): then quantifying over its outputs is the same as
-//     splicing that word, and the verdict is exactly the sequential one.
-//     Once a pending call can answer with more than one word, the safe
-//     strategy may need to adapt to the answer (keep a later occurrence on
-//     one output, call it on another), so such positions are open: they
-//     defer to the next round, where they are re-analyzed against the
-//     actual spliced results — precisely the word state the sequential
-//     engine decides them in.
-//
-// A position the plan decided takes the plan's verdict without an
-// analysis. With plan set, the pass is the plan's own (executor.plan): it
-// counts no decision, since the executor counts each one when it reads it,
-// and it stops before the first open position, leaving it and the rest of
-// the word unanalyzed for the executor to decide as it always did.
-func (w *wordRun) scan(plan bool, pending []int) ([]int, error) {
+// dispatch makes the k-th call of the round on a slot's executor.
+func (w *wordRun) dispatch(child *executor, k int) error {
+	c := &w.calls[k]
+	it := w.items[c.at]
+	var err error
+	c.res, err = child.invoke(it.node, it.depth+1)
+	return err
+}
+
+// splice replaces the item of each of the round's calls by items holding
+// the nodes the call returned, one level deeper, in word order.
+func (w *wordRun) splice() {
 	ex := w.ex
-	ins := ex.rw.Instruments
-	open := false // a pending position to the left can answer more than one word
+	size := len(w.items)
+	for _, c := range w.calls {
+		size += len(c.res) - 1
+	}
+	next := make([]*item, 0, size)
+	k := 0
 	for j, it := range w.items {
-		if it.pending || !ex.callable(it) {
+		if k == len(w.calls) || w.calls[k].at != j {
+			next = append(next, it)
 			continue
 		}
-		if open && plan {
-			break
+		for _, n := range w.calls[k].res {
+			next = append(next, &item{node: n, depth: it.depth + 1})
+			if n.Kind == doc.Func {
+				// Output instances conform: parameters arrive materialized.
+				ex.markParamsDone(n)
+			}
+		}
+		k++
+	}
+	w.items = next
+}
+
+// scan makes one left-to-right pass over the word's undecided callable
+// positions, deciding them without making a call: it keeps a position when
+// keeping it preserves the verdict, and appends those it decides to invoke
+// to calls, in order. It stops before the first position a pending call
+// leaves open.
+//
+// Its verdicts are the ones a one-call-at-a-time loop (decideFrom) makes
+// after seeing the actual results of the calls to the left:
+//
+//   - While every pending call to the left will splice one known word
+//     holding no call (singletonOutput), quantifying over its outputs is
+//     the same as splicing that word, so keep and invoke verdicts are
+//     exactly the sequential ones.
+//   - A pending call that can answer with more than one word, or with a
+//     call, leaves every position to its right open: the safe strategy may
+//     need to adapt to the answer (keep a later occurrence on one output,
+//     call it on another). The scan stops there, and the next round
+//     decides those positions against the actual results — precisely the
+//     word state the sequential loop decides them in. So no position is
+//     analyzed twice.
+func (w *wordRun) scan(calls []pendingCall) ([]pendingCall, error) {
+	ex := w.ex
+	ins := ex.rw.Instruments
+	for j, it := range w.items {
+		if !ex.callable(it) {
+			continue
 		}
 		keep, err := w.keeps(it)
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case keep:
+		if keep {
 			it.kept = true
-			if !plan {
-				ins.countKeep()
-			}
-		case open:
-			// Dependent position: the verdict could change once the
-			// pending calls' actual results are spliced. Leave it
-			// undecided for the next round.
-			ins.countDefer()
-		default:
-			if !plan {
-				ins.countInvoke()
-			}
-			it.pending = true
-			pending = append(pending, j)
-			open = !ex.singletonOutput(it.node)
+			ins.countKeep()
+			continue
+		}
+		ins.countInvoke()
+		calls = append(calls, pendingCall{at: j})
+		if !ex.singletonOutput(it.node) {
+			break // the positions to its right wait for its answer
 		}
 	}
-	return pending, nil
+	return calls, nil
 }
 
 // singletonOutput reports whether invoking the function occurrence will
@@ -378,140 +367,4 @@ func singletonWord(r *regex.Regex) bool {
 	default:
 		return false
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Batched mixed-mode pre-invocation.
-
-// preTask is one admissible outermost call gathered for a pre-invocation
-// batch round.
-type preTask struct {
-	parent *doc.Node // the container whose Children hold the call
-	node   *doc.Node
-	depth  int
-	res    []*doc.Node
-	keep   bool // transient failure: leave the occurrence intensional
-}
-
-// preInvokeBatch is the parallel mixed-mode speculative pass: round after
-// round it gathers every admissible outermost call of the forest (walking
-// sequentially, materializing parameters as the sequential pass would),
-// issues the round as one concurrent batch through the invocation layer, and
-// splices the results in document order. Calls appearing inside results are
-// picked up by the next round at depth+1 while the depth bound allows.
-func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int) ([]*doc.Node, error) {
-	pred := ex.rw.PreInvoke
-	if pred == nil {
-		pred = speculable
-	}
-	holder := &doc.Node{Kind: doc.Element, Children: forest}
-	// depthAt overrides the inherited depth for the roots of spliced
-	// results; everything below such a root inherits it during the walk.
-	depthAt := map[*doc.Node]int{}
-	for {
-		var tasks []*preTask
-		if err := ex.gatherPre(holder, depth, nodePath{}, pred, depthAt, &tasks); err != nil {
-			return nil, err
-		}
-		if len(tasks) == 0 {
-			return holder.Children, nil
-		}
-		ex.rw.Instruments.round(phasePre, len(tasks))
-		err := ex.runSlots(len(tasks), func(child *executor, k int) error {
-			t := tasks[k]
-			res, err := child.invoke(t.node, t.depth+1)
-			if err != nil {
-				if child.ctx.Err() == nil && IsTransientCall(err) {
-					// Best-effort pass: a flaky endpoint leaves the call
-					// intensional; the safe analysis decides whether the
-					// document still rewrites without it.
-					child.freeze(t.node)
-					Emit(child.ctx, InvokeEvent{Func: t.node.Label, Endpoint: EndpointOf(t.node),
-						Kind: EventDegraded, Err: err.Error()})
-					t.keep = true
-					return nil
-				}
-				return err
-			}
-			t.res = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Splice each round's results into their containers, in document
-		// order, then let the next gather round see the new occurrences.
-		byParent := map[*doc.Node]map[*doc.Node]*preTask{}
-		for _, t := range tasks {
-			m := byParent[t.parent]
-			if m == nil {
-				m = map[*doc.Node]*preTask{}
-				byParent[t.parent] = m
-			}
-			m[t.node] = t
-		}
-		for parent, m := range byParent {
-			next := make([]*doc.Node, 0, len(parent.Children))
-			for _, ch := range parent.Children {
-				t, ok := m[ch]
-				if !ok || t.keep {
-					next = append(next, ch)
-					continue
-				}
-				for _, r := range t.res {
-					depthAt[r] = t.depth + 1
-					if r.Kind == doc.Func {
-						ex.markParamsDone(r)
-					}
-					next = append(next, r)
-				}
-			}
-			parent.Children = next
-		}
-	}
-}
-
-// gatherPre walks one container collecting the admissible outermost calls of
-// the current round. It mirrors the sequential pass's admission logic:
-// depth-bounded, declared, invocable, admitted by the PreInvoke predicate,
-// with parameters materialized (sequentially — parameter materialization may
-// itself invoke) and not frozen by earlier failures.
-func (ex *executor) gatherPre(container *doc.Node, depth int, at nodePath, pred func(*FuncInfo) bool, depthAt map[*doc.Node]int, tasks *[]*preTask) error {
-	c := ex.rw.Compiled
-	var up *nodePath
-	for _, n := range container.Children {
-		d := depth
-		if over, ok := depthAt[n]; ok {
-			d = over
-		}
-		if n.Kind == doc.Element {
-			if up == nil {
-				up = at.box()
-			}
-			if err := ex.gatherPre(n, d, nodePath{up: up, label: n.Label, index: plainStep}, pred, depthAt, tasks); err != nil {
-				return err
-			}
-			continue
-		}
-		if n.Kind != doc.Func || d >= ex.rw.K {
-			continue
-		}
-		fi := c.funcOf(n.Label)
-		if fi == nil || !fi.Invocable || !pred(fi) {
-			continue
-		}
-		if ex.isFrozen(n) {
-			continue
-		}
-		for _, f := range doc.FuncsBottomUp(n) {
-			if err := ex.materializeParams(f, at); err != nil {
-				return err
-			}
-		}
-		if ex.isFrozen(n) {
-			continue
-		}
-		*tasks = append(*tasks, &preTask{parent: container, node: n, depth: d})
-	}
-	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/telemetry"
 )
 
 // recordingInvoker is a pure, concurrency-safe service simulator: the result
@@ -194,26 +197,43 @@ func Get = data -> val
 
 // TestParallelAuditDeterministic: per-slot audit buffering flushed in
 // document order makes the call-record order deterministic — document order,
-// in fact — at every fixed degree, concurrent execution notwithstanding.
+// in fact — at every fixed degree, concurrent execution notwithstanding, in
+// every mode. On the stress document every record reads Get at depth 1; on
+// a generated one, whose calls differ by function and whose parameters
+// hold calls of their own, every run's order is degree 1's.
 func TestParallelAuditDeterministic(t *testing.T) {
 	const funcs = 120
 	sender, target := stressPair(t)
-	for _, degree := range []int{1, 4} {
-		for run := 0; run < 2; run++ {
-			inv := &recordingInvoker{}
-			rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
-			rw.Audit = &Audit{}
-			rw.Parallelism = degree
-			if _, err := rw.RewriteDocument(context.Background(), stressDoc(funcs), Safe); err != nil {
-				t.Fatalf("degree %d: %v", degree, err)
-			}
-			records := rw.Audit.Calls()
-			if len(records) != funcs {
-				t.Fatalf("degree %d: %d records, want %d", degree, len(records), funcs)
-			}
-			for i, c := range records {
-				if c.Func != "Get" || c.Depth != 1 {
-					t.Fatalf("degree %d: record %d = %+v", degree, i, c)
+	generated := propDoc(rand.New(rand.NewSource(5)), 8)
+	for _, mode := range []Mode{Safe, Possible, Mixed} {
+		var want []string
+		for _, degree := range []int{1, 4} {
+			for run := 0; run < 2; run++ {
+				inv := &recordingInvoker{}
+				rw := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 2, Invoker: inv})
+				rw.Audit = &Audit{}
+				rw.Parallelism = degree
+				if _, err := rw.RewriteDocument(context.Background(), stressDoc(funcs), mode); err != nil {
+					t.Fatalf("mode %v degree %d: %v", mode, degree, err)
+				}
+				records := rw.Audit.Calls()
+				if len(records) != funcs {
+					t.Fatalf("mode %v degree %d: %d records, want %d", mode, degree, len(records), funcs)
+				}
+				for i, c := range records {
+					if c.Func != "Get" || c.Depth != 1 {
+						t.Fatalf("mode %v degree %d: record %d = %+v", mode, degree, i, c)
+					}
+				}
+				gen := propRewriter(t, degree)
+				if _, err := gen.RewriteDocument(context.Background(), generated.Clone(), mode); err != nil {
+					t.Fatalf("mode %v degree %d: generated document: %v", mode, degree, err)
+				}
+				got := auditKeys(gen.Audit)
+				if want == nil {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Errorf("mode %v degree %d run %d: audit %v\nwant %v", mode, degree, run, got, want)
 				}
 			}
 		}
@@ -267,6 +287,49 @@ func G = data -> val
 		}
 		if calls != 1 {
 			t.Errorf("degree %d: %d calls, want 1 (only F)", degree, calls)
+		}
+	}
+}
+
+// TestWordAnalyzedOnceAtEveryDegree: on TestParallelAdaptiveDeferral's F.G
+// pair, each position is analyzed once at every degree. The static check
+// analyzes the word, the plan F, whose answer (val or w) leaves G open,
+// and the second round G against F's actual answer: 3 word-memo lookups,
+// one invoke and one keep at degree 1 and at degree 8. A round that
+// analyzed G while F was in flight would analyze it twice.
+func TestWordAnalyzedOnceAtEveryDegree(t *testing.T) {
+	text := `
+root page
+elem page = F.G
+elem val = data
+elem w = data
+func F = data -> (val|w)
+func G = data -> val
+`
+	sender := schema.MustParseText(text, nil)
+	target, err := schema.ParseTextShared(schema.NewShared(sender.Table), strings.Replace(
+		text, "elem page = F.G", "elem page = (val.G)|(w.val)", 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
+		return []*doc.Node{doc.Elem("val", doc.TextNode(call.Label))}, nil
+	})
+	for _, degree := range []int{1, 8} {
+		reg := telemetry.NewRegistry()
+		c := Compile(sender, target)
+		rw := NewRewriterForConfig(c, RewriterConfig{Depth: 2, Invoker: inv, Parallelism: degree, Telemetry: reg})
+		root := doc.Elem("page", doc.Call("F", doc.TextNode("x")), doc.Call("G", doc.TextNode("y")))
+		if _, err := rw.RewriteDocument(context.Background(), root, Safe); err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if st := c.WordCacheStats(); st.Hits+st.Misses != 3 {
+			t.Errorf("degree %d: %d word-memo lookups, want 3", degree, st.Hits+st.Misses)
+		}
+		for decision, want := range map[string]float64{"invoke": 1, "keep": 1} {
+			if v, _ := reg.Value("axml_word_decisions_total", "decision", decision); v != want {
+				t.Errorf("degree %d: %v %s decisions, want %v", degree, v, decision, want)
+			}
 		}
 	}
 }

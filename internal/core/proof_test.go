@@ -216,8 +216,7 @@ func TestGeneratedDocumentsAcrossModes(t *testing.T) {
 // TestGeneratedDocumentsEnginesAgree runs the same generated documents on
 // the eager and lazy engines at parallelism 1 and 4, in every mode: every
 // run agrees with the sequential eager one on the output tree and the audit
-// order. Mixed mode at degree 4 agrees on the tree only: it batches
-// pre-invocation calls round by round, outermost calls first.
+// order.
 func TestGeneratedDocumentsEnginesAgree(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		root := propDoc(rand.New(rand.NewSource(seed)), 1+int(seed%7))
@@ -239,7 +238,7 @@ func TestGeneratedDocumentsEnginesAgree(t *testing.T) {
 					if !out.Equal(refOut) {
 						t.Errorf("seed %d mode %v: engine %d degree %d output diverges\n%s\nsequential eager\n%s", seed, mode, engine, degree, out, refOut)
 					}
-					if got := auditKeys(rw.Audit); (mode != Mixed || degree == 1) && !slices.Equal(got, refAudit) {
+					if got := auditKeys(rw.Audit); !slices.Equal(got, refAudit) {
 						t.Errorf("seed %d mode %v: engine %d degree %d audit diverges\n%v\nsequential eager\n%v", seed, mode, engine, degree, got, refAudit)
 					}
 				}

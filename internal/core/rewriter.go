@@ -74,9 +74,6 @@ type Rewriter struct {
 	// MaxCalls caps total invocations per rewriting as a runaway valve
 	// (recursive services). Default DefaultMaxCalls.
 	MaxCalls int
-	// PreInvoke guards the Mixed mode's speculative pass; defaults to
-	// "no side effects and zero cost".
-	PreInvoke func(*FuncInfo) bool
 	// Converters optionally restructure non-conforming service results
 	// before the exchange is failed (the paper's "automatic converters"
 	// extension); tried in order, first conforming restructuring wins.
@@ -88,19 +85,24 @@ type Rewriter struct {
 	// addition to Audit and the Instruments counters — the peer hangs
 	// its structured event log here.
 	Events EventSink
-	// Parallelism is the degree of the parallel materialization engine:
-	// the maximum number of concurrently executing rewriting branches
-	// (sibling subtrees, batched pre-invocations, pipelined safe-mode
-	// calls). Values <= 1 select the sequential engine, byte-for-byte
-	// identical to the original behavior including audit order.
+	// Parallelism is the size of the executor's slot pool: the maximum
+	// number of concurrently executing rewriting branches (sibling
+	// subtrees, Mixed mode's pre-invocations, the calls of a Safe round).
+	// It selects no code path: values <= 1 run every slot inline, in
+	// order, and higher values give the same trees, audit order, events
+	// and errors.
 	Parallelism int
 	// Instruments, if set, reports the rewriting pipeline into a telemetry
-	// registry (see instruments.go): per-mode latency, keep/invoke/defer/
+	// registry (see instruments.go): per-mode latency, keep/invoke/
 	// backtrack decisions, per-endpoint call latency, bridged policy events
 	// and tracing spans. Nil (the default) is a zero-overhead no-op.
 	Instruments *Instruments
 
 	ctx *schema.Context
+	// reference decides Safe words one call at a time (decideFrom) with no
+	// plan, the sequential reference the round loop is tested against.
+	// Only tests set it.
+	reference bool
 }
 
 // DefaultDepth is the rewriting depth bound selected when RewriterConfig
@@ -134,8 +136,6 @@ type RewriterConfig struct {
 	LenientParams bool
 	// MaxCalls caps invocations per rewriting; 0 selects DefaultMaxCalls.
 	MaxCalls int
-	// PreInvoke guards the Mixed mode's speculative pass.
-	PreInvoke func(*FuncInfo) bool
 	// Converters restructure non-conforming service results.
 	Converters Converters
 	// Audit receives the invocation trail; nil allocates a fresh one, so a
@@ -143,8 +143,8 @@ type RewriterConfig struct {
 	Audit *Audit
 	// Events optionally observes stamped policy events (Rewriter.Events).
 	Events EventSink
-	// Parallelism is the degree of the parallel materialization engine;
-	// 0 selects DefaultParallelism (sequential execution).
+	// Parallelism is the size of the executor's slot pool
+	// (Rewriter.Parallelism); 0 selects DefaultParallelism, one slot.
 	Parallelism int
 	// Telemetry, if set, instruments the rewriter (and the shared Compiled's
 	// word-level analyses) against this registry; see internal/telemetry.
@@ -201,7 +201,6 @@ func NewRewriterForConfig(c *Compiled, cfg RewriterConfig) *Rewriter {
 		ValidateReturns: !cfg.SkipValidation,
 		StrictParams:    !cfg.LenientParams,
 		MaxCalls:        maxCalls,
-		PreInvoke:       cfg.PreInvoke,
 		Converters:      cfg.Converters,
 		Audit:           audit,
 		Events:          cfg.Events,

@@ -13,55 +13,53 @@ import (
 // calls among them a transport may send ahead of the executor, several in
 // one request.
 
-// plan decides, before the first word is rewritten, every keep-or-invoke
-// verdict of the words the static check listed (staticCheck.words) that no
-// call's result can change: the verdicts decideParallel fixes in its first
-// round, by the same scan. It runs after the top-level phase 1, when
-// callable() reports for every listed occurrence what it will report when
-// the executor reaches it. It stops scanning a word before the first
-// position a pending call leaves open (scan), so each occurrence is
-// analyzed once, by the plan or by the executor: keeps are final and
-// invokes exact, and positions that depend on a pending call, like the
-// calls returned by calls, are decided later, as without a plan.
+// plan is the first round of every word the static check listed
+// (staticCheck.words): before the first word is rewritten, it scans each
+// (wordRun.scan), so the keeps are made and the calls of each word's first
+// round decided, and leaves the runs to the executor (rewriteWord), whose
+// round loop dispatches those calls without scanning again. It runs after
+// the top-level phase 1, when callable() reports for every listed
+// occurrence what it will report when the executor reaches it. The scan
+// stops each word before the first position a pending call leaves open,
+// so each occurrence is analyzed once: those positions, like the calls
+// that calls return, are decided in later rounds.
 //
-// The runs it scanned go to the executor (rewriteWord), which reads their
-// verdicts instead of analyzing again. At degree 1, the planned
-// invocations of speculable functions, in the order the executor will make
-// them, ride on the executor's context as its Round when there are two or
-// more. Above degree 1 the executor's slots already overlap their calls'
-// round trips, and a shared request would serialize on the serving peer
-// the calls they send concurrently, so no round rides. plan returns the
-// run over the top-level word, if the check listed it.
+// At degree 1, the planned invocations of speculable functions, in the
+// order the executor will make them, ride on the executor's context as its
+// Round when there are two or more. Above degree 1 the executor's slots
+// already overlap their calls' round trips, and a shared request would
+// serialize on the serving peer the calls they send concurrently, so no
+// round rides. plan returns the run over the top-level word, if the check
+// listed it.
 func (ex *executor) plan() (*wordRun, error) {
 	proof := ex.st.proof
 	c := ex.rw.Compiled
 	collect := ex.st.sched == nil
 	var buf [8]*doc.Node
-	calls := buf[:0]
-	var pending []int
+	planned := buf[:0]
+	// One backing array holds every word's first round; each run's calls
+	// is its window, capped so that later rounds grow elsewhere.
+	calls := make([]pendingCall, 0, len(proof.words))
 	for i := range proof.words {
 		cw := &proof.words[i]
 		cw.run = wordRun{ex: ex, typ: cw.typ.re}
 		w := &cw.run
 		w.fill(cw.word)
+		start := len(calls)
 		var err error
-		if pending, err = w.scan(true, pending[:0]); err != nil {
+		if calls, err = w.scan(calls); err != nil {
 			return nil, err
 		}
-		for _, it := range w.items {
-			switch {
-			case it.kept:
-				it.kept, it.plan = false, planKeep
-			case it.pending:
-				it.pending, it.plan = false, planInvoke
-				if fi := c.funcOf(it.node.Label); collect && fi != nil && speculable(fi) {
-					calls = append(calls, it.node)
-				}
+		w.calls = calls[start:len(calls):len(calls)]
+		for _, pc := range w.calls {
+			n := w.items[pc.at].node
+			if fi := c.funcOf(n.Label); collect && fi != nil && speculable(fi) {
+				planned = append(planned, n)
 			}
 		}
 	}
-	if len(calls) > 1 {
-		ex.ctx = WithRound(ex.ctx, newRound(calls))
+	if len(planned) > 1 {
+		ex.ctx = WithRound(ex.ctx, newRound(planned))
 	}
 	if len(proof.words) > 0 && proof.words[0].typ == proof.top {
 		return &proof.words[0].run, nil

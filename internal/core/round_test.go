@@ -155,33 +155,40 @@ type engineRun struct {
 	err    error
 	audit  []string
 	events []string
+	// lookups counts the word-memo lookups of the rewriting: one per
+	// analysis of a word.
+	lookups uint64
 }
 
-func runEngine(t *testing.T, root *doc.Node, degree int, forbid uint8, note bool, inv Invoker) engineRun {
+// runEngine rewrites a clone of root in mode at a degree; reference
+// selects the sequential reference executor (Rewriter.reference).
+func runEngine(t *testing.T, root *doc.Node, mode Mode, degree int, reference bool, forbid uint8, note bool, inv Invoker) engineRun {
 	t.Helper()
 	rw := fuzzRewriter(t, degree, forbid, note, inv)
+	rw.reference = reference
 	if rt, ok := inv.(*roundTransport); ok {
 		rt.c = rw.Compiled
 	}
-	out, err := rw.RewriteDocument(context.Background(), root.Clone(), Safe)
-	run := engineRun{out: out, err: err, audit: auditKeys(rw.Audit)}
+	out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
+	st := rw.Compiled.WordCacheStats()
+	run := engineRun{out: out, err: err, audit: auditKeys(rw.Audit), lookups: st.Hits + st.Misses}
 	for _, e := range rw.Audit.Events() {
 		run.events = append(run.events, fmt.Sprintf("%s/%s/%d/%s", e.Kind, e.Func, e.Attempt, e.Err))
 	}
 	return run
 }
 
-// FuzzEnginesAgree is the differential oracle of the plan and the first
-// round: a generated document (propDoc, from a seed and a size) rewrites
-// in Safe mode identically at degree 1 with a transport that reads no
-// round (the executor's calls as they were before rounds), at degree 1
-// through a transport that reads the round, and at degree 4 through it,
-// where the executor reads the plan's verdicts but no round rides: the
-// same tree, audit calls (function, depth, result nodes, in order), events
-// and error. Every call a request carries is planned and admissible, and
-// on success every planned call is consumed. Then a fault at the k-th call
-// of the reference run must surface as the same error at every setting,
-// with the same audit and events at degree 1.
+// FuzzEnginesAgree is the differential oracle of the executor: a generated
+// document (propDoc, from a seed and a size) rewrites in Safe, Possible and
+// Mixed mode as the sequential reference does — decideFrom with no plan
+// and no round, at degree 1, through a transport that reads no round — at
+// degree 1 and at degree 4, each through that transport and through one
+// that reads the round: the same tree, audit calls (function, depth,
+// result nodes, in order), events, error and word-memo lookups. Every call
+// a request carries is planned and admissible, and on success every
+// planned call is consumed. Then a fault at the k-th call of the reference
+// run must surface as the same error at every setting, with the same audit
+// and events at degree 1.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(7), false, uint8(0))
 	f.Add(int64(2), uint8(5), uint8(2), true, uint8(3))
@@ -189,43 +196,56 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, forbid uint8, note bool, k uint8) {
 		secs := 1 + int(size%8)
 		root := propDoc(rand.New(rand.NewSource(seed)), secs)
-		var check func(fail string)
-		check = func(fail string) {
-			plain := &plainTransport{svc: fuzzService{fail: fail}}
-			ref := runEngine(t, root, 1, forbid, note, plain)
-			for _, degree := range []int{1, 4} {
-				rt := &roundTransport{svc: fuzzService{fail: fail}}
-				got := runEngine(t, root, degree, forbid, note, rt)
-				where := fmt.Sprintf("seed %d secs %d forbid %03b note %v fail %q degree %d", seed, secs, forbid, note, fail, degree)
-				if (got.err == nil) != (ref.err == nil) || got.err != nil && got.err.Error() != ref.err.Error() {
-					t.Fatalf("%s: error %v, want %v", where, got.err, ref.err)
+		for _, mode := range []Mode{Safe, Possible, Mixed} {
+			var check func(fail string)
+			check = func(fail string) {
+				plain := &plainTransport{svc: fuzzService{fail: fail}}
+				ref := runEngine(t, root, mode, 1, true, forbid, note, plain)
+				for _, degree := range []int{1, 4} {
+					for _, reads := range []bool{false, true} {
+						svc := fuzzService{fail: fail}
+						rt := &roundTransport{svc: svc}
+						var inv Invoker = rt
+						if !reads {
+							inv = &plainTransport{svc: svc}
+						}
+						got := runEngine(t, root, mode, degree, false, forbid, note, inv)
+						where := fmt.Sprintf("seed %d secs %d forbid %03b note %v mode %v fail %q degree %d round %v",
+							seed, secs, forbid, note, mode, fail, degree, reads)
+						if (got.err == nil) != (ref.err == nil) || got.err != nil && got.err.Error() != ref.err.Error() {
+							t.Fatalf("%s: error %v, want %v", where, got.err, ref.err)
+						}
+						if len(rt.bad) > 0 {
+							t.Errorf("%s: requests carried unplanned or inadmissible calls %v", where, rt.bad)
+						}
+						if ref.err != nil && degree > 1 {
+							continue // a failed fan-out may have finished other slots' calls
+						}
+						if ref.err == nil && !got.out.Equal(ref.out) {
+							t.Errorf("%s: tree\n%s\nwant\n%s", where, got.out, ref.out)
+						}
+						if !slices.Equal(got.audit, ref.audit) {
+							t.Errorf("%s: audit %v, want %v", where, got.audit, ref.audit)
+						}
+						if !slices.Equal(got.events, ref.events) {
+							t.Errorf("%s: events %v, want %v", where, got.events, ref.events)
+						}
+						if ref.err == nil && got.lookups != ref.lookups {
+							t.Errorf("%s: %d word-memo lookups, want %d", where, got.lookups, ref.lookups)
+						}
+						if left := rt.unconsumed(); ref.err == nil && len(left) > 0 {
+							t.Errorf("%s: planned calls never consumed: %v", where, left)
+						}
+					}
 				}
-				if len(rt.bad) > 0 {
-					t.Errorf("%s: requests carried unplanned or inadmissible calls %v", where, rt.bad)
-				}
-				if ref.err != nil && degree > 1 {
-					continue // a failed fan-out may have finished other slots' calls
-				}
-				if ref.err == nil && !got.out.Equal(ref.out) {
-					t.Errorf("%s: tree\n%s\nwant\n%s", where, got.out, ref.out)
-				}
-				if !slices.Equal(got.audit, ref.audit) {
-					t.Errorf("%s: audit %v, want %v", where, got.audit, ref.audit)
-				}
-				if !slices.Equal(got.events, ref.events) {
-					t.Errorf("%s: events %v, want %v", where, got.events, ref.events)
-				}
-				if left := rt.unconsumed(); ref.err == nil && len(left) > 0 {
-					t.Errorf("%s: planned calls never consumed: %v", where, left)
+				if fail == "" && ref.err == nil && len(plain.keys) > 0 && k > 0 {
+					// Fail the k-th call the reference run made, counting from 1.
+					i := (int(k) - 1) % len(plain.keys)
+					check(plain.keys[i])
 				}
 			}
-			if fail == "" && ref.err == nil && len(plain.keys) > 0 && k > 0 {
-				// Fail the k-th call the reference run made, counting from 1.
-				i := (int(k) - 1) % len(plain.keys)
-				check(plain.keys[i])
-			}
+			check("")
 		}
-		check("")
 	})
 }
 
@@ -394,7 +414,7 @@ func TestRoundBoundedCallsGoAlone(t *testing.T) {
 func TestFirstRoundSharesRequests(t *testing.T) {
 	root := propDoc(rand.New(rand.NewSource(3)), 6)
 	rt := &roundTransport{}
-	run := runEngine(t, root, 1, 7, false, rt)
+	run := runEngine(t, root, Safe, 1, false, 7, false, rt)
 	if run.err != nil {
 		t.Fatal(run.err)
 	}

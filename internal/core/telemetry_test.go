@@ -212,11 +212,10 @@ func TestInstrumentsNilSafety(t *testing.T) {
 	var ins *Instruments
 	ins.countKeep()
 	ins.countInvoke()
-	ins.countDefer()
 	ins.countBacktrack()
 	ins.taskStart(true)
 	ins.taskEnd()
-	ins.round(phaseWord, 3)
+	ins.round(3)
 	ins.observeWordVerdict(Lazy, Possible)
 	ins.observeWordAnalysis(Eager, Safe, 0)
 	ins.observeLazy(nil)

@@ -64,10 +64,10 @@ type Peer struct {
 	// wrapped invoker is built once on first use so stateful policies
 	// (breakers, concurrency limits) persist across messages.
 	Policies []core.InvokePolicy
-	// Parallelism is the degree of the parallel materialization engine used
-	// by enforcement rewritings (concurrent sibling subtrees, batched
-	// pre-invocation, pipelined safe-mode calls). Values <= 1 keep the
-	// sequential engine.
+	// Parallelism is the size of the slot pool of enforcement rewritings
+	// (core.Rewriter.Parallelism): how many sibling subtrees, Mixed-mode
+	// pre-invocations or calls of one Safe round run at once. Values <= 1
+	// run every slot inline.
 	Parallelism int
 	// Telemetry, if set, instruments the whole peer against this registry:
 	// enforcement rewritings, the compiled-schema and word-verdict caches,

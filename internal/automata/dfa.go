@@ -2,6 +2,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,10 +65,9 @@ func (d *DFA) Accepts(word []regex.Symbol) bool {
 // the alphabet behave identically on every edge (a class either excludes
 // none of them or all of them), which makes the single other column sound.
 func Determinize(a *NFA, alphabet []regex.Symbol) *DFA {
-	sigma := append([]regex.Symbol(nil), alphabet...)
-	sigma = append(sigma, a.MentionedSymbols()...)
-	sort.Slice(sigma, func(i, j int) bool { return sigma[i] < sigma[j] })
-	sigma = dedupStates(sigma)
+	sigma := append(slices.Clone(alphabet), a.MentionedSymbols()...)
+	slices.Sort(sigma)
+	sigma = slices.Compact(sigma)
 
 	d := &DFA{Alphabet: sigma}
 	index := map[string]State{}
@@ -93,8 +93,7 @@ func Determinize(a *NFA, alphabet []regex.Symbol) *DFA {
 		return s, true
 	}
 
-	start := a.EpsClosure([]State{a.Start})
-	s0, _ := intern(start)
+	s0, _ := intern([]State{a.Start})
 	d.Start = s0
 	work := []State{s0}
 	for len(work) > 0 {
@@ -106,7 +105,7 @@ func Determinize(a *NFA, alphabet []regex.Symbol) *DFA {
 			if col < len(sigma) {
 				next = a.Move(set, sigma[col])
 			} else {
-				next = moveOther(a, set, sigma)
+				next = moveOther(a, set)
 			}
 			if len(next) == 0 {
 				d.Trans[s][col] = NoState
@@ -122,21 +121,21 @@ func Determinize(a *NFA, alphabet []regex.Symbol) *DFA {
 	return d
 }
 
-// moveOther computes the ε-closed successor set for an arbitrary symbol not
-// in sigma: exactly the targets of negated-class edges (a negated class
-// whose exceptions are all in sigma matches every outside symbol; positive
-// classes match none of them).
-func moveOther(a *NFA, states []State, sigma []regex.Symbol) []State {
+// moveOther computes the successor set, sorted and deduplicated, for an
+// arbitrary symbol outside Determinize's sigma: exactly the targets of
+// negated-class edges (a negated class whose exceptions are all in sigma
+// matches every outside symbol; positive classes match none of them).
+func moveOther(a *NFA, states []State) []State {
 	var next []State
 	for _, s := range states {
 		for _, e := range a.Edges[s] {
-			if !e.Eps && e.Cls.Negated {
+			if e.Cls.Negated {
 				next = append(next, e.To)
 			}
 		}
 	}
-	_ = sigma
-	return a.EpsClosure(next)
+	slices.Sort(next)
+	return slices.Compact(next)
 }
 
 func subsetKey(set []State) string {
@@ -145,19 +144,6 @@ func subsetKey(set []State) string {
 		fmt.Fprintf(&b, "%d,", s)
 	}
 	return b.String()
-}
-
-func dedupStates[T comparable](s []T) []T {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, x := range s[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // Complete returns a DFA accepting the same language with a total transition
@@ -257,87 +243,14 @@ func (d *DFA) DeadStates() []bool {
 	return dead
 }
 
-// IsEmpty reports whether L(d) = ∅.
-func (d *DFA) IsEmpty() bool {
-	dead := d.DeadStates()
-	return dead[d.Start]
-}
-
-// Intersect returns the product DFA accepting L(d) ∩ L(e). Both operands
-// must share sorted effective alphabets; the result's alphabet is the union.
-func Intersect(d, e *DFA) *DFA { return product(d, e, func(a, b bool) bool { return a && b }) }
-
-// Union returns the product DFA accepting L(d) ∪ L(e) (operands are
-// completed first so that missing rows do not truncate the union).
-func Union(d, e *DFA) *DFA {
-	return product(d.Complete(), e.Complete(), func(a, b bool) bool { return a || b })
-}
-
-// Difference returns a DFA accepting L(d) ∖ L(e).
-func Difference(d, e *DFA) *DFA {
-	return product(d, e.Complement(), func(a, b bool) bool { return a && b })
-}
-
-func product(d, e *DFA, combine func(a, b bool) bool) *DFA {
-	sigma := append(append([]regex.Symbol(nil), d.Alphabet...), e.Alphabet...)
-	sort.Slice(sigma, func(i, j int) bool { return sigma[i] < sigma[j] })
-	sigma = dedupStates(sigma)
-
-	type pair struct{ a, b State }
-	out := &DFA{Alphabet: sigma}
-	index := map[pair]State{}
-	var pairs []pair
-	intern := func(p pair) (State, bool) {
-		if s, ok := index[p]; ok {
-			return s, false
-		}
-		s := State(len(pairs))
-		index[p] = s
-		pairs = append(pairs, p)
-		out.Accept = append(out.Accept, combine(d.Accept[p.a], e.Accept[p.b]))
-		out.Trans = append(out.Trans, make([]State, len(sigma)+1))
-		return s, true
-	}
-	s0, _ := intern(pair{d.Start, e.Start})
-	out.Start = s0
-	work := []State{s0}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		p := pairs[s]
-		step := func(col int, x regex.Symbol, other bool) {
-			var ta, tb State
-			if other {
-				ta, tb = d.Trans[p.a][d.otherCol()], e.Trans[p.b][e.otherCol()]
-			} else {
-				ta, tb = d.Step(p.a, x), e.Step(p.b, x)
-			}
-			if ta == NoState || tb == NoState {
-				out.Trans[s][col] = NoState
-				return
-			}
-			t, fresh := intern(pair{ta, tb})
-			out.Trans[s][col] = t
-			if fresh {
-				work = append(work, t)
-			}
-		}
-		for col, x := range sigma {
-			step(col, x, false)
-		}
-		step(len(sigma), 0, true)
-	}
-	return out
-}
-
 // Equivalent reports whether two DFAs accept the same language, via a
 // synchronized BFS that demands acceptance agreement on every reachable
 // pair (both operands are completed first).
 func Equivalent(d, e *DFA) bool {
 	dc, ec := d.Complete(), e.Complete()
-	sigma := append(append([]regex.Symbol(nil), dc.Alphabet...), ec.Alphabet...)
-	sort.Slice(sigma, func(i, j int) bool { return sigma[i] < sigma[j] })
-	sigma = dedupStates(sigma)
+	sigma := append(slices.Clone(dc.Alphabet), ec.Alphabet...)
+	slices.Sort(sigma)
+	sigma = slices.Compact(sigma)
 
 	type pair struct{ a, b State }
 	seen := map[pair]bool{}

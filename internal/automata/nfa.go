@@ -1,8 +1,10 @@
 // Package automata provides the finite-automata toolkit behind the
-// intensional-XML rewriting algorithms: Glushkov construction from symbolic
-// regular expressions, subset-construction determinization over an effective
-// alphabet, completion, complementation, products, Hopcroft minimization and
-// language-level equivalence.
+// intensional-XML rewriting algorithms: Glushkov position automata built
+// from symbolic regular expressions, the direct DFA of a one-unambiguous
+// model, subset-construction determinization over an effective alphabet,
+// completion, complementation, Hopcroft minimization and language-level
+// equivalence. Every NFA here is a position automaton (FromRegex), so none
+// has ε-moves: a successor set is just the targets of the edges that match.
 //
 // Automata here run over interned regex.Symbol alphabets. Edges are labeled
 // by regex.Class values so that wildcard content models (<any>, namespace
@@ -15,7 +17,7 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"axml/internal/regex"
 )
@@ -26,15 +28,13 @@ type State int32
 // NoState marks missing transitions in incomplete DFAs.
 const NoState State = -1
 
-// Edge is a transition of an NFA. Either Eps is true (an ε-move) or Cls
-// describes the set of symbols the edge consumes.
+// Edge is a transition of an NFA: it consumes any symbol of Cls.
 type Edge struct {
-	Eps bool
 	Cls regex.Class
 	To  State
 }
 
-// NFA is a nondeterministic finite automaton with ε-moves.
+// NFA is a nondeterministic finite automaton without ε-moves.
 type NFA struct {
 	Start  State
 	Accept []bool   // Accept[s] — len(Accept) is the number of states
@@ -52,11 +52,6 @@ func (a *NFA) Len() int { return len(a.Accept) }
 // AddEdge adds a symbol-class transition.
 func (a *NFA) AddEdge(from State, cls regex.Class, to State) {
 	a.Edges[from] = append(a.Edges[from], Edge{Cls: cls, To: to})
-}
-
-// AddEps adds an ε-transition.
-func (a *NFA) AddEps(from, to State) {
-	a.Edges[from] = append(a.Edges[from], Edge{Eps: true, To: to})
 }
 
 // FromRegex builds the Glushkov position automaton of r: one state per leaf
@@ -80,48 +75,24 @@ func FromRegex(r *regex.Regex) *NFA {
 	return a
 }
 
-// EpsClosure expands the state set (given as a sorted slice) with everything
-// reachable through ε-moves, returning a sorted, deduplicated slice.
-func (a *NFA) EpsClosure(states []State) []State {
-	seen := make(map[State]bool, len(states))
-	stack := append([]State(nil), states...)
-	for _, s := range states {
-		seen[s] = true
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range a.Edges[s] {
-			if e.Eps && !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	out := make([]State, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Move returns the ε-closed successor set of states on symbol x.
+// Move returns the successor set of states on symbol x, sorted and
+// deduplicated.
 func (a *NFA) Move(states []State, x regex.Symbol) []State {
 	var next []State
 	for _, s := range states {
 		for _, e := range a.Edges[s] {
-			if !e.Eps && e.Cls.Contains(x) {
+			if e.Cls.Contains(x) {
 				next = append(next, e.To)
 			}
 		}
 	}
-	return a.EpsClosure(next)
+	slices.Sort(next)
+	return slices.Compact(next)
 }
 
 // Accepts reports whether the NFA accepts the word.
 func (a *NFA) Accepts(word []regex.Symbol) bool {
-	cur := a.EpsClosure([]State{a.Start})
+	cur := []State{a.Start}
 	for _, x := range word {
 		cur = a.Move(cur, x)
 		if len(cur) == 0 {
@@ -145,14 +116,8 @@ func (a *NFA) MentionedSymbols() []regex.Symbol {
 			all = append(all, e.Cls.Syms...)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, s := range all {
-		if i == 0 || s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 func (a *NFA) String() string {

@@ -290,8 +290,8 @@ func TestWordCacheBoundsAndDisable(t *testing.T) {
 }
 
 // TestWordVerdictMemoConcurrent hammers one Compiled from many goroutines;
-// run with -race. This exercises the word memo, the shared Deriver and the
-// pattern-expansion memo concurrently.
+// run with -race. This exercises the word memo and the pattern-expansion
+// memo concurrently.
 func TestWordVerdictMemoConcurrent(t *testing.T) {
 	sender, target := cachePair(t)
 	c := Compile(sender, target)

@@ -44,27 +44,30 @@ import (
 // Compile also freezes one entry per name either schema declares (labels,
 // functions and patterns): the name's symbol and FuncInfo, whether the
 // target declares it and whether as data, its pattern-expanded content
-// model and, for a function, its expanded input type. Each of those models
-// that is one-unambiguous after expansion gets a DFA built straight from
-// its Glushkov positions (automata.GlushkovDFA) on the model's first use,
-// not by Compile: a request reaches few of the models a pair declares. All
-// the DFAs of one Compiled share a budget of dfaCellBudget cells. A model
-// that is ambiguous, which a compact-text schema or a pattern expansion can
-// produce, or whose DFA would overrun the budget, has none, and its words
-// step the shared derivative table instead, which decides the same words.
-// The static check and the executor resolve node labels through these
-// entries, so a call-free word costs one DFA step per child and takes no
-// lock. Names neither schema declares still resolve through Table.Intern.
+// model, for a function its expanded input type and, for the target's
+// declared root, its document type, which has one position and no DFA.
+// Each content model or input type that is one-unambiguous after expansion
+// gets a DFA built straight from its Glushkov positions
+// (automata.GlushkovDFA) on the model's first use, not by Compile: a
+// request reaches few of the models a pair declares. All the DFAs of one
+// Compiled share a budget of dfaCellBudget cells. A model that is
+// ambiguous, which a compact-text schema or a pattern expansion can
+// produce, or whose DFA would overrun the budget, has none: its words are
+// matched by schema.Context.MatchWord, which steps the model's Glushkov
+// positions and keeps nothing. The static check and the executor resolve
+// node labels through these entries, so a call-free word costs one DFA step
+// per child and takes no lock. A name neither schema declares is looked up
+// in the table, never interned, and a name the table does not know
+// resolves to other.
 //
 // A Compiled is safe for concurrent use once Compile returns. funcs,
 // alphabet and the entries are frozen: they are keyed by declared names
 // and declared models, never by anything a request builds, and only read
 // afterwards. A model's DFA is written once, under the model's sync.Once,
 // before any reader sees it, so there are at most as many DFAs as declared
-// models. The pattern-expansion memo is lock-guarded, the lazy engine's
-// derivative table is itself concurrency-safe, and the word-verdict memo
-// (wordcache.go) is bounded and lock-guarded. Peers rely on this to serve
-// parallel requests from one cached analysis.
+// models. The pattern-expansion memo is lock-guarded, and the word-verdict
+// memo (wordcache.go) is bounded and lock-guarded. Peers rely on this to
+// serve parallel requests from one cached analysis.
 type Compiled struct {
 	Table  *regex.Table
 	Sender *schema.Schema
@@ -72,6 +75,12 @@ type Compiled struct {
 
 	funcs    map[regex.Symbol]*FuncInfo
 	alphabet []regex.Symbol
+	// other is the symbol of every name the table does not know: interned
+	// once, by Compile, from a name no schema can declare, so it stands
+	// for every symbol outside the schemas' alphabets. Only negated classes
+	// contain it. It is not regex.NoSymbol, which product and lazy edges
+	// use to mark ε moves and call options.
+	other regex.Symbol
 	// names holds the frozen entry of every declared name; see entry.
 	names map[string]*entry
 	// dfaMu serializes the first uses of the models' DFAs (dfaOf). It
@@ -84,9 +93,6 @@ type Compiled struct {
 	expandedMu sync.RWMutex
 	expanded   map[string]*regex.Regex // memo: expandPatterns by regex key
 
-	// deriver is shared by every lazy analysis over this pair, so derivative
-	// tables of the target content models are computed once.
-	deriver *regex.Deriver
 	// words memoizes word-level verdicts; see wordcache.go.
 	words atomic.Pointer[wordCacheBox]
 	// instr carries the telemetry handles word-level analyses report into
@@ -141,6 +147,10 @@ type entry struct {
 	content model
 	// in is the input type of a function taking structured parameters.
 	in model
+	// root is the document type of the target's declared root label, the
+	// one-letter word of the label itself (Rewriter.documentType); nil for
+	// every other name. It gets no DFA.
+	root *model
 }
 
 // dfaCellBudget bounds the cells of all the DFAs one Compiled builds: 1 MiB
@@ -177,8 +187,10 @@ func (c *Compiled) dfaOf(m *model) *automata.DFA {
 	return m.dfa
 }
 
-// adhoc returns the model of a word type built per request, such as a
-// document type: it gets no DFA, so the Compiled keeps nothing of it.
+// adhoc returns a model that gets no DFA: the model of a word type built
+// per request, such as the document type of a target without a declared
+// root, so the Compiled keeps nothing of it, or of a declared root's
+// document type, whose one position needs none.
 func adhoc(re *regex.Regex) *model {
 	m := &model{re: re}
 	m.once.Do(func() {})
@@ -186,12 +198,16 @@ func adhoc(re *regex.Regex) *model {
 }
 
 // symOf returns the symbol of a name whose entry is e (nil: undeclared, so
-// the name is interned).
+// the name is looked up, and resolves to other if the table does not know
+// it).
 func (c *Compiled) symOf(e *entry, name string) regex.Symbol {
 	if e != nil {
 		return e.sym
 	}
-	return c.Table.Intern(name)
+	if s, ok := c.Table.Lookup(name); ok {
+		return s
+	}
+	return c.other
 }
 
 // symbol returns the symbol of a name.
@@ -258,8 +274,8 @@ func Compile(sender, target *schema.Schema) *Compiled {
 		Sender:   sender,
 		Target:   target,
 		funcs:    make(map[regex.Symbol]*FuncInfo),
+		other:    table.Intern(otherName),
 		expanded: make(map[string]*regex.Regex),
-		deriver:  regex.NewDeriver(),
 	}
 	c.words.Store(&wordCacheBox{wc: newWordCache(DefaultWordCacheSize)})
 	// Declared functions: the target's view wins on policy (invocability),
@@ -350,8 +366,15 @@ func Compile(sender, target *schema.Schema) *Compiled {
 		}
 		c.names[name] = e
 	}
+	if e := c.names[target.Root]; e != nil && target.Labels[target.Root] != nil {
+		e.root = adhoc(regex.Sym(e.sym))
+	}
 	return c
 }
+
+// otherName is the name Compile interns as other. A schema cannot declare
+// it: no name the compact syntax or XML accepts holds a NUL byte.
+const otherName = "\x00other"
 
 func dedup(s []regex.Symbol) []regex.Symbol {
 	if len(s) < 2 {
@@ -433,56 +456,29 @@ func (c *Compiled) ExpandPatterns(r *regex.Regex) *regex.Regex {
 	return out
 }
 
-// Deriver returns the shared, concurrency-safe derivative table lazy
-// analyses over this pair use.
-func (c *Compiled) Deriver() *regex.Deriver { return c.deriver }
-
-// member reports whether the tokens' symbols spell a word of typ, by
-// stepping the shared derivative table.
-func (c *Compiled) member(tokens []Token, typ *regex.Regex) bool {
-	r := typ
-	for _, t := range tokens {
-		if r = c.deriver.Derive(r, t.Sym); r.IsNever() {
-			return false
-		}
-	}
-	return r.Nullable()
-}
-
 // matchWord decides what ctx.MatchWord(typ.re, word) decides: whether
 // the non-text nodes of word, read through patterns, spell a word of typ.
 // A node is read as its own symbol, resolved through the frozen entries,
 // and a function node also as every target pattern admitting it; so when
 // the target declares no pattern, or the word holds no function, every
-// letter is one symbol and the word steps typ's DFA, or the shared
-// derivative table when typ has none, with no lock and no allocation.
-// Otherwise it asks ctx.
+// letter is one symbol and the word steps typ's DFA, with no lock and no
+// allocation. Otherwise, or when typ has no DFA, it asks ctx.
 func (c *Compiled) matchWord(ctx *schema.Context, typ *model, word []*doc.Node) bool {
-	if len(c.Target.Patterns) > 0 && hasFunc(word) {
-		return ctx.MatchWord(typ.re, word)
-	}
-	if d := c.dfaOf(typ); d != nil {
-		s := d.Start
-		for _, n := range word {
-			if n.Kind == doc.Text {
-				continue
+	if len(c.Target.Patterns) == 0 || !hasFunc(word) {
+		if d := c.dfaOf(typ); d != nil {
+			s := d.Start
+			for _, n := range word {
+				if n.Kind == doc.Text {
+					continue
+				}
+				if s = d.Step(s, c.symbol(n.Label)); s == automata.NoState {
+					return false
+				}
 			}
-			if s = d.Step(s, c.symbol(n.Label)); s == automata.NoState {
-				return false
-			}
-		}
-		return d.Accept[s]
-	}
-	r := typ.re
-	for _, n := range word {
-		if n.Kind == doc.Text {
-			continue
-		}
-		if r = c.deriver.Derive(r, c.symbol(n.Label)); r.IsNever() {
-			return false
+			return d.Accept[s]
 		}
 	}
-	return r.Nullable()
+	return ctx.MatchWord(typ.re, word)
 }
 
 // substitute replaces symbol leaves per the map, leaving everything else

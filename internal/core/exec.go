@@ -66,13 +66,13 @@ func (rw *Rewriter) RewriteSpineCopy(ctx context.Context, root *doc.Node, from *
 // subtrees with a stored document: doc.Node.SpineCopy copies exactly the
 // part a rewriting writes.
 func (rw *Rewriter) RewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
-	return rw.rewriteForestContext(ctx, forest, typ, nil, mode)
+	return rw.rewriteForestContext(ctx, forest, adhoc(typ), nil, mode)
 }
 
 // rewriteForestContext is RewriteForest over a forest that is a
 // spine copy of the version from renders, when from is not nil (see
 // RewriteSpineCopy).
-func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, from *xmlio.Rendering, mode Mode) ([]*doc.Node, error) {
+func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node, typ *model, from *xmlio.Rendering, mode Mode) ([]*doc.Node, error) {
 	if rw.Invoker == nil {
 		return nil, fmt.Errorf("core: Rewriter has no Invoker; use CheckForest for static analysis")
 	}
@@ -107,7 +107,7 @@ func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node
 
 // rewriteForest is the uninstrumented body of rewriteForestContext; sink is
 // the (stamping) event sink the whole rewriting reports into.
-func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, from *xmlio.Rendering, mode Mode, sink EventSink) ([]*doc.Node, error) {
+func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *model, from *xmlio.Rendering, mode Mode, sink EventSink) ([]*doc.Node, error) {
 	ex := &executor{rw: rw, ctx: WithEventSink(ctx, sink), mode: mode, audit: rw.Audit,
 		st: &execState{
 			paramsDone: map[*doc.Node]bool{},

@@ -38,7 +38,7 @@ func TokensOf(c *Compiled, n *doc.Node) []Token {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		out = append(out, Token{Sym: c.Table.Intern(ch.Label), Node: ch})
+		out = append(out, Token{Sym: c.symbol(ch.Label), Node: ch})
 	}
 	return out
 }
@@ -50,7 +50,7 @@ func TokensOfForest(c *Compiled, forest []*doc.Node) []Token {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		out = append(out, Token{Sym: c.Table.Intern(ch.Label), Node: ch})
+		out = append(out, Token{Sym: c.symbol(ch.Label), Node: ch})
 	}
 	return out
 }
@@ -216,7 +216,6 @@ func buildFork(c *Compiled, tokens []Token, k int, share bool) (*Fork, error) {
 				from := base + s
 				for _, e := range nfa.Edges[s] {
 					fe := ForkEdge{
-						Eps:      e.Eps,
 						Cls:      e.Cls,
 						To:       base + int(e.To),
 						Partner:  -1,
@@ -224,7 +223,7 @@ func buildFork(c *Compiled, tokens []Token, k int, share bool) (*Fork, error) {
 						Depth:    depth,
 						TokenIdx: -1,
 					}
-					if !e.Eps && !e.Cls.Negated && len(e.Cls.Syms) == 1 && c.Func(e.Cls.Syms[0]) != nil {
+					if !e.Cls.Negated && len(e.Cls.Syms) == 1 && c.Func(e.Cls.Syms[0]) != nil {
 						fe.FuncSym = e.Cls.Syms[0]
 					}
 					f.Edges[from] = append(f.Edges[from], fe)

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"axml/internal/doc"
+	"axml/internal/regex"
 	"axml/internal/schema"
 	"axml/internal/xsdint"
 )
@@ -57,30 +59,36 @@ func frozenReceiverSchema(t *testing.T, sender *schema.Schema) *schema.Schema {
 
 // TestCompiledDoesNotGrowPerRequest: exchanging one document 1,000 times
 // over one cached pair leaves the Compiled as its first exchange left it.
-// The document carries 50 labels neither schema declares: they intern
-// once, and no DFA or entry is built for them or for the per-request
-// document type. Frozen entries, the DFAs the first exchange built, the
-// symbol table, the derivative table and the word-verdict memo all keep
-// their sizes, and so, within a few kilobytes, does the live heap: a memo
-// keyed by anything a request builds anew would grow it by one entry per
-// exchange.
+// The document carries 50 labels neither schema declares: they are looked
+// up, never interned, and no DFA or entry is built for them. Frozen
+// entries, the DFAs the first exchange built and the word-verdict memo
+// keep their sizes, the symbol table keeps the size Compile left it at,
+// and so, within a few kilobytes, does the live heap: a memo keyed by
+// anything a request builds anew would grow it by one entry per exchange.
 func TestCompiledDoesNotGrowPerRequest(t *testing.T) {
 	sender := schema.MustParseText(frozenSender, nil)
 	stored := frozenReport(50)
 	cache := NewCompiledCache(0)
 	inv := stubInvoker{"Get_Temp": ret(doc.Elem("temp", doc.TextNode("15")))}
-	type sizes struct{ entries, dfas, symbols, derivatives, words int }
+	type sizes struct{ entries, dfas, symbols, words int }
 	var first sizes
 	var pair *Compiled
 	var heap0 uint64
+	symbols := 0
 	for i := 0; i < 1000; i++ {
 		c := cache.Get(sender, frozenReceiverSchema(t, sender))
+		if i == 0 {
+			symbols = c.Table.Len()
+		}
 		rw := NewRewriterForConfig(c, RewriterConfig{Invoker: inv})
 		if _, err := rw.RewriteDocument(context.Background(), stored.SpineCopy(), Safe); err != nil {
 			t.Fatalf("exchange %d: %v", i+1, err)
 		}
 		entries, dfas := c.tableSizes()
-		now := sizes{entries, dfas, c.Table.Len(), c.Deriver().States(), c.WordCacheStats().Size}
+		now := sizes{entries, dfas, c.Table.Len(), c.WordCacheStats().Size}
+		if now.symbols != symbols {
+			t.Fatalf("exchange %d grew the symbol table from %d to %d", i+1, symbols, now.symbols)
+		}
 		if i == 0 {
 			first, pair, heap0 = now, c, liveHeap()
 			if dfas == 0 {
@@ -99,6 +107,66 @@ func TestCompiledDoesNotGrowPerRequest(t *testing.T) {
 	if grown := int64(liveHeap()) - int64(heap0); grown > 64<<10 {
 		t.Errorf("1,000 exchanges over one cached pair grew the live heap by %d bytes", grown)
 	}
+}
+
+// TestCompiledWithoutDFAsDoesNotGrow: the words of a model without a DFA
+// are matched on its Glushkov positions, which keep nothing on the
+// Compiled. Two receivers whose models have none — one over the DFA cell
+// budget, and one holding E-C2's ambiguous (a|b)*.a.(a|b)^12 — check and
+// rewrite their documents through one Compiled each, and the live heap
+// grows by less than 256 KiB: nothing a word steps through stays on the
+// pair.
+func TestCompiledWithoutDFAsDoesNotGrow(t *testing.T) {
+	const budget = 256 << 10
+	run := func(t *testing.T, c *Compiled, docs []*doc.Node, member func(*doc.Node) bool) {
+		t.Helper()
+		rw := NewRewriterForConfig(c, RewriterConfig{Invoker: stubInvoker{}})
+		heap0 := liveHeap()
+		for i, d := range docs {
+			want := member(d)
+			if err := rw.CheckDocument(d, Safe); (err == nil) != want {
+				t.Fatalf("document %d: check %v, member %t", i, err, want)
+			}
+			if _, err := rw.RewriteDocument(context.Background(), d.SpineCopy(), Safe); (err == nil) != want {
+				t.Fatalf("document %d: rewrite %v, member %t", i, err, want)
+			}
+		}
+		if grown := int64(liveHeap()) - int64(heap0); grown > budget {
+			t.Errorf("%d documents grew the live heap by %d bytes", len(docs), grown)
+		}
+		runtime.KeepAlive(c)
+	}
+	t.Run("over-budget", func(t *testing.T) {
+		c := Compile(budgetTarget(t, 4, 2000))
+		run(t, c, []*doc.Node{budgetDoc(4, 2000)}, func(*doc.Node) bool { return true })
+		if _, dfas := c.tableSizes(); dfas != 1 {
+			t.Errorf("%d DFAs built; want 1, the root's", dfas)
+		}
+	})
+	t.Run("ambiguous", func(t *testing.T) {
+		src := "root r\nelem r = (a|b)*.a" + strings.Repeat(".(a|b)", 12) + "\nelem a = data\nelem b = data\n"
+		target := schema.MustParseText(src, nil)
+		c := Compile(target, target)
+		rng := rand.New(rand.NewSource(1))
+		docs := make([]*doc.Node, 2000)
+		for i := range docs {
+			docs[i] = doc.Elem("r")
+			for j := 0; j < 64; j++ {
+				docs[i].Children = append(docs[i].Children, doc.Elem(string(rune('a'+rng.Intn(2)))))
+			}
+		}
+		model := c.names["r"].content.re
+		run(t, c, docs, func(d *doc.Node) bool {
+			word := make([]regex.Symbol, len(d.Children))
+			for i, ch := range d.Children {
+				word[i] = c.symbol(ch.Label)
+			}
+			return regex.Match(model, word)
+		})
+		if c.dfaOf(&c.names["r"].content) != nil {
+			t.Error("the ambiguous model has a DFA")
+		}
+	})
 }
 
 // tableSizes counts c's frozen entries and the DFAs built for them.
@@ -183,8 +251,8 @@ func TestDFACellBudgetBoundsMemory(t *testing.T) {
 
 // TestDFACellBudgetShared: the DFAs of one Compiled share its cell budget.
 // Eight models of 300 positions take 301² cells each: the root's DFA and
-// the first two of those fit, the rest keep the derivative table, and
-// every model still decides its words exactly.
+// the first two of those fit, the rest are matched on their positions,
+// and every model still decides its words exactly.
 func TestDFACellBudgetShared(t *testing.T) {
 	const labels, refs = 8, 300
 	c := Compile(budgetTarget(t, labels, refs))

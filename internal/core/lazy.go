@@ -50,9 +50,12 @@ const (
 )
 
 type lazySafe struct {
-	fork    *Fork
+	fork *Fork
+	// deriver memoizes the derivatives this analysis takes, and dies with it.
 	deriver *regex.Deriver
-	fresh   regex.Symbol
+	// fresh stands for every symbol outside the target's alphabet: the
+	// pair's other symbol, which no content model mentions.
+	fresh regex.Symbol
 
 	index  map[string]int
 	qOf    []int
@@ -73,8 +76,8 @@ func LazySafe(c *Compiled, tokens []Token, target *regex.Regex, k int) (*LazyRes
 	expanded := c.ExpandPatterns(target)
 	ls := &lazySafe{
 		fork:    fork,
-		deriver: c.Deriver(),
-		fresh:   freshSymbol(c.Table, expanded),
+		deriver: regex.NewDeriver(),
+		fresh:   c.other,
 		index:   map[string]int{},
 	}
 	init := ls.intern(0, expanded)
@@ -86,26 +89,6 @@ func LazySafe(c *Compiled, tokens []Token, target *regex.Regex, k int) (*LazyRes
 		SinkPrunes:     ls.sinkPrunes,
 		MarkPrunes:     ls.markPrunes,
 	}, nil
-}
-
-// freshSymbol returns a symbol mentioned by none of the given expressions,
-// standing in for "any symbol outside the effective alphabet" when deriving.
-func freshSymbol(t *regex.Table, rs ...*regex.Regex) regex.Symbol {
-	used := map[regex.Symbol]bool{}
-	for _, r := range rs {
-		if r == nil {
-			continue
-		}
-		for _, s := range r.Alphabet(nil) {
-			used[s] = true
-		}
-	}
-	for i := 0; ; i++ {
-		s := t.Intern(fmt.Sprintf("\x00other%d", i))
-		if !used[s] {
-			return s
-		}
-	}
 }
 
 func (ls *lazySafe) intern(q int, d *regex.Regex) int {
@@ -286,8 +269,7 @@ func LazyPossible(c *Compiled, tokens []Token, target *regex.Regex, k int) (*Laz
 		return nil, err
 	}
 	expanded := c.ExpandPatterns(target)
-	deriver := c.Deriver()
-	fresh := freshSymbol(c.Table, expanded)
+	deriver, fresh := regex.NewDeriver(), c.other
 	type key struct {
 		q int
 		k string

@@ -247,9 +247,9 @@ func TestQuickForkK0IsWord(t *testing.T) {
 
 // Property: a word naming no function is decided by membership. Over random
 // function-free words and random content models mixing element labels,
-// functions, a pattern and wildcards, Compiled.member (what the static
-// check asks for such words) equals WordVerdict for Eager and Lazy, Safe
-// and Possible.
+// functions, a pattern and wildcards, membership (regex.Match; the static
+// check steps a DFA or asks schema.Context.MatchWord for such words)
+// equals WordVerdict for Eager and Lazy, Safe and Possible.
 func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 	sender, target := patternSchemas(t)
 	c := Compile(sender, target)
@@ -297,10 +297,12 @@ func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		typ := c.ExpandPatterns(model(rng, 3))
 		word := make([]Token, rng.Intn(5))
+		syms := make([]regex.Symbol, len(word))
 		for i := range word {
-			word[i] = Token{Sym: elems[rng.Intn(len(elems))]}
+			syms[i] = elems[rng.Intn(len(elems))]
+			word[i] = Token{Sym: syms[i]}
 		}
-		want := c.member(word, typ)
+		want := regex.Match(typ, syms)
 		for _, engine := range []EngineKind{Eager, Lazy} {
 			for _, mode := range []Mode{Safe, Possible} {
 				got, err := c.WordVerdict(engine, mode, word, typ, 1+rng.Intn(2))
@@ -319,8 +321,7 @@ func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 }
 
 // Property: the entries Compile freezes equal the locked lookups they
-// replace, and a model's DFA decides membership as the derivative table
-// and regex.Match do. Over random schema pairs — a random sender with
+// replace, and a model's DFA decides membership as regex.Match does. Over random schema pairs — a random sender with
 // functions, and a target over an overlay of its table (as /exchange
 // parses receivers) with a pattern matching a sender function, a function
 // of its own, data and structured labels, and random content models mixing
@@ -330,7 +331,7 @@ func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 // pattern-expanded content model and input type, with a DFA exactly when that
 // model is one-unambiguous (these models all fit the Compiled's cell
 // budget); on random words, also over symbols neither
-// schema declares, the DFA accepts what Compiled.member and regex.Match do.
+// schema declares, the DFA accepts what regex.Match does.
 func TestQuickFrozenEntries(t *testing.T) {
 	dfas := 0
 	f := func(seed int64) bool {
@@ -385,12 +386,12 @@ func TestQuickFrozenEntries(t *testing.T) {
 			}
 		}
 		c := Compile(sender, target)
-		word := func() []Token {
-			w := make([]Token, rng.Intn(6))
+		word := func() []regex.Symbol {
+			w := make([]regex.Symbol, rng.Intn(6))
 			for i := range w {
-				w[i] = Token{Sym: pool[rng.Intn(len(pool))]}
+				w[i] = pool[rng.Intn(len(pool))]
 				if rng.Intn(5) == 0 {
-					w[i].Sym = tab.Intern("stray")
+					w[i] = tab.Intern("stray")
 				}
 			}
 			return w
@@ -407,14 +408,9 @@ func TestQuickFrozenEntries(t *testing.T) {
 			dfas++
 			for i := 0; i < 10; i++ {
 				w := word()
-				syms := make([]regex.Symbol, len(w))
-				for j, tok := range w {
-					syms[j] = tok.Sym
-				}
-				in := d.Accepts(syms)
-				if in != c.member(w, m.re) || in != regex.Match(m.re, syms) {
-					t.Logf("seed %d: %s: %v in %s: DFA %t, derivatives %t, regex.Match %t",
-						seed, name, syms, m.re.String(tab), in, c.member(w, m.re), regex.Match(m.re, syms))
+				if in := d.Accepts(w); in != regex.Match(m.re, w) {
+					t.Logf("seed %d: %s: %v in %s: DFA %t, regex.Match %t",
+						seed, name, w, m.re.String(tab), in, !in)
 					return false
 				}
 			}

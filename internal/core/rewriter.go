@@ -233,29 +233,37 @@ func (rw *Rewriter) CheckDocument(root *doc.Node, mode Mode) error {
 	if err != nil {
 		return err
 	}
-	return rw.CheckForest([]*doc.Node{root}, typ, mode)
+	_, err = rw.checkForest([]*doc.Node{root}, typ, mode, nil)
+	return err
 }
 
 // documentType returns the expected word type of the document root: the
-// schema's distinguished root label when declared, else the root's own label.
-func (rw *Rewriter) documentType(root *doc.Node) (*regex.Regex, error) {
-	label := rw.Compiled.Target.Root
+// schema's distinguished root label when declared, else the root's own
+// label. The declared root's type is frozen on its entry; any other is
+// built per call.
+func (rw *Rewriter) documentType(root *doc.Node) (*model, error) {
+	c := rw.Compiled
+	label := c.Target.Root
 	if label == "" {
 		if root.Kind != doc.Element {
 			return nil, &NotSafeError{Msg: "document root is a function node and the target schema declares no root label"}
 		}
 		label = root.Label
 	}
-	if rw.Compiled.Target.Labels[label] == nil {
+	if c.Target.Labels[label] == nil {
 		return nil, &NotSafeError{Msg: fmt.Sprintf("root label %q is not declared by the target schema", label)}
 	}
-	return regex.Sym(rw.Compiled.Table.Intern(label)), nil
+	e := c.names[label]
+	if e.root != nil {
+		return e.root, nil
+	}
+	return adhoc(regex.Sym(e.sym)), nil
 }
 
 // CheckForest reports whether the forest can be rewritten into the word type
 // typ (with every subtree an instance of the target schema), statically.
 func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode) error {
-	_, err := rw.checkForest(forest, typ, mode, nil)
+	_, err := rw.checkForest(forest, adhoc(typ), mode, nil)
 	return err
 }
 
@@ -269,8 +277,8 @@ func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode)
 // later checks skip those subtrees: the check of a call-free subtree reads
 // nothing else, and it passed. A check that passes records the version; a
 // failed one records nothing.
-func (rw *Rewriter) checkForest(forest []*doc.Node, typ *regex.Regex, mode Mode, from *xmlio.Rendering) (*staticCheck, error) {
-	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]int{}, top: adhoc(typ), list: mode == Safe}
+func (rw *Rewriter) checkForest(forest []*doc.Node, typ *model, mode Mode, from *xmlio.Rendering) (*staticCheck, error) {
+	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}, holdsCalls: map[*doc.Node]int{}, top: typ, list: mode == Safe}
 	sc.words = sc.wordsBuf[:0]
 	c, strict := rw.Compiled, rw.ctx.Strict
 	if from != nil && c.isVerified(from.ID(), strict) {
@@ -553,9 +561,9 @@ func (sc *staticCheck) element(e *doc.Node, ent *entry, at nodePath) error {
 // its nodes onto ents. A word naming no function has no fork: its
 // automaton A_w^k is the word itself, so in every mode and engine its
 // verdict is membership in the content model. Such a word takes one step of
-// the model's DFA per node, or steps the Compiled's shared derivative table
-// when the model has no DFA, and builds no word-verdict memo key; a word
-// with a function goes through the memo.
+// the model's DFA per node, or is matched by schema.Context.MatchWord when
+// the model has no DFA, and builds no word-verdict memo key; a word with a
+// function goes through the memo.
 func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 	c := sc.rw.Compiled
 	base := len(sc.ents)
@@ -578,7 +586,7 @@ func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
 	d := c.dfaOf(typ)
 	if d == nil {
-		return c.member(sc.tokens(forest, base), typ.re), nil
+		return sc.rw.ctx.MatchWord(typ.re, forest), nil
 	}
 	// A symbol the model does not mention, declared or not, takes the DFA's
 	// other column, so the steps decide membership for every word.

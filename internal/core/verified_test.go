@@ -155,10 +155,11 @@ func TestVerifiedConcurrentRecord(t *testing.T) {
 
 // TestQuickMatchWordAgrees: the executor's final verification
 // (Compiled.matchWord) decides what schema.Context.MatchWord decides, on
-// random content models stepped through a DFA, through the derivative
-// table, and read through patterns, over random words of elements,
-// functions, a pattern-admitted function, a name neither schema declares
-// and text.
+// random content models stepped through a DFA, matched without one, and
+// read through patterns, over random words of elements, functions, a
+// pattern-admitted function, a name neither schema declares and text. The
+// models' names are interned first, as a schema parse interns every name
+// its models mention.
 func TestQuickMatchWordAgrees(t *testing.T) {
 	withPatterns, patternTarget := patternSchemas(t)
 	plainSender := schema.MustParseText(cacheSenderText, nil)
@@ -179,9 +180,9 @@ func TestQuickMatchWordAgrees(t *testing.T) {
 				case 0:
 					return regex.Empty()
 				case 1:
-					return regex.ClassOf(regex.NewClass(true, c.symbol(labels[rng.Intn(len(labels))])))
+					return regex.ClassOf(regex.NewClass(true, c.Table.Intern(labels[rng.Intn(len(labels))])))
 				default:
-					return regex.Sym(c.symbol(labels[rng.Intn(len(labels))]))
+					return regex.Sym(c.Table.Intern(labels[rng.Intn(len(labels))]))
 				}
 			}
 			switch rng.Intn(4) {
@@ -224,7 +225,7 @@ func TestQuickMatchWordAgrees(t *testing.T) {
 
 // TestMatchWordAllocationsFlat: the final verification of a word costs the
 // same allocations at 10 children as at 1,000, through the DFA and through
-// the derivative table.
+// schema.Context.MatchWord's position sets.
 func TestMatchWordAllocationsFlat(t *testing.T) {
 	sender := schema.MustParseText(frozenSender, nil)
 	c := Compile(sender, frozenReceiverSchema(t, sender))

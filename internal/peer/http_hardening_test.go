@@ -1,12 +1,14 @@
 package peer
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"axml/internal/doc"
 	"axml/internal/soap"
 )
 
@@ -117,6 +119,36 @@ func TestExchangeHostileSchemasBoundedMemory(t *testing.T) {
 	}
 	if size := p.Enforcement.Len(); size > 64 {
 		t.Errorf("enforcement cache holds %d entries, want <= its 64 bound", size)
+	}
+}
+
+// TestSoapUnknownParamsDoNotGrowTable: /soap validates and rewrites a
+// call's parameters on the peer's own schema, whose table is the one
+// TestExchangeHostileSchemasBoundedMemory keeps strangers out of. A
+// parameter label no schema declares is looked up, never interned: 200
+// calls of Get_Temp, each with a label the peer has never seen, all fail
+// and leave the table as the first such call left it.
+func TestSoapUnknownParamsDoNotGrowTable(t *testing.T) {
+	p := newsPeer(t)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	client := &soap.Client{Endpoint: ts.URL + "/soap", Namespace: "urn:axml:news"}
+	call := func(i int) {
+		t.Helper()
+		params := []*doc.Node{doc.Elem(fmt.Sprintf("junk_%d", i), doc.TextNode("x"))}
+		if _, err := client.Call(context.Background(), "Get_Temp", params); err == nil {
+			t.Fatalf("call %d with an undeclared parameter succeeded", i)
+		}
+	}
+	// The first call compiles the peer's own schema pair.
+	call(0)
+	before := p.Schema.Table.Len()
+	const n = 200
+	for i := 1; i <= n; i++ {
+		call(i)
+	}
+	if after := p.Schema.Table.Len(); after != before {
+		t.Errorf("shared symbol table grew from %d to %d over %d calls", before, after, n)
 	}
 }
 

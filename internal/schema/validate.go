@@ -51,7 +51,9 @@ func (c *Context) LookupFunc(name string) *FuncDef {
 // AdmissibleSyms returns the schema symbols a document child can be read as
 // when matching a content model: its own name, plus — for function nodes —
 // every declared pattern that admits it (predicate passes and signatures
-// agree).
+// agree). Names are looked up, never interned: a name the table does not
+// know reads as regex.NoSymbol, which only negated classes contain, so a
+// document cannot grow the schema's table.
 func (c *Context) AdmissibleSyms(n *doc.Node) []regex.Symbol {
 	return c.appendAdmissible(nil, n)
 }
@@ -59,7 +61,7 @@ func (c *Context) AdmissibleSyms(n *doc.Node) []regex.Symbol {
 // appendAdmissible appends n's admissible symbols (AdmissibleSyms) to out,
 // patterns in no particular order.
 func (c *Context) appendAdmissible(out []regex.Symbol, n *doc.Node) []regex.Symbol {
-	out = append(out, c.Target.Table.Intern(n.Label))
+	out = append(out, c.lookup(n.Label))
 	if n.Kind != doc.Func {
 		return out
 	}
@@ -69,10 +71,17 @@ func (c *Context) appendAdmissible(out []regex.Symbol, n *doc.Node) []regex.Symb
 	}
 	for pname, pat := range c.Target.Patterns {
 		if FuncMatchesPattern(def, pat) {
-			out = append(out, c.Target.Table.Intern(pname))
+			out = append(out, c.lookup(pname))
 		}
 	}
 	return out
+}
+
+// lookup returns the symbol of name in the target's table, or
+// regex.NoSymbol when the table does not know it.
+func (c *Context) lookup(name string) regex.Symbol {
+	s, _ := c.Target.Table.Lookup(name)
+	return s
 }
 
 // MatchWord reports whether the (non-text) children of a node, resolved
@@ -328,14 +337,14 @@ func forestLabels(forest []*doc.Node) []string {
 }
 
 // WordOf converts the non-text children of n into the symbol word the core
-// algorithms rewrite, interning labels as needed.
+// algorithms rewrite, looking labels up as AdmissibleSyms does.
 func (c *Context) WordOf(n *doc.Node) []regex.Symbol {
 	out := make([]regex.Symbol, 0, len(n.Children))
 	for _, ch := range n.Children {
 		if ch.Kind == doc.Text {
 			continue
 		}
-		out = append(out, c.Target.Table.Intern(ch.Label))
+		out = append(out, c.lookup(ch.Label))
 	}
 	return out
 }

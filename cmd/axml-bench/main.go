@@ -62,17 +62,17 @@ func main() {
 
 	all := experiments.All()
 	if *list {
-		for _, t := range all {
-			fmt.Printf("%-20s %s\n", t.ID, t.Title)
+		for _, e := range all {
+			fmt.Printf("%-20s %s\n", e.Head.ID, e.Head.Title)
 		}
 		return
 	}
 	ran := 0
-	for _, t := range all {
-		if *runFilter != "" && !strings.Contains(t.ID, *runFilter) {
+	for _, e := range all {
+		if *runFilter != "" && !strings.Contains(e.Head.ID, *runFilter) {
 			continue
 		}
-		t.Fprint(os.Stdout)
+		e.Run().Fprint(os.Stdout)
 		ran++
 	}
 	if ran == 0 {

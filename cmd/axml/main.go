@@ -159,7 +159,6 @@ func cmdCheck(args []string) error {
 	targetPath := fs.String("target", "", "exchange schema")
 	modeStr := fs.String("mode", "safe", "safe | possible")
 	k := fs.Int("k", 2, "rewriting depth bound")
-	lazy := fs.Bool("lazy", false, "use the lazy analysis variant")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -183,9 +182,6 @@ func cmdCheck(args []string) error {
 	}
 	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{})
 	rw.K = *k
-	if *lazy {
-		rw.Engine = core.Lazy
-	}
 	if err := rw.CheckDocument(d, mode); err != nil {
 		return fmt.Errorf("NOT %s-rewritable (k=%d): %w", mode, *k, err)
 	}
@@ -201,7 +197,6 @@ func cmdRewrite(args []string) error {
 	k := fs.Int("k", 2, "rewriting depth bound")
 	simSeed := fs.Int64("sim", -1, "simulate services with this random seed")
 	endpoint := fs.String("endpoint", "", "default SOAP endpoint for service calls")
-	lazy := fs.Bool("lazy", false, "use the lazy analysis variant")
 	audit := fs.Bool("audit", false, "print the invocation trail to stderr")
 	verbose := fs.Bool("v", false, "tag the run with a rewrite id and print it with the invocation trail to stderr")
 	parallel := fs.Int("parallel", 1, "parallel materialization degree (1 = sequential)")
@@ -240,9 +235,6 @@ func cmdRewrite(args []string) error {
 	}
 	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Invoker: invoker, Parallelism: *parallel})
 	rw.K = *k
-	if *lazy {
-		rw.Engine = core.Lazy
-	}
 	ctx := context.Background()
 	if *verbose {
 		// One generated id per top-level rewrite; every audit record carries

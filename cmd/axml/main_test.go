@@ -61,7 +61,7 @@ func TestCheckCommand(t *testing.T) {
 	}
 	if _, err := capture(t, func() error {
 		return run([]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/tristar.axs",
-			"-mode", "possible", "-k", "1", "-lazy", "testdata/newspaper.xml"})
+			"-mode", "possible", "-k", "1", "testdata/newspaper.xml"})
 	}); err != nil {
 		t.Errorf("possible check against (***) should pass: %v", err)
 	}
@@ -192,6 +192,8 @@ func TestCommandErrors(t *testing.T) {
 		{"validate", "-schema", "missing.axs", "testdata/newspaper.xml"},
 		{"check", "-sender", "testdata/star.axs", "testdata/newspaper.xml"},
 		{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-mode", "bogus", "testdata/newspaper.xml"},
+		{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-lazy", "testdata/newspaper.xml"}, // removed flag
+		{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-sim", "7", "-lazy", "testdata/newspaper.xml"},
 		{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "testdata/newspaper.xml"}, // no -sim/-endpoint
 		{"schema-check"},
 		{"convert"},

@@ -175,8 +175,8 @@ func TestPairKeyTableNamespacing(t *testing.T) {
 	}
 }
 
-// TestWordVerdictMemo: repeated words answer from the memo for every
-// (engine, mode) combination, and verdicts match the uncached analyses.
+// TestWordVerdictMemo: repeated words answer from the memo in every mode,
+// Mixed from the entry Safe filed, and a frozen token makes another word.
 func TestWordVerdictMemo(t *testing.T) {
 	sender, target := cachePair(t)
 	c := Compile(sender, target)
@@ -186,29 +186,27 @@ func TestWordVerdictMemo(t *testing.T) {
 	}
 	model := c.ExpandPatterns(target.Labels["newspaper"].Content)
 
-	for _, engine := range []EngineKind{Eager, Lazy} {
-		for _, mode := range []Mode{Safe, Possible} {
-			v1, err := c.WordVerdict(engine, mode, word, model, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2, err := c.WordVerdict(engine, mode, word, model, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v1 != v2 || !v1 {
-				t.Errorf("engine %d mode %s: verdicts %t/%t, want true/true", engine, mode, v1, v2)
-			}
+	for _, mode := range []Mode{Safe, Possible, Mixed} {
+		v1, err := c.WordVerdict(mode, word, model, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := c.WordVerdict(mode, word, model, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v1 != v2 || !v1 {
+			t.Errorf("mode %s: verdicts %t/%t, want true/true", mode, v1, v2)
 		}
 	}
 	st := c.WordCacheStats()
-	if st.Hits != 4 || st.Misses != 4 {
-		t.Errorf("word memo stats = %s, want 4 hits + 4 misses", st)
+	if st.Hits != 4 || st.Misses != 2 {
+		t.Errorf("word memo stats = %s, want 4 hits + 2 misses", st)
 	}
 
 	// Frozen tokens are a different word: must not reuse the plain verdict.
 	frozen := []Token{word[0], {Sym: word[1].Sym, Frozen: true}}
-	v, err := c.WordVerdict(Eager, Safe, frozen, model, 1)
+	v, err := c.WordVerdict(Safe, frozen, model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,27 +228,26 @@ func TestWordVerdictMemoKey(t *testing.T) {
 		{Sym: 40, Depth: 2, Frozen: true, MustCall: true},
 	}
 	for _, tc := range []struct {
-		engine EngineKind
-		mode   Mode
-		k      int
-		want   string
+		mode Mode
+		k    int
+		want string
 	}{
-		{Eager, Safe, 2, "0s2|3.12@1!.7^.40@2!^.|"},
-		{Lazy, Mixed, 1, "1s1|3.12@1!.7^.40@2!^.|"},
-		{Eager, Possible, 10, "0p10|3.12@1!.7^.40@2!^.|"},
+		{Safe, 2, "s2|3.12@1!.7^.40@2!^.|"},
+		{Mixed, 1, "s1|3.12@1!.7^.40@2!^.|"},
+		{Possible, 10, "p10|3.12@1!.7^.40@2!^.|"},
 	} {
-		if got := string(appendWordKey([]byte("stale"), tc.engine, tc.mode, word, model, tc.k)); got != "stale"+tc.want+model.Key() {
+		if got := string(appendWordKey([]byte("stale"), tc.mode, word, model, tc.k)); got != "stale"+tc.want+model.Key() {
 			t.Errorf("key = %q, want %q", got, "stale"+tc.want+model.Key())
 		}
 	}
 
 	hit := []Token{{Sym: c.Table.Intern("title")}, {Sym: c.Table.Intern("Get_Temp")}}
 	var key []byte
-	if _, err := c.wordVerdict(&key, Eager, Safe, hit, model, 1); err != nil {
+	if _, err := c.wordVerdict(&key, Safe, hit, model, 1); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(100, func() {
-		if _, err := c.wordVerdict(&key, Eager, Safe, hit, model, 1); err != nil {
+		if _, err := c.wordVerdict(&key, Safe, hit, model, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -270,7 +267,7 @@ func TestWordCacheBoundsAndDisable(t *testing.T) {
 	model := c.ExpandPatterns(target.Labels["newspaper"].Content)
 	syms := []string{"title", "temp", "city"}
 	for _, name := range syms {
-		if _, err := c.WordVerdict(Eager, Possible, []Token{{Sym: c.Table.Intern(name)}}, model, 1); err != nil {
+		if _, err := c.WordVerdict(Possible, []Token{{Sym: c.Table.Intern(name)}}, model, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +277,7 @@ func TestWordCacheBoundsAndDisable(t *testing.T) {
 
 	c.SetWordCacheCapacity(-1)
 	for i := 0; i < 3; i++ {
-		if _, err := c.WordVerdict(Eager, Possible, []Token{{Sym: c.Table.Intern("title")}}, model, 1); err != nil {
+		if _, err := c.WordVerdict(Possible, []Token{{Sym: c.Table.Intern("title")}}, model, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,13 +298,15 @@ func TestWordVerdictMemoConcurrent(t *testing.T) {
 		{{Sym: c.Table.Intern("title")}, {Sym: c.Table.Intern("temp")}},
 		{{Sym: c.Table.Intern("temp")}},
 	}
-	want := make([]bool, len(words))
+	want := make([][2]bool, len(words)) // [Safe, Possible]
 	for i, w := range words {
-		v, err := c.WordVerdict(Eager, Safe, w, model, 1)
-		if err != nil {
-			t.Fatal(err)
+		for m, mode := range []Mode{Safe, Possible} {
+			v, err := c.WordVerdict(mode, w, model, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][m] = v
 		}
-		want[i] = v
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -315,15 +314,14 @@ func TestWordVerdictMemoConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < 30; j++ {
-				i := (g + j) % len(words)
-				engine := EngineKind(j % 2)
-				v, err := c.WordVerdict(engine, Safe, words[i], model, 1)
+				i, m := (g+j)%len(words), j%2
+				v, err := c.WordVerdict([]Mode{Safe, Possible}[m], words[i], model, 1)
 				if err != nil {
 					t.Errorf("verdict: %v", err)
 					return
 				}
-				if v != want[i] {
-					t.Errorf("word %d: verdict %t, want %t", i, v, want[i])
+				if v != want[i][m] {
+					t.Errorf("word %d mode %d: verdict %t, want %t", i, m, v, want[i][m])
 					return
 				}
 				_ = c.ExpandPatterns(target.Labels["newspaper"].Content)

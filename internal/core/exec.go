@@ -156,8 +156,9 @@ type execState struct {
 	// materialized into input instances (or arrived conformant from an
 	// invocation result).
 	paramsDone map[*doc.Node]bool
-	// permafrost marks functions that can never be invoked: undeclared,
-	// non-invocable, or parameters beyond repair in lenient mode.
+	// permafrost marks the functions a degraded call left intensional (a
+	// Possible-mode call its policy gave up on, a Mixed-mode pre-invocation
+	// that failed transiently): they may be kept, never invoked again.
 	permafrost map[*doc.Node]bool
 	calls      int
 	sched      *parScheduler
@@ -330,30 +331,23 @@ func (ex *executor) descend(kids []*doc.Node, fresh []bool, at nodePath, proven 
 	})
 }
 
-// materializeParams rewrites f's parameters into its input type, memoized.
-// Failures freeze f in lenient mode and abort in strict mode. The parameter
-// forest is proven when its static sub-check succeeded.
+// materializeParams rewrites f's parameters into its input type, memoized;
+// a failure aborts the rewriting, as in the paper. The parameter forest is
+// proven when its static sub-check succeeded.
 func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 	if ex.paramsReady(f) || ex.isFrozen(f) {
 		return nil
 	}
 	c := ex.rw.Compiled
-	fail := func(err error) error {
-		if ex.rw.StrictParams {
-			return err
-		}
-		ex.freeze(f)
-		return nil
-	}
 	params := nodePath{up: at.box(), label: f.Label, index: paramStep}
 	e := c.names[f.Label]
 	if e == nil || e.fi == nil {
-		return fail(&NotSafeError{Path: at.String(), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)})
+		return &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)}
 	}
 	if e.fi.In == nil {
 		kids, err := ex.collapseToData(f.Children, params)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		f.Children = kids
 		ex.markParamsDone(f)
@@ -362,7 +356,7 @@ func (ex *executor) materializeParams(f *doc.Node, at nodePath) error {
 	proven := ex.st.proof != nil && ex.st.proof.paramsOK[f]
 	kids, err := ex.forest(f.Children, &e.in, params, proven)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	f.Children = kids
 	ex.markParamsDone(f)
@@ -387,7 +381,7 @@ func (ex *executor) collapseToData(children []*doc.Node, at nodePath) ([]*doc.No
 				return nil, err
 			}
 			if ex.isFrozen(ch) {
-				return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("parameters of %q cannot be fixed", ch.Label)}
+				return nil, &NotSafeError{Path: at.String(), Msg: fmt.Sprintf("call %q degraded and cannot become atomic data", ch.Label)}
 			}
 			res, err := ex.invoke(ch, 1)
 			if err != nil {

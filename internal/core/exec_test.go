@@ -76,36 +76,31 @@ func paperRewriter(t *testing.T, newspaper string, inv Invoker) *Rewriter {
 // TestFig2SafeExecution reproduces the paper's central example: rewriting
 // the Figure 2.a document into schema (**) calls Get_Temp, keeps TimeOut.
 func TestFig2SafeExecution(t *testing.T) {
-	for _, engine := range []EngineKind{Eager, Lazy} {
-		inv := stubInvoker{
-			"Get_Temp": ret(doc.Elem("temp", doc.TextNode("15"))),
-			"TimeOut": func(*doc.Node) ([]*doc.Node, error) {
-				t.Error("TimeOut must not be invoked for schema (**)")
-				return nil, nil
-			},
+	inv := stubInvoker{
+		"Get_Temp": ret(doc.Elem("temp", doc.TextNode("15"))),
+		"TimeOut": func(*doc.Node) ([]*doc.Node, error) {
+			t.Error("TimeOut must not be invoked for schema (**)")
+			return nil, nil
+		},
+	}
+	rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
+	out, err := rw.RewriteDocument(context.Background(), fig2doc(), Safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Context().Validate(out); err != nil {
+		t.Fatalf("result does not validate: %v", err)
+	}
+	labels := out.ChildLabels()
+	want := []string{"title", "date", "temp", "TimeOut"}
+	for i := range want {
+		if labels[i] != want[i] {
+			t.Fatalf("children = %v want %v", labels, want)
 		}
-		rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", inv)
-		rw.Engine = engine
-		root := fig2doc()
-		out, err := rw.RewriteDocument(context.Background(), root, Safe)
-		if err != nil {
-			t.Fatalf("engine %d: %v", engine, err)
-		}
-		if err := rw.Context().Validate(out); err != nil {
-			t.Fatalf("engine %d: result does not validate: %v", engine, err)
-		}
-		labels := out.ChildLabels()
-		want := []string{"title", "date", "temp", "TimeOut"}
-		for i := range want {
-			if labels[i] != want[i] {
-				t.Fatalf("engine %d: children = %v want %v", engine, labels, want)
-			}
-		}
-		calls := rw.Audit.Calls()
-		if len(calls) != 1 || calls[0].Func != "Get_Temp" {
-			t.Errorf("engine %d: audit = %+v want exactly one Get_Temp call", engine, calls)
-		}
-		rw.Audit.Reset()
+	}
+	calls := rw.Audit.Calls()
+	if len(calls) != 1 || calls[0].Func != "Get_Temp" {
+		t.Errorf("audit = %+v want exactly one Get_Temp call", calls)
 	}
 }
 
@@ -232,27 +227,13 @@ func Default_City = data -> city
 }
 
 // TestStrictParamsFailure: a function whose parameters cannot be fixed
-// fails strict rewriting even when it could be kept.
+// fails the rewriting even when it could be kept.
 func TestStrictParamsFailure(t *testing.T) {
 	rw := paperRewriter(t, "title.date.(Get_Temp|temp).(TimeOut|exhibit*)", stubInvoker{})
 	bad := fig2doc()
 	bad.Children[2] = doc.Call("Get_Temp", doc.Elem("date")) // wrong param type
 	if err := rw.CheckDocument(bad, Safe); err == nil {
-		t.Fatal("strict mode should reject unfixable parameters")
-	}
-	// Lenient mode freezes Get_Temp instead; the target admits keeping it,
-	// so the check passes.
-	rw.StrictParams = false
-	if err := rw.CheckDocument(bad, Safe); err != nil {
-		t.Fatalf("lenient mode should allow keeping the broken call: %v", err)
-	}
-	// But a target that requires materialization still fails leniently.
-	rw2 := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", stubInvoker{})
-	rw2.StrictParams = false
-	bad2 := fig2doc()
-	bad2.Children[2] = doc.Call("Get_Temp", doc.Elem("date"))
-	if err := rw2.CheckDocument(bad2, Safe); err == nil {
-		t.Fatal("frozen function cannot materialize temp")
+		t.Fatal("unfixable parameters must be rejected")
 	}
 }
 

@@ -80,7 +80,7 @@ func TestFig10TargetAutomatonStructure(t *testing.T) {
 func TestFig6MarkingStructure(t *testing.T) {
 	c, w := PaperPairForTest(t)
 	target := regex.MustParse(c.Table, "title.date.temp.(TimeOut|exhibit*)")
-	a, err := AnalyzeSafe(c, w, target, 1, nil)
+	a, err := AnalyzeSafe(c, w, target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFig6MarkingStructure(t *testing.T) {
 func TestFig8MarkingStructure(t *testing.T) {
 	c, w := PaperPairForTest(t)
 	target := regex.MustParse(c.Table, "title.date.temp.exhibit*")
-	a, err := AnalyzeSafe(c, w, target, 1, nil)
+	a, err := AnalyzeSafe(c, w, target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

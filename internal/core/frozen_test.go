@@ -289,9 +289,9 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestCompiledConcurrentReadOnly runs static checks and rewritings, eager
-// and lazy, sequential and parallel, in every mode, concurrently over one
-// fresh Compiled, so the first uses of its models race to build their DFAs.
+// TestCompiledConcurrentReadOnly runs static checks and rewritings,
+// sequential and parallel, in every mode, concurrently over one fresh
+// Compiled, so the first uses of its models race to build their DFAs.
 // Nothing may write what Compile froze, and a DFA may be written only
 // under its model's sync.Once: under -race, any other write into an entry
 // or a DFA during these reads is a reported data race.
@@ -306,7 +306,7 @@ func TestCompiledConcurrentReadOnly(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				rw := NewRewriterForConfig(c, RewriterConfig{Invoker: inv, Engine: EngineKind(g % 2), Parallelism: 1 + g/2})
+				rw := NewRewriterForConfig(c, RewriterConfig{Invoker: inv, Parallelism: 1 + g/2})
 				mode := []Mode{Safe, Possible, Mixed}[i%3]
 				if err := rw.CheckDocument(stored, mode); err != nil {
 					t.Errorf("check, mode %s: %v", mode, err)

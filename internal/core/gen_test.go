@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 
 	"axml/internal/doc"
 	"axml/internal/schema"
@@ -15,14 +16,18 @@ import (
 // pureInvoker is a deterministic, read-only invoker: the result is a pure
 // function of the call's name and first text parameter, so runs over clones
 // of one document, at any degree, receive identical answers. It maps
-// function names to the label of the single element returned; "page"
-// results carry a conforming hdr child instead of text.
+// function names to the label of the single node returned: an element
+// holding the call's key as text, one of several labels "a|b" picked by
+// the key, or, for a label starting in upper case, a call of that function
+// with the key as its parameter. "page" results carry a conforming hdr
+// child instead of text.
 type pureInvoker map[string]string
 
 func newPureInvoker() pureInvoker {
 	return pureInvoker{
 		"Get": "val", "Deep": "val", "MkTtl": "ttl",
 		"Stamp": "stamp", "Note": "note", "Mk": "page",
+		"Pick": "val|alt", "Defer": "Get",
 	}
 }
 
@@ -44,24 +49,38 @@ func (p pureInvoker) Invoke(_ context.Context, call *doc.Node) ([]*doc.Node, err
 		return nil, errors.New("pureInvoker: no result shape for " + call.Label)
 	}
 	key := call.Label + ":" + firstText(call)
-	if label == "page" {
+	if alts := strings.Split(label, "|"); len(alts) > 1 {
+		sum := 0
+		for _, b := range []byte(key) {
+			sum += int(b)
+		}
+		label = alts[sum%len(alts)]
+	}
+	switch {
+	case label == "page":
 		return []*doc.Node{doc.Elem("page", doc.Elem("hdr", doc.TextNode(key)))}, nil
+	case unicode.IsUpper(rune(label[0])):
+		return []*doc.Node{doc.Call(label, doc.TextNode(key))}, nil
 	}
 	return []*doc.Node{doc.Elem(label, doc.TextNode(key))}, nil
 }
 
 // propSenderText is the sender schema of the generated-document tests: a
 // page of sections whose content mixes plain elements, directly invocable
-// functions, and a function (Deep) whose parameters need a nested call.
+// functions, and a function (Deep) whose parameters need a nested call,
+// then pairs (duo) whose first call (Pick) may answer either of two words
+// and whose second may be a call (Defer) that answers with a call.
 const propSenderText = `
 root page
-elem page = hdr.sec*.ftr*
+elem page = hdr.sec*.duo*.ftr*
 elem hdr = data
 elem ftr = (Stamp|stamp)
 elem stamp = data
 elem sec = ttl.(Get|val|Deep)*.sub*
 elem ttl = data
 elem sub = (Get|val).(Note|note)
+elem duo = (Pick|val|alt).(Get|val|Defer)
+elem alt = data
 elem note = data
 elem val = data
 func Get = data -> val
@@ -69,6 +88,8 @@ func Deep = ttl -> val
 func MkTtl = data -> ttl
 func Stamp = data -> stamp
 func Note = data -> note
+func Pick = data -> (val|alt)
+func Defer = data -> Get
 func Mk = data -> page
 `
 
@@ -79,6 +100,7 @@ func propTargetText() string {
 		"(Stamp|stamp)", "stamp",
 		"(Get|val|Deep)*", "val*",
 		"(Get|val).(Note|note)", "val.note",
+		"(Pick|val|alt).(Get|val|Defer)", "(val|alt).val",
 	)
 	return r.Replace(propSenderText)
 }
@@ -127,12 +149,38 @@ func propDoc(rng *rand.Rand, secs int) *doc.Node {
 		}
 		kids = append(kids, doc.Elem("sec", sk...))
 	}
+	var ftr *doc.Node
 	if rng.Intn(2) == 0 {
 		if rng.Intn(2) == 0 {
-			kids = append(kids, doc.Elem("ftr", doc.Call("Stamp", doc.TextNode("f"))))
+			ftr = doc.Elem("ftr", doc.Call("Stamp", doc.TextNode("f")))
 		} else {
-			kids = append(kids, doc.Elem("ftr", doc.Elem("stamp", doc.TextNode("s"))))
+			ftr = doc.Elem("ftr", doc.Elem("stamp", doc.TextNode("s")))
 		}
+	}
+	// The pairs draw last, after the footer they precede, so the sections
+	// and footer a seed generates do not depend on them.
+	for d, m := 0, rng.Intn(3); d < m; d++ {
+		var first, second *doc.Node
+		switch rng.Intn(3) {
+		case 0:
+			first = doc.Call("Pick", doc.TextNode(fmt.Sprintf("p%d", d)))
+		case 1:
+			first = doc.Elem("val", doc.TextNode("v"))
+		default:
+			first = doc.Elem("alt", doc.TextNode("a"))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			second = doc.Call("Get", doc.TextNode(fmt.Sprintf("q%d", d)))
+		case 1:
+			second = doc.Call("Defer", doc.TextNode(fmt.Sprintf("r%d", d)))
+		default:
+			second = doc.Elem("val", doc.TextNode("v"))
+		}
+		kids = append(kids, doc.Elem("duo", first, second))
+	}
+	if ftr != nil {
+		kids = append(kids, ftr)
 	}
 	return doc.Elem("page", kids...)
 }

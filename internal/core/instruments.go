@@ -20,18 +20,15 @@ import (
 type Instruments struct {
 	reg *telemetry.Registry
 
-	// --- word-level analysis (safe.go / possible.go / lazy.go) ---
-	wordVerdicts [2][2]*telemetry.Counter   // [engine][safe|possible]
-	wordSeconds  [2][2]*telemetry.Histogram // cache-miss analysis latency
+	// --- word-level analysis (safe.go / possible.go) ---
+	wordVerdicts [2]*telemetry.Counter   // [safe|possible]
+	wordSeconds  [2]*telemetry.Histogram // cache-miss analysis latency
 	forkSeconds  *telemetry.Histogram
 	complSeconds *telemetry.Histogram
 	dfaSeconds   *telemetry.Histogram
 	forkStates   *telemetry.Histogram
-	prodEager    *telemetry.Histogram
+	prodSafe     *telemetry.Histogram
 	prodPossible *telemetry.Histogram
-	prodLazy     *telemetry.Histogram
-	lazySink     *telemetry.Counter
-	lazyMark     *telemetry.Counter
 
 	// --- rewriting (exec.go) ---
 	rewrites    [3]*telemetry.Counter // [Safe|Possible|Mixed]
@@ -98,23 +95,16 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		return nil
 	}
 	ins := &Instruments{reg: reg}
-	engines := [2]string{"eager", "lazy"}
-	analyses := [2]string{"safe", "possible"}
-	for e, ename := range engines {
-		for m, mname := range analyses {
-			ins.wordVerdicts[e][m] = reg.Counter("axml_word_verdicts_total", "engine", ename, "mode", mname)
-			ins.wordSeconds[e][m] = reg.Histogram("axml_word_analysis_seconds", telemetry.DefBuckets, "engine", ename, "mode", mname)
-		}
+	for m, mname := range [2]string{"safe", "possible"} {
+		ins.wordVerdicts[m] = reg.Counter("axml_word_verdicts_total", "mode", mname)
+		ins.wordSeconds[m] = reg.Histogram("axml_word_analysis_seconds", telemetry.DefBuckets, "mode", mname)
 	}
 	ins.forkSeconds = reg.Histogram("axml_automaton_seconds", telemetry.DefBuckets, "stage", "fork")
 	ins.complSeconds = reg.Histogram("axml_automaton_seconds", telemetry.DefBuckets, "stage", "complement")
 	ins.dfaSeconds = reg.Histogram("axml_automaton_seconds", telemetry.DefBuckets, "stage", "target_dfa")
 	ins.forkStates = reg.Histogram("axml_automaton_states", telemetry.CountBuckets, "kind", "fork")
-	ins.prodEager = reg.Histogram("axml_automaton_states", telemetry.CountBuckets, "kind", "product_safe")
+	ins.prodSafe = reg.Histogram("axml_automaton_states", telemetry.CountBuckets, "kind", "product_safe")
 	ins.prodPossible = reg.Histogram("axml_automaton_states", telemetry.CountBuckets, "kind", "product_possible")
-	ins.prodLazy = reg.Histogram("axml_automaton_states", telemetry.CountBuckets, "kind", "product_lazy")
-	ins.lazySink = reg.Counter("axml_lazy_prunes_total", "kind", "sink")
-	ins.lazyMark = reg.Counter("axml_lazy_prunes_total", "kind", "mark")
 
 	for m := Safe; m <= Mixed; m++ {
 		ins.rewrites[m] = reg.Counter("axml_rewrites_total", "mode", m.String())
@@ -159,27 +149,18 @@ func analysisIdx(mode Mode) int {
 	return 0 // Safe and Mixed share the safe word analysis
 }
 
-func (ins *Instruments) observeWordVerdict(engine EngineKind, mode Mode) {
+func (ins *Instruments) observeWordVerdict(mode Mode) {
 	if ins == nil {
 		return
 	}
-	ins.wordVerdicts[engine][analysisIdx(mode)].Inc()
+	ins.wordVerdicts[analysisIdx(mode)].Inc()
 }
 
-func (ins *Instruments) observeWordAnalysis(engine EngineKind, mode Mode, d time.Duration) {
+func (ins *Instruments) observeWordAnalysis(mode Mode, d time.Duration) {
 	if ins == nil {
 		return
 	}
-	ins.wordSeconds[engine][analysisIdx(mode)].Observe(d.Seconds())
-}
-
-func (ins *Instruments) observeLazy(res *LazyResult) {
-	if ins == nil || res == nil {
-		return
-	}
-	ins.prodLazy.Observe(float64(res.StatesExplored))
-	ins.lazySink.Add(uint64(res.SinkPrunes))
-	ins.lazyMark.Add(uint64(res.MarkPrunes))
+	ins.wordSeconds[analysisIdx(mode)].Observe(d.Seconds())
 }
 
 // observeRewrite records one top-level rewriting; traceID (the rewrite

@@ -29,10 +29,11 @@ import (
 // LazyResult carries a verdict plus the exploration statistics the
 // lazy-vs-eager experiment (E-C5 / Figure 12) reports.
 type LazyResult struct {
-	// Verdict is "safe" for LazySafe, "possible" for LazyPossible.
+	// Verdict is the analysis' answer: for LazySafe, whether a safe
+	// rewriting exists.
 	Verdict bool
 	// StatesExplored counts product states materialized lazily; compare
-	// against SafeAnalysis.NumProdStates / PossibleAnalysis.NumProdStates.
+	// against SafeAnalysis.NumProdStates.
 	StatesExplored int
 	// SinkPrunes counts states cut by the ∅-derivative rule; MarkPrunes
 	// counts states whose group expansion stopped early.
@@ -82,9 +83,14 @@ func LazySafe(c *Compiled, tokens []Token, target *regex.Regex, k int) (*LazyRes
 	}
 	init := ls.intern(0, expanded)
 	ls.explore(init)
-	ls.attractor()
+	// Resolve the cycles explore recorded optimistically.
+	seeds := make([]bool, len(ls.status))
+	for s, st := range ls.status {
+		seeds[s] = st == lazyMarked
+	}
+	marked := attractor(ls.groups, seeds, true)
 	return &LazyResult{
-		Verdict:        ls.status[init] != lazyMarked,
+		Verdict:        !marked[init],
 		StatesExplored: len(ls.qOf),
 		SinkPrunes:     ls.sinkPrunes,
 		MarkPrunes:     ls.markPrunes,
@@ -221,102 +227,4 @@ func relevantSymbols(d *regex.Regex, cls regex.Class) []regex.Symbol {
 		}
 	}
 	return out
-}
-
-// attractor finalizes marking over the recorded subgraph, exactly as in the
-// eager algorithm: a fork group is lost when all options are marked, any
-// other group when its single option is.
-func (ls *lazySafe) attractor() {
-	n := len(ls.qOf)
-	type dep struct{ s, g int }
-	incoming := map[int][]dep{}
-	remaining := make([][]int, n)
-	var queue []int
-	for s := 0; s < n; s++ {
-		if ls.status[s] == lazyMarked {
-			queue = append(queue, s)
-		}
-		remaining[s] = make([]int, len(ls.groups[s]))
-		for g, grp := range ls.groups[s] {
-			remaining[s][g] = len(grp.Options)
-			for _, o := range grp.Options {
-				incoming[o.To] = append(incoming[o.To], dep{s, g})
-			}
-		}
-	}
-	for len(queue) > 0 {
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, d := range incoming[t] {
-			if ls.status[d.s] == lazyMarked {
-				continue
-			}
-			remaining[d.s][d.g]--
-			if remaining[d.s][d.g] == 0 {
-				ls.status[d.s] = lazyMarked
-				queue = append(queue, d.s)
-			}
-		}
-	}
-}
-
-// LazyPossible answers Figure 9's question by pruned DFS reachability:
-// search for an accepting product state, never expanding past the ∅
-// derivative (nothing accepts beyond the sink).
-func LazyPossible(c *Compiled, tokens []Token, target *regex.Regex, k int) (*LazyResult, error) {
-	fork, err := BuildFork(c, tokens, k)
-	if err != nil {
-		return nil, err
-	}
-	expanded := c.ExpandPatterns(target)
-	deriver, fresh := regex.NewDeriver(), c.other
-	type key struct {
-		q int
-		k string
-	}
-	seen := map[key]bool{}
-	explored, sinkPrunes := 0, 0
-
-	var dfs func(q int, d *regex.Regex) bool
-	dfs = func(q int, d *regex.Regex) bool {
-		kk := key{q, d.Key()}
-		if seen[kk] {
-			return false
-		}
-		seen[kk] = true
-		explored++
-		if d.IsNever() {
-			sinkPrunes++
-			return false
-		}
-		if fork.Accept[q] && d.Nullable() {
-			return true
-		}
-		for _, e := range fork.Edges[q] {
-			switch {
-			case e.Eps:
-				if dfs(e.To, d) {
-					return true
-				}
-			case !e.Cls.Negated:
-				for _, x := range e.Cls.Syms {
-					if dfs(e.To, deriver.Derive(d, x)) {
-						return true
-					}
-				}
-			default:
-				for _, x := range relevantSymbols(d, e.Cls) {
-					if dfs(e.To, deriver.Derive(d, x)) {
-						return true
-					}
-				}
-				if dfs(e.To, deriver.Derive(d, fresh)) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	found := dfs(0, expanded)
-	return &LazyResult{Verdict: found, StatesExplored: explored, SinkPrunes: sinkPrunes}, nil
 }

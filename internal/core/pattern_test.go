@@ -88,22 +88,29 @@ func TestPatternRejectedMustMaterialize(t *testing.T) {
 	}
 }
 
-// TestPatternLazyAgrees: pattern expansion behaves identically under the
-// lazy engine.
+// TestPatternLazyAgrees: pattern expansion behaves identically in the lazy
+// analysis: the words the check asks about the two documents, kept or
+// frozen, get WordSafe's verdicts from LazySafe.
 func TestPatternLazyAgrees(t *testing.T) {
 	sender, target := patternSchemas(t)
+	c := Compile(sender, target)
+	model := target.Labels["newspaper"].Content
 	for _, callName := range []string{"Get_Temp", "Rogue_Temp"} {
-		d := doc.Elem("newspaper",
-			doc.Elem("title", doc.TextNode("t")),
-			doc.Call(callName, doc.Elem("city", doc.TextNode("Paris"))))
-		eager := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1})
-		lazy := NewRewriterWithConfig(sender, target, RewriterConfig{Depth: 1})
-		lazy.Engine = Lazy
-		// Safe either way (keep for Get_Temp, call for Rogue_Temp).
-		errE := eager.CheckDocument(d, Safe)
-		errL := lazy.CheckDocument(d, Safe)
-		if (errE == nil) != (errL == nil) {
-			t.Errorf("%s: eager=%v lazy=%v", callName, errE, errL)
+		for _, frozen := range []bool{false, true} {
+			word := []Token{{Sym: c.Table.Intern("title")}, {Sym: c.Table.Intern(callName), Frozen: frozen}}
+			eager, err := WordSafe(c, word, model, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := LazySafe(c, word, model, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Safe either way while the call may be invoked (keep
+			// Get_Temp, call Rogue_Temp).
+			if want := !frozen || callName == "Get_Temp"; eager != want || lazy.Verdict != want {
+				t.Errorf("%s frozen %v: eager=%v lazy=%v, want %v", callName, frozen, eager, lazy.Verdict, want)
+			}
 		}
 	}
 }
@@ -306,14 +313,14 @@ func TestForkStatistics(t *testing.T) {
 	if fork.NumStates() < 3 || fork.NumEdges() < 3 {
 		t.Errorf("stats: states=%d edges=%d", fork.NumStates(), fork.NumEdges())
 	}
-	a, err := AnalyzePossible(c, tokens, regex.MustParse(c.Table, "title.temp"), 1, nil)
+	a, err := AnalyzePossible(c, tokens, regex.MustParse(c.Table, "title.temp"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.NumProdStates() == 0 {
 		t.Error("possible product empty")
 	}
-	sa, err := AnalyzeSafe(c, tokens, regex.MustParse(c.Table, "title.temp"), 1, nil)
+	sa, err := AnalyzeSafe(c, tokens, regex.MustParse(c.Table, "title.temp"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

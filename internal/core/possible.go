@@ -11,16 +11,9 @@ import (
 // is plain reachability — some word generated by some k-depth rewriting lies
 // in the target language.
 type PossibleAnalysis struct {
-	Fork   *Fork
-	DFA    *automata.DFA // the target automaton A (completed)
-	Target *regex.Regex
+	product
+	DFA *automata.DFA // the target automaton A (completed)
 
-	QState  []int
-	PState  []automata.State
-	Groups  [][]Group
-	Initial int
-	// Accepting: q accepting in A_w^k and p accepting in A.
-	Accepting []bool
 	// Useful[s] (step 5 of Figure 9): some path from s reaches an accepting
 	// state; the backtracking executor only ever follows useful states.
 	Useful []bool
@@ -29,11 +22,8 @@ type PossibleAnalysis struct {
 // Possible reports whether some rewriting may succeed (step 6).
 func (a *PossibleAnalysis) Possible() bool { return a.Useful[a.Initial] }
 
-// NumProdStates returns the number of product states constructed.
-func (a *PossibleAnalysis) NumProdStates() int { return len(a.QState) }
-
 // AnalyzePossible runs the Figure 9 algorithm at the word level.
-func AnalyzePossible(c *Compiled, tokens []Token, target *regex.Regex, k int, extraAlphabet []regex.Symbol) (*PossibleAnalysis, error) {
+func AnalyzePossible(c *Compiled, tokens []Token, target *regex.Regex, k int) (*PossibleAnalysis, error) {
 	ins := c.instruments()
 	var t0 time.Time
 	if ins != nil {
@@ -49,143 +39,21 @@ func AnalyzePossible(c *Compiled, tokens []Token, target *regex.Regex, k int, ex
 		t0 = time.Now()
 	}
 	expanded := c.ExpandPatterns(target)
-	dfa := automata.Determinize(automata.FromRegex(expanded), alphabetFor(c, tokens, extraAlphabet)).Complete()
+	dfa := automata.Determinize(automata.FromRegex(expanded), alphabetFor(c, tokens)).Complete()
 	if ins != nil {
 		ins.dfaSeconds.ObserveSince(t0)
 	}
-	a := buildPossibleProduct(fork, dfa, expanded)
-	a.markUseful()
+	a := &PossibleAnalysis{product: buildProduct(fork, dfa, expanded), DFA: dfa}
+	a.Useful = attractor(a.Groups, a.Accepting, false)
 	if ins != nil {
 		ins.prodPossible.Observe(float64(a.NumProdStates()))
 	}
 	return a, nil
 }
 
-func buildPossibleProduct(fork *Fork, dfa *automata.DFA, target *regex.Regex) *PossibleAnalysis {
-	a := &PossibleAnalysis{Fork: fork, DFA: dfa, Target: target}
-	index := map[prodKey]int{}
-	intern := func(q int, p automata.State) (int, bool) {
-		k := prodKey{q, p}
-		if s, ok := index[k]; ok {
-			return s, false
-		}
-		s := len(a.QState)
-		index[k] = s
-		a.QState = append(a.QState, q)
-		a.PState = append(a.PState, p)
-		a.Groups = append(a.Groups, nil)
-		a.Accepting = append(a.Accepting, fork.Accept[q] && dfa.Accept[p])
-		return s, true
-	}
-	start, _ := intern(0, dfa.Start)
-	a.Initial = start
-	work := []int{start}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		q, p := a.QState[s], a.PState[s]
-		a.Groups[s] = expandPossibleState(fork, dfa, q, p, intern, &work)
-	}
-	return a
-}
-
-// expandPossibleState mirrors expandState but against A rather than Ā. The
-// group structure is kept identical (fork pairs vs singletons) so that the
-// executors can share decision logic; for the reachability verdict the
-// grouping is irrelevant — any edge extends a path.
-func expandPossibleState(fork *Fork, dfa *automata.DFA, q int, p automata.State, intern func(int, automata.State) (int, bool), work *[]int) []Group {
-	var groups []Group
-	push := func(to int, fresh bool) {
-		if fresh {
-			*work = append(*work, to)
-		}
-	}
-	edges := fork.Edges[q]
-	for _, e := range edges {
-		switch {
-		case e.IsCall:
-			// the call option of its keep edge's group
-		case e.Eps:
-			to, fresh := intern(e.To, p)
-			push(to, fresh)
-			groups = append(groups, Group{Options: []ProdEdge{{To: to, Sym: regex.NoSymbol}}})
-		case e.Partner >= 0:
-			f := e.FuncSym
-			keepTo, fresh := intern(e.To, dfa.Step(p, f))
-			push(keepTo, fresh)
-			call := edges[e.Partner]
-			callTo, fresh2 := intern(call.To, p)
-			push(callTo, fresh2)
-			groups = append(groups, Group{
-				Fork:     true,
-				FuncSym:  f,
-				TokenIdx: e.TokenIdx,
-				Options: []ProdEdge{
-					{To: keepTo, FuncSym: f, TokenIdx: e.TokenIdx, Sym: f},
-					{To: callTo, ViaCall: true, FuncSym: f, TokenIdx: e.TokenIdx, Sym: regex.NoSymbol},
-				},
-			})
-		default:
-			if !e.Cls.Negated {
-				for _, x := range e.Cls.Syms {
-					to, fresh := intern(e.To, dfa.Step(p, x))
-					push(to, fresh)
-					groups = append(groups, Group{Options: []ProdEdge{{To: to, TokenIdx: e.TokenIdx, Sym: x, FuncSym: regex.NoSymbol}}})
-				}
-				continue
-			}
-			for _, x := range dfa.Alphabet {
-				if !e.Cls.Contains(x) {
-					continue
-				}
-				to, fresh := intern(e.To, dfa.Step(p, x))
-				push(to, fresh)
-				groups = append(groups, Group{Options: []ProdEdge{{To: to, TokenIdx: e.TokenIdx, Sym: x, FuncSym: regex.NoSymbol}}})
-			}
-			other := dfa.Trans[p][len(dfa.Alphabet)]
-			to, fresh := intern(e.To, other)
-			push(to, fresh)
-			groups = append(groups, Group{Options: []ProdEdge{{To: to, TokenIdx: e.TokenIdx, Sym: regex.NoSymbol, FuncSym: regex.NoSymbol}}})
-		}
-	}
-	return groups
-}
-
-// markUseful computes, backward from accepting states, the states from which
-// acceptance is reachable (step 5 of Figure 9).
-func (a *PossibleAnalysis) markUseful() {
-	n := len(a.QState)
-	a.Useful = make([]bool, n)
-	incoming := make(map[int][]int)
-	for s := 0; s < n; s++ {
-		for _, g := range a.Groups[s] {
-			for _, o := range g.Options {
-				incoming[o.To] = append(incoming[o.To], s)
-			}
-		}
-	}
-	var queue []int
-	for s := 0; s < n; s++ {
-		if a.Accepting[s] {
-			a.Useful[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, s := range incoming[t] {
-			if !a.Useful[s] {
-				a.Useful[s] = true
-				queue = append(queue, s)
-			}
-		}
-	}
-}
-
 // WordPossible is the convenience entry point for Figure 9's verdict.
 func WordPossible(c *Compiled, tokens []Token, target *regex.Regex, k int) (bool, error) {
-	a, err := AnalyzePossible(c, tokens, target, k, nil)
+	a, err := AnalyzePossible(c, tokens, target, k)
 	if err != nil {
 		return false, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,52 +11,12 @@ import (
 	"axml/internal/doc"
 	"axml/internal/regex"
 	"axml/internal/schema"
-	"axml/internal/telemetry"
 )
 
 // The tests below pin the boundary of what the executors may take from a
 // successful static check: call-free subtrees the check covered are left
 // alone, while parameter forests whose sub-check failed, and everything an
 // invocation returns, are still rewritten and verified.
-
-// TestLenientFrozenParamsNeverInvoked: with LenientParams, a function whose
-// call-free parameter forest fails its input type stays frozen: it never
-// becomes a keep-or-invoke candidate and is never invoked, and its
-// parameters are left as they were.
-func TestLenientFrozenParamsNeverInvoked(t *testing.T) {
-	for _, mode := range []Mode{Safe, Possible} {
-		for _, degree := range []int{1, 4} {
-			sender := schema.MustParseText(senderText, nil)
-			target := targetSchema(t, sender, "title.date.(Get_Temp|temp).(TimeOut|exhibit*)")
-			reg := telemetry.NewRegistry()
-			inv := ContextInvokerFunc(func(_ context.Context, call *doc.Node) ([]*doc.Node, error) {
-				t.Errorf("mode %v degree %d: %s invoked", mode, degree, call.Label)
-				return nil, errors.New("unexpected call")
-			})
-			rw := NewRewriterWithConfig(sender, target, RewriterConfig{
-				Invoker: inv, LenientParams: true, Parallelism: degree, Telemetry: reg,
-			})
-			root := doc.Elem("newspaper",
-				doc.Elem("title", doc.TextNode("The Sun")),
-				doc.Elem("date", doc.TextNode("04/10/2002")),
-				doc.Call("Get_Temp", doc.Elem("date", doc.TextNode("not a city"))))
-			want := root.Clone()
-			out, err := rw.RewriteDocument(context.Background(), root, mode)
-			if err != nil {
-				t.Fatalf("mode %v degree %d: %v", mode, degree, err)
-			}
-			if !out.Equal(want) {
-				t.Errorf("mode %v degree %d: frozen call or its parameters changed:\n%s", mode, degree, out)
-			}
-			if v, _ := reg.Value("axml_word_decisions_total", "decision", "keep"); v != 0 {
-				t.Errorf("mode %v degree %d: %v keep decisions, want 0 (a frozen call is no candidate)", mode, degree, v)
-			}
-			if n := rw.Audit.Len(); n != 0 {
-				t.Errorf("mode %v degree %d: %d calls audited", mode, degree, n)
-			}
-		}
-	}
-}
 
 // TestUnvalidatedReturnStillVerified: with SkipValidation, a service
 // returning a call-free element that violates the target is still refused
@@ -213,45 +174,99 @@ func TestGeneratedDocumentsAcrossModes(t *testing.T) {
 	}
 }
 
-// TestGeneratedDocumentsEnginesAgree runs the same generated documents on
-// the eager and lazy engines at parallelism 1 and 4, in every mode: every
-// run agrees with the sequential eager one on the output tree and the audit
-// order.
+// TestGeneratedDocumentsEnginesAgree runs the same generated documents at
+// parallelism 1 and 4, in every mode: every run agrees with the sequential
+// one on the output tree and the audit order. Then it holds the eager word
+// analyses to the lazy ones (LazySafe, and the test reference LazyPossible)
+// on every word of those documents, under every target fuzzRewriter
+// builds, with its function occurrences in turn free, kept (frozen) and
+// returned by a call (depth 1).
 func TestGeneratedDocumentsEnginesAgree(t *testing.T) {
+	var pairs [16]*Compiled
+	for forbid := range pairs {
+		pairs[forbid] = fuzzRewriter(t, 1, uint8(forbid), false, nil).Compiled
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		root := propDoc(rand.New(rand.NewSource(seed)), 1+int(seed%7))
 		for _, mode := range []Mode{Safe, Possible, Mixed} {
 			var refOut *doc.Node
 			var refAudit []string
-			for _, engine := range []EngineKind{Eager, Lazy} {
-				for _, degree := range []int{1, 4} {
-					rw := propRewriter(t, degree)
-					rw.Engine = engine
-					out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
-					if err != nil {
-						t.Fatalf("seed %d engine %d degree %d mode %v: %v", seed, engine, degree, mode, err)
-					}
-					if refOut == nil {
-						refOut, refAudit = out, auditKeys(rw.Audit)
-						continue
-					}
-					if !out.Equal(refOut) {
-						t.Errorf("seed %d mode %v: engine %d degree %d output diverges\n%s\nsequential eager\n%s", seed, mode, engine, degree, out, refOut)
-					}
-					if got := auditKeys(rw.Audit); !slices.Equal(got, refAudit) {
-						t.Errorf("seed %d mode %v: engine %d degree %d audit diverges\n%v\nsequential eager\n%v", seed, mode, engine, degree, got, refAudit)
-					}
+			for _, degree := range []int{1, 4} {
+				rw := propRewriter(t, degree)
+				out, err := rw.RewriteDocument(context.Background(), root.Clone(), mode)
+				if err != nil {
+					t.Fatalf("seed %d degree %d mode %v: %v", seed, degree, mode, err)
+				}
+				if refOut == nil {
+					refOut, refAudit = out, auditKeys(rw.Audit)
+					continue
+				}
+				if !out.Equal(refOut) {
+					t.Errorf("seed %d mode %v: degree %d output diverges\n%s\nsequential\n%s", seed, mode, degree, out, refOut)
+				}
+				if got := auditKeys(rw.Audit); !slices.Equal(got, refAudit) {
+					t.Errorf("seed %d mode %v: degree %d audit diverges\n%v\nsequential\n%v", seed, mode, degree, got, refAudit)
 				}
 			}
 		}
+		var words func(n *doc.Node)
+		words = func(n *doc.Node) {
+			for forbid, c := range pairs {
+				model := c.Target.Labels[n.Label]
+				if model == nil || model.Content == nil {
+					break // data, or foreign: no word
+				}
+				for v := 0; v < 3; v++ {
+					tokens := TokensOf(c, n)
+					for i := range tokens {
+						if c.Func(tokens[i].Sym) != nil {
+							tokens[i].Frozen = (i+v)%3 == 1
+							tokens[i].Depth = ((i + v) % 3) / 2
+						}
+					}
+					wordsAgree(t, c, tokens, model.Content, fmt.Sprintf("seed %d forbid %04b <%s> variant %d", seed, forbid, n.Label, v))
+				}
+			}
+			for _, ch := range n.Children {
+				if ch.Kind == doc.Element {
+					words(ch)
+				}
+			}
+		}
+		words(root)
 	}
 }
 
-// TestErrorPathsBothEngines pins NotSafeError.Path literally on the eager
-// and lazy engines, at parallelism 1 and 4, for failures at the document
-// word, in a nested element, inside a function's parameter forest and in a
-// data element. The whole message agrees across engines and degrees too.
-func TestErrorPathsBothEngines(t *testing.T) {
+// wordsAgree holds WordSafe to LazySafe and WordPossible to LazyPossible on
+// one word at depth 2.
+func wordsAgree(t *testing.T, c *Compiled, tokens []Token, model *regex.Regex, where string) {
+	t.Helper()
+	safe, err := WordSafe(c, tokens, model, 2)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	lazy, err := LazySafe(c, tokens, model, 2)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	possible, err := WordPossible(c, tokens, model, 2)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	lazyPossible, err := LazyPossible(c, tokens, model, 2)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if safe != lazy.Verdict || possible != lazyPossible.Verdict {
+		t.Errorf("%s: safe %v, lazily %v; possible %v, lazily %v", where, safe, lazy.Verdict, possible, lazyPossible.Verdict)
+	}
+}
+
+// TestErrorPathsAcrossDegrees pins NotSafeError.Path literally at
+// parallelism 1 and 4, for failures at the document word, in a nested
+// element, inside a function's parameter forest and in a data element. The
+// whole message agrees across degrees too.
+func TestErrorPathsAcrossDegrees(t *testing.T) {
 	sec := func(kids ...*doc.Node) *doc.Node {
 		return doc.Elem("sec", append([]*doc.Node{doc.Elem("ttl", doc.TextNode("t"))}, kids...)...)
 	}
@@ -271,23 +286,20 @@ func TestErrorPathsBothEngines(t *testing.T) {
 	}
 	for _, c := range cases {
 		var first error
-		for _, engine := range []EngineKind{Eager, Lazy} {
-			for _, degree := range []int{1, 4} {
-				rw := propRewriter(t, degree)
-				rw.Engine = engine
-				_, err := rw.RewriteDocument(context.Background(), c.root.Clone(), Safe)
-				var nse *NotSafeError
-				if !errors.As(err, &nse) {
-					t.Fatalf("%s, engine %d, degree %d: want NotSafeError, got %v", c.name, engine, degree, err)
-				}
-				if nse.Path != c.path {
-					t.Errorf("%s, engine %d, degree %d: path %q, want %q (%v)", c.name, engine, degree, nse.Path, c.path, err)
-				}
-				if first == nil {
-					first = err
-				} else if err.Error() != first.Error() {
-					t.Errorf("%s, engine %d, degree %d: message differs:\n%v\nfirst run:\n%v", c.name, engine, degree, err, first)
-				}
+		for _, degree := range []int{1, 4} {
+			rw := propRewriter(t, degree)
+			_, err := rw.RewriteDocument(context.Background(), c.root.Clone(), Safe)
+			var nse *NotSafeError
+			if !errors.As(err, &nse) {
+				t.Fatalf("%s, degree %d: want NotSafeError, got %v", c.name, degree, err)
+			}
+			if nse.Path != c.path {
+				t.Errorf("%s, degree %d: path %q, want %q (%v)", c.name, degree, nse.Path, c.path, err)
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Errorf("%s, degree %d: message differs:\n%v\nfirst run:\n%v", c.name, degree, err, first)
 			}
 		}
 	}

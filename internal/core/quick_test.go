@@ -89,7 +89,7 @@ func TestQuickLazyNeverExploresMore(t *testing.T) {
 		if target == nil {
 			return true
 		}
-		eager, err := AnalyzeSafe(c, tokens, target, 2, nil)
+		eager, err := AnalyzeSafe(c, tokens, target, 2)
 		if err != nil {
 			return false
 		}
@@ -249,7 +249,7 @@ func TestQuickForkK0IsWord(t *testing.T) {
 // function-free words and random content models mixing element labels,
 // functions, a pattern and wildcards, membership (regex.Match; the static
 // check steps a DFA or asks schema.Context.MatchWord for such words)
-// equals WordVerdict for Eager and Lazy, Safe and Possible.
+// equals WordVerdict in Safe and Possible mode, and LazySafe's verdict.
 func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 	sender, target := patternSchemas(t)
 	c := Compile(sender, target)
@@ -303,15 +303,19 @@ func TestQuickFunctionFreeWordIsMembership(t *testing.T) {
 			word[i] = Token{Sym: syms[i]}
 		}
 		want := regex.Match(typ, syms)
-		for _, engine := range []EngineKind{Eager, Lazy} {
-			for _, mode := range []Mode{Safe, Possible} {
-				got, err := c.WordVerdict(engine, mode, word, typ, 1+rng.Intn(2))
-				if err != nil || got != want {
-					t.Logf("seed %d: %v against %s: engine %d mode %s verdict %t (err %v), membership %t",
-						seed, word, typ.String(tab), engine, mode, got, err, want)
-					return false
-				}
+		for _, mode := range []Mode{Safe, Possible} {
+			got, err := c.WordVerdict(mode, word, typ, 1+rng.Intn(2))
+			if err != nil || got != want {
+				t.Logf("seed %d: %v against %s: mode %s verdict %t (err %v), membership %t",
+					seed, word, typ.String(tab), mode, got, err, want)
+				return false
 			}
+		}
+		lazy, err := LazySafe(c, word, typ, 1+rng.Intn(2))
+		if err != nil || lazy.Verdict != want {
+			t.Logf("seed %d: %v against %s: lazy verdict %v (err %v), membership %t",
+				seed, word, typ.String(tab), lazy, err, want)
+			return false
 		}
 		return true
 	}

@@ -41,36 +41,18 @@ func (m Mode) String() string {
 	}
 }
 
-// EngineKind selects between the eager Figure 3 analysis and the lazy
-// Section 7 variant for every word-level decision.
-type EngineKind uint8
-
-const (
-	// Eager builds the full reachable product, as in Figure 3.
-	Eager EngineKind = iota
-	// Lazy explores the product on demand with sink/marked pruning.
-	Lazy
-)
-
 // Rewriter drives tree-level rewriting of intensional documents into an
 // exchange schema: the Schema Enforcement module's core (Section 7).
 type Rewriter struct {
 	Compiled *Compiled
 	// K bounds rewriting depth (Definition 7); typical values are 1–3.
 	K int
-	// Engine selects the word-level analysis implementation.
-	Engine EngineKind
 	// Invoker performs service calls; nil Rewriters can only Check.
 	Invoker Invoker
 	// ValidateReturns verifies every returned forest is an output instance
 	// of the invoked function before splicing it (the Schema Enforcement
 	// module's receive-side check). Default true (RewriterConfig.SkipValidation).
 	ValidateReturns bool
-	// StrictParams makes the rewriting fail when any function node's
-	// parameters cannot be rewritten into its input type (the paper's
-	// behaviour). When false, such functions are frozen instead: they can
-	// still be kept, just never invoked.
-	StrictParams bool
 	// MaxCalls caps total invocations per rewriting as a runaway valve
 	// (recursive services). Default DefaultMaxCalls.
 	MaxCalls int
@@ -114,15 +96,13 @@ const DefaultDepth = 2
 const DefaultMaxCalls = 10000
 
 // RewriterConfig is the options struct behind NewRewriterWithConfig and
-// NewRewriterForConfig. The zero value is usable: depth DefaultDepth, eager
-// engine, validated returns, strict parameters, a fresh Audit.
+// NewRewriterForConfig. The zero value is usable: depth DefaultDepth,
+// validated returns, a fresh Audit.
 type RewriterConfig struct {
 	// Depth bounds rewriting depth (Definition 7); 0 selects DefaultDepth.
 	// Depth 0 (no call may be invoked) is set through Rewriter.K after
 	// construction.
 	Depth int
-	// Engine selects the word-level analysis (zero value: Eager).
-	Engine EngineKind
 	// Invoker performs service calls; nil configures a check-only rewriter.
 	Invoker Invoker
 	// Policies wrap Invoker with execution middleware (timeouts, retries,
@@ -131,9 +111,6 @@ type RewriterConfig struct {
 	// SkipValidation disables the receive-side output-instance check
 	// (Rewriter.ValidateReturns, inverted so the zero value validates).
 	SkipValidation bool
-	// LenientParams freezes functions whose parameters cannot be fixed
-	// instead of failing (Rewriter.StrictParams, inverted).
-	LenientParams bool
 	// MaxCalls caps invocations per rewriting; 0 selects DefaultMaxCalls.
 	MaxCalls int
 	// Converters restructure non-conforming service results.
@@ -196,10 +173,8 @@ func NewRewriterForConfig(c *Compiled, cfg RewriterConfig) *Rewriter {
 	return &Rewriter{
 		Compiled:        c,
 		K:               depth,
-		Engine:          cfg.Engine,
 		Invoker:         inv,
 		ValidateReturns: !cfg.SkipValidation,
-		StrictParams:    !cfg.LenientParams,
 		MaxCalls:        maxCalls,
 		Converters:      cfg.Converters,
 		Audit:           audit,
@@ -214,13 +189,12 @@ func NewRewriterForConfig(c *Compiled, cfg RewriterConfig) *Rewriter {
 // signatures).
 func (rw *Rewriter) Context() *schema.Context { return rw.ctx }
 
-// wordOK dispatches the word-level verdict for the configured engine,
-// through the Compiled's word-verdict memo: the verdict depends only on the
-// token word, target, k, mode and engine, so repeated words across messages
-// skip the automata constructions entirely. key is the caller's scratch
-// for the memo key, reused across its words.
+// wordOK asks the word-level verdict through the Compiled's word-verdict
+// memo: the verdict depends only on the token word, target, k and mode, so
+// repeated words across messages skip the automata constructions entirely.
+// key is the caller's scratch for the memo key, reused across its words.
 func (rw *Rewriter) wordOK(key *[]byte, tokens []Token, target *regex.Regex, mode Mode) (bool, error) {
-	return rw.Compiled.wordVerdict(key, rw.Engine, mode, tokens, target, rw.K)
+	return rw.Compiled.wordVerdict(key, mode, tokens, target, rw.K)
 }
 
 // ---------------------------------------------------------------------------
@@ -372,11 +346,9 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *model, at *nodePath) erro
 	for _, tree := range forest {
 		funcs, _ := sc.funcsBottomUp(tree, nil)
 		for _, f := range funcs {
-			ok, err := sc.funcParams(f, at)
-			if err != nil {
+			if err := sc.funcParams(f, at); err != nil {
 				return err
 			}
-			sc.paramsOK[f] = ok
 		}
 	}
 	base := len(sc.ents)
@@ -443,38 +415,30 @@ func (sc *staticCheck) funcsBottomUp(n *doc.Node, out []*doc.Node) ([]*doc.Node,
 }
 
 // funcParams decides whether f's parameters can be rewritten into its input
-// type. Inner functions were memoized first (bottom-up order).
-func (sc *staticCheck) funcParams(f *doc.Node, at *nodePath) (bool, error) {
-	if ok, done := sc.paramsOK[f]; done {
-		return ok, nil
-	}
-	fail := func(msg string) (bool, error) {
-		if sc.rw.StrictParams {
-			return false, &NotSafeError{Path: pathAt(at), Msg: msg}
-		}
-		return false, nil
+// type, and records in paramsOK that they can; a function whose parameters
+// cannot be fixed fails the check, as in the paper. Inner functions were
+// decided first (bottom-up order).
+func (sc *staticCheck) funcParams(f *doc.Node, at *nodePath) error {
+	if sc.paramsOK[f] {
+		return nil
 	}
 	e := sc.rw.Compiled.names[f.Label]
-	if e == nil || e.fi == nil {
-		return fail(fmt.Sprintf("function %q is not declared by either schema", f.Label))
-	}
-	if e.fi.In == nil {
+	switch {
+	case e == nil || e.fi == nil:
+		return &NotSafeError{Path: pathAt(at), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)}
+	case e.fi.In == nil:
 		if !sc.dataChildrenOK(f.Children) {
-			return fail(fmt.Sprintf("parameters of %q cannot become atomic data", f.Label))
+			return &NotSafeError{Path: pathAt(at), Msg: fmt.Sprintf("parameters of %q cannot become atomic data", f.Label)}
 		}
-		return true, nil
-	}
-	// Rewriting the params must not consult the global failure path: use a
-	// sub-check whose verdict freezes f instead of failing, unless strict.
-	sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK, holdsCalls: sc.holdsCalls}
-	params := nodePath{up: at, label: f.Label, index: paramStep}
-	if err := sub.forest(f.Children, &e.in, &params); err != nil {
-		if sc.rw.StrictParams {
-			return false, err
+	default:
+		sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK, holdsCalls: sc.holdsCalls}
+		params := nodePath{up: at, label: f.Label, index: paramStep}
+		if err := sub.forest(f.Children, &e.in, &params); err != nil {
+			return err
 		}
-		return false, nil
 	}
-	return true, nil
+	sc.paramsOK[f] = true
+	return nil
 }
 
 // pathAt renders an optional path.
@@ -499,14 +463,9 @@ func (sc *staticCheck) dataChildrenOK(children []*doc.Node) bool {
 			if fi == nil || !fi.Invocable || fi.Out != nil || sc.rw.K < 1 {
 				return false
 			}
-			if ok := sc.paramsOK[ch]; !ok {
-				// May not have been computed yet if called outside the
-				// bottom-up sweep; compute on demand.
-				ok2, err := sc.funcParams(ch, nil)
-				if err != nil || !ok2 {
-					return false
-				}
-				sc.paramsOK[ch] = ok2
+			// Decided on demand when called outside the bottom-up sweep.
+			if sc.funcParams(ch, nil) != nil {
+				return false
 			}
 		default:
 			return false
@@ -559,7 +518,7 @@ func (sc *staticCheck) element(e *doc.Node, ent *entry, at nodePath) error {
 
 // word decides one word of the check against typ, pushing the entries of
 // its nodes onto ents. A word naming no function has no fork: its
-// automaton A_w^k is the word itself, so in every mode and engine its
+// automaton A_w^k is the word itself, so in every mode its
 // verdict is membership in the content model. Such a word takes one step of
 // the model's DFA per node, or is matched by schema.Context.MatchWord when
 // the model has no DFA, and builds no word-verdict memo key; a word with a
@@ -583,7 +542,7 @@ func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 		}
 		return ok, err
 	}
-	c.instruments().observeWordVerdict(sc.rw.Engine, sc.mode)
+	c.instruments().observeWordVerdict(sc.mode)
 	d := c.dfaOf(typ)
 	if d == nil {
 		return sc.rw.ctx.MatchWord(typ.re, forest), nil
@@ -604,8 +563,9 @@ func (sc *staticCheck) word(forest []*doc.Node, typ *model) (bool, error) {
 }
 
 // tokens builds the word tokens of a forest whose entries word() pushed at
-// base, freezing functions whose parameters cannot be fixed: a function
-// token is frozen when it cannot be invoked.
+// base. No token is frozen: the check got this far only if every function
+// had its parameters proven, and the fork automaton gives a non-invocable
+// function no call option.
 func (sc *staticCheck) tokens(forest []*doc.Node, base int) []Token {
 	c := sc.rw.Compiled
 	out := slices.Grow(sc.scratch[:0], len(forest))
@@ -614,11 +574,7 @@ func (sc *staticCheck) tokens(forest []*doc.Node, base int) []Token {
 		if n.Kind == doc.Text {
 			continue
 		}
-		tok := Token{Sym: c.symOf(sc.ents[j], n.Label), Node: n}
-		if n.Kind == doc.Func && !sc.paramsOK[n] {
-			tok.Frozen = true
-		}
-		out = append(out, tok)
+		out = append(out, Token{Sym: c.symOf(sc.ents[j], n.Label), Node: n})
 		j++
 	}
 	sc.scratch = out

@@ -122,9 +122,12 @@ func (t *roundTransport) unconsumed() []string {
 }
 
 // fuzzRewriter builds a rewriter of the generated documents at a degree.
-// Bit i of forbid strips function alternative i out of the target, so the
-// functions of a cleared bit are kept when keeping is safe; note marks
-// Note side-effecting, which the first round must never send ahead.
+// Bit i < 3 of forbid strips function alternative i out of the target, so
+// the functions of a cleared bit are kept when keeping is safe. Bit 3 makes
+// a pair's second position depend on its first: a kept Get or Defer may
+// follow val, only val may follow alt, so after a Pick the safe choice
+// there waits for Pick's answer. note marks Note side-effecting, which the
+// first round must never send ahead.
 func fuzzRewriter(t *testing.T, degree int, forbid uint8, note bool, inv Invoker) *Rewriter {
 	t.Helper()
 	sender := schema.MustParseText(propSenderText, nil)
@@ -133,6 +136,7 @@ func fuzzRewriter(t *testing.T, degree int, forbid uint8, note bool, inv Invoker
 		{"(Stamp|stamp)", "stamp"},
 		{"(Get|val|Deep)*", "val*"},
 		{"(Get|val).(Note|note)", "val.note"},
+		{"(Pick|val|alt).(Get|val|Defer)", "(val.(Get|val|Defer))|(alt.val)"},
 	} {
 		if forbid&(1<<i) != 0 {
 			pairs = append(pairs, p[0], p[1])

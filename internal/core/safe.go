@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"axml/internal/automata"
@@ -32,36 +32,33 @@ type Group struct {
 	Options  []ProdEdge
 }
 
-// SafeAnalysis is the marked product A_× = A_w^k × Ā of Figure 3.
-type SafeAnalysis struct {
+// product is the reachable part of A_w^k × D for a complete DFA D, with
+// the fork structure reflected onto product states: D is Ā for safe
+// rewriting (steps 11–14 of Figure 3) and the target's own automaton A for
+// possible rewriting (Figure 9). Safe and possible rewriting differ only in
+// the fixpoint they run over it.
+type product struct {
 	Fork   *Fork
-	Compl  *automata.DFA
 	Target *regex.Regex
 
-	// QState / PState give the A_w^k state and Ā state of each product
-	// state; Groups lists its choice structure; Marked is the fixpoint of
-	// steps 15–17.
+	// QState / PState give the A_w^k state and D state of each product
+	// state; Groups lists its choice structure.
 	QState  []int
 	PState  []automata.State
 	Groups  [][]Group
-	Marked  []bool
 	Initial int
 
-	// Accepting marks the seed states (q accepting in A_w^k and p accepting
-	// in Ā): words that escaped the target language.
+	// Accepting marks the states with q accepting in A_w^k and p accepting
+	// in D: the seeds of both fixpoints.
 	Accepting []bool
 }
 
-// Safe reports the verdict: a k-depth left-to-right safe rewriting exists
-// iff the initial state is unmarked (step 18).
-func (a *SafeAnalysis) Safe() bool { return !a.Marked[a.Initial] }
-
 // NumProdStates returns how many product states were constructed — the
 // quantity the lazy-vs-eager experiment compares.
-func (a *SafeAnalysis) NumProdStates() int { return len(a.QState) }
+func (a *product) NumProdStates() int { return len(a.QState) }
 
 // NumProdEdges returns the number of product options constructed.
-func (a *SafeAnalysis) NumProdEdges() int {
+func (a *product) NumProdEdges() int {
 	n := 0
 	for _, gs := range a.Groups {
 		for _, g := range gs {
@@ -71,12 +68,174 @@ func (a *SafeAnalysis) NumProdEdges() int {
 	return n
 }
 
+type prodKey struct {
+	q int
+	p automata.State
+}
+
+// buildProduct constructs the product of fork and the complete DFA d. A
+// fork's keep option consumes the function symbol, and its call option
+// ε-moves into the attached output copy without advancing d. A word edge
+// expands its class over d's alphabet (plus the uniform "other" column for
+// wildcards), every concrete symbol an adversarial singleton group.
+func buildProduct(fork *Fork, d *automata.DFA, target *regex.Regex) product {
+	a := product{Fork: fork, Target: target}
+	index := map[prodKey]int{}
+	var work []int
+	intern := func(q int, p automata.State) int {
+		k := prodKey{q, p}
+		if s, ok := index[k]; ok {
+			return s
+		}
+		s := len(a.QState)
+		index[k] = s
+		a.QState = append(a.QState, q)
+		a.PState = append(a.PState, p)
+		a.Groups = append(a.Groups, nil)
+		a.Accepting = append(a.Accepting, fork.Accept[q] && d.Accept[p])
+		work = append(work, s)
+		return s
+	}
+	a.Initial = intern(0, d.Start)
+	// groups and opts collect one state's choice structure; a fork group
+	// owns two consecutive options and any other group one.
+	var groups []Group
+	var opts []ProdEdge
+	single := func(to int, x regex.Symbol, e ForkEdge) {
+		groups = append(groups, Group{})
+		opts = append(opts, ProdEdge{To: to, FuncSym: e.FuncSym, TokenIdx: e.TokenIdx, Sym: x})
+	}
+	for len(work) > 0 {
+		s := work[len(work)-1]
+		work = work[:len(work)-1]
+		q, p := a.QState[s], a.PState[s]
+		groups, opts = groups[:0], opts[:0]
+		edges := fork.Edges[q]
+		for _, e := range edges {
+			switch {
+			case e.IsCall:
+				// The call option of its keep edge's group.
+			case e.Eps:
+				groups = append(groups, Group{})
+				opts = append(opts, ProdEdge{To: intern(e.To, p), Sym: regex.NoSymbol})
+			case e.Partner >= 0:
+				f := e.FuncSym
+				keepTo := intern(e.To, d.Step(p, f))
+				callTo := intern(edges[e.Partner].To, p)
+				groups = append(groups, Group{Fork: true, FuncSym: f, TokenIdx: e.TokenIdx})
+				opts = append(opts,
+					ProdEdge{To: keepTo, FuncSym: f, TokenIdx: e.TokenIdx, Sym: f},
+					ProdEdge{To: callTo, ViaCall: true, FuncSym: f, TokenIdx: e.TokenIdx, Sym: regex.NoSymbol})
+			case !e.Cls.Negated:
+				for _, x := range e.Cls.Syms {
+					single(intern(e.To, d.Step(p, x)), x, e)
+				}
+			default:
+				for _, x := range d.Alphabet {
+					if e.Cls.Contains(x) {
+						single(intern(e.To, d.Step(p, x)), x, e)
+					}
+				}
+				single(intern(e.To, d.Trans[p][len(d.Alphabet)]), regex.NoSymbol, e)
+			}
+		}
+		// One allocation for the state's groups and one for their options.
+		own := slices.Clone(opts)
+		a.Groups[s] = slices.Clone(groups)
+		for i := range a.Groups[s] {
+			w := 1
+			if a.Groups[s][i].Fork {
+				w = 2
+			}
+			a.Groups[s][i].Options, own = own[:w:w], own[w:]
+		}
+	}
+	return a
+}
+
+// attractor returns the backward fixpoint over the choice structure groups
+// from the states seeds marks. When all is true it is the marking of steps
+// 15–17 of Figure 3: a state joins when some group of it has all its
+// options in the set — both options for a fork, the single one for any
+// other group. Otherwise a state joins when any of its options is in the
+// set: the useful states of step 5 of Figure 9.
+func attractor(groups [][]Group, seeds []bool, all bool) []bool {
+	n := len(groups)
+	set := slices.Clone(seeds)
+	// Number the groups of every state consecutively from first[s], and
+	// list the groups holding an option into each state t as
+	// into[in[t]:in[t+1]].
+	first := make([]int, n+1)
+	in := make([]int, n+1)
+	for s, gs := range groups {
+		first[s+1] = first[s] + len(gs)
+		for _, g := range gs {
+			for _, o := range g.Options {
+				in[o.To]++
+			}
+		}
+	}
+	for t := 1; t <= n; t++ {
+		in[t] += in[t-1]
+	}
+	into := make([]int, in[n])
+	// remaining[g]: options of group g outside the set that it still waits
+	// for; owner[g]: the state it belongs to.
+	remaining := make([]int, first[n])
+	owner := make([]int, first[n])
+	var queue []int
+	for s, gs := range groups {
+		for j, g := range gs {
+			id := first[s] + j
+			owner[id] = s
+			remaining[id] = 1
+			if all {
+				remaining[id] = len(g.Options)
+			}
+			for _, o := range g.Options {
+				in[o.To]--
+				into[in[o.To]] = id
+			}
+		}
+		if set[s] {
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		t := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, id := range into[in[t]:in[t+1]] {
+			s := owner[id]
+			if set[s] {
+				continue
+			}
+			if remaining[id]--; remaining[id] == 0 {
+				set[s] = true
+				queue = append(queue, s)
+			}
+		}
+	}
+	return set
+}
+
+// SafeAnalysis is the marked product A_× = A_w^k × Ā of Figure 3.
+type SafeAnalysis struct {
+	product
+	Compl *automata.DFA
+
+	// Marked is the fixpoint of steps 15–17: the states from which the
+	// adversary forces a word outside the target.
+	Marked []bool
+}
+
+// Safe reports the verdict: a k-depth left-to-right safe rewriting exists
+// iff the initial state is unmarked (step 18).
+func (a *SafeAnalysis) Safe() bool { return !a.Marked[a.Initial] }
+
 // AnalyzeSafe runs the full (eager) Figure 3 algorithm at the word level:
 // build A_w^k for the tokens, build the complete complement Ā of the
 // (pattern-expanded) target content model, build their product, and mark it.
-// extraAlphabet extends the effective alphabet with symbols the caller knows
-// about beyond the two schemas (e.g. labels that only occur in documents).
-func AnalyzeSafe(c *Compiled, tokens []Token, target *regex.Regex, k int, extraAlphabet []regex.Symbol) (*SafeAnalysis, error) {
+func AnalyzeSafe(c *Compiled, tokens []Token, target *regex.Regex, k int) (*SafeAnalysis, error) {
 	ins := c.instruments()
 	var t0 time.Time
 	if ins != nil {
@@ -92,193 +251,33 @@ func AnalyzeSafe(c *Compiled, tokens []Token, target *regex.Regex, k int, extraA
 		t0 = time.Now()
 	}
 	expanded := c.ExpandPatterns(target)
-	compl := automata.ComplementOfRegex(expanded, alphabetFor(c, tokens, extraAlphabet))
+	compl := automata.ComplementOfRegex(expanded, alphabetFor(c, tokens))
 	if ins != nil {
 		ins.complSeconds.ObserveSince(t0)
 	}
-	a := buildProduct(fork, compl, expanded)
-	a.mark()
+	a := &SafeAnalysis{product: buildProduct(fork, compl, expanded), Compl: compl}
+	a.Marked = attractor(a.Groups, a.Accepting, true)
 	if ins != nil {
-		ins.prodEager.Observe(float64(a.NumProdStates()))
+		ins.prodSafe.Observe(float64(a.NumProdStates()))
 	}
 	return a, nil
 }
 
-func alphabetFor(c *Compiled, tokens []Token, extra []regex.Symbol) []regex.Symbol {
+// alphabetFor is the alphabet of a word's analysis: the pair's symbols and
+// the word's own.
+func alphabetFor(c *Compiled, tokens []Token) []regex.Symbol {
 	sigma := append([]regex.Symbol(nil), c.Alphabet()...)
 	for _, t := range tokens {
 		sigma = append(sigma, t.Sym)
 	}
-	sigma = append(sigma, extra...)
-	sort.Slice(sigma, func(i, j int) bool { return sigma[i] < sigma[j] })
+	slices.Sort(sigma)
 	return dedup(sigma)
-}
-
-type prodKey struct {
-	q int
-	p automata.State
-}
-
-// buildProduct constructs the reachable part of A_w^k × Ā with the fork
-// structure reflected onto product states (steps 11–14 of Figure 3).
-func buildProduct(fork *Fork, compl *automata.DFA, target *regex.Regex) *SafeAnalysis {
-	a := &SafeAnalysis{Fork: fork, Compl: compl, Target: target}
-	index := map[prodKey]int{}
-	intern := func(q int, p automata.State) (int, bool) {
-		k := prodKey{q, p}
-		if s, ok := index[k]; ok {
-			return s, false
-		}
-		s := len(a.QState)
-		index[k] = s
-		a.QState = append(a.QState, q)
-		a.PState = append(a.PState, p)
-		a.Groups = append(a.Groups, nil)
-		a.Accepting = append(a.Accepting, fork.Accept[q] && compl.Accept[p])
-		return s, true
-	}
-	start, _ := intern(0, compl.Start)
-	a.Initial = start
-	work := []int{start}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		q, p := a.QState[s], a.PState[s]
-		groups := a.expandState(q, p, intern, &work)
-		a.Groups[s] = groups
-	}
-	return a
-}
-
-// expandState computes the groups of product state (q, p), interning
-// successor states as needed.
-func (a *SafeAnalysis) expandState(q int, p automata.State, intern func(int, automata.State) (int, bool), work *[]int) []Group {
-	fork, compl := a.Fork, a.Compl
-	var groups []Group
-	push := func(to int, fresh bool) {
-		if fresh {
-			*work = append(*work, to)
-		}
-	}
-	edges := fork.Edges[q]
-	for _, e := range edges {
-		switch {
-		case e.IsCall:
-			// Handled as the call option of its keep edge's group.
-		case e.Eps:
-			to, fresh := intern(e.To, p)
-			push(to, fresh)
-			groups = append(groups, Group{Options: []ProdEdge{{To: to, Sym: regex.NoSymbol}}})
-		case e.Partner >= 0:
-			// A fork: keep consumes the function symbol; call ε-moves into
-			// the attached output copy without advancing Ā.
-			f := e.FuncSym
-			keepTo, fresh := intern(e.To, compl.Step(p, f))
-			push(keepTo, fresh)
-			call := edges[e.Partner]
-			callTo, fresh2 := intern(call.To, p)
-			push(callTo, fresh2)
-			groups = append(groups, Group{
-				Fork:     true,
-				FuncSym:  f,
-				TokenIdx: e.TokenIdx,
-				Options: []ProdEdge{
-					{To: keepTo, FuncSym: f, TokenIdx: e.TokenIdx, Sym: f},
-					{To: callTo, ViaCall: true, FuncSym: f, TokenIdx: e.TokenIdx, Sym: regex.NoSymbol},
-				},
-			})
-		default:
-			// Plain word edge: expand its class over the complement's
-			// alphabet (plus the uniform "other" column for wildcards);
-			// every concrete symbol is an adversarial singleton group.
-			for _, opt := range a.classOptions(e, p, intern, push) {
-				groups = append(groups, Group{Options: []ProdEdge{opt}})
-			}
-		}
-	}
-	return groups
-}
-
-func (a *SafeAnalysis) classOptions(e ForkEdge, p automata.State, intern func(int, automata.State) (int, bool), push func(int, bool)) []ProdEdge {
-	compl := a.Compl
-	var opts []ProdEdge
-	if !e.Cls.Negated {
-		for _, x := range e.Cls.Syms {
-			to, fresh := intern(e.To, compl.Step(p, x))
-			push(to, fresh)
-			opts = append(opts, ProdEdge{To: to, FuncSym: e.FuncSym, TokenIdx: e.TokenIdx, Sym: x})
-		}
-		return opts
-	}
-	// Wildcard: one option per alphabet symbol the class admits, plus the
-	// "other" column standing for all remaining symbols uniformly.
-	for _, x := range compl.Alphabet {
-		if !e.Cls.Contains(x) {
-			continue
-		}
-		to, fresh := intern(e.To, compl.Step(p, x))
-		push(to, fresh)
-		opts = append(opts, ProdEdge{To: to, TokenIdx: e.TokenIdx, Sym: x, FuncSym: regex.NoSymbol})
-	}
-	other := compl.Trans[p][len(compl.Alphabet)]
-	to, fresh := intern(e.To, other)
-	push(to, fresh)
-	opts = append(opts, ProdEdge{To: to, TokenIdx: e.TokenIdx, Sym: regex.NoSymbol, FuncSym: regex.NoSymbol})
-	return opts
-}
-
-// mark runs steps 15–17: seed with accepting product states, then propagate
-// backward — a state is marked when some group has *all* options marked
-// (for singletons: its only option; for forks: both keep and call).
-func (a *SafeAnalysis) mark() {
-	n := len(a.QState)
-	a.Marked = make([]bool, n)
-
-	// remaining[s][g]: unmarked options left in group g of state s.
-	remaining := make([][]int, n)
-	type dep struct{ s, g int }
-	incoming := map[int][]dep{}
-	for s := 0; s < n; s++ {
-		remaining[s] = make([]int, len(a.Groups[s]))
-		for g, grp := range a.Groups[s] {
-			remaining[s][g] = len(grp.Options)
-			for _, o := range grp.Options {
-				incoming[o.To] = append(incoming[o.To], dep{s, g})
-			}
-		}
-	}
-	var queue []int
-	enqueue := func(s int) {
-		if !a.Marked[s] {
-			a.Marked[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for s := 0; s < n; s++ {
-		if a.Accepting[s] {
-			enqueue(s)
-		}
-	}
-	for len(queue) > 0 {
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, d := range incoming[t] {
-			remaining[d.s][d.g]--
-			if remaining[d.s][d.g] == 0 {
-				enqueue(d.s)
-			}
-		}
-	}
-	// Note: a state whose marked option sits in a group alongside other
-	// options decrements only once per (state, group, target) edge; if the
-	// same target appears twice in one group both decrements happen, which
-	// is correct because remaining counts options, not distinct targets.
 }
 
 // WordSafe is the convenience entry point: does the token word safely
 // rewrite into target within k-depth?
 func WordSafe(c *Compiled, tokens []Token, target *regex.Regex, k int) (bool, error) {
-	a, err := AnalyzeSafe(c, tokens, target, k, nil)
+	a, err := AnalyzeSafe(c, tokens, target, k)
 	if err != nil {
 		return false, err
 	}

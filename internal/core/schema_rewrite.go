@@ -157,7 +157,7 @@ func checkLabel(c *Compiled, label string, k int) LabelVerdict {
 func AllWordsSafe(c *Compiled, src, target *regex.Regex, k int) (bool, error) {
 	virtual := c.virtualFunc(src)
 	tokens := []Token{{Sym: virtual, MustCall: true}}
-	a, err := AnalyzeSafe(c, tokens, target, k+1, nil)
+	a, err := AnalyzeSafe(c, tokens, target, k+1)
 	if err != nil {
 		return false, err
 	}

@@ -56,7 +56,7 @@ func TestRewriteTelemetry(t *testing.T) {
 	if v := mustValue("axml_invoke_seconds", "endpoint", "Get_Temp"); v != 1 {
 		t.Errorf("invoke latency observations = %v, want 1", v)
 	}
-	if v := mustValue("axml_word_verdicts_total", "engine", "eager", "mode", "safe"); v < 1 {
+	if v := mustValue("axml_word_verdicts_total", "mode", "safe"); v < 1 {
 		t.Errorf("word verdicts = %v, want >= 1", v)
 	}
 	if v := mustValue("axml_automaton_states", "kind", "fork"); v < 1 {
@@ -216,9 +216,8 @@ func TestInstrumentsNilSafety(t *testing.T) {
 	ins.taskStart(true)
 	ins.taskEnd()
 	ins.round(3)
-	ins.observeWordVerdict(Lazy, Possible)
-	ins.observeWordAnalysis(Eager, Safe, 0)
-	ins.observeLazy(nil)
+	ins.observeWordVerdict(Possible)
+	ins.observeWordAnalysis(Safe, 0)
 	ins.observeRewrite(Mixed, 0, nil, "")
 	ins.observeEvent(InvokeEvent{Kind: EventTimeout})
 	if ins.endpoint("x") != nil {

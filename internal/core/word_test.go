@@ -100,7 +100,7 @@ func syms(c *Compiled, names ...string) []regex.Symbol {
 func TestFig6SafeRewrite(t *testing.T) {
 	c := paperCompiled(t)
 	target := mustTarget(t, c, "title.date.temp.(TimeOut|exhibit*)")
-	a, err := AnalyzeSafe(c, paperWord(c), target, 1, nil)
+	a, err := AnalyzeSafe(c, paperWord(c), target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFig6SafeRewrite(t *testing.T) {
 func TestFig8NoSafeRewrite(t *testing.T) {
 	c := paperCompiled(t)
 	target := mustTarget(t, c, "title.date.temp.exhibit*")
-	a, err := AnalyzeSafe(c, paperWord(c), target, 1, nil)
+	a, err := AnalyzeSafe(c, paperWord(c), target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFig8NoSafeRewrite(t *testing.T) {
 func TestFig11PossibleRewrite(t *testing.T) {
 	c := paperCompiled(t)
 	target := mustTarget(t, c, "title.date.temp.exhibit*")
-	a, err := AnalyzePossible(c, paperWord(c), target, 1, nil)
+	a, err := AnalyzePossible(c, paperWord(c), target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFig11PossibleRewrite(t *testing.T) {
 	}
 	// And something impossible stays impossible: two temps can never arise.
 	impossible := mustTarget(t, c, "title.date.temp.temp")
-	a2, err := AnalyzePossible(c, paperWord(c), impossible, 1, nil)
+	a2, err := AnalyzePossible(c, paperWord(c), impossible, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestLazyAgreesOnPaper(t *testing.T) {
 		{"title.date.temp.(exhibit|performance)*", 2},
 	} {
 		target := mustTarget(t, c, tc.target)
-		eager, err := AnalyzeSafe(c, paperWord(c), target, tc.k, nil)
+		eager, err := AnalyzeSafe(c, paperWord(c), target, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestLazyAgreesOnPaper(t *testing.T) {
 		if eager.Safe() != lazy.Verdict {
 			t.Errorf("target %q k=%d: eager=%v lazy=%v", tc.target, tc.k, eager.Safe(), lazy.Verdict)
 		}
-		possEager, err := AnalyzePossible(c, paperWord(c), target, tc.k, nil)
+		possEager, err := AnalyzePossible(c, paperWord(c), target, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestLazyAgreesOnPaper(t *testing.T) {
 func TestFig12Pruning(t *testing.T) {
 	c := paperCompiled(t)
 	target := mustTarget(t, c, "title.date.temp.(TimeOut|exhibit*)")
-	eager, err := AnalyzeSafe(c, paperWord(c), target, 1, nil)
+	eager, err := AnalyzeSafe(c, paperWord(c), target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

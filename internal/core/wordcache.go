@@ -11,17 +11,17 @@ import (
 )
 
 // DefaultWordCacheSize bounds the per-Compiled word-verdict memo: how many
-// distinct (word, target, k, mode, engine) analyses are remembered before
+// distinct (word, target, k, mode) analyses are remembered before
 // least-recently-used verdicts are evicted.
 const DefaultWordCacheSize = 4096
 
 // wordCache memoizes word-level rewriting verdicts for one Compiled. The
-// verdict of WordSafe / WordPossible / LazySafe / LazyPossible is a pure
-// function of the token word (symbols, depths, freezing), the target content
-// model, the depth bound, the mode and the engine — never of the document
-// nodes behind the tokens — so one peer serving many messages over the same
-// schema pair keeps answering repeated words from the memo instead of
-// rebuilding fork automata and products.
+// verdict of WordSafe / WordPossible is a pure function of the token word
+// (symbols, depths, freezing), the target content model, the depth bound
+// and the mode — never of the document nodes behind the tokens — so one
+// peer serving many messages over the same schema pair keeps answering
+// repeated words from the memo instead of rebuilding fork automata and
+// products.
 type wordCache struct {
 	// mu guards entries/lru. The memo is consulted on every word of every
 	// message, so hits take only the read lock: recency updates happen
@@ -115,8 +115,7 @@ func (wc *wordCache) stats() CacheStats {
 // appendWordKey appends to dst everything a word-level verdict depends
 // on. Token.Node is deliberately excluded: it back-references the document
 // and never influences the automata.
-func appendWordKey(dst []byte, engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) []byte {
-	dst = append(dst, byte('0'+engine))
+func appendWordKey(dst []byte, mode Mode, tokens []Token, target *regex.Regex, k int) []byte {
 	if mode == Possible {
 		dst = append(dst, 'p')
 	} else {
@@ -144,25 +143,25 @@ func appendWordKey(dst []byte, engine EngineKind, mode Mode, tokens []Token, tar
 
 // WordVerdict answers the word-level rewriting question through the memo:
 // does the token word rewrite into target within depth k, under the given
-// mode and engine? Cache misses run the same analyses the uncached entry
-// points do; errors (oversized fork automata) are never cached.
-func (c *Compiled) WordVerdict(engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
+// mode? Cache misses run WordSafe (Safe and Mixed) or WordPossible
+// (Possible); errors (oversized fork automata) are never cached.
+func (c *Compiled) WordVerdict(mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
 	var key []byte
-	return c.wordVerdict(&key, engine, mode, tokens, target, k)
+	return c.wordVerdict(&key, mode, tokens, target, k)
 }
 
 // wordVerdict is WordVerdict with the memo key appended into *key, scratch
 // the caller reuses across the words it asks about: a memo hit allocates
 // nothing, and a miss allocates only the key string it files.
-func (c *Compiled) wordVerdict(key *[]byte, engine EngineKind, mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
+func (c *Compiled) wordVerdict(key *[]byte, mode Mode, tokens []Token, target *regex.Regex, k int) (bool, error) {
 	ins := c.instruments()
-	ins.observeWordVerdict(engine, mode)
+	ins.observeWordVerdict(mode)
 	wc := c.loadWordCache()
 	if wc != nil {
 		if need := len(tokens)*8 + 32 + len(target.Key()); cap(*key) < need {
 			*key = make([]byte, 0, need)
 		}
-		*key = appendWordKey((*key)[:0], engine, mode, tokens, target, k)
+		*key = appendWordKey((*key)[:0], mode, tokens, target, k)
 		if v, ok := wc.get(*key); ok {
 			return v, nil
 		}
@@ -171,32 +170,16 @@ func (c *Compiled) wordVerdict(key *[]byte, engine EngineKind, mode Mode, tokens
 	if ins != nil {
 		start = time.Now()
 	}
-	var verdict bool
-	var err error
-	var lazyRes *LazyResult
-	switch engine {
-	case Lazy:
-		if mode == Possible {
-			lazyRes, err = LazyPossible(c, tokens, target, k)
-		} else {
-			lazyRes, err = LazySafe(c, tokens, target, k)
-		}
-		if err == nil {
-			verdict = lazyRes.Verdict
-		}
-	default:
-		if mode == Possible {
-			verdict, err = WordPossible(c, tokens, target, k)
-		} else {
-			verdict, err = WordSafe(c, tokens, target, k)
-		}
+	analyze := WordSafe // Safe and Mixed share the safe word analysis
+	if mode == Possible {
+		analyze = WordPossible
 	}
+	verdict, err := analyze(c, tokens, target, k)
 	if err != nil {
 		return false, err
 	}
 	if ins != nil {
-		ins.observeWordAnalysis(engine, mode, time.Since(start))
-		ins.observeLazy(lazyRes)
+		ins.observeWordAnalysis(mode, time.Since(start))
 	}
 	if wc != nil {
 		wc.put(string(*key), verdict)

@@ -61,6 +61,9 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// fresh returns a table with t's heading and no rows yet.
+func (t Table) fresh() *Table { return &t }
+
 // ---------------------------------------------------------------------------
 // Paper fixtures
 
@@ -222,16 +225,75 @@ func ns(d time.Duration, reps int) string {
 	return fmt.Sprintf("%.1fµs", float64(d.Microseconds())/float64(reps))
 }
 
-// Figures (E-F4..E-F12): the verdicts and structural statistics of the
-// paper's worked examples.
-func Figures() *Table {
-	c, w := PaperCompiled()
-	t := &Table{
+// The headings of the experiment tables: their IDs, titles, notes and
+// columns, which All lists without running anything.
+var (
+	figuresHead = Table{
 		ID:     "figures",
 		Title:  "Paper figures 4-12 as executable artifacts",
 		Note:   "verdicts must read: (**) safe; (***) unsafe but possible",
 		Header: []string{"artifact", "target", "verdict", "fork-states", "prod-states", "lazy-states", "sink-prunes"},
 	}
+	safeScalingHead = Table{
+		ID:     "safe-scaling",
+		Title:  "Safe rewriting cost vs schema size and depth bound (§4 complexity claim)",
+		Note:   "deterministic content models: growth stays polynomial; exponent driven by k",
+		Header: []string{"n", "k", "fork-states", "prod-states", "eager", "lazy"},
+	}
+	complementBlowupHead = Table{
+		ID:     "complement-blowup",
+		Title:  "Complement automaton size: deterministic vs non-deterministic content models (§4)",
+		Note:   "XML Schema's UPA rule keeps real schemas in the left half",
+		Header: []string{"n", "det-states", "det-time", "nondet-states", "nondet-time"},
+	}
+	possibleVsSafeHead = Table{
+		ID:     "possible-vs-safe",
+		Title:  "Possible rewriting vs safe rewriting cost (§5)",
+		Header: []string{"n", "safe-states", "safe", "possible-states", "possible"},
+	}
+	lazyPruningHead = Table{
+		ID:     "lazy-pruning",
+		Title:  "Lazy variant pruning (§7, Figure 12)",
+		Note:   "same verdicts, fewer explored states",
+		Header: []string{"workload", "verdict", "eager-states", "lazy-states", "sink-prunes", "mark-prunes"},
+	}
+	mixedBenefitHead = Table{
+		ID:     "mixed-benefit",
+		Title:  "Mixed strategy: analysis size before vs after pre-invocation (§5)",
+		Note:   "pre-invoked calls replace signature automata with concrete words",
+		Header: []string{"n-funcs", "states-before", "time-before", "states-after", "time-after"},
+	}
+	kDepthHead = Table{
+		ID:     "k-depth",
+		Title:  "Materialization depth: recursive Get_More handle (§4 length bound)",
+		Note:   "simulated service returns up to 3 urls and possibly another handle",
+		Header: []string{"k", "calls", "final-urls", "still-intensional"},
+	}
+	schemaRewriteHead = Table{
+		ID:     "schema-rewrite",
+		Title:  "Schema-level compatibility checking (§6)",
+		Note:   "(*)→(**) safe; (*)→(***) unsafe; identity always safe",
+		Header: []string{"pair", "labels", "verdict", "time"},
+	}
+	copySharingHead = Table{
+		ID:     "copy-sharing",
+		Title:  "Ablation: shared vs per-edge output copies in A_w^k (recursive Get_More)",
+		Note:   "identical languages; sharing turns exponential growth in k into linear",
+		Header: []string{"k", "shared-states", "shared-time", "unshared-states", "unshared-time"},
+	}
+	parallelSpeedupHead = Table{
+		ID:     "parallel-speedup",
+		Title:  "Parallel materialization: wall clock vs degree, latency, density (§7 of DESIGN.md)",
+		Note:   "independent sec subtrees; degree 1 is the sequential engine, byte-identical output",
+		Header: []string{"latency", "funcs", "degree", "wall", "speedup"},
+	}
+)
+
+// Figures (E-F4..E-F12): the verdicts and structural statistics of the
+// paper's worked examples.
+func Figures() *Table {
+	c, w := PaperCompiled()
+	t := figuresHead.fresh()
 	for _, tc := range []struct {
 		name, target string
 		want         string
@@ -240,7 +302,7 @@ func Figures() *Table {
 		{"Fig8 safe into (***)", TargetTripleStar, "unsafe"},
 	} {
 		target := regex.MustParse(c.Table, tc.target)
-		a, err := core.AnalyzeSafe(c, w, target, 1, nil)
+		a, err := core.AnalyzeSafe(c, w, target, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -261,7 +323,7 @@ func Figures() *Table {
 		})
 	}
 	target := regex.MustParse(c.Table, TargetTripleStar)
-	p, err := core.AnalyzePossible(c, w, target, 1, nil)
+	p, err := core.AnalyzePossible(c, w, target, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -278,16 +340,11 @@ func Figures() *Table {
 
 // SafeScaling (E-C1): safe-analysis cost against schema size and k.
 func SafeScaling(sizes []int, ks []int, reps int) *Table {
-	t := &Table{
-		ID:     "safe-scaling",
-		Title:  "Safe rewriting cost vs schema size and depth bound (§4 complexity claim)",
-		Note:   "deterministic content models: growth stays polynomial; exponent driven by k",
-		Header: []string{"n", "k", "fork-states", "prod-states", "eager", "lazy"},
-	}
+	t := safeScalingHead.fresh()
 	for _, n := range sizes {
 		c, w, target := ChainInstance(n)
 		for _, k := range ks {
-			a, err := core.AnalyzeSafe(c, w, target, k, nil)
+			a, err := core.AnalyzeSafe(c, w, target, k)
 			if err != nil {
 				panic(err)
 			}
@@ -317,12 +374,7 @@ func SafeScaling(sizes []int, ks []int, reps int) *Table {
 
 // ComplementBlowup (E-C2): deterministic vs non-deterministic content models.
 func ComplementBlowup(sizes []int, reps int) *Table {
-	t := &Table{
-		ID:     "complement-blowup",
-		Title:  "Complement automaton size: deterministic vs non-deterministic content models (§4)",
-		Note:   "XML Schema's UPA rule keeps real schemas in the left half",
-		Header: []string{"n", "det-states", "det-time", "nondet-states", "nondet-time"},
-	}
+	t := complementBlowupHead.fresh()
 	for _, n := range sizes {
 		tab := regex.NewTable()
 		det := DetTarget(tab, n)
@@ -350,18 +402,14 @@ func ComplementBlowup(sizes []int, reps int) *Table {
 
 // PossibleVsSafe (E-C3): Figure 9 avoids complementation and is cheaper.
 func PossibleVsSafe(sizes []int, reps int) *Table {
-	t := &Table{
-		ID:     "possible-vs-safe",
-		Title:  "Possible rewriting vs safe rewriting cost (§5)",
-		Header: []string{"n", "safe-states", "safe", "possible-states", "possible"},
-	}
+	t := possibleVsSafeHead.fresh()
 	for _, n := range sizes {
 		c, w, target := ChainInstance(n)
-		a, err := core.AnalyzeSafe(c, w, target, 1, nil)
+		a, err := core.AnalyzeSafe(c, w, target, 1)
 		if err != nil {
 			panic(err)
 		}
-		p, err := core.AnalyzePossible(c, w, target, 1, nil)
+		p, err := core.AnalyzePossible(c, w, target, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -390,14 +438,9 @@ func PossibleVsSafe(sizes []int, reps int) *Table {
 
 // LazyPruning (E-C5 / Figure 12): states explored, eager vs lazy.
 func LazyPruning(seeds int) *Table {
-	t := &Table{
-		ID:     "lazy-pruning",
-		Title:  "Lazy variant pruning (§7, Figure 12)",
-		Note:   "same verdicts, fewer explored states",
-		Header: []string{"workload", "verdict", "eager-states", "lazy-states", "sink-prunes", "mark-prunes"},
-	}
+	t := lazyPruningHead.fresh()
 	add := func(name string, c *core.Compiled, w []core.Token, target *regex.Regex, k int) {
-		a, err := core.AnalyzeSafe(c, w, target, k, nil)
+		a, err := core.AnalyzeSafe(c, w, target, k)
 		if err != nil {
 			panic(err)
 		}
@@ -444,15 +487,10 @@ func LazyPruning(seeds int) *Table {
 // MixedBenefit (E-C4): pre-invoking side-effect-free calls shrinks the safe
 // analysis.
 func MixedBenefit(sizes []int, reps int) *Table {
-	t := &Table{
-		ID:     "mixed-benefit",
-		Title:  "Mixed strategy: analysis size before vs after pre-invocation (§5)",
-		Note:   "pre-invoked calls replace signature automata with concrete words",
-		Header: []string{"n-funcs", "states-before", "time-before", "states-after", "time-after"},
-	}
+	t := mixedBenefitHead.fresh()
 	for _, n := range sizes {
 		c, w, target := ChainInstance(n)
-		before, err := core.AnalyzeSafe(c, w, target, 1, nil)
+		before, err := core.AnalyzeSafe(c, w, target, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -469,7 +507,7 @@ func MixedBenefit(sizes []int, reps int) *Table {
 		for i := range after {
 			after[i] = core.Token{Sym: c.Table.Intern(fmt.Sprintf("a%d", i))}
 		}
-		afterA, err := core.AnalyzeSafe(c, after, target, 1, nil)
+		afterA, err := core.AnalyzeSafe(c, after, target, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -492,12 +530,7 @@ func MixedBenefit(sizes []int, reps int) *Table {
 // KDepthGrowth (E-C6): materialized word length against k for a recursive
 // handle (the |w|·x^k bound of §4).
 func KDepthGrowth(ks []int) *Table {
-	t := &Table{
-		ID:     "k-depth",
-		Title:  "Materialization depth: recursive Get_More handle (§4 length bound)",
-		Note:   "simulated service returns up to 3 urls and possibly another handle",
-		Header: []string{"k", "calls", "final-urls", "still-intensional"},
-	}
+	t := kDepthHead.fresh()
 	for _, k := range ks {
 		s := schema.MustParseText(`
 root results
@@ -539,12 +572,7 @@ func Get_More = data -> url*.Get_More?
 // SchemaRewrite (E-C7): Definition 6 checks on the paper pair and scaling
 // families.
 func SchemaRewrite(sizes []int, reps int) *Table {
-	t := &Table{
-		ID:     "schema-rewrite",
-		Title:  "Schema-level compatibility checking (§6)",
-		Note:   "(*)→(**) safe; (*)→(***) unsafe; identity always safe",
-		Header: []string{"pair", "labels", "verdict", "time"},
-	}
+	t := schemaRewriteHead.fresh()
 	sender := schema.MustParseText(PaperSchemaText, nil)
 	addPair := func(name string, target *schema.Schema, k int) {
 		c := core.Compile(sender, target)
@@ -603,12 +631,7 @@ func SchemaRewrite(sizes []int, reps int) *Table {
 // between forks with identical (function, successor, depth) — exponential
 // versus linear in k for recursive output types, same language.
 func CopySharing(ks []int, reps int) *Table {
-	t := &Table{
-		ID:     "copy-sharing",
-		Title:  "Ablation: shared vs per-edge output copies in A_w^k (recursive Get_More)",
-		Note:   "identical languages; sharing turns exponential growth in k into linear",
-		Header: []string{"k", "shared-states", "shared-time", "unshared-states", "unshared-time"},
-	}
+	t := copySharingHead.fresh()
 	c, w, _ := RecursiveInstance()
 	for _, k := range ks {
 		shared, err := core.BuildFork(c, w, k)
@@ -649,12 +672,7 @@ func CopySharing(ks []int, reps int) *Table {
 // latency the engine's overhead dominates and the degrees tie; with real
 // round-trips the speedup approaches min(degree, independent calls).
 func ParallelSpeedup(degrees []int, latencies []time.Duration, densities []int, reps int) *Table {
-	t := &Table{
-		ID:     "parallel-speedup",
-		Title:  "Parallel materialization: wall clock vs degree, latency, density (§7 of DESIGN.md)",
-		Note:   "independent sec subtrees; degree 1 is the sequential engine, byte-identical output",
-		Header: []string{"latency", "funcs", "degree", "wall", "speedup"},
-	}
+	t := parallelSpeedupHead.fresh()
 	for _, lat := range latencies {
 		for _, n := range densities {
 			var base time.Duration
@@ -689,20 +707,30 @@ func ParallelSpeedup(degrees []int, latencies []time.Duration, densities []int, 
 	return t
 }
 
-// All runs every experiment with default parameters.
-func All() []*Table {
-	return []*Table{
-		Figures(),
-		SafeScaling([]int{4, 8, 16, 32}, []int{1, 2}, 5),
-		ComplementBlowup([]int{4, 8, 12, 16}, 5),
-		PossibleVsSafe([]int{4, 8, 16, 32}, 5),
-		MixedBenefit([]int{4, 8, 16, 32}, 5),
-		LazyPruning(4),
-		KDepthGrowth([]int{1, 2, 3, 4, 6}),
-		SchemaRewrite([]int{8, 16}, 3),
-		CopySharing([]int{2, 4, 6, 8, 10}, 3),
-		ParallelSpeedup([]int{1, 2, 4, 8},
-			[]time.Duration{0, time.Millisecond, 5 * time.Millisecond},
-			[]int{8, 32}, 3),
+// Experiment is one table of the harness: its heading, known without
+// running anything, and Run, which computes the table with the
+// experiment's default parameters.
+type Experiment struct {
+	Head *Table
+	Run  func() *Table
+}
+
+// All lists every experiment; none runs until its Run is called.
+func All() []Experiment {
+	return []Experiment{
+		{&figuresHead, Figures},
+		{&safeScalingHead, func() *Table { return SafeScaling([]int{4, 8, 16, 32}, []int{1, 2}, 5) }},
+		{&complementBlowupHead, func() *Table { return ComplementBlowup([]int{4, 8, 12, 16}, 5) }},
+		{&possibleVsSafeHead, func() *Table { return PossibleVsSafe([]int{4, 8, 16, 32}, 5) }},
+		{&mixedBenefitHead, func() *Table { return MixedBenefit([]int{4, 8, 16, 32}, 5) }},
+		{&lazyPruningHead, func() *Table { return LazyPruning(4) }},
+		{&kDepthHead, func() *Table { return KDepthGrowth([]int{1, 2, 3, 4, 6}) }},
+		{&schemaRewriteHead, func() *Table { return SchemaRewrite([]int{8, 16}, 3) }},
+		{&copySharingHead, func() *Table { return CopySharing([]int{2, 4, 6, 8, 10}, 3) }},
+		{&parallelSpeedupHead, func() *Table {
+			return ParallelSpeedup([]int{1, 2, 4, 8},
+				[]time.Duration{0, time.Millisecond, 5 * time.Millisecond},
+				[]int{8, 32}, 3)
+		}},
 	}
 }

@@ -11,28 +11,33 @@ import (
 // absolute numbers are machine-dependent, but who wins and where the
 // crossovers fall must hold on every run.
 
+// TestFiguresVerdicts pins every cell of the figures table: the verdicts
+// of Figures 6, 8 and 11, and the state counts of the automata behind them
+// (A_w^1, the product, the lazy exploration and its sink prunes).
 func TestFiguresVerdicts(t *testing.T) {
 	tbl := Figures()
-	if len(tbl.Rows) != 3 {
+	want := [][]string{
+		{"Fig6 safe into (**)", "title.date.temp.(TimeOut|exhibit*)", "safe", "10", "16", "11", "2"},
+		{"Fig8 safe into (***)", "title.date.temp.exhibit*", "unsafe", "10", "15", "11", "3"},
+		{"Fig11 possible into (***)", "title.date.temp.exhibit*", "possible", "10", "15", "-", "-"},
+	}
+	if len(tbl.Rows) != len(want) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	byName := map[string][]string{}
-	for _, row := range tbl.Rows {
-		byName[row[0]] = row
-	}
-	if byName["Fig6 safe into (**)"][2] != "safe" {
-		t.Error("Figure 6 must be safe")
-	}
-	if byName["Fig8 safe into (***)"][2] != "unsafe" {
-		t.Error("Figure 8 must be unsafe")
-	}
-	if byName["Fig11 possible into (***)"][2] != "possible" {
-		t.Error("Figure 11 must be possible")
+	for i, row := range tbl.Rows {
+		if strings.Join(row, " | ") != strings.Join(want[i], " | ") {
+			t.Errorf("row %d = %v\nwant %v", i, row, want[i])
+		}
 	}
 }
 
 func TestComplementBlowupShape(t *testing.T) {
 	tbl := ComplementBlowup([]int{4, 8}, 1)
+	for i, want := range [][2]int{{7, 34}, {11, 514}} {
+		if det, nondet := atoi(t, tbl.Rows[i][1]), atoi(t, tbl.Rows[i][3]); det != want[0] || nondet != want[1] {
+			t.Errorf("n=%s: det/nondet states %d/%d, want %d/%d", tbl.Rows[i][0], det, nondet, want[0], want[1])
+		}
+	}
 	// Non-deterministic complement states must grow ~2^n while deterministic
 	// stays linear: at n=8 the gap must exceed an order of magnitude.
 	row := tbl.Rows[1]
@@ -49,6 +54,12 @@ func TestComplementBlowupShape(t *testing.T) {
 
 func TestLazyPruningShape(t *testing.T) {
 	tbl := LazyPruning(3)
+	// The paper rows: eager states, lazy states, sink and mark prunes.
+	for i, want := range []string{"safe 16 11 2 2", "unsafe 15 11 3 8"} {
+		if got := strings.Join(tbl.Rows[i][1:], " "); got != want {
+			t.Errorf("%s: %s, want %s", tbl.Rows[i][0], got, want)
+		}
+	}
 	for _, row := range tbl.Rows {
 		eager, lazy := atoi(t, row[2]), atoi(t, row[3])
 		if lazy > eager {
@@ -141,13 +152,14 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
-	tables := All()
-	if len(tables) != 10 {
-		t.Fatalf("experiments = %d", len(tables))
+	all := All()
+	if len(all) != 10 {
+		t.Fatalf("experiments = %d", len(all))
 	}
-	for _, tbl := range tables {
-		if tbl.ID == "" || len(tbl.Rows) == 0 {
-			t.Errorf("table %q is empty", tbl.ID)
+	for _, e := range all {
+		tbl := e.Run()
+		if tbl.ID == "" || tbl.ID != e.Head.ID || tbl.Title != e.Head.Title || len(tbl.Rows) == 0 {
+			t.Errorf("table %q (listed as %q) is empty or misnamed", tbl.ID, e.Head.ID)
 		}
 	}
 }

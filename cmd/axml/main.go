@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -35,16 +36,38 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	err := run(os.Args[1:])
+	if status := exitStatus(err); status != 0 {
 		fmt.Fprintln(os.Stderr, "axml:", err)
-		os.Exit(1)
+		os.Exit(status)
 	}
+}
+
+// usageError is an error in how axml was invoked: an unknown command, an
+// undefined flag or a bad flag value, a missing argument.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// exitStatus maps run's error to the exit status: 0 for none or a request
+// for help (-h), 2 for a usage error, as Go's flag convention has it, and
+// 1 for a refused or failed operation.
+func exitStatus(err error) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	}
+	return 1
 }
 
 func run(args []string) error {
 	if len(args) == 0 {
 		usage()
-		return fmt.Errorf("missing command")
+		return usagef("missing command")
 	}
 	switch args[0] {
 	case "validate":
@@ -62,7 +85,7 @@ func run(args []string) error {
 		return nil
 	default:
 		usage()
-		return fmt.Errorf("unknown command %q", args[0])
+		return usagef("unknown command %q", args[0])
 	}
 }
 
@@ -112,7 +135,7 @@ func parseMode(s string) (core.Mode, error) {
 	case "mixed":
 		return core.Mixed, nil
 	default:
-		return core.Safe, fmt.Errorf("mode must be safe, possible or mixed (got %q)", s)
+		return core.Safe, usagef("mode must be safe, possible or mixed (got %q)", s)
 	}
 }
 
@@ -120,10 +143,10 @@ func cmdValidate(args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	schemaPath := fs.String("schema", "", "schema file (.axs text DSL or .xsd XML Schema_int)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *schemaPath == "" || fs.NArg() != 1 {
-		return fmt.Errorf("validate needs -schema and one document")
+		return usagef("validate needs -schema and one document")
 	}
 	s, err := loadSchema(*schemaPath, nil)
 	if err != nil {
@@ -160,13 +183,13 @@ func cmdCheck(args []string) error {
 	modeStr := fs.String("mode", "safe", "safe | possible")
 	k := fs.Int("k", 2, "rewriting depth bound")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *senderPath == "" || *targetPath == "" || fs.NArg() != 1 {
-		return fmt.Errorf("check needs -sender, -target and one document")
+		return usagef("check needs -sender, -target and one document")
 	}
 	if *k < 0 {
-		return fmt.Errorf("-k must not be negative, got %d", *k)
+		return usagef("-k must not be negative, got %d", *k)
 	}
 	mode, err := parseMode(*modeStr)
 	if err != nil {
@@ -201,16 +224,16 @@ func cmdRewrite(args []string) error {
 	verbose := fs.Bool("v", false, "tag the run with a rewrite id and print it with the invocation trail to stderr")
 	parallel := fs.Int("parallel", 1, "parallel materialization degree (1 = sequential)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *parallel < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", *parallel)
+		return usagef("-parallel must be at least 1, got %d", *parallel)
 	}
 	if *senderPath == "" || *targetPath == "" || fs.NArg() != 1 {
-		return fmt.Errorf("rewrite needs -sender, -target and one document")
+		return usagef("rewrite needs -sender, -target and one document")
 	}
 	if *k < 0 {
-		return fmt.Errorf("-k must not be negative, got %d", *k)
+		return usagef("-k must not be negative, got %d", *k)
 	}
 	mode, err := parseMode(*modeStr)
 	if err != nil {
@@ -231,7 +254,7 @@ func cmdRewrite(args []string) error {
 	case *endpoint != "":
 		invoker = &soap.Invoker{Default: *endpoint}
 	default:
-		return fmt.Errorf("rewrite needs -sim <seed> or -endpoint <url>")
+		return usagef("rewrite needs -sim <seed> or -endpoint <url>")
 	}
 	rw := core.NewRewriterWithConfig(sender, target, core.RewriterConfig{Invoker: invoker, Parallelism: *parallel})
 	rw.K = *k
@@ -263,13 +286,13 @@ func cmdSchemaCheck(args []string) error {
 	root := fs.String("root", "", "root label (defaults to the sender schema's)")
 	k := fs.Int("k", 1, "rewriting depth bound")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *senderPath == "" || *targetPath == "" {
-		return fmt.Errorf("schema-check needs -sender and -target")
+		return usagef("schema-check needs -sender and -target")
 	}
 	if *k < 0 {
-		return fmt.Errorf("-k must not be negative, got %d", *k)
+		return usagef("-k must not be negative, got %d", *k)
 	}
 	sender, target, err := loadPair(*senderPath, *targetPath)
 	if err != nil {
@@ -304,10 +327,10 @@ func cmdConvert(args []string) error {
 	endpoint := fs.String("endpoint", "", "service endpoint for WSDL output")
 	asText := fs.Bool("text", false, "emit the compact text DSL instead of XSD_int")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *schemaPath == "" {
-		return fmt.Errorf("convert needs -schema")
+		return usagef("convert needs -schema")
 	}
 	s, err := loadSchema(*schemaPath, nil)
 	if err != nil {

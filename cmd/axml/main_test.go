@@ -184,26 +184,41 @@ func TestConvertCommand(t *testing.T) {
 	}
 }
 
+// TestCommandErrors: every error fails the command, with exit status 2
+// for a usage error (a missing or unknown command, an undefined flag or a
+// bad flag value, a missing argument) and 1 for a refused or failed
+// operation; help succeeds.
 func TestCommandErrors(t *testing.T) {
-	for _, args := range [][]string{
-		nil,
-		{"bogus"},
-		{"validate"},
-		{"validate", "-schema", "missing.axs", "testdata/newspaper.xml"},
-		{"check", "-sender", "testdata/star.axs", "testdata/newspaper.xml"},
-		{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-mode", "bogus", "testdata/newspaper.xml"},
-		{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-lazy", "testdata/newspaper.xml"}, // removed flag
-		{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-sim", "7", "-lazy", "testdata/newspaper.xml"},
-		{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "testdata/newspaper.xml"}, // no -sim/-endpoint
-		{"schema-check"},
-		{"convert"},
+	for _, tc := range []struct {
+		args   []string
+		status int
+	}{
+		{nil, 2},
+		{[]string{"bogus"}, 2},
+		{[]string{"validate"}, 2},
+		{[]string{"validate", "-schema", "missing.axs", "testdata/newspaper.xml"}, 1},
+		{[]string{"validate", "-schema", "testdata/starstar.axs", "testdata/newspaper.xml"}, 1},
+		{[]string{"check", "-sender", "testdata/star.axs", "testdata/newspaper.xml"}, 2},
+		{[]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-mode", "bogus", "testdata/newspaper.xml"}, 2},
+		{[]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-lazy", "testdata/newspaper.xml"}, 2}, // removed flag
+		{[]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-k", "-1", "testdata/newspaper.xml"}, 2},
+		{[]string{"check", "-sender", "testdata/star.axs", "-target", "testdata/tristar.axs", "-k", "1", "testdata/newspaper.xml"}, 1}, // not safe
+		{[]string{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "-sim", "7", "-lazy", "testdata/newspaper.xml"}, 2},
+		{[]string{"rewrite", "-sender", "testdata/star.axs", "-target", "testdata/starstar.axs", "testdata/newspaper.xml"}, 2}, // no -sim/-endpoint
+		{[]string{"schema-check"}, 2},
+		{[]string{"schema-check", "-sender", "testdata/star.axs", "-target", "testdata/tristar.axs"}, 1},
+		{[]string{"convert"}, 2},
+		{[]string{"convert", "-schema", "missing.axs"}, 1},
+		{[]string{"help"}, 0},
+		{[]string{"validate", "-h"}, 0},
 	} {
-		if _, err := capture(t, func() error { return run(args) }); err == nil {
-			t.Errorf("run(%v) should fail", args)
+		_, err := capture(t, func() error { return run(tc.args) })
+		if tc.status != 0 && err == nil {
+			t.Errorf("run(%v) should fail", tc.args)
 		}
-	}
-	if _, err := capture(t, func() error { return run([]string{"help"}) }); err != nil {
-		t.Errorf("help should succeed: %v", err)
+		if got := exitStatus(err); got != tc.status {
+			t.Errorf("run(%v): exit status %d, want %d (error %v)", tc.args, got, tc.status, err)
+		}
 	}
 }
 

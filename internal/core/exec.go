@@ -701,8 +701,9 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 // one.
 //
 // It returns forest itself when nothing in it changed, and writes an
-// element's children only when they did: a function-free subtree, which
-// may be shared with a stored document, is walked but never written.
+// element's children only when they did. A function-free subtree, which
+// may be shared with a stored document, takes no slot: it is walked once,
+// allocating nothing, and never written.
 func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*doc.Node, error) {
 	c := ex.rw.Compiled
 	var slots []int
@@ -711,6 +712,9 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, at nodePath) ([]*do
 	for i, n := range forest {
 		switch {
 		case n.Kind == doc.Element:
+			if !n.HasFuncs() {
+				continue
+			}
 			if up == nil {
 				up = at.box()
 			}

@@ -246,12 +246,26 @@ func (w *wordRun) dispatch(child *executor, k int) error {
 }
 
 // splice replaces the item of each of the round's calls by items holding
-// the nodes the call returned, one level deeper, in word order.
+// the nodes the call returned, one level deeper, in word order. When every
+// call returned one node, each call's item takes its node in place: no
+// other item refers to a called one, which was neither kept nor is still
+// forced.
 func (w *wordRun) splice() {
 	ex := w.ex
-	size := len(w.items)
+	size, single := len(w.items), true
 	for _, c := range w.calls {
 		size += len(c.res) - 1
+		single = single && len(c.res) == 1
+	}
+	if single {
+		for _, c := range w.calls {
+			it, n := w.items[c.at], c.res[0]
+			*it = item{node: n, depth: it.depth + 1}
+			if n.Kind == doc.Func {
+				ex.markParamsDone(n)
+			}
+		}
+		return
 	}
 	next := make([]*item, 0, size)
 	k := 0

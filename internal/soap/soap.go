@@ -335,8 +335,8 @@ func decodeEntries(data []byte, max int, each func(Request, *Fault) error) error
 			}
 			return each(Request{}, f)
 		}
-		e := Request{Method: string(start.Local), Namespace: start.Space}
-		if e.Params, err = xmlio.ParseChildrenAt(tz, e.Method); err != nil {
+		e := Request{Namespace: start.Space}
+		if e.Method, e.Params, err = xmlio.ParseChildrenAt(tz, start); err != nil {
 			return fmt.Errorf("soap: body entry: %w", err)
 		}
 		if err := each(e, nil); err != nil {

@@ -2,13 +2,17 @@ package xmlio
 
 import "axml/internal/doc"
 
-// ParseChildrenAt parses a forest: all content of the open element named
-// parent, up to and including its end tag. Whitespace-only text is dropped;
-// other text becomes trimmed text nodes.
-func ParseChildrenAt(tz *Tokenizer, parent string) ([]*doc.Node, error) {
-	b := getBuilder(tz)
-	defer putBuilder(b)
-	return b.forest(parent)
+// ParseChildrenAt parses a forest: all content of the element start
+// opened, up to and including its end tag. Whitespace-only text is
+// dropped; other text becomes trimmed text nodes. It returns the element's
+// local name, interned like the labels of the tokenizer's parses, and the
+// forest. Successive calls on one tokenizer share its node and child-list
+// slabs, but each forest's text values are a string of their own.
+func ParseChildrenAt(tz *Tokenizer, start *Token) (string, []*doc.Node, error) {
+	b := tz.builder()
+	name := b.intern(start.Local)
+	forest, err := b.forest(name)
+	return name, forest, err
 }
 
 // AppendFragment appends each node of forest to dst without an XML

@@ -109,6 +109,8 @@ type Tokenizer struct {
 	adec  []byte // decoded attribute values of the current start tag
 
 	interned [16]string // recent namespace prefixes and URIs (intern)
+
+	b *builder // the builder of this input's parses, until Close
 }
 
 type openElem struct {
@@ -167,8 +169,8 @@ func (t *Tokenizer) reset(b []byte, r io.Reader) {
 	t.open, t.names, t.ns = t.open[:0], t.names[:0], t.ns[:0]
 }
 
-// Close returns the tokenizer to a pool; neither it nor the tokens it
-// returned may be used afterwards.
+// Close returns the tokenizer to a pool, and its builder to another;
+// neither it nor the tokens it returned may be used afterwards.
 func (t *Tokenizer) Close() {
 	if t.r != nil {
 		t.win = t.buf[:0]
@@ -182,6 +184,10 @@ func (t *Tokenizer) Close() {
 	clear(t.ns[:cap(t.ns)])
 	clear(t.open[:cap(t.open)])
 	clear(t.attrs[:cap(t.attrs)])
+	if t.b != nil {
+		putBuilder(t.b)
+		t.b = nil
+	}
 	tokenizerPool.Put(t)
 }
 

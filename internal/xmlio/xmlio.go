@@ -72,9 +72,7 @@ func parseDocument(tz *Tokenizer) (*doc.Node, error) {
 		}
 		switch tok.Kind {
 		case KindStart:
-			b := getBuilder(tz)
-			n, err := b.subtree(tok)
-			putBuilder(b)
+			n, err := tz.builder().subtree(tok)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +92,8 @@ func parseDocument(tz *Tokenizer) (*doc.Node, error) {
 // per open element, and one stack of finished children shared by all frames
 // (each frame's children are the tail of kids from its base). Parameters of
 // <int:params>/<int:param> wrappers stay in place on that stack, which
-// flattens them into the enclosing function's children.
+// flattens them into the enclosing function's children. A tokenizer lends
+// all its parses one builder (Tokenizer.builder).
 type builder struct {
 	tz     *Tokenizer
 	frames []frame
@@ -103,16 +102,34 @@ type builder struct {
 	// repeats a handful of names, so most nodes share their label string.
 	labels [128]string
 	// Nodes and child lists are carved from slabs that double in size up
-	// to maxSlab within one parse, so a document costs few allocations for
-	// them. Slabs are not carried over to the next parse, so one
-	// document's nodes never keep another's alive.
+	// to maxSlab, so a document costs few allocations for them. The parses
+	// of one tokenizer (the entries of a SOAP envelope) share its slabs;
+	// they are not carried over to the next tokenizer, so one document's
+	// nodes never keep another's alive.
 	nodes              []doc.Node
 	lists              []*doc.Node
 	nodeSlab, listSlab int // size of the last slab of each kind
+	// Text values are carved too: text gathers the trimmed runs of the
+	// text nodes in pending, which have no value yet, and flush turns them
+	// into one string that each node takes its substring of. text is
+	// scratch, kept across parses; the strings flush makes are not.
+	text    []byte
+	pending []pendingText
+}
+
+// pendingText is a text node whose value ends at end in the text slab and
+// starts where the previous pending node's ends.
+type pendingText struct {
+	node *doc.Node
+	end  int
 }
 
 // maxSlab bounds slab sizes, in nodes and in child pointers.
 const maxSlab = 256
+
+// maxText bounds the text slab, in bytes; a run longer than a quarter of
+// it takes a string of its own.
+const maxText = 16 << 10
 
 // node returns a zeroed node from the node slab.
 func (b *builder) node() *doc.Node {
@@ -123,6 +140,42 @@ func (b *builder) node() *doc.Node {
 	n := &b.nodes[0]
 	b.nodes = b.nodes[1:]
 	return n
+}
+
+// addText appends a text node holding v to the children of the innermost
+// frame.
+func (b *builder) addText(v []byte) {
+	n := b.node()
+	n.Kind = doc.Text
+	b.kids = append(b.kids, n)
+	if len(v) > maxText/4 {
+		n.Value = string(v)
+		return
+	}
+	if len(b.text)+len(v) > cap(b.text) {
+		b.flush()
+		if b.text == nil {
+			b.text = make([]byte, 0, maxText)
+		}
+	}
+	b.text = append(b.text, v...)
+	b.pending = append(b.pending, pendingText{node: n, end: len(b.text)})
+}
+
+// flush gives each pending text node its value, all of them substrings of
+// one string, and empties the text slab.
+func (b *builder) flush() {
+	if len(b.pending) == 0 {
+		return
+	}
+	s := string(b.text)
+	start := 0
+	for _, p := range b.pending {
+		p.node.Value = s[start:p.end]
+		start = p.end
+	}
+	clear(b.pending)
+	b.text, b.pending = b.text[:0], b.pending[:0]
 }
 
 // list returns a copy of kids with no spare capacity, so that appending to
@@ -158,10 +211,14 @@ type frame struct {
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
-func getBuilder(tz *Tokenizer) *builder {
-	b := builderPool.Get().(*builder)
-	b.tz = tz
-	return b
+// builder returns the tokenizer's builder, taken from the pool on first
+// use; Close returns it.
+func (t *Tokenizer) builder() *builder {
+	if t.b == nil {
+		t.b = builderPool.Get().(*builder)
+		t.b.tz = t
+	}
+	return t.b
 }
 
 func putBuilder(b *builder) {
@@ -187,27 +244,35 @@ func (b *builder) intern(s []byte) string {
 
 // subtree parses the element that start opened, through its end tag.
 func (b *builder) subtree(start *Token) (*doc.Node, error) {
+	defer b.finish()
 	if err := b.open(start, fElem); err != nil {
 		return nil, err
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	n := b.kids[0]
-	b.kids = b.kids[:0]
-	return n, nil
+	return b.kids[0], nil
 }
 
 // forest parses the content of an element the caller already opened,
 // through its end tag.
 func (b *builder) forest(parent string) ([]*doc.Node, error) {
-	holder := &doc.Node{Kind: doc.Element, Label: parent}
+	defer b.finish()
+	holder := b.node()
+	holder.Kind, holder.Label = doc.Element, parent
 	b.frames = append(b.frames, frame{kind: fElem, node: holder, base: len(b.kids)})
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	b.kids = b.kids[:0]
 	return holder.Children, nil
+}
+
+// finish ends a subtree or a forest, finished or failed: its text nodes
+// take their values before the caller sees them, and the next parse on the
+// tokenizer starts with empty stacks.
+func (b *builder) finish() {
+	b.flush()
+	b.frames, b.kids = b.frames[:0], b.kids[:0]
 }
 
 // run consumes tokens until every open frame has closed.
@@ -235,9 +300,7 @@ func (b *builder) run() error {
 				}
 			default:
 				if v := bytes.TrimSpace(tok.Data); len(v) > 0 {
-					n := b.node()
-					n.Kind, n.Value = doc.Text, string(v)
-					b.kids = append(b.kids, n)
+					b.addText(v)
 				}
 			}
 		case KindEnd:
@@ -274,24 +337,24 @@ func (b *builder) open(tok *Token, parent frameKind) error {
 	if string(tok.Local) != "fun" {
 		return fmt.Errorf("xmlio: unexpected intensional element <int:%s>", tok.Local)
 	}
-	ref := doc.ServiceRef{}
+	var endpoint, method, space string
 	for _, a := range tok.Attr {
 		switch string(a.Local) {
 		case "endpointURL":
-			ref.Endpoint = b.intern(a.Value)
+			endpoint = b.intern(a.Value)
 		case "methodName":
-			ref.Method = b.intern(a.Value)
+			method = b.intern(a.Value)
 		case "namespaceURI":
-			ref.Namespace = b.intern(a.Value)
+			space = b.intern(a.Value)
 		}
 	}
-	if ref.Method == "" {
+	if method == "" {
 		return fmt.Errorf("xmlio: <int:fun> without methodName")
 	}
 	n := b.node()
-	n.Kind, n.Label = doc.Func, ref.Method
-	if ref.Endpoint != "" || ref.Namespace != "" {
-		n.Service = &ref
+	n.Kind, n.Label = doc.Func, method
+	if endpoint != "" || space != "" {
+		n.Service = &doc.ServiceRef{Endpoint: endpoint, Method: method, Namespace: space}
 	}
 	b.frames = append(b.frames, frame{kind: fFun, node: n, base: len(b.kids)})
 	return nil

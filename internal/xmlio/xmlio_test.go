@@ -2,6 +2,7 @@ package xmlio
 
 import (
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -369,5 +370,116 @@ func TestDeclarationAllocations(t *testing.T) {
 		if with, without := allocs(decl+body), allocs(body); with > without {
 			t.Errorf("%s: %v allocations with the declaration, %v without", decl, with, without)
 		}
+	}
+}
+
+// TestParseAllocations: a parse costs its slabs, not an allocation per
+// node. Nodes, child lists and text values are carved from per-parse
+// slabs, and an <int:fun> without an endpoint or a namespace takes no
+// ServiceRef, so BenchmarkParse's 64 KiB document (986 allocations when
+// each text node and each call took one of its own) takes at most 40, and
+// ten times its blocks add slabs only.
+func TestParseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParseBytes(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(benchDoc(360))
+	if small > 40 {
+		t.Errorf("parsing the 64 KiB document = %v allocations, want at most 40", small)
+	}
+	data := benchDoc(3600)
+	d, err := ParseBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A slab holds up to 256 nodes, 256 child pointers or 16 KiB of text.
+	want := small + 2*float64(d.Count())/maxSlab + float64(len(data))/maxText
+	large := allocs(data)
+	t.Logf("64 KiB document: %v allocations; %d nodes in %d bytes: %v", small, d.Count(), len(data), large)
+	if large > want {
+		t.Errorf("parsing %d nodes in %d bytes = %v allocations, want at most %.0f", d.Count(), len(data), large, want)
+	}
+}
+
+// TestParsedTextSurvivesReuse: a parsed tree's text values are strings of
+// their own, not views of the pooled builder's text slab, so a slab
+// written by later parses, in sequence or from other goroutines, leaves
+// every kept tree as a fresh parse of its bytes reads it. The documents'
+// text crosses the slab's bound, and some runs are long enough to take a
+// string of their own.
+func TestParsedTextSurvivesReuse(t *testing.T) {
+	inputs := make([][]byte, 24)
+	want := make([]*doc.Node, len(inputs))
+	for i := range inputs {
+		root := doc.Elem("page")
+		for j := 0; j < 20+i*5; j++ {
+			text := fmt.Sprintf("doc %d text %d ", i, j) + strings.Repeat(string(rune('a'+(i+j)%26)), (i*31+j*17)%300)
+			if j%29 == 0 {
+				text += strings.Repeat("long ", maxText/16)
+			}
+			blk := doc.Elem("block", doc.Elem("para", doc.TextNode(text)))
+			if j%5 == 0 {
+				blk.Children = append(blk.Children, doc.CallAt(doc.ServiceRef{Method: "F", Endpoint: fmt.Sprint("http://peer", i%3)},
+					doc.Elem("key", doc.TextNode(fmt.Sprint("k", i, j)))))
+			}
+			root.Children = append(root.Children, blk)
+		}
+		inputs[i] = []byte(MustString(root))
+		var err error
+		if want[i], _, err = refParse(inputs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse := func(k int) (*doc.Node, error) {
+		if k%2 == 0 {
+			return ParseBytes(inputs[k])
+		}
+		return Parse(&chunkReader{b: inputs[k], n: 61 * k})
+	}
+	check := func(kept []*doc.Node) {
+		for k, got := range kept {
+			if !got.Equal(want[k]) {
+				t.Errorf("document %d changed after later parses", k)
+			}
+		}
+	}
+	kept := make([]*doc.Node, len(inputs))
+	for k := range inputs {
+		d, err := parse(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[k] = d
+	}
+	check(kept)
+
+	var wg sync.WaitGroup
+	trees := make([][]*doc.Node, 4)
+	for g := range trees {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trees[g] = make([]*doc.Node, len(inputs))
+			for i := range inputs {
+				k := (i + g*7) % len(inputs)
+				d, err := parse(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				trees[g][k] = d
+			}
+		}()
+	}
+	wg.Wait()
+	for _, kept := range trees {
+		check(kept)
 	}
 }
